@@ -18,7 +18,7 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from . import gadgets
 from .dslist import dl_min_lcxp_branch, dle_min_lcxp_branch, ds_to_dl
@@ -37,6 +37,7 @@ from .explain import (
 )
 from .models import (
     Ensemble,
+    complete_obdd,
     dumps_canonical,
     dumps_model,
     example_to_json,
@@ -173,7 +174,7 @@ def run_explain(
     return _explain_via(model, q, route, cap, guard), route
 
 
-def run_verify(model, q: ExplanationQuery, w: Witness, cap: int, guard: int) -> bool:
+def _check_witness(model, q: ExplanationQuery, w: Witness) -> None:
     if q.is_local and w.features is None:
         raise ModelError("local queries take a feature-set witness")
     if not q.is_local and w.assignment is None:
@@ -183,44 +184,73 @@ def run_verify(model, q: ExplanationQuery, w: Witness, cap: int, guard: int) -> 
     for f in mentioned:
         if f not in known:
             raise UndefinedFeature(f"witness mentions unknown feature {f!r}")
-    if q.k is not None and w.size > q.k:
-        return False
-    if model.kind == "dt":
-        if q.kind == "lCXp":
-            return dt_lcxp_check(model, q.target, w.features)
-        return dt_check(model, q, w)
-    if model.kind == "obdd":
-        if q.kind == "lCXp":
-            return obdd_lcxp_check(model, q.target, w.features)
-        return obdd_check(model, q, w)
+
+
+def _validity(model, q: ExplanationQuery, cap: int, guard: int) -> Callable[[Witness], bool]:
+    """Validity test for witnesses already checked against `model`.
+
+    A tree or diagram ensemble is flattened once and a diagram completed
+    once, so every witness checked through the result reuses that model;
+    an ensemble whose flattening hits the cap or an order conflict is
+    checked by the oracle instead.
+    """
     if model.kind == "ensemble" and model.elements[0].kind in ("dt", "obdd"):
         try:
             if model.elements[0].kind == "dt":
-                flat = dt_ensemble_to_dt(model, cap)
+                model = dt_ensemble_to_dt(model, cap)
             else:
-                flat = obdd_ensemble_product(model, cap)
-            return run_verify(flat, q, w, cap, guard)
+                model = obdd_ensemble_product(model, cap)
         except (BudgetExceeded, NotOrdered):
             pass
-    return is_explanation(model, q, w, guard)
+    if model.kind == "dt":
+        if q.kind == "lCXp":
+            return lambda w: dt_lcxp_check(model, q.target, w.features)
+        return lambda w: dt_check(model, q, w)
+    if model.kind == "obdd":
+        model = complete_obdd(model)
+        if q.kind == "lCXp":
+            return lambda w: obdd_lcxp_check(model, q.target, w.features)
+        return lambda w: obdd_check(model, q, w)
+    return lambda w: is_explanation(model, q, w, guard)
+
+
+def _verdicts(
+    model, q: ExplanationQuery, w: Witness, cap: int, guard: int, minimal: bool
+) -> Tuple[bool, bool]:
+    """(valid, subset-minimal) for `w`; minimality is only decided when
+    asked and the witness is valid, and reads False otherwise.
+
+    Minimality is tested by single deletions; validity is monotone for
+    all four query kinds, so that test is exact.  All |w|+1 checks share
+    one flattened or completed model.
+    """
+    _check_witness(model, q, w)
+    if q.k is not None and w.size > q.k:
+        return False, False
+    valid = _validity(model, q, cap, guard)
+    if not valid(w):
+        return False, False
+    if not minimal:
+        return True, False
+    if w.features is not None:
+        smaller = (
+            Witness(features=tuple(g for g in w.features if g != f)) for f in w.features
+        )
+    else:
+        smaller = (
+            Witness(assignment=tuple(p for p in w.assignment if p[0] != f))
+            for f, _ in w.assignment
+        )
+    return True, not any(valid(rest) for rest in smaller)
+
+
+def run_verify(model, q: ExplanationQuery, w: Witness, cap: int, guard: int) -> bool:
+    return _verdicts(model, q, w, cap, guard, minimal=False)[0]
 
 
 def run_verify_minimal(model, q, w: Witness, cap: int, guard: int) -> bool:
-    """Subset minimality by single deletions; validity is monotone for
-    all four query kinds, so that check is exact."""
-    if not run_verify(model, q, w, cap, guard):
-        return False
-    if w.features is not None:
-        for f in w.features:
-            rest = Witness(features=tuple(g for g in w.features if g != f))
-            if run_verify(model, q, rest, cap, guard):
-                return False
-        return True
-    for f, _ in w.assignment:
-        rest = Witness(assignment=tuple(p for p in w.assignment if p[0] != f))
-        if run_verify(model, q, rest, cap, guard):
-            return False
-    return True
+    """Validity plus subset minimality by single deletions."""
+    return _verdicts(model, q, w, cap, guard, minimal=True)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +391,14 @@ def cmd_verify(args) -> int:
     model = _load_model(args.model)
     q = query_from_json(_structured(args.query))
     w = witness_from_json(_structured(args.witness))
-    valid = run_verify(model, q, w, args.cap_nodes, args.guard_features)
+    valid, minimal = _verdicts(
+        model, q, w, args.cap_nodes, args.guard_features, args.minimal
+    )
     payload = {"valid": valid}
     ok = valid
     if args.minimal:
-        minimal = valid and run_verify_minimal(
-            model, q, w, args.cap_nodes, args.guard_features
-        )
         payload["minimal"] = minimal
-        ok = valid and minimal
+        ok = minimal
     _emit(dumps_canonical(payload), args.out)
     return 0 if ok else 3
 

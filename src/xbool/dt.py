@@ -1,16 +1,16 @@
 """Explanation algorithms for decision trees.
 
-All checks reduce to one primitive: restrict the tree by a partial
-assignment and look at which leaf labels survive.  Local abductive sets
-restrict by the target example, global queries by the witness itself.
-Minimum local contrastive sets come from scanning the disagreement
-between the target example and each oppositely-labeled leaf's path.
+All checks reduce to one primitive: walk the tree under a partial
+assignment and look at which leaf labels stay reachable; the query
+procedures around it are shared with diagrams (`restriction`).  Minimum
+local contrastive sets come from scanning the disagreement between the
+target example and each oppositely-labeled leaf's path.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import BudgetExceeded, Homogeneous, ModelError, UndefinedFeature
 from .explain import ExplanationQuery, Witness
@@ -22,45 +22,45 @@ from .models import (
     Example,
     classify,
     dt_size,
-    restrict_dt,
     simplify_dt,
+    walk_labels,
 )
+from .restriction import Restriction
 
 DEFAULT_NODE_CAP = 10**6
 
 
-def _surviving_labels(t: DecisionTree, tau) -> set:
-    return {label for _, label in restrict_dt(t, tau).leaves()}
+class _TreeRestriction(Restriction):
+    """Restriction view of a decision tree."""
+
+    def universe(self) -> Tuple[str, ...]:
+        return tuple(sorted(self.model.features()))
+
+    def labels_under(self, tau) -> FrozenSet[int]:
+        t = self.model
+        return walk_labels(t.nodes, t.leaf_labels, t.root, tau)
+
+    def seed_path(self, label: int) -> Optional[Dict[str, int]]:
+        for alpha, got in _leaf_paths(self.model):
+            if got == label:
+                return alpha
+        return None
+
+    def min_lcxp(self, e: Example) -> Witness:
+        return dt_min_lcxp(self.model, e)
 
 
 def dt_check(t: DecisionTree, q: ExplanationQuery, w: Witness) -> bool:
     """Polynomial witness check via tree restriction; no lCXp variant exists."""
     if q.kind == "lCXp":
         raise ModelError("lCXp has no restriction test; use dt_min_lcxp")
-    if q.k is not None and w.size > q.k:
-        return False
-    if q.kind == "lAXp":
-        e = q.target
-        tau = {f: e[f] for f in w.features}
-        return _surviving_labels(t, tau) == {classify(t, e)}
-    tau = dict(w.assignment)
-    labels = _surviving_labels(t, tau)
-    if q.kind == "gAXp":
-        return labels == {q.target}
-    return q.target not in labels
+    return _TreeRestriction(t).check(q, w)
 
 
 def dt_lcxp_check(t: DecisionTree, e: Example, features) -> bool:
     """True iff flipping inside the set can change the class: fix the
     example outside it and look for an opposite leaf."""
-    names = frozenset(str(f) for f in features)
-    if not names:
-        return False
-    for f in sorted(t.features()):
-        if f not in e:
-            raise UndefinedFeature(f"example does not assign feature {f!r}")
-    tau = {f: e[f] for f in t.features() if f not in names}
-    return (1 - classify(t, e)) in _surviving_labels(t, tau)
+    return _TreeRestriction(t).lcxp_check(e, features)
 
 
 def _leaf_paths(t: DecisionTree) -> List[Tuple[Dict[str, int], int]]:
@@ -100,86 +100,26 @@ def dt_min_lcxp(t: DecisionTree, e: Example) -> Witness:
     return Witness.of_features(best[1])
 
 
-def _greedy_shrink(valid, items: List[str]) -> List[str]:
-    # validity of all four query kinds only grows with the witness, so one
-    # ascending deletion pass lands on a subset-minimal set
-    kept = list(items)
-    for f in sorted(items):
-        trial = [g for g in kept if g != f]
-        if valid(trial):
-            kept = trial
-    return kept
-
-
-def _seed_path(t: DecisionTree, want_label: int) -> Optional[Dict[str, int]]:
-    for alpha, label in _leaf_paths(t):
-        if label == want_label:
-            return alpha
-    return None
-
-
 def dt_subset_min(t: DecisionTree, q: ExplanationQuery) -> Optional[Witness]:
     """Greedy subset-minimal witness; deletions tried in ascending name order."""
-    if q.kind == "lCXp":
-        try:
-            return dt_min_lcxp(t, q.target)
-        except Homogeneous:
-            return None
-    if q.kind == "lAXp":
-        e = q.target
-        c = classify(t, e)
-
-        def valid(names):
-            return _surviving_labels(t, {f: e[f] for f in names}) == {c}
-
-        return Witness.of_features(_greedy_shrink(valid, sorted(t.features())))
-    # global kinds: start from a full path to an agreeing (gAXp) or
-    # disagreeing (gCXp) leaf, then drop assignments greedily
-    seed = _seed_path(t, q.target if q.kind == "gAXp" else 1 - q.target)
-    if seed is None:
-        return None
-    if q.kind == "gAXp":
-        def valid(names):
-            return _surviving_labels(t, {f: seed[f] for f in names}) == {q.target}
-    else:
-        def valid(names):
-            return q.target not in _surviving_labels(t, {f: seed[f] for f in names})
-    kept = _greedy_shrink(valid, sorted(seed))
-    return Witness.of_assignment({f: seed[f] for f in kept})
+    return _TreeRestriction(t).subset_min(q)
 
 
 def dt_xp_search(t: DecisionTree, q: ExplanationQuery) -> Optional[Witness]:
     """Exhaustive size-bounded search matching the oracle's tie-break."""
-    if q.k is None:
-        raise ModelError("xp search needs a cardinality query with budget k")
-    names = sorted(t.features())
-    limit = min(q.k, len(names))
-    if q.kind == "lCXp":
-        try:
-            w = dt_min_lcxp(t, q.target)
-        except Homogeneous:
-            return None
-        return w if w.size <= limit else None
-    for size in range(0, limit + 1):
-        for combo in itertools.combinations(names, size):
-            if q.kind == "lAXp":
-                w = Witness.of_features(combo)
-                if dt_check(t, q, w):
-                    return w
-            else:
-                for values in itertools.product((0, 1), repeat=size):
-                    w = Witness.of_assignment(dict(zip(combo, values)))
-                    if dt_check(t, q, w):
-                        return w
-    return None
+    return _TreeRestriction(t).xp_search(q)
 
 
 def dt_ensemble_to_dt(ens: Ensemble, node_cap: int = DEFAULT_NODE_CAP) -> DecisionTree:
     """Single tree computing the ensemble vote, by grafting trees leaf-wise.
 
     Every root-to-leaf path of the result crosses one leaf per element;
-    the leaf label is the majority of the crossed labels.  Leaf count is
-    bounded by the product of the elements' leaf counts.
+    the leaf label is the majority of the crossed labels.  The graft
+    carries each path's decisions along and follows the decided arc of
+    any node whose feature the path has already tested, so it builds only
+    the tree `simplify_dt` would leave of the full product.  The cap is
+    still checked against the worst case, the product of the elements'
+    leaf counts.
     """
     trees = ens.elements
     if any(t.kind != "dt" for t in trees):
@@ -194,16 +134,21 @@ def dt_ensemble_to_dt(ens: Ensemble, node_cap: int = DEFAULT_NODE_CAP) -> Decisi
     leaves: Dict[str, DtLeaf] = {}
     inner: Dict[str, Tuple[str, Dict[str, str]]] = {}
     root_slot: Dict[str, str] = {}
-    work = [(0, trees[0].root, 0, root_slot, "root")]
+    work = [(0, trees[0].root, 0, {}, root_slot, "root")]
     while work:
-        ti, nid, votes, slot, key = work.pop()
+        ti, nid, votes, path, slot, key = work.pop()
         node = trees[ti].nodes[nid]
-        while isinstance(node, DtLeaf):
-            votes += node.label
-            ti += 1
-            if ti == len(trees):
+        while True:
+            if isinstance(node, DtLeaf):
+                votes += node.label
+                ti += 1
+                if ti == len(trees):
+                    break
+                node = trees[ti].nodes[trees[ti].root]
+            elif node.feature in path:
+                node = trees[ti].nodes[node.one if path[node.feature] else node.zero]
+            else:
                 break
-            node = trees[ti].nodes[trees[ti].root]
         fresh = f"n{next(counter)}"
         slot[key] = fresh
         if isinstance(node, DtLeaf):
@@ -211,8 +156,11 @@ def dt_ensemble_to_dt(ens: Ensemble, node_cap: int = DEFAULT_NODE_CAP) -> Decisi
         else:
             fields: Dict[str, str] = {}
             inner[fresh] = (node.feature, fields)
-            work.append((ti, node.one, votes, fields, "one"))
-            work.append((ti, node.zero, votes, fields, "zero"))
+            one = dict(path)
+            one[node.feature] = 1
+            path[node.feature] = 0
+            work.append((ti, node.one, votes, one, fields, "one"))
+            work.append((ti, node.zero, votes, path, fields, "zero"))
     nodes: Dict[str, object] = dict(leaves)
     for fresh, (feature, fields) in inner.items():
         nodes[fresh] = DtInner(feature, fields["zero"], fields["one"])

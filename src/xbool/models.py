@@ -89,9 +89,11 @@ class DecisionTree:
         if root not in nodes:
             raise ModelError(f"root {root!r} is not a node")
         parent: Dict[str, str] = {}
+        labels: Dict[str, int] = {}
         for nid, node in nodes.items():
             if isinstance(node, DtLeaf):
                 _bit(node.label, "leaf label")
+                labels[nid] = node.label
             elif isinstance(node, DtInner):
                 for child in (node.zero, node.one):
                     if child not in nodes:
@@ -116,6 +118,8 @@ class DecisionTree:
             raise ModelError("tree contains nodes unreachable from the root")
         self.nodes: Dict[str, DtNode] = nodes
         self.root = root
+        # leaf id -> class label, the terminals of a restriction walk
+        self.leaf_labels: Dict[str, int] = labels
 
     def features(self) -> FrozenSet[str]:
         return frozenset(
@@ -123,9 +127,7 @@ class DecisionTree:
         )
 
     def leaves(self) -> Tuple[Tuple[str, int], ...]:
-        return tuple(
-            (nid, n.label) for nid, n in self.nodes.items() if isinstance(n, DtLeaf)
-        )
+        return tuple(self.leaf_labels.items())
 
 
 def _classify_dt(t: DecisionTree, e: Example) -> int:
@@ -329,6 +331,8 @@ class Obdd:
         self.t1 = t1
         self.order: Tuple[str, ...] = order
         self._index = index
+        self.sink_labels: Dict[str, int] = {t0: 0, t1: 1}
+        self._complete: Optional[bool] = None  # memo of is_complete
 
     def features(self) -> FrozenSet[str]:
         return frozenset(self.order)
@@ -339,11 +343,7 @@ class Obdd:
         return self._index[self.nodes[nid].feature]
 
     def sink_label(self, nid: str) -> Optional[int]:
-        if nid == self.t0:
-            return 0
-        if nid == self.t1:
-            return 1
-        return None
+        return self.sink_labels.get(nid)
 
     def present_sinks(self) -> Tuple[str, ...]:
         referenced = {self.source}
@@ -367,6 +367,12 @@ def _classify_obdd(o: Obdd, e: Example) -> int:
 
 
 def is_complete(o: Obdd) -> bool:
+    if o._complete is None:
+        o._complete = _levels_complete(o)
+    return o._complete
+
+
+def _levels_complete(o: Obdd) -> bool:
     if o.level(o.source) != 0 and len(o.order) > 0:
         return False
     for nid, node in o.nodes.items():
@@ -380,27 +386,25 @@ def complete_obdd(o: Obdd) -> Obdd:
     """Pad skipped levels so every path reads the whole order; same classifier."""
     if is_complete(o):
         return o
-    n = len(o.order)
     extra: Dict[str, ObddNode] = {}
     memo: Dict[Tuple[str, int], str] = {}
 
-    def fresh(target: str, lv: int) -> str:
-        nid = f"pad:{target}:{lv}"
-        while nid in o.nodes or nid in extra:
-            nid += "~"
-        return nid
-
     def pad(target: str, lv: int) -> str:
-        # node at level lv whose both arcs lead onward to target
-        if lv >= o.level(target):
-            return target
-        key = (target, lv)
-        if key not in memo:
-            nxt = pad(target, lv + 1)
-            nid = fresh(target, lv)
-            extra[nid] = ObddNode(o.order[lv], nxt, nxt)
-            memo[key] = nid
-        return memo[key]
+        # node at level lv whose both arcs lead onward to target, through
+        # one padding node per level; the chain is built bottom-up, so
+        # deeper padding nodes get their ids first
+        top = o.level(target)
+        low = lv
+        while low < top and (target, low) not in memo:
+            low += 1
+        nxt = memo.get((target, low), target)
+        for level in range(low - 1, lv - 1, -1):
+            nid = f"pad:{target}:{level}"
+            while nid in o.nodes or nid in extra:
+                nid += "~"
+            extra[nid] = ObddNode(o.order[level], nxt, nxt)
+            memo[(target, level)] = nxt = nid
+        return nxt
 
     rebuilt: Dict[str, ObddNode] = {}
     for nid, node in o.nodes.items():
@@ -410,31 +414,53 @@ def complete_obdd(o: Obdd) -> Obdd:
         )
     source = pad(o.source, 0)
     rebuilt.update(extra)
-    return Obdd(rebuilt, source, o.t0, o.t1, o.order)
+    done = Obdd(rebuilt, source, o.t0, o.t1, o.order)
+    done._complete = True
+    return done
+
+
+def walk_labels(
+    nodes: Mapping[str, object],
+    terminals: Mapping[str, int],
+    start: str,
+    tau: PartialExample,
+) -> FrozenSet[int]:
+    """Labels reachable from `start` once arcs disagreeing with tau are cut.
+
+    The one restriction primitive of trees and diagrams: `terminals` maps
+    leaf or sink ids to their class, `nodes` maps every other id to a
+    node with `feature`, `zero` and `one`.  An assigned feature follows
+    its fixed arc, a free one both; the walk stops as soon as both labels
+    are seen and builds no model.
+    """
+    fixed = {str(f): _bit(z, f"assignment of {f!r}") for f, z in tau.items()}
+    labels = set()
+    seen = set()
+    stack = [start]
+    while stack:
+        nid = stack.pop()
+        label = terminals.get(nid)
+        if label is not None:
+            labels.add(label)
+            if len(labels) == 2:
+                break
+            continue
+        if nid in seen:
+            continue
+        seen.add(nid)
+        node = nodes[nid]
+        z = fixed.get(node.feature)
+        if z is None:
+            stack.append(node.one)
+            stack.append(node.zero)
+        else:
+            stack.append(node.one if z else node.zero)
+    return frozenset(labels)
 
 
 def reachable_sinks(o: Obdd, tau: PartialExample) -> FrozenSet[int]:
     """Labels of sinks reachable once arcs disagreeing with tau are removed."""
-    fixed = {str(f): _bit(z, f"assignment of {f!r}") for f, z in tau.items()}
-    labels = set()
-    seen = set()
-    stack = [o.source]
-    while stack:
-        nid = stack.pop()
-        if nid in seen:
-            continue
-        seen.add(nid)
-        label = o.sink_label(nid)
-        if label is not None:
-            labels.add(label)
-            continue
-        node = o.nodes[nid]
-        if node.feature in fixed:
-            stack.append(node.one if fixed[node.feature] else node.zero)
-        else:
-            stack.append(node.zero)
-            stack.append(node.one)
-    return frozenset(labels)
+    return walk_labels(o.nodes, o.sink_labels, o.source, tau)
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,16 @@
 
 The primitive here is sink reachability under a partial assignment:
 drop every arc that disagrees with the assignment and see which sinks
-survive.  Completeness makes the diagram leveled, which turns the
+survive; the query procedures around it are shared with trees
+(`restriction`).  Completeness makes the diagram leveled, which turns the
 minimum contrastive search into a per-level dynamic program and the
 ensemble product into a lockstep walk.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .errors import (
     BudgetExceeded,
@@ -31,42 +31,44 @@ from .models import (
     ObddNode,
     classify,
     complete_obdd,
-    is_complete,
     reachable_sinks,
 )
+from .restriction import Restriction
 
 DEFAULT_NODE_CAP = 10**6
+
+
+class _DiagramRestriction(Restriction):
+    """Restriction view of a complete diagram."""
+
+    def universe(self) -> Tuple[str, ...]:
+        return self.model.order
+
+    def labels_under(self, tau) -> FrozenSet[int]:
+        return reachable_sinks(self.model, tau)
+
+    def seed_path(self, label: int) -> Optional[Dict[str, int]]:
+        return _least_path(self.model, label)
+
+    def min_lcxp(self, e: Example) -> Witness:
+        return obdd_min_lcxp(self.model, e)
+
+
+def _restriction(o: Obdd) -> _DiagramRestriction:
+    return _DiagramRestriction(complete_obdd(o))
 
 
 def obdd_check(o: Obdd, q: ExplanationQuery, w: Witness) -> bool:
     """Polynomial witness check via sink reachability; no lCXp variant."""
     if q.kind == "lCXp":
         raise ModelError("lCXp has no reachability test; use obdd_min_lcxp")
-    if q.k is not None and w.size > q.k:
-        return False
-    o = complete_obdd(o)
-    if q.kind == "lAXp":
-        e = q.target
-        tau = {f: e[f] for f in w.features}
-        return reachable_sinks(o, tau) == {classify(o, e)}
-    labels = reachable_sinks(o, dict(w.assignment))
-    if q.kind == "gAXp":
-        return labels == {q.target}
-    return q.target not in labels
+    return _restriction(o).check(q, w)
 
 
 def obdd_lcxp_check(o: Obdd, e: Example, features) -> bool:
     """True iff flipping inside the set can change the class: fix the
     example outside it and ask whether the opposite sink stays reachable."""
-    names = frozenset(str(f) for f in features)
-    if not names:
-        return False
-    o = complete_obdd(o)
-    for f in o.order:
-        if f not in e:
-            raise UndefinedFeature(f"example does not assign feature {f!r}")
-    tau = {f: e[f] for f in o.order if f not in names}
-    return (1 - classify(o, e)) in reachable_sinks(o, tau)
+    return _restriction(o).lcxp_check(e, features)
 
 
 def _can_reach(o: Obdd, label: int) -> set:
@@ -96,43 +98,9 @@ def _least_path(o: Obdd, label: int) -> Optional[Dict[str, int]]:
     return alpha
 
 
-def _greedy_shrink(valid, items: List[str]) -> List[str]:
-    kept = list(items)
-    for f in sorted(items):
-        trial = [g for g in kept if g != f]
-        if valid(trial):
-            kept = trial
-    return kept
-
-
 def obdd_subset_min(o: Obdd, q: ExplanationQuery) -> Optional[Witness]:
     """Greedy subset-minimal witness; deletions tried in ascending name order."""
-    o = complete_obdd(o)
-    if q.kind == "lCXp":
-        try:
-            return obdd_min_lcxp(o, q.target)
-        except Homogeneous:
-            return None
-    if q.kind == "lAXp":
-        e = q.target
-        c = classify(o, e)
-
-        def valid(names):
-            return reachable_sinks(o, {f: e[f] for f in names}) == {c}
-
-        return Witness.of_features(_greedy_shrink(valid, sorted(o.features())))
-    # global kinds: seed with a full path into the right sink, then shrink
-    seed = _least_path(o, q.target if q.kind == "gAXp" else 1 - q.target)
-    if seed is None:
-        return None
-    if q.kind == "gAXp":
-        def valid(names):
-            return reachable_sinks(o, {f: seed[f] for f in names}) == {q.target}
-    else:
-        def valid(names):
-            return q.target not in reachable_sinks(o, {f: seed[f] for f in names})
-    kept = _greedy_shrink(valid, sorted(seed))
-    return Witness.of_assignment({f: seed[f] for f in kept})
+    return _restriction(o).subset_min(q)
 
 
 def obdd_min_lcxp(o: Obdd, e: Example) -> Witness:
@@ -168,29 +136,7 @@ def obdd_min_lcxp(o: Obdd, e: Example) -> Witness:
 
 def obdd_xp_search(o: Obdd, q: ExplanationQuery) -> Optional[Witness]:
     """Exhaustive size-bounded search matching the oracle's tie-break."""
-    if q.k is None:
-        raise ModelError("xp search needs a cardinality query with budget k")
-    o = complete_obdd(o)
-    names = sorted(o.features())
-    limit = min(q.k, len(names))
-    if q.kind == "lCXp":
-        try:
-            w = obdd_min_lcxp(o, q.target)
-        except Homogeneous:
-            return None
-        return w if w.size <= limit else None
-    for size in range(0, limit + 1):
-        for combo in itertools.combinations(names, size):
-            if q.kind == "lAXp":
-                w = Witness.of_features(combo)
-                if obdd_check(o, q, w):
-                    return w
-            else:
-                for values in itertools.product((0, 1), repeat=size):
-                    w = Witness.of_assignment(dict(zip(combo, values)))
-                    if obdd_check(o, q, w):
-                        return w
-    return None
+    return _restriction(o).xp_search(q)
 
 
 def obdd_ensemble_product(ens: Ensemble, node_cap: int = DEFAULT_NODE_CAP) -> Obdd:

@@ -1,0 +1,134 @@
+"""Query procedures shared by decision trees and diagrams.
+
+A tree and a diagram answer every check the same way: restrict the model
+by a partial assignment and look at which class labels stay reachable
+(`models.walk_labels`).  Local abductive sets restrict by the target
+example, global queries by the witness itself, and local contrastive sets
+by the example outside the set.  A family supplies that walk plus two
+searches of its own: the least path into a given label, which seeds the
+global subset search, and the minimum local contrastive set.  Everything
+else is written once, here.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+
+from .errors import Homogeneous, ModelError, UndefinedFeature
+from .explain import ExplanationQuery, Witness
+from .models import Example, classify
+
+
+class Restriction:
+    """One model of a restrictable family; subclasses give the walk and
+    the two family-specific searches."""
+
+    def __init__(self, model):
+        self.model = model
+
+    def universe(self) -> Tuple[str, ...]:
+        """Every feature, in the order an example is validated against."""
+        raise NotImplementedError
+
+    def labels_under(self, tau: Mapping[str, int]) -> FrozenSet[int]:
+        raise NotImplementedError
+
+    def seed_path(self, label: int) -> Optional[Dict[str, int]]:
+        """Full assignment along the least (0-preferring) path into `label`."""
+        raise NotImplementedError
+
+    def min_lcxp(self, e: Example) -> Witness:
+        raise NotImplementedError
+
+    # -- the shared procedures
+
+    def _valid_under(self, q: ExplanationQuery) -> Callable[[Mapping[str, int]], bool]:
+        """Validity of a restriction for the abductive and global kinds."""
+        if q.kind == "lAXp":
+            want = frozenset((classify(self.model, q.target),))
+            return lambda tau: self.labels_under(tau) == want
+        if q.kind == "gAXp":
+            want = frozenset((q.target,))
+            return lambda tau: self.labels_under(tau) == want
+        return lambda tau: q.target not in self.labels_under(tau)
+
+    def check(self, q: ExplanationQuery, w: Witness) -> bool:
+        if q.k is not None and w.size > q.k:
+            return False
+        if q.kind == "lAXp":
+            tau = {f: q.target[f] for f in w.features}
+        else:
+            tau = dict(w.assignment)
+        return self._valid_under(q)(tau)
+
+    def lcxp_check(self, e: Example, features) -> bool:
+        """True iff flipping inside the set can change the class: fix the
+        example outside it and look for the opposite label."""
+        names = frozenset(str(f) for f in features)
+        if not names:
+            return False
+        universe = self.universe()
+        for f in universe:
+            if f not in e:
+                raise UndefinedFeature(f"example does not assign feature {f!r}")
+        tau = {f: e[f] for f in universe if f not in names}
+        return (1 - classify(self.model, e)) in self.labels_under(tau)
+
+    def subset_min(self, q: ExplanationQuery) -> Optional[Witness]:
+        """Greedy subset-minimal witness; deletions tried in ascending name order."""
+        if q.kind == "lCXp":
+            try:
+                return self.min_lcxp(q.target)
+            except Homogeneous:
+                return None
+        valid = self._valid_under(q)
+        if q.kind == "lAXp":
+            e = q.target
+            kept = _greedy_shrink(
+                lambda names: valid({f: e[f] for f in names}), sorted(self.universe())
+            )
+            return Witness.of_features(kept)
+        # global kinds: start from a full path into an agreeing (gAXp) or
+        # disagreeing (gCXp) label, then drop assignments greedily
+        seed = self.seed_path(q.target if q.kind == "gAXp" else 1 - q.target)
+        if seed is None:
+            return None
+        kept = _greedy_shrink(lambda names: valid({f: seed[f] for f in names}), sorted(seed))
+        return Witness.of_assignment({f: seed[f] for f in kept})
+
+    def xp_search(self, q: ExplanationQuery) -> Optional[Witness]:
+        """Exhaustive size-bounded search matching the oracle's tie-break."""
+        if q.k is None:
+            raise ModelError("xp search needs a cardinality query with budget k")
+        names = sorted(self.universe())
+        limit = min(q.k, len(names))
+        if q.kind == "lCXp":
+            try:
+                w = self.min_lcxp(q.target)
+            except Homogeneous:
+                return None
+            return w if w.size <= limit else None
+        valid = self._valid_under(q)
+        for size in range(0, limit + 1):
+            for combo in itertools.combinations(names, size):
+                if q.kind == "lAXp":
+                    if valid({f: q.target[f] for f in combo}):
+                        return Witness.of_features(combo)
+                    continue
+                for values in itertools.product((0, 1), repeat=size):
+                    tau = dict(zip(combo, values))
+                    if valid(tau):
+                        return Witness.of_assignment(tau)
+        return None
+
+
+def _greedy_shrink(valid, items: List[str]) -> List[str]:
+    # validity of all four query kinds only grows with the witness, so one
+    # ascending deletion pass lands on a subset-minimal set
+    kept = list(items)
+    for f in sorted(items):
+        trial = [g for g in kept if g != f]
+        if valid(trial):
+            kept = trial
+    return kept

@@ -54,6 +54,27 @@ def rand_dt(rng, feats: Sequence[str], split: float = 0.75) -> DecisionTree:
     return DecisionTree(nodes, root)
 
 
+def rand_dt_with_repeats(rng, feats: Sequence[str], depth: int = 4) -> DecisionTree:
+    """Random tree that may test a feature again below itself."""
+    counter = itertools.count()
+    nodes = {}
+
+    def build(left: int) -> str:
+        nid = f"n{next(counter)}"
+        if left == 0 or rng.random() < 0.3:
+            nodes[nid] = DtLeaf(rng.randint(0, 1))
+        else:
+            nodes[nid] = DtInner(rng.choice(feats), build(left - 1), build(left - 1))
+        return nid
+
+    root = build(depth)
+    return DecisionTree(nodes, root)
+
+
+def rand_partial(rng, feats) -> Dict[str, int]:
+    return {f: rng.randint(0, 1) for f in feats if rng.random() < 0.5}
+
+
 def rand_ordered_dt(rng, feats: Sequence[str], split: float = 0.8) -> DecisionTree:
     """Random tree whose every path tests features in the given order."""
     counter = itertools.count()
@@ -149,6 +170,41 @@ def rand_sparse_obdd(rng, feats: Sequence[str]) -> Obdd:
 
 def rand_example(rng, feats) -> Dict[str, int]:
     return {f: rng.randint(0, 1) for f in feats}
+
+
+def graft_unpruned(ens: Ensemble) -> DecisionTree:
+    """The full leaf-wise product of a tree ensemble, repeated tests and
+    contradictory paths included: the reference the pruned graft must
+    equal once `simplify_dt` has cleaned it up."""
+    trees = ens.elements
+    majority = len(trees) // 2 + 1
+    counter = itertools.count()
+    leaves = {}
+    inner = {}
+    root_slot = {}
+    work = [(0, trees[0].root, 0, root_slot, "root")]
+    while work:
+        ti, nid, votes, slot, key = work.pop()
+        node = trees[ti].nodes[nid]
+        while isinstance(node, DtLeaf):
+            votes += node.label
+            ti += 1
+            if ti == len(trees):
+                break
+            node = trees[ti].nodes[trees[ti].root]
+        fresh = f"n{next(counter)}"
+        slot[key] = fresh
+        if isinstance(node, DtLeaf):
+            leaves[fresh] = DtLeaf(1 if votes >= majority else 0)
+        else:
+            fields = {}
+            inner[fresh] = (node.feature, fields)
+            work.append((ti, node.one, votes, fields, "one"))
+            work.append((ti, node.zero, votes, fields, "zero"))
+    nodes = dict(leaves)
+    for fresh, (feature, fields) in inner.items():
+        nodes[fresh] = DtInner(feature, fields["zero"], fields["one"])
+    return DecisionTree(nodes, root_slot["root"])
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from xbool.cli import main
-from xbool.models import DecisionList, dumps_model
+from xbool.cli import DEFAULT_CAP, main, run_verify, run_verify_minimal
+from xbool.explain import DEFAULT_GUARD, ExplanationQuery, Witness, verify_subset_minimal
+from xbool.models import DecisionList, DecisionTree, DtInner, DtLeaf, Ensemble, dumps_model
 
 FIG1 = DecisionList(
     [
@@ -172,6 +173,38 @@ def test_verify_budget_overflow_is_invalid(capsys, fig1_path):
         "--witness", json.dumps(["y", "z"]), expect=3,
     )
     assert json.loads(out) == {"valid": False}
+
+
+def test_verify_keeps_features_the_graft_drops():
+    # t1 = g ? 1 : (g ? (f ? 1 : 0) : 0) reads f only on a contradictory
+    # path, so the flattened ensemble has no f; the witness is still
+    # checked against the ensemble, which declares it.  Built in memory:
+    # the JSON loader simplifies each tree, which already drops f.
+    def g_tree():
+        return DecisionTree({"r": DtInner("g", "z", "o"), "z": DtLeaf(0), "o": DtLeaf(1)}, "r")
+
+    t1 = DecisionTree(
+        {
+            "r": DtInner("g", "a", "l1"),
+            "l1": DtLeaf(1),
+            "a": DtInner("g", "l0", "b"),
+            "l0": DtLeaf(0),
+            "b": DtInner("f", "b0", "b1"),
+            "b0": DtLeaf(0),
+            "b1": DtLeaf(1),
+        },
+        "r",
+    )
+    ens = Ensemble([t1, g_tree(), g_tree()])
+    cases = [
+        (ExplanationQuery("lAXp", "subset", {"f": 0, "g": 1}), Witness.of_features(["f", "g"])),
+        (ExplanationQuery("gAXp", "subset", 1), Witness.of_assignment({"f": 0, "g": 1})),
+    ]
+    for q, w in cases:
+        # valid, but g alone already is
+        assert run_verify(ens, q, w, DEFAULT_CAP, DEFAULT_GUARD) is True
+        assert run_verify_minimal(ens, q, w, DEFAULT_CAP, DEFAULT_GUARD) is False
+        assert verify_subset_minimal(ens, q, w) is False
 
 
 # ---------------------------------------------------------------------------
