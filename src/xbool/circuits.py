@@ -28,6 +28,7 @@ from .models import (
     simplify_dt,
 )
 from .dt import _leaf_paths
+from .obdd import _can_reach
 
 GATE_KINDS = ("IN", "AND", "OR", "NOT", "MAJ")
 
@@ -284,11 +285,7 @@ def _obdd_indicator(b: _Builder, o: Obdd, c: int) -> str:
     """Gate computing [o(e) = c]: per-vertex OR over arcs that reach t_c."""
     o = complete_obdd(o)
     target = o.t1 if c == 1 else o.t0
-    hit = {target}
-    for nid in sorted(o.nodes, key=lambda n: -o.level(n)):
-        node = o.nodes[nid]
-        if node.zero in hit or node.one in hit:
-            hit.add(nid)
+    hit = _can_reach(o, c)
     if o.source == target:
         return b.true_gate()
     if o.source not in hit:

@@ -14,16 +14,22 @@ import csv
 import io
 import json
 import os
+import signal
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
 from typing import Callable, Dict, Optional, Tuple
 
 from . import gadgets
-from .dslist import dl_min_lcxp_branch, dle_min_lcxp_branch, ds_to_dl
+from .dslist import dle_min_lcxp_branch, ds_to_dl
 from .dt import dt_check, dt_ensemble_to_dt, dt_lcxp_check, dt_subset_min, dt_xp_search
-from .errors import BudgetExceeded, ModelError, NotOrdered, TooLarge, UndefinedFeature
+from .errors import (
+    BudgetExceeded,
+    DeadlineExceeded,
+    ModelError,
+    NotOrdered,
+    TooLarge,
+    UndefinedFeature,
+)
 from .explain import (
     DEFAULT_GUARD,
     ExplanationQuery,
@@ -31,7 +37,6 @@ from .explain import (
     is_explanation,
     oracle_min,
     query_from_json,
-    query_to_json,
     witness_from_json,
     witness_to_json,
 )
@@ -55,10 +60,6 @@ from .obdd import (
 
 DEFAULT_CAP = 10**6
 ROUTES = ("auto", "dt", "obdd", "branching", "product", "bruteforce")
-
-
-class _Timeout(Exception):
-    pass
 
 
 def _load_text(path: str) -> str:
@@ -95,82 +96,67 @@ def _error_payload(err: Exception) -> str:
 # Route selection and execution
 
 
-def _is_branching_query(q: ExplanationQuery) -> bool:
-    return q.kind == "lCXp" and q.minimality == "cardinality"
+def _members(model) -> tuple:
+    return model.elements if model.kind == "ensemble" else (model,)
 
 
 def _pick_route(model, q: ExplanationQuery) -> str:
-    if model.kind == "dt":
-        return "dt"
-    if model.kind == "obdd":
-        return "obdd"
-    if model.kind in ("ds", "dl"):
-        return "branching" if _is_branching_query(q) else "bruteforce"
-    inner = model.elements[0].kind
-    if inner in ("ds", "dl"):
-        return "branching" if _is_branching_query(q) else "bruteforce"
-    if inner == "dt":
-        return "product"
-    if model.shared_order is not None:
-        return "product"
-    if len({tuple(el.order) for el in model.elements}) == 1:
-        return "product"
-    return "bruteforce"
+    """The route the model's family takes: trees and diagrams their own,
+    their ensembles the product, rule sets and lists branching for
+    cardinality lCXp and the oracle otherwise."""
+    family = _members(model)[0].kind
+    if family in ("ds", "dl"):
+        branching = q.kind == "lCXp" and q.minimality == "cardinality"
+        return "branching" if branching else "bruteforce"
+    return "product" if model.kind == "ensemble" else family
+
+
+def _flatten(model, cap: int):
+    """One tree for a tree ensemble, one diagram for a diagram ensemble,
+    any other model as it is."""
+    if model.kind == "ensemble":
+        if model.elements[0].kind == "dt":
+            return dt_ensemble_to_dt(model, cap)
+        if model.elements[0].kind == "obdd":
+            return obdd_ensemble_product(model, cap)
+    return model
+
+
+def _procedures(kind: str) -> tuple:
+    """(xp_search, subset_min, check, lcxp_check) of the tree or diagram
+    family, read from the module globals at call time."""
+    if kind == "dt":
+        return dt_xp_search, dt_subset_min, dt_check, dt_lcxp_check
+    return obdd_xp_search, obdd_subset_min, obdd_check, obdd_lcxp_check
 
 
 def _explain_via(model, q: ExplanationQuery, route: str, cap: int, guard: int):
-    if route == "dt":
-        if model.kind != "dt":
-            raise ModelError("route dt needs a decision tree")
-        if q.minimality == "subset":
-            return dt_subset_min(model, q)
-        return dt_xp_search(model, q)
-    if route == "obdd":
-        if model.kind != "obdd":
-            raise ModelError("route obdd needs an OBDD")
-        if q.minimality == "subset":
-            return obdd_subset_min(model, q)
-        return obdd_xp_search(model, q)
-    if route == "branching":
-        if not _is_branching_query(q):
-            raise ModelError("route branching answers cardinality lCXp queries only")
-        if model.kind == "ds":
-            return dl_min_lcxp_branch(ds_to_dl(model), q.target, q.k)
-        if model.kind == "dl":
-            return dl_min_lcxp_branch(model, q.target, q.k)
-        if model.kind == "ensemble" and model.elements[0].kind in ("ds", "dl"):
-            lists = [
-                ds_to_dl(el) if el.kind == "ds" else el for el in model.elements
-            ]
-            return dle_min_lcxp_branch(Ensemble(lists), q.target, q.k)
-        raise ModelError("route branching needs decision sets or lists")
-    if route == "product":
-        if model.kind != "ensemble":
-            raise ModelError("route product needs an ensemble")
-        inner = model.elements[0].kind
-        if inner == "dt":
-            return _explain_via(dt_ensemble_to_dt(model, cap), q, "dt", cap, guard)
-        if inner == "obdd":
-            return _explain_via(
-                obdd_ensemble_product(model, cap), q, "obdd", cap, guard
-            )
-        raise ModelError("route product needs tree or OBDD elements")
     if route == "bruteforce":
         return oracle_min(model, q, guard)
-    raise ModelError(f"unknown route {route!r}")
+    picked = _pick_route(model, q)
+    if route != picked:
+        raise ModelError(
+            f"route {route!r} does not fit this model and query; "
+            f"use {picked!r} or 'bruteforce'"
+        )
+    if route == "branching":
+        lists = [ds_to_dl(el) if el.kind == "ds" else el for el in _members(model)]
+        return dle_min_lcxp_branch(Ensemble(lists), q.target, q.k)
+    model = _flatten(model, cap)
+    xp_search, subset_min, _, _ = _procedures(model.kind)
+    return (subset_min if q.minimality == "subset" else xp_search)(model, q)
 
 
 def run_explain(
     model, q: ExplanationQuery, route: str, cap: int, guard: int
 ) -> Tuple[Optional[Witness], str]:
-    if route != "auto":
-        return _explain_via(model, q, route, cap, guard), route
-    route = _pick_route(model, q)
-    if route == "product":
-        try:
-            return _explain_via(model, q, "product", cap, guard), "product"
-        except (BudgetExceeded, NotOrdered):
-            return _explain_via(model, q, "bruteforce", cap, guard), "bruteforce"
+    if route == "auto":
+        route = _pick_route(model, q)
+        if route == "product":
+            try:
+                return _explain_via(model, q, route, cap, guard), route
+            except (BudgetExceeded, NotOrdered):
+                route = "bruteforce"
     return _explain_via(model, q, route, cap, guard), route
 
 
@@ -194,24 +180,18 @@ def _validity(model, q: ExplanationQuery, cap: int, guard: int) -> Callable[[Wit
     an ensemble whose flattening hits the cap or an order conflict is
     checked by the oracle instead.
     """
-    if model.kind == "ensemble" and model.elements[0].kind in ("dt", "obdd"):
-        try:
-            if model.elements[0].kind == "dt":
-                model = dt_ensemble_to_dt(model, cap)
-            else:
-                model = obdd_ensemble_product(model, cap)
-        except (BudgetExceeded, NotOrdered):
-            pass
-    if model.kind == "dt":
-        if q.kind == "lCXp":
-            return lambda w: dt_lcxp_check(model, q.target, w.features)
-        return lambda w: dt_check(model, q, w)
+    try:
+        model = _flatten(model, cap)
+    except (BudgetExceeded, NotOrdered):
+        pass
+    if model.kind not in ("dt", "obdd"):
+        return lambda w: is_explanation(model, q, w, guard)
     if model.kind == "obdd":
         model = complete_obdd(model)
-        if q.kind == "lCXp":
-            return lambda w: obdd_lcxp_check(model, q.target, w.features)
-        return lambda w: obdd_check(model, q, w)
-    return lambda w: is_explanation(model, q, w, guard)
+    _, _, check, lcxp_check = _procedures(model.kind)
+    if q.kind == "lCXp":
+        return lambda w: lcxp_check(model, q.target, w.features)
+    return lambda w: check(model, q, w)
 
 
 def _verdicts(
@@ -357,17 +337,26 @@ GENERATORS = {
 
 
 def _with_timeout(fn, timeout_ms: int):
+    """fn() under a wall-clock deadline of `timeout_ms` (0: none).
+
+    SIGALRM makes the interpreter raise DeadlineExceeded in the main
+    thread between two bytecodes, so the work stops wherever it is.
+    """
+    if timeout_ms < 0:
+        raise ModelError(f"timeout must be non-negative, got {timeout_ms} ms")
     if not timeout_ms:
         return fn()
-    pool = ThreadPoolExecutor(max_workers=1)
-    fut = pool.submit(fn)
+
+    def expire(signum, frame):
+        raise DeadlineExceeded(f"exceeded {timeout_ms} ms")
+
+    previous = signal.signal(signal.SIGALRM, expire)
     try:
-        result = fut.result(timeout=timeout_ms / 1000.0)
-    except _FutureTimeout:
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise _Timeout(f"exceeded {timeout_ms} ms") from None
-    pool.shutdown(wait=True)
-    return result
+        signal.setitimer(signal.ITIMER_REAL, timeout_ms / 1000.0)
+        return fn()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def cmd_explain(args) -> int:
@@ -440,51 +429,34 @@ _BENCH_COLUMNS = (
 
 def _bench_row(path: str, q: ExplanationQuery, args) -> Dict:
     row: Dict = {"instance": os.path.basename(path)}
-    started = time.monotonic()
-    try:
+
+    def solve():
         model = _load_model(path)
         row.update(measure_parameters(model).to_json())
-        witness, route = run_explain(
+        witness, row["route"] = run_explain(
             model, q, args.route, args.cap_nodes, args.guard_features
         )
-        row["route"] = route
         row["status"] = "ok" if witness is not None else "none"
         if witness is not None:
             row["witness_size"] = witness.size
+
+    started = time.perf_counter()
+    try:
+        _with_timeout(solve, args.timeout_ms)
+    except DeadlineExceeded:
+        row = {"instance": row["instance"], "status": "timeout"}
     except Exception as err:
         row["status"] = "error"
         row["route"] = type(err).__name__
-    row["time_ms"] = round((time.monotonic() - started) * 1000.0, 3)
+    row["time_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     return row
 
 
 def cmd_bench(args) -> int:
+    """One row per corpus file, run in name order, each under its own deadline."""
     q = query_from_json(_structured(args.query))
-    files = sorted(
-        f for f in os.listdir(args.corpus) if f.endswith(".json")
-    )
-    paths = [os.path.join(args.corpus, f) for f in files]
-    rows = []
-    if paths:
-        pool = ThreadPoolExecutor(max_workers=min(8, len(paths)))
-        clean = True
-        try:
-            futures = [pool.submit(_bench_row, p, q, args) for p in paths]
-            for path, fut in zip(paths, futures):
-                timeout = args.timeout_ms / 1000.0 if args.timeout_ms else None
-                try:
-                    rows.append(fut.result(timeout=timeout))
-                except _FutureTimeout:
-                    clean = False
-                    rows.append(
-                        {
-                            "instance": os.path.basename(path),
-                            "status": "timeout",
-                            "time_ms": args.timeout_ms,
-                        }
-                    )
-        finally:
-            pool.shutdown(wait=clean, cancel_futures=not clean)
+    files = sorted(f for f in os.listdir(args.corpus) if f.endswith(".json"))
+    rows = [_bench_row(os.path.join(args.corpus, f), q, args) for f in files]
     buffer = io.StringIO()
     writer = csv.DictWriter(
         buffer, fieldnames=_BENCH_COLUMNS, lineterminator="\n", restval=""
@@ -552,7 +524,7 @@ def main(argv=None) -> int:
     except (ModelError, json.JSONDecodeError, OSError) as err:
         sys.stdout.write(_error_payload(err))
         return 2
-    except (TooLarge, BudgetExceeded, _Timeout) as err:
+    except (TooLarge, BudgetExceeded, DeadlineExceeded) as err:
         sys.stdout.write(_error_payload(err))
         return 1
 

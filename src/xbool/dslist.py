@@ -6,7 +6,7 @@ opposite-class rule as that classifying rule: seed with the flips the
 rule's own term forces, then repeatedly knock out the earliest earlier
 rule that still fires, branching on which of its features to flip.
 Ensembles do the same with one candidate rule per member, keeping only
-combinations that flip the majority.
+combinations that flip the majority; a single list is the one-member case.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .models import (
     DecisionSet,
     Ensemble,
     Example,
-    Rule,
     classify,
     flip,
     term_applies,
@@ -47,73 +46,6 @@ def _require_total(features, e: Example) -> None:
     for f in sorted(features):
         if f not in e:
             raise UndefinedFeature(f"example does not assign feature {f!r}")
-
-
-def _seed(term, e: Example) -> FrozenSet[str]:
-    return frozenset(f for f, v in term if v != e[f])
-
-
-def _branch(
-    rules: Sequence[Rule],
-    e: Example,
-    k: int,
-    j: int,
-    fixed: FrozenSet[str],
-    flips: FrozenSet[str],
-    leaves: List[int],
-) -> Optional[FrozenSet[str]]:
-    """Smallest extension of `flips` (size ≤ k) that lets rule j classify."""
-    if len(flips) > k:
-        leaves[0] += 1
-        return None
-    moved = flip(e, flips)
-    blocker = None
-    for l in range(j):
-        if term_applies(rules[l].term, moved):
-            blocker = l
-            break
-    if blocker is None:
-        leaves[0] += 1
-        return flips
-    branch = sorted({f for f, _ in rules[blocker].term} - flips - fixed)
-    if not branch or len(flips) == k:
-        leaves[0] += 1
-        return None
-    best = None
-    for f in branch:
-        got = _branch(rules, e, k, j, fixed, flips | {f}, leaves)
-        if got is not None and (best is None or len(got) < len(best)):
-            best = got
-    return best
-
-
-def dl_min_lcxp_branch(
-    dl: DecisionList,
-    e: Example,
-    k: int,
-    stats: Optional[BranchStats] = None,
-) -> Optional[Witness]:
-    """Minimum flip set of size ≤ k changing the list's verdict, or None.
-
-    Candidate rules are tried in list order and only a strictly smaller
-    result replaces the current best, so ties go to the earliest rule.
-    """
-    if k < 0:
-        raise ModelError("budget must be non-negative")
-    _require_total(dl.features(), e)
-    c = classify(dl, e)
-    best: Optional[FrozenSet[str]] = None
-    for j, rule in enumerate(dl.rules):
-        if rule.label == c:
-            continue
-        fixed = frozenset(f for f, _ in rule.term)
-        leaves = [0]
-        got = _branch(dl.rules, e, k, j, fixed, _seed(rule.term, e), leaves)
-        if stats is not None:
-            stats.leaves_per_rule.append(leaves[0])
-        if got is not None and (best is None or len(got) < len(best)):
-            best = got
-    return None if best is None else Witness.of_features(best)
 
 
 def _branch_ensemble(
@@ -152,13 +84,10 @@ def _branch_ensemble(
     return best
 
 
-def dle_min_lcxp_branch(
-    ens: Ensemble,
-    e: Example,
-    k: int,
-    stats: Optional[BranchStats] = None,
+def _min_lcxp(
+    ens: Ensemble, e: Example, k: int, stats: Optional[BranchStats]
 ) -> Optional[Witness]:
-    """Minimum flip set of size ≤ k changing the ensemble vote, or None.
+    """The search behind both public names; a list is a one-element ensemble.
 
     One classifying rule is guessed per member, in lexicographic
     rule-index order; a combination survives only if the guessed labels
@@ -196,3 +125,28 @@ def dle_min_lcxp_branch(
         if got is not None and (best is None or len(got) < len(best)):
             best = got
     return None if best is None else Witness.of_features(best)
+
+
+def dl_min_lcxp_branch(
+    dl: DecisionList,
+    e: Example,
+    k: int,
+    stats: Optional[BranchStats] = None,
+) -> Optional[Witness]:
+    """Minimum flip set of size ≤ k changing the list's verdict, or None.
+
+    The list is searched as a one-element ensemble: candidate rules are
+    tried in list order and only a strictly smaller result replaces the
+    current best, so ties go to the earliest rule.
+    """
+    return _min_lcxp(Ensemble([dl]), e, k, stats)
+
+
+def dle_min_lcxp_branch(
+    ens: Ensemble,
+    e: Example,
+    k: int,
+    stats: Optional[BranchStats] = None,
+) -> Optional[Witness]:
+    """Minimum flip set of size ≤ k changing the ensemble vote, or None."""
+    return _min_lcxp(ens, e, k, stats)

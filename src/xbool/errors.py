@@ -33,6 +33,10 @@ class BudgetExceeded(Exception):
     """A product or grafting construction would exceed the node cap."""
 
 
+class DeadlineExceeded(Exception):
+    """A run went past its `--timeout-ms` wall-clock deadline."""
+
+
 class SharedFeature(ValueError):
     """Conjunction chaining requires pairwise disjoint feature sets."""
 

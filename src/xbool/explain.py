@@ -248,6 +248,8 @@ def query_to_json(q: ExplanationQuery) -> Dict:
 
 
 def query_from_json(data: Mapping) -> ExplanationQuery:
+    if not isinstance(data, Mapping):
+        raise ModelError("query must be a JSON object")
     for key in ("kind", "minimality", "target"):
         if key not in data:
             raise ModelError(f"query object misses {key!r}")

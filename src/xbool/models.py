@@ -678,55 +678,91 @@ def model_to_json(model: Model) -> Dict:
     raise ModelError(f"cannot serialize {type(model).__name__}")
 
 
-def _require(data: Mapping, key: str):
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _wrong_type(what: str, kind: type, value) -> ModelError:
+    return ModelError(f"{what} must be {_JSON_TYPES[kind]}, got {type(value).__name__}")
+
+
+def _require(data: Mapping, key: str, kind: type = object):
     if key not in data:
         raise ModelError(f"model object misses {key!r}")
-    return data[key]
+    value = data[key]
+    if not isinstance(value, kind):
+        raise _wrong_type(f"model field {key!r}", kind, value)
+    return value
+
+
+def _strings(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise _wrong_type(what, list, value)
+    for item in value:
+        if not isinstance(item, str):
+            raise _wrong_type(f"each entry of {what}", str, item)
+    return value
+
+
+def _literals(value, what: str) -> list:
+    """An array of [feature, bit] pairs; make_term checks the bits."""
+    if not isinstance(value, list):
+        raise _wrong_type(what, list, value)
+    for pair in value:
+        if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)):
+            raise ModelError(f"{what} must hold [feature, bit] pairs, got {pair!r}")
+    return value
+
+
+def _arc_specs(data: Mapping) -> Dict[str, Mapping]:
+    nodes = _require(data, "nodes", dict)
+    for nid, spec in nodes.items():
+        if not isinstance(spec, dict):
+            raise _wrong_type(f"node {nid!r}", dict, spec)
+    return nodes
+
+
+def _arcs(spec: Mapping) -> Tuple[str, str, str]:
+    return _require(spec, "feature", str), _require(spec, "zero", str), _require(spec, "one", str)
 
 
 def model_from_json(data: Mapping) -> Model:
+    """Model from its JSON object; every shape error is a ModelError."""
+    if not isinstance(data, dict):
+        raise _wrong_type("a model", dict, data)
     kind = _require(data, "kind")
     if kind == "dt":
-        raw = _require(data, "nodes")
         nodes: Dict[str, DtNode] = {}
-        for nid, spec in raw.items():
+        for nid, spec in _arc_specs(data).items():
             if "leaf" in spec:
                 nodes[nid] = DtLeaf(_bit(spec["leaf"], "leaf label"))
             else:
-                nodes[nid] = DtInner(
-                    str(_require(spec, "feature")),
-                    str(_require(spec, "zero")),
-                    str(_require(spec, "one")),
-                )
-        return simplify_dt(DecisionTree(nodes, str(_require(data, "root"))))
+                nodes[nid] = DtInner(*_arcs(spec))
+        return simplify_dt(DecisionTree(nodes, _require(data, "root", str)))
     if kind == "ds":
-        return DecisionSet(_require(data, "terms"), _require(data, "default"))
+        terms = [_literals(t, "a term") for t in _require(data, "terms", list)]
+        return DecisionSet(terms, _require(data, "default"))
     if kind == "dl":
-        return DecisionList(
-            [(term, label) for term, label in _require(data, "rules")]
-        )
+        rules = []
+        for rule in _require(data, "rules", list):
+            if not (isinstance(rule, list) and len(rule) == 2):
+                raise ModelError(f"a rule must be a [term, class] pair, got {rule!r}")
+            rules.append((_literals(rule[0], "a rule's term"), rule[1]))
+        return DecisionList(rules)
     if kind == "obdd":
-        raw = _require(data, "nodes")
-        nodes = {
-            nid: ObddNode(
-                str(_require(spec, "feature")),
-                str(_require(spec, "zero")),
-                str(_require(spec, "one")),
-            )
-            for nid, spec in raw.items()
-        }
-        source = str(_require(data, "source"))
-        t0 = str(_require(data, "t0"))
-        t1 = str(_require(data, "t1"))
+        nodes = {nid: ObddNode(*_arcs(spec)) for nid, spec in _arc_specs(data).items()}
+        source, t0, t1 = (_require(data, key, str) for key in ("source", "t0", "t1"))
         order = data.get("order")
         if order is None:
             order = _infer_order(nodes, source, t0, t1)
-        return Obdd(nodes, source, t0, t1, order)
+        return Obdd(nodes, source, t0, t1, _strings(order, "the order"))
     if kind == "ensemble":
-        elements = [model_from_json(el) for el in _require(data, "elements")]
-        if any(isinstance(el, Ensemble) for el in elements):
+        raw = _require(data, "elements", list)
+        if any(isinstance(el, dict) and el.get("kind") == "ensemble" for el in raw):
             raise ModelError("ensembles cannot nest")
-        return Ensemble(elements, data.get("shared_order"))
+        shared_order = data.get("shared_order")
+        if shared_order is not None:
+            _strings(shared_order, "the shared order")
+        return Ensemble([model_from_json(el) for el in raw], shared_order)
     raise ModelError(f"unknown model kind {kind!r}")
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .errors import Homogeneous, ModelError, UndefinedFeature
 from .explain import ExplanationQuery, Witness
-from .models import Example, classify
+from .models import Example, _lookup, classify
 
 
 class Restriction:
@@ -57,7 +57,7 @@ class Restriction:
         if q.k is not None and w.size > q.k:
             return False
         if q.kind == "lAXp":
-            tau = {f: q.target[f] for f in w.features}
+            tau = {f: _lookup(q.target, f) for f in w.features}
         else:
             tau = dict(w.assignment)
         return self._valid_under(q)(tau)

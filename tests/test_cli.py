@@ -1,12 +1,20 @@
 """Command-line behaviors: explain/verify/generate/bench and exit codes."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from xbool.cli import DEFAULT_CAP, main, run_verify, run_verify_minimal
+import xbool
+from xbool.cli import DEFAULT_CAP, ROUTES, main, run_verify, run_verify_minimal
 from xbool.explain import DEFAULT_GUARD, ExplanationQuery, Witness, verify_subset_minimal
 from xbool.models import DecisionList, DecisionTree, DtInner, DtLeaf, Ensemble, dumps_model
 
@@ -113,6 +121,89 @@ def test_explain_with_timeout_headroom(capsys, fig1_path):
         "--timeout-ms", "30000",
     )
     assert json.loads(out)["size"] == 1
+
+
+OBDD_XY = {
+    "kind": "obdd",
+    "nodes": {"s": {"feature": "x", "zero": "t0", "one": "t1"}},
+    "source": "s",
+    "t0": "t0",
+    "t1": "t1",
+}
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"kind": "dt", "nodes": [], "root": "a"},
+        {"kind": "dt", "nodes": {"a": 5}, "root": "a"},
+        {"kind": "dl", "rules": [[["x", 1]]]},
+        {"kind": "ds", "terms": 5, "default": 0},
+        {"kind": "ensemble", "elements": 5},
+        dict(OBDD_XY, order="xy"),
+    ],
+)
+def test_malformed_model_json_exits_2(capsys, tmp_path, model):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(model))
+    q = json.dumps({"kind": "gAXp", "minimality": "subset", "target": 1})
+    out = run(capsys, "explain", "--model", str(path), "--query", q, expect=2)
+    assert json.loads(out)["error"]["type"] == "ModelError"
+
+
+# A constant list over 18 features has no contrastive set, so the oracle's
+# cardinality search at k=18 tries every subset with every completion of
+# it: about 3^18 lookups, far longer than any test runs.
+SLOW_FEATURES = [f"f{i:02d}" for i in range(18)]
+SLOW_LIST = DecisionList([([(f, 1)], 0) for f in SLOW_FEATURES] + [([], 0)])
+SLOW_QUERY = json.dumps(
+    {
+        "kind": "lCXp",
+        "minimality": "cardinality",
+        "target": dict(E, **{f: 0 for f in SLOW_FEATURES}),
+        "k": 18,
+    }
+)
+
+
+def run_cli_process(*argv):
+    """(completed process, wall seconds) of `python -m xbool.cli argv`."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xbool.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "xbool.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    return proc, time.perf_counter() - started
+
+
+def test_explain_timeout_stops_the_work(tmp_path):
+    path = tmp_path / "slow.json"
+    path.write_text(dumps_model(SLOW_LIST))
+    proc, wall = run_cli_process(
+        "explain", "--model", str(path), "--query", SLOW_QUERY,
+        "--route", "bruteforce", "--timeout-ms", "200",
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == "DeadlineExceeded"
+    assert wall < 5.0
+
+
+def test_bench_timeout_stops_the_row(tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "fig1.json").write_text(dumps_model(FIG1))
+    (corpus / "slow.json").write_text(dumps_model(SLOW_LIST))
+    proc, wall = run_cli_process(
+        "bench", "--corpus", str(corpus), "--query", SLOW_QUERY,
+        "--route", "bruteforce", "--timeout-ms", "200",
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.strip().split("\n")[1:]
+    assert rows[0].startswith("fig1.json") and ",ok," in rows[0]
+    assert rows[1].startswith("slow.json") and ",timeout," in rows[1]
+    assert wall < 5.0
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +473,122 @@ def test_bench_empty_corpus_prints_header_only(capsys, tmp_path):
     q = json.dumps({"kind": "gAXp", "minimality": "subset", "target": 0})
     out = run(capsys, "bench", "--corpus", str(corpus), "--query", q)
     assert out.strip() == BENCH_HEADER
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract under fuzzing
+
+
+def _tree_json(feature):
+    return {
+        "kind": "dt",
+        "root": "r",
+        "nodes": {
+            "r": {"feature": feature, "zero": "a", "one": "b"},
+            "a": {"leaf": 0},
+            "b": {"leaf": 1},
+        },
+    }
+
+
+VALID_MODELS = [
+    _tree_json("x"),
+    {"kind": "ds", "terms": [[["x", 1], ["y", 0]], [["z", 1]]], "default": 0},
+    json.loads(dumps_model(FIG1)),
+    dict(OBDD_XY, order=["x", "y"]),
+    {"kind": "ensemble", "elements": [_tree_json(f) for f in "xyz"]},
+    {
+        "kind": "ensemble",
+        "elements": [dict(OBDD_XY, order=["x"]), dict(OBDD_XY, order=["x", "y"]),
+                     dict(OBDD_XY, order=["x", "z"])],
+        "shared_order": ["x", "y", "z"],
+    },
+]
+VALID_QUERIES = [
+    {"kind": "lAXp", "minimality": "subset", "target": E},
+    {"kind": "lCXp", "minimality": "cardinality", "target": E, "k": 2},
+    {"kind": "gAXp", "minimality": "cardinality", "target": 1, "k": 2},
+    {"kind": "gCXp", "minimality": "subset", "target": 0},
+]
+VALID_WITNESSES = [["x"], ["y", "z"], {"x": 1}, {"x": 0, "z": 1}]
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["x", "y", "z", "r", "s", "t0", "t1", "dt", "obdd", "ensemble"])
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+
+
+def _paths(value, prefix=()):
+    yield prefix
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield from _paths(inner, prefix + (key,))
+    elif isinstance(value, list):
+        for i, inner in enumerate(value):
+            yield from _paths(inner, prefix + (i,))
+
+
+def _replaced(value, path, new):
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+@st.composite
+def one_field_replaced(draw, documents):
+    doc = draw(st.sampled_from(documents))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    return _replaced(doc, path, draw(JSON_VALUES))
+
+
+def _any_of(documents):
+    return st.sampled_from(documents) | one_field_replaced(documents) | JSON_VALUES
+
+
+@settings(max_examples=400, deadline=None)
+@example(  # the target misses a feature the diagram's order declares
+    model=dict(OBDD_XY, order=["x", "w"]),
+    query=VALID_QUERIES[0],
+    witness=["w"],
+    command="verify",
+    route="auto",
+)
+@given(
+    model=st.sampled_from(VALID_MODELS) | one_field_replaced(VALID_MODELS),
+    query=_any_of(VALID_QUERIES),
+    witness=_any_of(VALID_WITNESSES),
+    command=st.sampled_from(["explain", "verify", "verify --minimal"]),
+    route=st.sampled_from(ROUTES),
+)
+def test_any_json_input_keeps_the_exit_code_contract(model, query, witness, command, route):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in (("model", model), ("query", query), ("witness", witness)):
+            paths[name] = os.path.join(tmp, f"{name}.json")
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        argv = command.split() + [
+            "--model", paths["model"], "--query", paths["query"],
+            "--guard-features", "8",
+        ]
+        if command == "explain":
+            argv += ["--route", route]
+        else:
+            argv += ["--witness", paths["witness"]]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert isinstance(json.loads(out.getvalue()), dict)
 
 
 # ---------------------------------------------------------------------------
