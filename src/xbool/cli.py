@@ -10,18 +10,13 @@ sorted keys, so reruns on identical inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
-import signal
 import sys
 import time
 from typing import Callable, Dict, Optional, Tuple
 
-from . import gadgets
-from .dslist import dle_min_lcxp_branch, ds_to_dl
-from .dt import dt_check, dt_ensemble_to_dt, dt_lcxp_check, dt_subset_min, dt_xp_search
 from .errors import (
     BudgetExceeded,
     DeadlineExceeded,
@@ -49,13 +44,6 @@ from .models import (
     loads_model,
     measure_parameters,
     model_features,
-)
-from .obdd import (
-    obdd_check,
-    obdd_ensemble_product,
-    obdd_lcxp_check,
-    obdd_subset_min,
-    obdd_xp_search,
 )
 
 DEFAULT_CAP = 10**6
@@ -116,17 +104,26 @@ def _flatten(model, cap: int):
     any other model as it is."""
     if model.kind == "ensemble":
         if model.elements[0].kind == "dt":
+            from .dt import dt_ensemble_to_dt
+
             return dt_ensemble_to_dt(model, cap)
         if model.elements[0].kind == "obdd":
+            from .obdd import obdd_ensemble_product
+
             return obdd_ensemble_product(model, cap)
     return model
 
 
 def _procedures(kind: str) -> tuple:
     """(xp_search, subset_min, check, lcxp_check) of the tree or diagram
-    family, read from the module globals at call time."""
+    family, imported at call time so a tree request never loads the
+    diagram module, nor a diagram request the tree module."""
     if kind == "dt":
+        from .dt import dt_check, dt_lcxp_check, dt_subset_min, dt_xp_search
+
         return dt_xp_search, dt_subset_min, dt_check, dt_lcxp_check
+    from .obdd import obdd_check, obdd_lcxp_check, obdd_subset_min, obdd_xp_search
+
     return obdd_xp_search, obdd_subset_min, obdd_check, obdd_lcxp_check
 
 
@@ -140,6 +137,8 @@ def _explain_via(model, q: ExplanationQuery, route: str, cap: int, guard: int):
             f"use {picked!r} or 'bruteforce'"
         )
     if route == "branching":
+        from .dslist import dle_min_lcxp_branch, ds_to_dl
+
         lists = [ds_to_dl(el) if el.kind == "ds" else el for el in _members(model)]
         return dle_min_lcxp_branch(Ensemble(lists), q.target, q.k)
     model = _flatten(model, cap)
@@ -234,7 +233,8 @@ def run_verify_minimal(model, q, w: Witness, cap: int, guard: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Gadget registry for `generate`
+# Gadget registry for `generate`; each maker takes the `gadgets` module,
+# which only `generate` imports.
 
 
 def _zero_query(model, k: Optional[int]) -> Dict:
@@ -249,7 +249,7 @@ def _zero_query(model, k: Optional[int]) -> Dict:
     }
 
 
-def _gen_hitting_set(params):
+def _gen_hitting_set(gadgets, params):
     tree, e0, k = gadgets.gen_hitting_set_laxp(
         params["universe"], params["sets"], params.get("k")
     )
@@ -262,7 +262,7 @@ def _gen_hitting_set(params):
     return tree, query
 
 
-def _gen_mcc_gaxp_dt(params):
+def _gen_mcc_gaxp_dt(gadgets, params):
     g = gadgets.mcc_from_json(params["graph"])
     tree, target, k = gadgets.gen_mcc_gaxp_dt(
         g,
@@ -274,41 +274,41 @@ def _gen_mcc_gaxp_dt(params):
     return tree, query
 
 
-def _gen_mcc_dt_ensemble(params):
+def _gen_mcc_dt_ensemble(gadgets, params):
     g = gadgets.mcc_from_json(params["graph"])
     ens = gadgets.gen_mcc_dt_ensemble(g, params.get("k"))
     return ens, _zero_query(ens, g.k)
 
 
-def _gen_maj_hom(params):
+def _gen_maj_hom(gadgets, params):
     g = gadgets.mcc_from_json(params["graph"])
     ens = gadgets.gen_maj_hom(g, params.get("k"), params.get("family", "dt"))
     return ens, _zero_query(ens, g.k)
 
 
-def _gen_taut_ds(params):
+def _gen_taut_ds(gadgets, params):
     ds = gadgets.gen_taut_ds(params["terms"])
     return ds, _zero_query(ds, None)
 
 
-def _gen_mcc_ds(params):
+def _gen_mcc_ds(gadgets, params):
     g = gadgets.mcc_from_json(params["graph"])
     return gadgets.gen_mcc_ds(g, params.get("k")), None
 
 
-def _gen_mcc_ds2(params):
+def _gen_mcc_ds2(gadgets, params):
     g = gadgets.mcc_from_json(params["graph"])
     ens = gadgets.gen_mcc_ds_ensemble(g, params.get("k"))
     return ens, _zero_query(ens, g.k)
 
 
-def _gen_mcc_obdd_maj(params):
+def _gen_mcc_obdd_maj(gadgets, params):
     g = gadgets.mcc_from_json(params["graph"])
     ens = gadgets.gen_mcc_obdd_maj(g, params.get("k"))
     return ens, _zero_query(ens, g.k)
 
 
-def _gen_laxp_to_gaxp(params):
+def _gen_laxp_to_gaxp(gadgets, params):
     raw = params["model"]
     model = loads_model(_load_text(raw)) if isinstance(raw, str) else loads_model(
         json.dumps(raw)
@@ -341,16 +341,25 @@ def _with_timeout(fn, timeout_ms: int):
 
     SIGALRM makes the interpreter raise DeadlineExceeded in the main
     thread between two bytecodes, so the work stops wherever it is.
+    Signal handlers can only be set from the main thread, so a deadline
+    asked for in any other thread is refused as a ModelError.
     """
     if timeout_ms < 0:
         raise ModelError(f"timeout must be non-negative, got {timeout_ms} ms")
     if not timeout_ms:
         return fn()
+    import signal
 
     def expire(signum, frame):
         raise DeadlineExceeded(f"exceeded {timeout_ms} ms")
 
-    previous = signal.signal(signal.SIGALRM, expire)
+    try:
+        previous = signal.signal(signal.SIGALRM, expire)
+    except ValueError:
+        raise ModelError(
+            "--timeout-ms needs the main thread of the main interpreter "
+            "(the deadline is a SIGALRM handler)"
+        ) from None
     try:
         signal.setitimer(signal.ITIMER_REAL, timeout_ms / 1000.0)
         return fn()
@@ -380,8 +389,9 @@ def cmd_verify(args) -> int:
     model = _load_model(args.model)
     q = query_from_json(_structured(args.query))
     w = witness_from_json(_structured(args.witness))
-    valid, minimal = _verdicts(
-        model, q, w, args.cap_nodes, args.guard_features, args.minimal
+    valid, minimal = _with_timeout(
+        lambda: _verdicts(model, q, w, args.cap_nodes, args.guard_features, args.minimal),
+        args.timeout_ms,
     )
     payload = {"valid": valid}
     ok = valid
@@ -399,8 +409,10 @@ def cmd_generate(args) -> int:
             f"unknown gadget {args.gadget!r}; available: {', '.join(sorted(GENERATORS))}"
         )
     params = _structured(args.params)
+    from . import gadgets
+
     try:
-        model, query = maker(params)
+        model, query = maker(gadgets, params)
     except KeyError as missing:
         raise ModelError(f"params object misses {missing}") from None
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -457,6 +469,8 @@ def cmd_bench(args) -> int:
     q = query_from_json(_structured(args.query))
     files = sorted(f for f in os.listdir(args.corpus) if f.endswith(".json"))
     rows = [_bench_row(os.path.join(args.corpus, f), q, args) for f in files]
+    import csv
+
     buffer = io.StringIO()
     writer = csv.DictWriter(
         buffer, fieldnames=_BENCH_COLUMNS, lineterminator="\n", restval=""
@@ -472,12 +486,11 @@ def cmd_bench(args) -> int:
 # Argument plumbing
 
 
-def _add_limits(sub, timeout=False):
+def _add_limits(sub):
     sub.add_argument("--route", default="auto", choices=ROUTES)
     sub.add_argument("--cap-nodes", type=int, default=DEFAULT_CAP)
     sub.add_argument("--guard-features", type=int, default=DEFAULT_GUARD)
-    if timeout:
-        sub.add_argument("--timeout-ms", type=int, default=0)
+    sub.add_argument("--timeout-ms", type=int, default=0)
     sub.add_argument("--out")
 
 
@@ -491,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex = commands.add_parser("explain", help="compute a minimal explanation")
     ex.add_argument("--model", required=True)
     ex.add_argument("--query", required=True)
-    _add_limits(ex, timeout=True)
+    _add_limits(ex)
     ex.set_defaults(handler=cmd_explain)
 
     ve = commands.add_parser("verify", help="check a witness against a query")
@@ -511,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     be = commands.add_parser("bench", help="run a query over a corpus directory")
     be.add_argument("--corpus", required=True)
     be.add_argument("--query", required=True)
-    _add_limits(be, timeout=True)
+    _add_limits(be)
     be.set_defaults(handler=cmd_bench)
 
     return parser

@@ -12,7 +12,6 @@ combinations that flip the majority; a single list is the one-member case.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import ModelError, UndefinedFeature
@@ -26,6 +25,7 @@ from .models import (
     flip,
     term_applies,
 )
+from .records import Record
 
 
 def ds_to_dl(s: DecisionSet) -> DecisionList:
@@ -35,11 +35,13 @@ def ds_to_dl(s: DecisionSet) -> DecisionList:
     return DecisionList(rules)
 
 
-@dataclass
-class BranchStats:
+class BranchStats(Record):
     """Recursion-leaf counts, one entry per candidate rule examined."""
 
-    leaves_per_rule: List[int] = field(default_factory=list)
+    __slots__ = ("leaves_per_rule",)
+
+    def __init__(self, leaves_per_rule: Optional[List[int]] = None):
+        self._fill([] if leaves_per_rule is None else leaves_per_rule)
 
 
 def _require_total(features, e: Example) -> None:

@@ -18,11 +18,11 @@ answers are deterministic and usable as frozen expected values.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import ModelError, TooLarge, UndefinedFeature
 from .models import Example, Model, _bit, classify, example_to_json, model_features
+from .records import Frozen
 
 KINDS = ("lAXp", "lCXp", "gAXp", "gCXp")
 LOCAL_KINDS = ("lAXp", "lCXp")
@@ -30,45 +30,48 @@ GLOBAL_KINDS = ("gAXp", "gCXp")
 DEFAULT_GUARD = 20
 
 
-@dataclass(frozen=True)
-class ExplanationQuery:
-    kind: str
-    minimality: str
-    target: Union[Mapping[str, int], int]
-    k: Optional[int] = None
+class ExplanationQuery(Frozen):
+    __slots__ = ("kind", "minimality", "target", "k")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ModelError(f"unknown query kind {self.kind!r}")
-        if self.minimality not in ("subset", "cardinality"):
-            raise ModelError(f"unknown minimality {self.minimality!r}")
-        if (self.k is not None) != (self.minimality == "cardinality"):
+    def __init__(
+        self,
+        kind: str,
+        minimality: str,
+        target: Union[Mapping[str, int], int],
+        k: Optional[int] = None,
+    ):
+        if kind not in KINDS:
+            raise ModelError(f"unknown query kind {kind!r}")
+        if minimality not in ("subset", "cardinality"):
+            raise ModelError(f"unknown minimality {minimality!r}")
+        if (k is not None) != (minimality == "cardinality"):
             raise ModelError("budget k goes with cardinality queries only")
-        if self.k is not None and (isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 0):
-            raise ModelError(f"budget must be a non-negative integer, got {self.k!r}")
-        if self.kind in LOCAL_KINDS:
-            if not isinstance(self.target, Mapping):
+        if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 0):
+            raise ModelError(f"budget must be a non-negative integer, got {k!r}")
+        if kind in LOCAL_KINDS:
+            if not isinstance(target, Mapping):
                 raise ModelError("local queries target an example")
-            example = {
-                str(f): _bit(z, f"value of feature {f!r}") for f, z in self.target.items()
-            }
-            object.__setattr__(self, "target", example)
+            target = {str(f): _bit(z, f"value of feature {f!r}") for f, z in target.items()}
         else:
-            object.__setattr__(self, "target", _bit(self.target, "target class"))
+            target = _bit(target, "target class")
+        self._fill(kind, minimality, target, k)
 
     @property
     def is_local(self) -> bool:
         return self.kind in LOCAL_KINDS
 
 
-@dataclass(frozen=True)
-class Witness:
-    features: Optional[Tuple[str, ...]] = None
-    assignment: Optional[Tuple[Tuple[str, int], ...]] = None
+class Witness(Frozen):
+    __slots__ = ("features", "assignment")
 
-    def __post_init__(self):
-        if (self.features is None) == (self.assignment is None):
+    def __init__(
+        self,
+        features: Optional[Tuple[str, ...]] = None,
+        assignment: Optional[Tuple[Tuple[str, int], ...]] = None,
+    ):
+        if (features is None) == (assignment is None):
             raise ModelError("witness carries either a feature set or an assignment")
+        self._fill(features, assignment)
 
     @classmethod
     def of_features(cls, features: Iterable[str]) -> "Witness":

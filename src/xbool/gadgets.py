@@ -149,21 +149,32 @@ def _shape_from_examples(examples: Sequence[Example], order: Sequence[str]):
     return shape
 
 
-def _replace_tag(shape, tag: int, sub):
-    if shape[0] == _LEAF:
-        return sub if shape[2] == tag else shape
-    return (
-        _NODE,
-        shape[1],
-        _replace_tag(shape[2], tag, sub),
-        _replace_tag(shape[3], tag, sub),
-    )
+def _replace_tags(shape, subs: Mapping[int, tuple]):
+    """`shape` with each leaf tagged t replaced by `subs[t]`, rebuilt
+    bottom-up with an explicit stack, so depth costs no recursion."""
+    done: List[tuple] = []
+    work = [(shape, False)]
+    while work:
+        s, expanded = work.pop()
+        if s[0] == _LEAF:
+            done.append(subs.get(s[2], s))
+        elif expanded:
+            one = done.pop()
+            done.append((_NODE, s[1], done.pop(), one))
+        else:
+            work += ((s, True), (s[3], False), (s[2], False))
+    return done[0]
 
 
 def _shape_leaves(shape) -> int:
-    if shape[0] == _LEAF:
-        return 1
-    return _shape_leaves(shape[2]) + _shape_leaves(shape[3])
+    count, work = 0, [shape]
+    while work:
+        s = work.pop()
+        if s[0] == _LEAF:
+            count += 1
+        else:
+            work += (s[2], s[3])
+    return count
 
 
 def _shape_to_dt(shape) -> DecisionTree:
@@ -271,14 +282,14 @@ def gen_mcc_gaxp_dt(
         for j in range(k):
             if j == i:
                 continue
-            shape = _shape_from_examples(examples, order_i)
+            subs = {}
             for tag, v in enumerate(members, start=1):
                 hood = tuple(
                     vertex_feature(u) for u in g.neighbors(v) if g.part[u] == j
                 )
-                sub = _shape_from_examples([{f: 0 for f in hood}], hood)
-                shape = _replace_tag(shape, tag, sub)
-            pair_shapes.append(shape)
+                subs[tag] = _shape_from_examples([{f: 0 for f in hood}], hood)
+            shape = _shape_from_examples(examples, order_i)
+            pair_shapes.append(_replace_tags(shape, subs))
 
     slots = len(pair_shapes)
     depth = max(1, (slots - 1).bit_length()) if slots else 1

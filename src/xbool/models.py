@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -26,6 +25,7 @@ from .errors import (
     NotOrdered,
     UndefinedFeature,
 )
+from .records import Frozen, Record
 
 Example = Mapping[str, int]
 PartialExample = Mapping[str, int]
@@ -64,16 +64,18 @@ def term_applies(term: Term, e: Example) -> bool:
 # Decision trees
 
 
-@dataclass(frozen=True)
-class DtLeaf:
-    label: int
+class DtLeaf(Frozen):
+    __slots__ = ("label",)
+
+    def __init__(self, label: int):
+        self._fill(label)
 
 
-@dataclass(frozen=True)
-class DtInner:
-    feature: str
-    zero: str
-    one: str
+class DtInner(Frozen):
+    __slots__ = ("feature", "zero", "one")
+
+    def __init__(self, feature: str, zero: str, one: str):
+        self._fill(feature, zero, one)
 
 
 DtNode = Union[DtLeaf, DtInner]
@@ -226,10 +228,11 @@ def _classify_ds(s: DecisionSet, e: Example) -> int:
     return s.default
 
 
-@dataclass(frozen=True)
-class Rule:
-    term: Term
-    label: int
+class Rule(Frozen):
+    __slots__ = ("term", "label")
+
+    def __init__(self, term: Term, label: int):
+        self._fill(term, label)
 
 
 class DecisionList:
@@ -262,11 +265,11 @@ def _classify_dl(dl: DecisionList, e: Example) -> int:
 # Ordered binary decision diagrams
 
 
-@dataclass(frozen=True)
-class ObddNode:
-    feature: str
-    zero: str
-    one: str
+class ObddNode(Frozen):
+    __slots__ = ("feature", "zero", "one")
+
+    def __init__(self, feature: str, zero: str, one: str):
+        self._fill(feature, zero, one)
 
 
 class Obdd:
@@ -553,31 +556,35 @@ def flip(e: Example, features: Iterable[str]) -> Dict[str, int]:
 # Table-style parameter measurement
 
 
-@dataclass
-class Parameters:
-    ens_size: Optional[int] = None
-    mnl_size: Optional[int] = None
-    terms_elem: Optional[int] = None
-    term_size: Optional[int] = None
-    width_elem: Optional[int] = None
-    size_elem: Optional[int] = None
-    xp_size: Optional[int] = None
+class Parameters(Record):
+    __slots__ = (
+        "ens_size",
+        "mnl_size",
+        "terms_elem",
+        "term_size",
+        "width_elem",
+        "size_elem",
+        "xp_size",
+    )
+
+    def __init__(
+        self,
+        ens_size: Optional[int] = None,
+        mnl_size: Optional[int] = None,
+        terms_elem: Optional[int] = None,
+        term_size: Optional[int] = None,
+        width_elem: Optional[int] = None,
+        size_elem: Optional[int] = None,
+        xp_size: Optional[int] = None,
+    ):
+        self._fill(ens_size, mnl_size, terms_elem, term_size, width_elem, size_elem, xp_size)
 
     def to_json(self) -> Dict[str, int]:
-        out = {}
-        for name in (
-            "ens_size",
-            "mnl_size",
-            "terms_elem",
-            "term_size",
-            "width_elem",
-            "size_elem",
-            "xp_size",
-        ):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+        return {
+            name: value
+            for name, value in zip(self.__slots__, self._values())
+            if value is not None
+        }
 
 
 def dt_mnl(t: DecisionTree) -> int:

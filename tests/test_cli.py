@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 import pytest
@@ -188,6 +189,41 @@ def test_explain_timeout_stops_the_work(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout)["error"]["type"] == "DeadlineExceeded"
     assert wall < 5.0
+
+
+# One rule fires only when all 18 features are 1, so the lCXp witness of
+# all 18 features is valid and subset-minimal, and each of its 18
+# delete-one checks runs the oracle through 2^17 completions before it
+# fails: about 2.6 million classifications, many seconds of work.
+SLOW_RULE = DecisionList([([(f, 1) for f in SLOW_FEATURES], 1), ([], 0)])
+
+
+def test_verify_timeout_stops_the_work(tmp_path):
+    path = tmp_path / "slow.json"
+    path.write_text(dumps_model(SLOW_RULE))
+    query = {"kind": "lCXp", "minimality": "subset", "target": {f: 0 for f in SLOW_FEATURES}}
+    proc, wall = run_cli_process(
+        "verify", "--minimal", "--model", str(path), "--query", json.dumps(query),
+        "--witness", json.dumps(SLOW_FEATURES), "--timeout-ms", "200",
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["error"]["type"] == "DeadlineExceeded"
+    assert wall < 5.0
+
+
+def test_timeout_off_the_main_thread_exits_2(capsys, fig1_path):
+    codes = []
+    worker = threading.Thread(
+        target=lambda: codes.append(
+            main(["explain", "--model", fig1_path, "--query", Q_LCXP1, "--timeout-ms", "100"])
+        )
+    )
+    worker.start()
+    worker.join(timeout=30)
+    assert not worker.is_alive()
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert codes == [2]
+    assert error["type"] == "ModelError" and "main thread" in error["message"]
 
 
 def test_bench_timeout_stops_the_row(tmp_path):
@@ -416,6 +452,17 @@ def test_generate_laxp_to_gaxp_accepts_model_path(capsys, tmp_path):
     out2 = run(capsys, "generate", "laxp_to_gaxp", "--params", inline,
                "--out", str(out_path))
     assert json.loads(out2) == summary
+
+
+def test_generate_deep_part_keeps_the_exit_code_contract(capsys, tmp_path):
+    # part 0 has more vertices than the default recursion limit allows frames
+    vertices = [[f"a{i}", 0] for i in range(1100)] + [["b0", 1]]
+    params = json.dumps({"graph": {"vertices": vertices, "edges": []}})
+    code = main(["generate", "mcc_gaxp_dt", "--params", params,
+                 "--out", str(tmp_path / "deep.json")])
+    out = capsys.readouterr().out
+    assert code in (0, 1), out
+    assert isinstance(json.loads(out), dict)
 
 
 def test_generate_unknown_gadget_exits_2(capsys, tmp_path):
