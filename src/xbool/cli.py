@@ -17,25 +17,20 @@ import sys
 import time
 from typing import Callable, Dict, Optional, Tuple
 
-from .errors import (
-    BudgetExceeded,
-    DeadlineExceeded,
-    ModelError,
-    NotOrdered,
-    TooLarge,
-    UndefinedFeature,
-)
+from .errors import BudgetExceeded, DeadlineExceeded, ModelError, NotOrdered, TooLarge
 from .explain import (
     DEFAULT_GUARD,
     ExplanationQuery,
     Witness,
-    is_explanation,
+    _oracle_for,
+    check_witness,
     oracle_min,
     query_from_json,
     witness_from_json,
     witness_to_json,
 )
 from .models import (
+    DEFAULT_NODE_CAP as DEFAULT_CAP,
     Ensemble,
     complete_obdd,
     dumps_canonical,
@@ -46,7 +41,6 @@ from .models import (
     model_features,
 )
 
-DEFAULT_CAP = 10**6
 ROUTES = ("auto", "dt", "obdd", "branching", "product", "bruteforce")
 
 
@@ -159,32 +153,21 @@ def run_explain(
     return _explain_via(model, q, route, cap, guard), route
 
 
-def _check_witness(model, q: ExplanationQuery, w: Witness) -> None:
-    if q.is_local and w.features is None:
-        raise ModelError("local queries take a feature-set witness")
-    if not q.is_local and w.assignment is None:
-        raise ModelError("global queries take an assignment witness")
-    known = model_features(model)
-    mentioned = w.features if w.features is not None else [f for f, _ in w.assignment]
-    for f in mentioned:
-        if f not in known:
-            raise UndefinedFeature(f"witness mentions unknown feature {f!r}")
-
-
 def _validity(model, q: ExplanationQuery, cap: int, guard: int) -> Callable[[Witness], bool]:
     """Validity test for witnesses already checked against `model`.
 
     A tree or diagram ensemble is flattened once and a diagram completed
     once, so every witness checked through the result reuses that model;
-    an ensemble whose flattening hits the cap or an order conflict is
-    checked by the oracle instead.
+    a rule set or list, or an ensemble whose flattening hits the cap or an
+    order conflict, is checked by one oracle shared by every witness.
     """
     try:
         model = _flatten(model, cap)
     except (BudgetExceeded, NotOrdered):
         pass
     if model.kind not in ("dt", "obdd"):
-        return lambda w: is_explanation(model, q, w, guard)
+        oracle = _oracle_for(model, guard)
+        return lambda w: oracle.holds(q, w)
     if model.kind == "obdd":
         model = complete_obdd(model)
     _, _, check, lcxp_check = _procedures(model.kind)
@@ -203,7 +186,7 @@ def _verdicts(
     all four query kinds, so that test is exact.  All |w|+1 checks share
     one flattened or completed model.
     """
-    _check_witness(model, q, w)
+    check_witness(q, w, model_features(model))
     if q.k is not None and w.size > q.k:
         return False, False
     valid = _validity(model, q, cap, guard)
@@ -487,7 +470,6 @@ def cmd_bench(args) -> int:
 
 
 def _add_limits(sub):
-    sub.add_argument("--route", default="auto", choices=ROUTES)
     sub.add_argument("--cap-nodes", type=int, default=DEFAULT_CAP)
     sub.add_argument("--guard-features", type=int, default=DEFAULT_GUARD)
     sub.add_argument("--timeout-ms", type=int, default=0)
@@ -504,6 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex = commands.add_parser("explain", help="compute a minimal explanation")
     ex.add_argument("--model", required=True)
     ex.add_argument("--query", required=True)
+    ex.add_argument("--route", default="auto", choices=ROUTES)
     _add_limits(ex)
     ex.set_defaults(handler=cmd_explain)
 
@@ -524,6 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     be = commands.add_parser("bench", help="run a query over a corpus directory")
     be.add_argument("--corpus", required=True)
     be.add_argument("--query", required=True)
+    be.add_argument("--route", default="auto", choices=ROUTES)
     _add_limits(be)
     be.set_defaults(handler=cmd_bench)
 

@@ -1,8 +1,8 @@
 """Explanation algorithms for decision trees.
 
 All checks reduce to one primitive: walk the tree under a partial
-assignment and look at which leaf labels stay reachable; the query
-procedures around it are shared with diagrams (`restriction`).  Minimum
+assignment and ask whether a leaf of a given label stays reachable; the
+query procedures around it are shared with diagrams (`restriction`).  Minimum
 local contrastive sets come from scanning the disagreement between the
 target example and each oppositely-labeled leaf's path.
 """
@@ -10,11 +10,12 @@ target example and each oppositely-labeled leaf's path.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import BudgetExceeded, Homogeneous, ModelError, UndefinedFeature
 from .explain import ExplanationQuery, Witness
 from .models import (
+    DEFAULT_NODE_CAP,
     DecisionTree,
     DtInner,
     DtLeaf,
@@ -27,8 +28,6 @@ from .models import (
 )
 from .restriction import Restriction
 
-DEFAULT_NODE_CAP = 10**6
-
 
 class _TreeRestriction(Restriction):
     """Restriction view of a decision tree."""
@@ -36,9 +35,9 @@ class _TreeRestriction(Restriction):
     def universe(self) -> Tuple[str, ...]:
         return tuple(sorted(self.model.features()))
 
-    def labels_under(self, tau) -> FrozenSet[int]:
+    def reaches(self, tau, label: int) -> bool:
         t = self.model
-        return walk_labels(t.nodes, t.leaf_labels, t.root, tau)
+        return label in walk_labels(t.nodes, t.leaf_labels, t.root, tau)
 
     def seed_path(self, label: int) -> Optional[Dict[str, int]]:
         for alpha, got in _leaf_paths(self.model):

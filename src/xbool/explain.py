@@ -92,11 +92,26 @@ class Witness(Frozen):
         return len(payload)
 
 
+def check_witness(q: ExplanationQuery, w: Witness, features) -> None:
+    """Refuse a witness of the wrong shape for `q`, or one that mentions a
+    feature outside `features`."""
+    if q.is_local and w.features is None:
+        raise ModelError("local queries take a feature-set witness")
+    if not q.is_local and w.assignment is None:
+        raise ModelError("global queries take an assignment witness")
+    mentioned = w.features if q.is_local else [f for f, _ in w.assignment]
+    for f in mentioned:
+        if f not in features:
+            raise UndefinedFeature(f"witness mentions unknown feature {f!r}")
+
+
 class FunctionOracle:
     """Brute-force query evaluation for an arbitrary total 0/1 classifier.
 
     Classifications are memoized per feature vector, so repeated candidate
-    checks against the same function stay cheap.
+    checks against the same function stay cheap.  Every check asks one
+    question, `reaches`; the oracle answers it by enumeration and shares
+    no code with the tree and diagram walks it referees.
     """
 
     def __init__(self, features: Iterable[str], classify_fn: Callable[[Dict[str, int]], int], guard: int = DEFAULT_GUARD):
@@ -136,86 +151,65 @@ class FunctionOracle:
                 base[i] = v
             yield tuple(base)
 
-    def _check_features(self, names: Iterable[str]):
-        for f in names:
-            if f not in self._pos:
-                raise UndefinedFeature(f"witness mentions unknown feature {f!r}")
+    # -- the one question behind the four definitions
 
-    # -- the four definitions
+    def reaches(self, fixed: Dict[int, int], z: int) -> bool:
+        """Some completion of `fixed` (position -> bit) gets label z."""
+        return any(self.label(b) == z for b in self._completions(fixed))
 
-    def _laxp(self, e_bits: Tuple[int, ...], fixed_features: Iterable[str]) -> bool:
-        c = self.label(e_bits)
-        fixed = {self._pos[f]: e_bits[self._pos[f]] for f in fixed_features}
-        return all(self.label(b) == c for b in self._completions(fixed))
+    def _validity(self, q: ExplanationQuery) -> Callable[[Iterable], bool]:
+        """Validity of a witness given by its features (local kinds) or its
+        (feature, bit) pairs (global kinds): lCXp must reach the other
+        class with the example fixed outside the set; every other kind
+        must leave the class it rules out unreachable."""
+        pos = self._pos
+        if not q.is_local:
+            avoid = q.target if q.kind == "gCXp" else 1 - q.target
+            return lambda pairs: not self.reaches({pos[f]: z for f, z in pairs}, avoid)
+        e_bits = self.bits_of(q.target)
 
-    def _lcxp(self, e_bits: Tuple[int, ...], free_features: Iterable[str]) -> bool:
-        c = self.label(e_bits)
-        free = {self._pos[f] for f in free_features}
-        fixed = {i: e_bits[i] for i in range(len(self.features)) if i not in free}
-        return any(self.label(b) != c for b in self._completions(fixed))
+        def valid(names) -> bool:
+            other = 1 - self.label(e_bits)
+            if q.kind == "lAXp":
+                return not self.reaches({pos[f]: e_bits[pos[f]] for f in names}, other)
+            inside = {pos[f] for f in names}
+            return self.reaches({i: z for i, z in enumerate(e_bits) if i not in inside}, other)
 
-    def _global(self, kind: str, c: int, tau: Mapping[str, int]) -> bool:
-        fixed = {self._pos[f]: z for f, z in tau.items()}
-        if kind == "gAXp":
-            return all(self.label(b) == c for b in self._completions(fixed))
-        return all(self.label(b) != c for b in self._completions(fixed))
+        return valid
 
     # -- public checks
 
     def holds(self, q: ExplanationQuery, w: Witness) -> bool:
-        if q.is_local:
-            if w.features is None:
-                raise ModelError("local queries take a feature-set witness")
-            self._check_features(w.features)
-            e_bits = self.bits_of(q.target)
-            if q.kind == "lAXp":
-                return self._laxp(e_bits, w.features)
-            return self._lcxp(e_bits, w.features)
-        if w.assignment is None:
-            raise ModelError("global queries take an assignment witness")
-        tau = dict(w.assignment)
-        self._check_features(tau)
-        return self._global(q.kind, q.target, tau)
+        check_witness(q, w, self._pos)
+        return self._validity(q)(w.features if q.is_local else w.assignment)
 
     def minimum(self, q: ExplanationQuery) -> Optional[Witness]:
+        valid = self._validity(q)
         n = len(self.features)
         limit = n if q.k is None else min(q.k, n)
-        if q.is_local:
-            e_bits = self.bits_of(q.target)
-            start = 1 if q.kind == "lCXp" else 0
-            for size in range(start, limit + 1):
-                for combo in itertools.combinations(range(n), size):
-                    names = [self.features[i] for i in combo]
-                    if q.kind == "lAXp":
-                        ok = self._laxp(e_bits, names)
-                    else:
-                        ok = self._lcxp(e_bits, names)
-                    if ok:
-                        return Witness.of_features(names)
-            return None
-        for size in range(0, limit + 1):
-            for combo in itertools.combinations(range(n), size):
+        for size in range(1 if q.kind == "lCXp" else 0, limit + 1):
+            for combo in itertools.combinations(self.features, size):
+                if q.is_local:
+                    if valid(combo):
+                        return Witness(features=combo)
+                    continue
                 for values in itertools.product((0, 1), repeat=size):
-                    tau = {self.features[i]: v for i, v in zip(combo, values)}
-                    if self._global(q.kind, q.target, tau):
-                        return Witness.of_assignment(tau)
+                    pairs = tuple(zip(combo, values))
+                    if valid(pairs):
+                        return Witness(assignment=pairs)
         return None
 
     def subset_minimal(self, q: ExplanationQuery, w: Witness) -> bool:
         if not self.holds(q, w):
             return False
         if q.is_local:
-            for f in w.features:
-                rest = [g for g in w.features if g != f]
-                if self.holds(q, Witness.of_features(rest)):
-                    return False
-            return True
-        tau = dict(w.assignment)
-        for f in list(tau):
-            rest = {g: z for g, z in tau.items() if g != f}
-            if self.holds(q, Witness.of_assignment(rest)):
-                return False
-        return True
+            rests = (Witness.of_features(g for g in w.features if g != f) for f in w.features)
+        else:
+            tau = dict(w.assignment)
+            rests = (
+                Witness.of_assignment({g: z for g, z in tau.items() if g != f}) for f in tau
+            )
+        return not any(self.holds(q, rest) for rest in rests)
 
 
 def _oracle_for(model: Model, guard: int) -> FunctionOracle:

@@ -13,6 +13,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tupl
 
 from .errors import BudgetExceeded, ModelError, SharedFeature
 from .models import (
+    DEFAULT_NODE_CAP,
     DecisionList,
     DecisionSet,
     DecisionTree,
@@ -246,11 +247,37 @@ def gen_hitting_set_laxp(
 # Multicolored clique -> small global abductive set on a tree
 
 
+def _pair_shape(g: MccInstance, i: int, j: int) -> tuple:
+    """The shape of the tree T[i][j] of `gen_mcc_gaxp_dt`."""
+    members = g.part_members(i)
+    order_i = tuple(vertex_feature(v) for v in members)
+    zero_i = {f: 0 for f in order_i}
+    examples = [dict(zero_i)]
+    for v in members:
+        e = dict(zero_i)
+        e[vertex_feature(v)] = 1
+        examples.append(e)
+    subs = {}
+    for tag, v in enumerate(members, start=1):
+        hood = tuple(vertex_feature(u) for u in g.neighbors(v) if g.part[u] == j)
+        subs[tag] = _shape_from_examples([{f: 0 for f in hood}], hood)
+    return _replace_tags(_shape_from_examples(examples, order_i), subs)
+
+
+def _pair_leaves(g: MccInstance, i: int, j: int) -> int:
+    """Leaves of `_pair_shape(g, i, j)`, counted without building it: with
+    m vertices in part i, the p-th unit example ends in m - p + 1 leaves,
+    the all-zero one in one, and each edge into part j adds a leaf."""
+    m = len(g.part_members(i))
+    cross = sum(1 for u, v in g.edges if {g.part[u], g.part[v]} == {i, j})
+    return 1 + m * (m + 1) // 2 + cross
+
+
 def gen_mcc_gaxp_dt(
     g: MccInstance,
     k: Optional[int] = None,
     max_k: int = 10,
-    node_cap: int = 10**6,
+    node_cap: int = DEFAULT_NODE_CAP,
 ) -> Tuple[DecisionTree, int, int]:
     """Tree whose class-0 global abductive sets of size <= k mark cliques.
 
@@ -269,34 +296,14 @@ def gen_mcc_gaxp_dt(
     def fresh() -> str:
         return f"aux{next(aux)}"
 
-    pair_shapes = []
-    for i in range(k):
-        members = g.part_members(i)
-        order_i = tuple(vertex_feature(v) for v in members)
-        zero_i = {f: 0 for f in order_i}
-        examples = [dict(zero_i)]
-        for v in members:
-            e = dict(zero_i)
-            e[vertex_feature(v)] = 1
-            examples.append(e)
-        for j in range(k):
-            if j == i:
-                continue
-            subs = {}
-            for tag, v in enumerate(members, start=1):
-                hood = tuple(
-                    vertex_feature(u) for u in g.neighbors(v) if g.part[u] == j
-                )
-                subs[tag] = _shape_from_examples([{f: 0 for f in hood}], hood)
-            shape = _shape_from_examples(examples, order_i)
-            pair_shapes.append(_replace_tags(shape, subs))
-
-    slots = len(pair_shapes)
+    pairs = [(i, j) for i in range(k) for j in range(k) if j != i]
+    slots = len(pairs)
     depth = max(1, (slots - 1).bit_length()) if slots else 1
-    per_fan = sum(_shape_leaves(s) for s in pair_shapes) + (2**depth - slots)
+    per_fan = sum(_pair_leaves(g, i, j) for i, j in pairs) + (2**depth - slots)
     total = (2**k) * per_fan
     if total > node_cap:
         raise BudgetExceeded(f"{total} leaves exceed the cap of {node_cap}")
+    pair_shapes = [_pair_shape(g, i, j) for i, j in pairs]
 
     def fan(height: int, leaf_source) -> tuple:
         if height == 0:
@@ -737,7 +744,7 @@ def obdd_agreement_counter(
 
 
 def gen_laxp_to_gaxp(
-    o: Obdd, e: Example, k: int, node_cap: int = 10**6
+    o: Obdd, e: Example, k: int, node_cap: int = DEFAULT_NODE_CAP
 ) -> Tuple[Obdd, int, int]:
     """Product diagram turning a size-k local abductive query into the
     matching global one: majority of the original diagram, an

@@ -32,6 +32,9 @@ PartialExample = Mapping[str, int]
 Literal = Tuple[str, int]
 Term = FrozenSet[Literal]
 
+# largest tree or diagram a product, graft or generator may build
+DEFAULT_NODE_CAP = 10**6
+
 
 def _bit(value, what: str) -> int:
     if value not in (0, 1):

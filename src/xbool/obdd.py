@@ -11,7 +11,7 @@ ensemble product into a lockstep walk.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import (
     BudgetExceeded,
@@ -22,6 +22,7 @@ from .errors import (
 )
 from .explain import ExplanationQuery, Witness
 from .models import (
+    DEFAULT_NODE_CAP,
     DecisionTree,
     DtInner,
     DtLeaf,
@@ -35,8 +36,6 @@ from .models import (
 )
 from .restriction import Restriction
 
-DEFAULT_NODE_CAP = 10**6
-
 
 class _DiagramRestriction(Restriction):
     """Restriction view of a complete diagram."""
@@ -44,8 +43,8 @@ class _DiagramRestriction(Restriction):
     def universe(self) -> Tuple[str, ...]:
         return self.model.order
 
-    def labels_under(self, tau) -> FrozenSet[int]:
-        return reachable_sinks(self.model, tau)
+    def reaches(self, tau, label: int) -> bool:
+        return label in reachable_sinks(self.model, tau)
 
     def seed_path(self, label: int) -> Optional[Dict[str, int]]:
         return _least_path(self.model, label)

@@ -1,19 +1,20 @@
 """Query procedures shared by decision trees and diagrams.
 
-A tree and a diagram answer every check the same way: restrict the model
-by a partial assignment and look at which class labels stay reachable
-(`models.walk_labels`).  Local abductive sets restrict by the target
-example, global queries by the witness itself, and local contrastive sets
-by the example outside the set.  A family supplies that walk plus two
-searches of its own: the least path into a given label, which seeds the
-global subset search, and the minimum local contrastive set.  Everything
-else is written once, here.
+A tree and a diagram answer every check with one question: can a given
+class still be reached once the model is restricted by a partial
+assignment (`models.walk_labels`)?  lAXp and gAXp rule out the other
+class and gCXp the target class; lCXp must reach the other class.  Local
+abductive sets restrict by the target example, global queries by the
+witness itself, and local contrastive sets by the example outside the
+set.  A family supplies that walk plus two searches of its own: the
+least path into a given label, which seeds the global subset search, and
+the minimum local contrastive set.  Everything else is written once, here.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from .errors import Homogeneous, ModelError, UndefinedFeature
 from .explain import ExplanationQuery, Witness
@@ -31,7 +32,8 @@ class Restriction:
         """Every feature, in the order an example is validated against."""
         raise NotImplementedError
 
-    def labels_under(self, tau: Mapping[str, int]) -> FrozenSet[int]:
+    def reaches(self, tau: Mapping[str, int], label: int) -> bool:
+        """Some completion of `tau` gets `label`."""
         raise NotImplementedError
 
     def seed_path(self, label: int) -> Optional[Dict[str, int]]:
@@ -44,14 +46,15 @@ class Restriction:
     # -- the shared procedures
 
     def _valid_under(self, q: ExplanationQuery) -> Callable[[Mapping[str, int]], bool]:
-        """Validity of a restriction for the abductive and global kinds."""
+        """Validity of a restriction for the abductive and global kinds:
+        the class to rule out stays unreachable."""
         if q.kind == "lAXp":
-            want = frozenset((classify(self.model, q.target),))
-            return lambda tau: self.labels_under(tau) == want
-        if q.kind == "gAXp":
-            want = frozenset((q.target,))
-            return lambda tau: self.labels_under(tau) == want
-        return lambda tau: q.target not in self.labels_under(tau)
+            avoid = 1 - classify(self.model, q.target)
+        elif q.kind == "gAXp":
+            avoid = 1 - q.target
+        else:
+            avoid = q.target
+        return lambda tau: not self.reaches(tau, avoid)
 
     def check(self, q: ExplanationQuery, w: Witness) -> bool:
         if q.k is not None and w.size > q.k:
@@ -73,7 +76,7 @@ class Restriction:
             if f not in e:
                 raise UndefinedFeature(f"example does not assign feature {f!r}")
         tau = {f: e[f] for f in universe if f not in names}
-        return (1 - classify(self.model, e)) in self.labels_under(tau)
+        return self.reaches(tau, 1 - classify(self.model, e))
 
     def subset_min(self, q: ExplanationQuery) -> Optional[Witness]:
         """Greedy subset-minimal witness; deletions tried in ascending name order."""

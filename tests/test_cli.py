@@ -286,6 +286,48 @@ def test_verify_non_minimal_superset(capsys, fig1_path):
     assert json.loads(out) == {"valid": True, "minimal": False}
 
 
+def test_verify_minimal_builds_one_oracle(capsys, fig1_path, monkeypatch):
+    from xbool.explain import FunctionOracle
+
+    built = []
+    init = FunctionOracle.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FunctionOracle, "__init__", counted_init)
+    out = run(
+        capsys, "verify", "--model", fig1_path, "--query", Q_LAXP,
+        "--witness", json.dumps(["y", "z"]), "--minimal",
+    )
+    assert json.loads(out) == {"valid": True, "minimal": True}
+    assert len(built) == 1
+
+
+def test_verify_has_no_route_flag(capsys, fig1_path):
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--model", fig1_path, "--query", Q_LAXP,
+              "--witness", json.dumps(["y", "z"]), "--route", "dt"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --route dt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("query", [
+    {"kind": "lAXp", "minimality": "subset", "target": {"y": 0}},
+    {"kind": "lCXp", "minimality": "cardinality", "target": {"y": 0}, "k": 0},
+])
+def test_bruteforce_names_the_first_missing_feature(capsys, fig1_path, query):
+    out = run(
+        capsys, "explain", "--model", fig1_path, "--query", json.dumps(query),
+        "--route", "bruteforce", expect=2,
+    )
+    assert json.loads(out)["error"] == {
+        "type": "UndefinedFeature",
+        "message": "example does not assign feature 'x'",
+    }
+
+
 def test_verify_unknown_feature_exits_2(capsys, fig1_path):
     out = run(
         capsys, "verify", "--model", fig1_path, "--query", Q_LAXP,
@@ -461,8 +503,11 @@ def test_generate_deep_part_keeps_the_exit_code_contract(capsys, tmp_path):
     code = main(["generate", "mcc_gaxp_dt", "--params", params,
                  "--out", str(tmp_path / "deep.json")])
     out = capsys.readouterr().out
-    assert code in (0, 1), out
-    assert isinstance(json.loads(out), dict)
+    assert code == 1, out
+    assert json.loads(out)["error"] == {
+        "type": "BudgetExceeded",
+        "message": "2422212 leaves exceed the cap of 1000000",
+    }
 
 
 def test_generate_unknown_gadget_exits_2(capsys, tmp_path):

@@ -17,7 +17,7 @@ from xbool.explain import (
     witness_from_json,
     witness_to_json,
 )
-from xbool.models import DecisionTree, DtLeaf, classify
+from xbool.models import DecisionList, DecisionTree, DtLeaf, classify, model_features
 
 from helpers import rand_dt, rand_example
 
@@ -234,3 +234,22 @@ def test_witness_round_trip():
     assert witness_to_json(w2) == {"a": 1}
     with pytest.raises(ModelError):
         witness_from_json("ab")
+
+
+def test_oracle_lcxp_minimum_costs_three_lookups_per_candidate(monkeypatch):
+    # a constant list over 12 features: each of the 12 singleton candidates
+    # looks up the target and its 2 completions, and none is a witness
+    feats = [f"f{i:02d}" for i in range(12)]
+    const = DecisionList([([(f, 1) for f in feats], 0), ([], 0)])
+    oracle = FunctionOracle(model_features(const), lambda e: classify(const, e))
+    lookups = []
+    label = FunctionOracle.label
+
+    def counted_label(self, bits):
+        lookups.append(bits)
+        return label(self, bits)
+
+    monkeypatch.setattr(FunctionOracle, "label", counted_label)
+    q = ExplanationQuery("lCXp", "cardinality", {f: 0 for f in feats}, k=1)
+    assert oracle.minimum(q) is None
+    assert len(lookups) <= 1 + 12 * 3

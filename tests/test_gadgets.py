@@ -10,6 +10,9 @@ from xbool.errors import BudgetExceeded, ModelError, SharedFeature
 from xbool.explain import ExplanationQuery, Witness, is_explanation, oracle_min
 from xbool.gadgets import (
     MccInstance,
+    _pair_leaves,
+    _pair_shape,
+    _shape_leaves,
     dt_from_examples,
     gen_hitting_set_laxp,
     gen_laxp_to_gaxp,
@@ -182,6 +185,24 @@ def test_gaxp_tree_matches_clique_truth():
 def test_gaxp_tree_budget_guard():
     with pytest.raises(BudgetExceeded):
         gen_mcc_gaxp_dt(K3, max_k=2)
+
+
+def test_gaxp_pair_leaves_are_counted_without_building():
+    rng = random.Random(47)
+    cases = []
+    for _ in range(60):
+        k = rng.randint(2, 4)
+        g = random_mcc(rng, rng.randint(k, 9), k, density=rng.random())
+        cases += [(g, i, j) for i, j in itertools.permutations(range(k), 2)]
+    # one part-1 vertex joined to 1,100 part-0 vertices: a pair shape
+    # deeper than the default recursion limit
+    deep = MccInstance(
+        [(f"a{i}", 0) for i in range(1100)] + [("b0", 1)],
+        [(f"a{i}", "b0") for i in range(1100)],
+    )
+    cases.append((deep, 1, 0))
+    for g, i, j in cases:
+        assert _pair_leaves(g, i, j) == _shape_leaves(_pair_shape(g, i, j))
 
 
 # ---------------------------------------------------------------------------
