@@ -28,7 +28,7 @@ _EXPORTS = {
         "simplify_dt",
     ),
     "explain": (
-        "DEFAULT_GUARD", "ExplanationQuery", "FunctionOracle", "Witness",
+        "DEFAULT_GUARD", "ExplanationQuery", "FunctionOracle", "TableOracle", "Witness",
         "is_explanation", "oracle_min", "query_from_json", "query_to_json",
         "verify_subset_minimal", "witness_from_json", "witness_to_json",
     ),
@@ -45,7 +45,7 @@ _EXPORTS = {
     ),
     "circuits": (
         "Circuit", "Gate", "circuit_explain_bruteforce", "circuit_from_json",
-        "circuit_to_dot", "circuit_to_json", "compile_dl",
+        "circuit_table", "circuit_to_dot", "circuit_to_json", "compile_dl",
         "compile_dl_ensemble", "compile_dt", "compile_dt_ensemble",
         "compile_obdd", "compile_obdd_ensemble_ordered", "dumps_circuit",
         "eval_circuit",

@@ -9,17 +9,20 @@ nothing in here computes an actual decomposition.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ModelError, TooLarge, UnassignedInput
-from .explain import DEFAULT_GUARD, ExplanationQuery, FunctionOracle, Witness
+from .explain import DEFAULT_GUARD, ExplanationQuery, TableOracle, Witness, _feature_mask
 from .models import (
     DecisionList,
     DecisionTree,
     Ensemble,
     Example,
     Obdd,
+    _bit,
+    _require,
+    _strings,
+    _wrong_type,
     complete_obdd,
     dl_size,
     dt_mnl,
@@ -29,22 +32,26 @@ from .models import (
 )
 from .dt import _leaf_paths
 from .obdd import _can_reach
+from .records import Frozen
 
 GATE_KINDS = ("IN", "AND", "OR", "NOT", "MAJ")
 
 
-@dataclass(frozen=True)
-class Gate:
-    kind: str
-    inputs: Tuple[str, ...] = ()
-    threshold: Optional[int] = None
+class Gate(Frozen):
+    __slots__ = ("kind", "inputs", "threshold")
+
+    def __init__(
+        self, kind: str, inputs: Tuple[str, ...] = (), threshold: Optional[int] = None
+    ):
+        self._fill(kind, inputs, threshold)
 
 
 class Circuit:
     """Gate DAG with a designated output and compile-time metadata.
 
     Unused IN gates are legal (a model may ignore a feature); every
-    other non-output gate must feed something.
+    other non-output gate must feed something.  The cycle check's
+    topological order is kept, so evaluation is one straight-line pass.
     """
 
     def __init__(
@@ -58,10 +65,18 @@ class Circuit:
         gates = dict(gates)
         if output not in gates:
             raise ModelError(f"output {output!r} is not a gate")
-        consumed = set()
+        users: Dict[str, List[str]] = {gid: [] for gid in gates}
         for gid, gate in gates.items():
             if gate.kind not in GATE_KINDS:
                 raise ModelError(f"unknown gate kind {gate.kind!r}")
+            if gate.kind == "MAJ":
+                t = gate.threshold
+                if isinstance(t, bool) or not isinstance(t, int) or not (
+                    1 <= t <= len(gate.inputs) + 1
+                ):
+                    raise ModelError(f"MAJ gate {gid!r} has a bad threshold")
+            elif gate.threshold is not None:
+                raise ModelError(f"gate {gid!r} cannot carry a threshold")
             if gate.kind == "IN":
                 if gate.inputs:
                     raise ModelError(f"IN gate {gid!r} cannot have inputs")
@@ -70,85 +85,142 @@ class Circuit:
                 raise ModelError(f"NOT gate {gid!r} needs exactly one input")
             if not gate.inputs:
                 raise ModelError(f"gate {gid!r} needs at least one input")
-            if gate.kind == "MAJ":
-                if gate.threshold is None or not (
-                    1 <= gate.threshold <= len(gate.inputs) + 1
-                ):
-                    raise ModelError(f"MAJ gate {gid!r} has a bad threshold")
-            elif gate.threshold is not None:
-                raise ModelError(f"gate {gid!r} cannot carry a threshold")
             for src in gate.inputs:
                 if src not in gates:
                     raise ModelError(f"gate {gid!r} reads missing gate {src!r}")
-                consumed.add(src)
-        for gid, gate in gates.items():
-            if gid != output and gate.kind != "IN" and gid not in consumed:
-                raise ModelError(f"gate {gid!r} feeds nothing")
-        # cycle check: count how often each gate is still waiting on an input
-        pending = {gid: len(g.inputs) for gid, g in gates.items()}
-        ready = [gid for gid, n in pending.items() if n == 0]
-        users: Dict[str, List[str]] = {gid: [] for gid in gates}
-        for gid, gate in gates.items():
-            for src in gate.inputs:
                 users[src].append(gid)
-        done = 0
+        for gid, gate in gates.items():
+            if gid != output and gate.kind != "IN" and not users[gid]:
+                raise ModelError(f"gate {gid!r} feeds nothing")
+        # Cycle check: count how often each gate is still waiting on an
+        # input.  The order it finds is kept as the program, one step per
+        # non-IN gate: (gate, its inputs, the ones that switch it on or
+        # None for NOT, the inputs no later step reads).
+        pending = {gid: len(g.inputs) for gid, g in gates.items()}
+        unread = {gid: len(readers) for gid, readers in users.items()}
+        ready = [gid for gid, n in pending.items() if n == 0]
+        steps = []
+        reached = len(ready)
         while ready:
             gid = ready.pop()
-            done += 1
             for user in users[gid]:
                 pending[user] -= 1
                 if pending[user] == 0:
                     ready.append(user)
-        if done != len(gates):
+                    reached += 1
+            gate = gates[gid]
+            if gate.kind == "IN":
+                continue
+            spent = []
+            for src in gate.inputs:
+                unread[src] -= 1
+                if not unread[src]:
+                    spent.append(src)
+            if gate.kind == "AND":
+                need = len(gate.inputs)
+            elif gate.kind == "OR":
+                need = 1
+            else:
+                need = gate.threshold  # None for NOT
+            steps.append((gid, gate.inputs, need, tuple(spent)))
+        if reached != len(gates):
             raise ModelError("circuit contains a cycle")
         self.gates: Dict[str, Gate] = gates
         self.output = output
         self.source_kind = source_kind
-        self.target_class = target_class
+        self.target_class = _bit(target_class, "target class")
         self.reported_width_bound = reported_width_bound
+        self._steps = tuple(steps)
+        self._inputs = tuple(sorted(g for g, gate in gates.items() if gate.kind == "IN"))
+        self._read = tuple(g for g in self._inputs if users[g] or g == output)
 
     def inputs(self) -> Tuple[str, ...]:
-        return tuple(sorted(g for g, gate in self.gates.items() if gate.kind == "IN"))
+        return self._inputs
 
     def maj_count(self) -> int:
         return sum(1 for gate in self.gates.values() if gate.kind == "MAJ")
 
 
 def eval_circuit(c: Circuit, alpha: Example) -> int:
-    """Single memoized pass from the output; alpha must cover every IN gate."""
-    for gid in c.inputs():
+    """One pass over the gates in topological order.  alpha must assign
+    every IN gate; the inputs the output depends on must be bits."""
+    for gid in c._inputs:
         if gid not in alpha:
             raise UnassignedInput(f"input {gid!r} is not assigned")
     value: Dict[str, int] = {}
-    stack = [c.output]
-    while stack:
-        gid = stack[-1]
-        if gid in value:
-            stack.pop()
-            continue
-        gate = c.gates[gid]
-        if gate.kind == "IN":
-            bit = alpha[gid]
-            if bit not in (0, 1):
-                raise ModelError(f"input {gid!r} must be 0 or 1")
-            value[gid] = int(bit)
-            stack.pop()
-            continue
-        missing = [src for src in gate.inputs if src not in value]
-        if missing:
-            stack.extend(missing)
-            continue
-        ones = sum(value[src] for src in gate.inputs)
-        if gate.kind == "AND":
-            value[gid] = int(ones == len(gate.inputs))
-        elif gate.kind == "OR":
-            value[gid] = int(ones > 0)
-        elif gate.kind == "NOT":
-            value[gid] = 1 - value[gate.inputs[0]]
+    for gid in c._read:
+        bit = alpha[gid]
+        if bit not in (0, 1):
+            raise ModelError(f"input {gid!r} must be 0 or 1")
+        value[gid] = 1 if bit else 0
+    get = value.__getitem__
+    for gid, srcs, need, _ in c._steps:
+        if need is None:
+            value[gid] = 1 - get(srcs[0])
         else:
-            value[gid] = int(ones >= gate.threshold)
-        stack.pop()
+            value[gid] = 1 if sum(map(get, srcs)) >= need else 0
     return value[c.output]
+
+
+def _at_least(values: Sequence[int], threshold: int, full: int) -> int:
+    """Points where at least `threshold` of `values` are set: add the
+    values into a bit-sliced counter, then compare it with the threshold
+    from the top bit down (Knuth, TAOCP 4A, 7.1.3)."""
+    count: List[int] = []  # count[b] holds bit b of every point's count
+    for carry in values:
+        for b in range(len(count)):
+            if not carry:
+                break
+            count[b], carry = count[b] ^ carry, count[b] & carry
+        if carry:
+            count.append(carry)
+    above, equal = 0, full
+    for b in reversed(range(max(len(count), threshold.bit_length()))):
+        bit = count[b] if b < len(count) else 0
+        if threshold >> b & 1:
+            equal &= bit
+        else:
+            above |= equal & bit
+            equal &= ~bit
+    return above | equal
+
+
+def circuit_table(c: Circuit) -> int:
+    """The circuit over all 2^n points at once, as one 2^n-bit int.
+
+    Bit i is the output at the point where input j (in sorted order)
+    takes bit j of i.  The program runs once: NOT, OR and AND are one
+    big-int operation per input, MAJ a bit-sliced counter.  A value is
+    dropped after its last reader, so memory is the number of live
+    values times 2^n bits.  Callers bound n.
+    """
+    width = 1 << len(c._inputs)
+    full = (1 << width) - 1
+    position = {gid: j for j, gid in enumerate(c._inputs)}
+    value: Dict[str, int] = {}
+
+    def read(gid: str) -> int:
+        if gid not in value:  # an input's mask is made at its first reader
+            value[gid] = _feature_mask(position[gid], width)
+        return value[gid]
+
+    for gid, srcs, need, spent in c._steps:
+        if need is None:
+            out = full ^ read(srcs[0])
+        elif need == 1:
+            out = 0
+            for src in srcs:
+                out |= read(src)
+        elif need == len(srcs):
+            out = full
+            for src in srcs:
+                out &= read(src)
+        else:
+            out = _at_least([read(src) for src in srcs], need, full)
+        for src in spent:
+            del value[src]
+        value[gid] = out
+    return read(c.output)
 
 
 class _Builder:
@@ -342,12 +414,10 @@ def circuit_explain_bruteforce(
     names = c.inputs()
     if len(names) > guard:
         raise TooLarge(f"{len(names)} inputs exceed the guard of {guard}")
-    on, off = c.target_class, 1 - c.target_class
-
-    def label(e: Example) -> int:
-        return on if eval_circuit(c, e) else off
-
-    return FunctionOracle(names, label, guard=guard).minimum(q)
+    table = circuit_table(c)
+    if c.target_class == 0:
+        table ^= (1 << (1 << len(names))) - 1
+    return TableOracle(names, table, guard=guard).minimum(q)
 
 
 def circuit_to_json(c: Circuit) -> Dict:
@@ -371,15 +441,24 @@ def circuit_to_json(c: Circuit) -> Dict:
 
 
 def circuit_from_json(data: Mapping) -> Circuit:
-    gates = {}
-    for row in data["gates"]:
-        gates[row["id"]] = Gate(
-            row["kind"], tuple(row.get("inputs", ())), row.get("threshold")
-        )
+    """Circuit from its JSON object; every shape error is a ModelError."""
+    if not isinstance(data, dict):
+        raise _wrong_type("a circuit", dict, data)
+    gates: Dict[str, Gate] = {}
+    for row in _require(data, "gates", list):
+        if not isinstance(row, dict):
+            raise _wrong_type("a gate", dict, row)
+        gid = _require(row, "id", str)
+        if gid in gates:
+            raise ModelError(f"gate id {gid!r} appears twice")
+        inputs = _strings(row.get("inputs", []), f"the inputs of gate {gid!r}")
+        gates[gid] = Gate(_require(row, "kind", str), tuple(inputs), row.get("threshold"))
     meta = data.get("meta", {})
+    if not isinstance(meta, dict):
+        raise _wrong_type("the circuit's meta", dict, meta)
     return Circuit(
         gates,
-        data["output"],
+        _require(data, "output", str),
         meta.get("source_kind", "circuit"),
         meta.get("target_class", 1),
         meta.get("reported_width_bound"),

@@ -115,13 +115,8 @@ class FunctionOracle:
     """
 
     def __init__(self, features: Iterable[str], classify_fn: Callable[[Dict[str, int]], int], guard: int = DEFAULT_GUARD):
-        feats = tuple(sorted(set(str(f) for f in features)))
-        if len(feats) > guard:
-            raise TooLarge(
-                f"{len(feats)} features exceed the exhaustive-check guard of {guard}"
-            )
-        self.features = feats
-        self._pos = {f: i for i, f in enumerate(feats)}
+        self.features = _universe(features, guard)
+        self._pos = {f: i for i, f in enumerate(self.features)}
         self._fn = classify_fn
         self._memo: Dict[Tuple[int, ...], int] = {}
 
@@ -210,6 +205,53 @@ class FunctionOracle:
                 Witness.of_assignment({g: z for g, z in tau.items() if g != f}) for f in tau
             )
         return not any(self.holds(q, rest) for rest in rests)
+
+
+class TableOracle(FunctionOracle):
+    """The oracle over a truth table given up front: `table` is one
+    2^n-bit int whose bit i is the class of the point where feature j
+    (in sorted order) takes bit j of i.  `reaches` ANDs one literal mask
+    per fixed feature with the class's points and tests for any left
+    (Knuth, TAOCP 4A, 7.1.3); the candidate order is the inherited one.
+    """
+
+    def __init__(self, features: Iterable[str], table: int, guard: int = DEFAULT_GUARD):
+        self.features = _universe(features, guard)
+        self._pos = {f: i for i, f in enumerate(self.features)}
+        width = 1 << len(self.features)
+        full = (1 << width) - 1
+        if not 0 <= table <= full:
+            raise ModelError(f"a table over {len(self.features)} features must fit in {width} bits")
+        self._points = (full ^ table, table)  # the points of class 0, of class 1
+        self._literals = []  # per position: (points where it is 0, where it is 1)
+        for j in range(len(self.features)):
+            ones = _feature_mask(j, width)
+            self._literals.append((full ^ ones, ones))
+
+    def label(self, bits: Tuple[int, ...]) -> int:
+        index = sum(bit << j for j, bit in enumerate(bits))
+        return self._points[1] >> index & 1
+
+    def reaches(self, fixed: Dict[int, int], z: int) -> bool:
+        points = self._points[z]
+        for i, bit in fixed.items():
+            points &= self._literals[i][bit]
+        return points != 0
+
+
+def _feature_mask(j: int, width: int) -> int:
+    """The points of a `width`-point table whose index has bit j set."""
+    block = 1 << j
+    return ((1 << width) - 1) // ((1 << 2 * block) - 1) * (((1 << block) - 1) << block)
+
+
+def _universe(features: Iterable[str], guard: int) -> Tuple[str, ...]:
+    feats = tuple(sorted(set(str(f) for f in features)))
+    if len(feats) > guard:
+        raise TooLarge(
+            f"{len(feats)} features exceed the exhaustive-check guard of {guard}"
+        )
+    return feats
 
 
 def _oracle_for(model: Model, guard: int) -> FunctionOracle:

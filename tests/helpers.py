@@ -17,6 +17,7 @@ from xbool.models import (
     complete_obdd,
     model_features,
 )
+from xbool.circuits import Circuit, Gate
 from xbool.gadgets import MccInstance, vertex_feature
 from xbool.explain import ExplanationQuery, Witness, is_explanation, oracle_min
 
@@ -168,6 +169,29 @@ def rand_sparse_obdd(rng, feats: Sequence[str]) -> Obdd:
     )
 
 
+def random_circuit(rng, inputs: Sequence[str], gates: int) -> Circuit:
+    """Random valid DAG over `inputs`: `gates` AND/OR/NOT/MAJ gates, each
+    reading one to three earlier gates or inputs (repeats allowed), then
+    an output gate reading every gate nothing else reads."""
+    table = {f: Gate("IN") for f in inputs}
+    readable, unread = list(inputs), []
+    for i in range(gates):
+        srcs = rng.choices(readable, k=rng.randint(1, 3))
+        gid = f"g{i}"
+        table[gid] = _random_gate(rng, srcs)
+        unread = [g for g in unread if g not in srcs] + [gid]
+        readable.append(gid)
+    table["out"] = _random_gate(rng, unread or [rng.choice(readable)])
+    return Circuit(table, "out")
+
+
+def _random_gate(rng, srcs: Sequence[str]) -> Gate:
+    kinds = ("AND", "OR", "MAJ", "NOT") if len(srcs) == 1 else ("AND", "OR", "MAJ")
+    kind = rng.choice(kinds)
+    threshold = rng.randint(1, len(srcs) + 1) if kind == "MAJ" else None
+    return Gate(kind, tuple(srcs), threshold)
+
+
 def rand_example(rng, feats) -> Dict[str, int]:
     return {f: rng.randint(0, 1) for f in feats}
 
@@ -205,6 +229,30 @@ def graft_unpruned(ens: Ensemble) -> DecisionTree:
     for fresh, (feature, fields) in inner.items():
         nodes[fresh] = DtInner(feature, fields["zero"], fields["one"])
     return DecisionTree(nodes, root_slot["root"])
+
+
+# ---------------------------------------------------------------------------
+# JSON documents for fuzzing
+
+
+def json_paths(value, prefix=()):
+    """The path of every value inside a JSON document, the root first."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, inner in value.items():
+            yield from json_paths(inner, prefix + (key,))
+    elif isinstance(value, list):
+        for i, inner in enumerate(value):
+            yield from json_paths(inner, prefix + (i,))
+
+
+def with_replaced(value, path, new):
+    """A copy of the document with the value at `path` replaced by `new`."""
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = with_replaced(value[path[0]], path[1:], new)
+    return copy
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
 """Gate validation, evaluation, compilers, and the compiled-form oracle."""
 
+import itertools
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from xbool import circuits
 from xbool.circuits import (
     Circuit,
     Gate,
     circuit_explain_bruteforce,
     circuit_from_json,
+    circuit_table,
     circuit_to_dot,
     circuit_to_json,
     compile_dl,
@@ -21,8 +27,15 @@ from xbool.circuits import (
     eval_circuit,
 )
 from xbool.dt import dt_ensemble_to_dt
-from xbool.errors import ModelError, UnassignedInput
-from xbool.explain import ExplanationQuery, Witness, oracle_min
+from xbool.errors import ModelError, TooLarge, UnassignedInput
+from xbool.explain import (
+    KINDS,
+    ExplanationQuery,
+    FunctionOracle,
+    TableOracle,
+    Witness,
+    oracle_min,
+)
 from xbool.models import (
     DecisionList,
     DecisionTree,
@@ -40,7 +53,15 @@ from xbool.models import (
 )
 from xbool.obdd import obdd_ensemble_product
 
-from helpers import all_examples, rand_dl, rand_dt, rand_obdd
+from helpers import (
+    all_examples,
+    json_paths,
+    rand_dl,
+    rand_dt,
+    rand_obdd,
+    random_circuit,
+    with_replaced,
+)
 
 
 def _circuit_matches(circuit: Circuit, model, c: int) -> bool:
@@ -89,6 +110,22 @@ def test_eval_requires_all_inputs():
         eval_circuit(c, {})
 
 
+def test_eval_error_paths():
+    c = Circuit(
+        {"b": Gate("IN"), "c": Gate("IN"), "a": Gate("IN"), "o": Gate("AND", ("b", "a"))},
+        "o",
+    )
+    # the first missing input in sorted order, unused ones included
+    with pytest.raises(UnassignedInput, match="input 'a' is not assigned"):
+        eval_circuit(c, {"b": 1})
+    with pytest.raises(UnassignedInput, match="input 'c' is not assigned"):
+        eval_circuit(c, {"a": 1, "b": 1})
+    # a used input must be a bit; an unused one is only looked up
+    with pytest.raises(ModelError, match="^input 'b' must be 0 or 1$"):
+        eval_circuit(c, {"a": 1, "b": 2, "c": 0})
+    assert eval_circuit(c, {"a": 1, "b": True, "c": "junk"}) == 1
+
+
 def test_unused_input_is_legal_but_dangling_gate_is_not():
     Circuit({"x": Gate("IN"), "y": Gate("IN"), "o": Gate("NOT", ("x",))}, "o")
     with pytest.raises(ModelError):
@@ -117,6 +154,67 @@ def test_threshold_rules():
         Circuit({"x": Gate("IN"), "o": Gate("AND", ("x",), threshold=1)}, "o")
     with pytest.raises(ModelError):
         Circuit({"x": Gate("IN"), "o": Gate("XOR", ("x",))}, "o")
+    for bad in (True, 1.0, "1", None, 0, 4):
+        with pytest.raises(ModelError, match="bad threshold"):
+            Circuit({"x": Gate("IN"), "o": Gate("MAJ", ("x", "x"), bad)}, "o")
+    with pytest.raises(ModelError, match="cannot carry a threshold"):
+        Circuit({"x": Gate("IN", threshold=1), "o": Gate("NOT", ("x",))}, "o")
+
+
+def test_circuit_json_errors_are_model_errors():
+    x = {"id": "x", "kind": "IN"}
+    o = {"id": "o", "kind": "NOT", "inputs": ["x"]}
+    for doc in (
+        {"output": "o"},
+        {"gates": {"x": x}, "output": "o"},
+        {"gates": [{"kind": "IN"}, o], "output": "o"},
+        {"gates": [x, o]},
+        {"gates": [x, {"id": "o", "kind": "MAJ", "inputs": ["x"], "threshold": "2"}], "output": "o"},
+        {"gates": [x, {"id": "o", "inputs": ["x"]}], "output": "o"},
+        {"gates": [x, {"id": "o", "kind": "NOT", "inputs": "x"}], "output": "o"},
+        {"gates": [x, o], "output": "o", "meta": []},
+        {"gates": [x, o], "output": "o", "meta": {"target_class": 2}},
+        [x, o],
+    ):
+        with pytest.raises(ModelError):
+            circuit_from_json(doc)
+    # a repeated id is refused by name, not reported as a cycle
+    dup = {"id": "x", "kind": "NOT", "inputs": ["x"]}
+    with pytest.raises(ModelError, match="^gate id 'x' appears twice$"):
+        circuit_from_json({"gates": [x, dup], "output": "x"})
+
+
+CIRCUIT_WORDS = st.sampled_from(
+    ["x", "y", "o", "g0", "out", "IN", "AND", "OR", "NOT", "MAJ",
+     "id", "kind", "inputs", "threshold", "gates", "output", "meta", "target_class"]
+)
+CIRCUIT_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 4) | st.floats(allow_nan=False) | CIRCUIT_WORDS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(CIRCUIT_WORDS | st.text(max_size=2), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def circuit_documents(draw):
+    """A random valid circuit's JSON, with one field replaced half the time."""
+    rng = draw(st.randoms(use_true_random=False))
+    doc = circuit_to_json(random_circuit(rng, ("x", "y", "z"), rng.randint(0, 5)))
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(list(json_paths(doc))))
+        doc = with_replaced(doc, path, draw(CIRCUIT_JSON))
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=circuit_documents() | CIRCUIT_JSON)
+def test_circuit_from_json_returns_a_circuit_or_a_model_error(doc):
+    try:
+        got = circuit_from_json(doc)
+    except ModelError:
+        return
+    assert isinstance(got, Circuit)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +386,159 @@ def test_compile_obdd_ensemble_cross_check_with_product():
 
 
 # ---------------------------------------------------------------------------
+# truth tables
+
+
+def _points(c: Circuit):
+    """Every input point, in the order of the table's bits."""
+    names = c.inputs()
+    for i in range(1 << len(names)):
+        yield {f: i >> j & 1 for j, f in enumerate(names)}
+
+
+def _by_definition(c: Circuit, e) -> int:
+    """Each gate read off its definition, recursively from the output."""
+
+    def value(gid: str) -> int:
+        gate = c.gates[gid]
+        if gate.kind == "IN":
+            return e[gid]
+        ones = sum(value(src) for src in gate.inputs)
+        if gate.kind == "NOT":
+            return 1 - ones
+        need = {"AND": len(gate.inputs), "OR": 1, "MAJ": gate.threshold}[gate.kind]
+        return int(ones >= need)
+
+    return value(c.output)
+
+
+def _six_compiled(rng, feats):
+    """One random model per compiler, with its compiler."""
+    def three(make):
+        return Ensemble([make(rng, feats) for _ in range(3)])
+
+    return [
+        (compile_dt, rand_dt(rng, feats)),
+        (compile_dl, rand_dl(rng, feats)),
+        (compile_obdd, rand_obdd(rng, feats)),
+        (compile_dt_ensemble, three(rand_dt)),
+        (compile_dl_ensemble, three(rand_dl)),
+        (compile_obdd_ensemble_ordered, three(rand_obdd)),
+    ]
+
+
+def test_table_equals_eval_at_every_point():
+    rng = random.Random(171)
+    feats = tuple(f"x{i}" for i in range(5))
+    for _ in range(6):
+        for compile_fn, model in _six_compiled(rng, feats):
+            if not model_features(model):
+                continue
+            for c in (0, 1):
+                circuit = compile_fn(model, c)
+                table = circuit_table(circuit)
+                for i, e in enumerate(_points(circuit)):
+                    assert table >> i & 1 == eval_circuit(circuit, e)
+                    assert eval_circuit(circuit, e) == int(classify(model, e) == c)
+                assert table >> (1 << len(circuit.inputs())) == 0
+    for _ in range(150):
+        circuit = random_circuit(rng, feats[: rng.randint(1, 5)], rng.randint(0, 12))
+        table = circuit_table(circuit)
+        for i, e in enumerate(_points(circuit)):
+            assert table >> i & 1 == eval_circuit(circuit, e) == _by_definition(circuit, e)
+
+
+def test_maj_at_every_threshold():
+    for size in range(1, 6):
+        names = tuple(f"x{i}" for i in range(size))
+        for srcs in (names, names + names[:1]):
+            for t in range(1, len(srcs) + 2):
+                gates = {f: Gate("IN") for f in names}
+                gates["o"] = Gate("MAJ", srcs, t)
+                c = Circuit(gates, "o")
+                table = circuit_table(c)
+                for i, e in enumerate(_points(c)):
+                    want = int(sum(e[f] for f in srcs) >= t)
+                    assert eval_circuit(c, e) == want == table >> i & 1, (srcs, t, e)
+
+
+def test_table_memory_follows_live_values_not_gates():
+    gates = {f"x{i}": Gate("IN") for i in range(16)}
+    prev = "x0"
+    for i in range(3000):
+        gates[f"n{i}"] = Gate("NOT", (prev,))
+        prev = f"n{i}"
+    c = Circuit(gates, prev)
+    tracemalloc.start()
+    try:
+        table = circuit_table(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table == int("10" * (1 << 15), 2)  # an even chain is x0 itself
+    # one table is 2^16 bits; holding every gate's would be 3,000 of them
+    assert peak < 8 * (1 << 16) // 8, peak
+
+
+def test_table_oracle_agrees_with_the_enumeration_oracle():
+    rng = random.Random(173)
+    for n in (0, 1, 2, 3, 4, 5, 6, 7, 7, 7):
+        feats = [f"x{i}" for i in range(n)]
+        table = rng.getrandbits(1 << n)
+
+        def label(e, table=table, feats=feats):
+            return table >> sum(e[f] << j for j, f in enumerate(feats)) & 1
+
+        enum, fast = FunctionOracle(feats, label), TableOracle(feats, table)
+        e = {f: rng.randint(0, 1) for f in feats}
+        for kind in KINDS:
+            target = e if kind in ("lAXp", "lCXp") else rng.randint(0, 1)
+            q = ExplanationQuery(kind, "subset", target)
+            for k in range(n + 1):
+                qk = ExplanationQuery(kind, "cardinality", target, k)
+                assert fast.minimum(qk) == enum.minimum(qk), (kind, k)
+            assert fast.minimum(q) == enum.minimum(q), kind
+            for size in range(n + 1):
+                for combo in itertools.combinations(feats, size):
+                    if kind in ("lAXp", "lCXp"):
+                        w = Witness.of_features(combo)
+                    else:
+                        w = Witness.of_assignment({f: rng.randint(0, 1) for f in combo})
+                    assert fast.holds(q, w) == enum.holds(q, w), (kind, w)
+                    assert fast.subset_minimal(q, w) == enum.subset_minimal(q, w), (kind, w)
+    for bad in (-1, 4):
+        with pytest.raises(ModelError, match="must fit in 2 bits"):
+            TableOracle(["x"], bad)
+
+
+# ---------------------------------------------------------------------------
 # explanation over compiled circuits
+
+
+def test_circuit_explain_reads_the_table_not_points(monkeypatch):
+    calls = []
+    real = circuits.eval_circuit
+    monkeypatch.setattr(circuits, "eval_circuit", lambda c, e: calls.append(e) or real(c, e))
+    rng = random.Random(177)
+    feats = tuple(f"x{i}" for i in range(4))
+    for _ in range(3):
+        for compile_fn, model in _six_compiled(rng, feats):
+            if not model_features(model):
+                continue
+            e = {f: rng.randint(0, 1) for f in feats}
+            for kind in KINDS:
+                target = e if kind in ("lAXp", "lCXp") else rng.randint(0, 1)
+                for q in (
+                    ExplanationQuery(kind, "subset", target),
+                    ExplanationQuery(kind, "cardinality", target, 1),
+                ):
+                    want = oracle_min(model, q)
+                    for c in (0, 1):
+                        assert circuit_explain_bruteforce(compile_fn(model, c), q) == want
+    assert calls == []
+    wide = compile_dt(rand_dt(rng, feats, split=1.0), 1)
+    with pytest.raises(TooLarge, match="^4 inputs exceed the guard of 3$"):
+        circuit_explain_bruteforce(wide, ExplanationQuery("gAXp", "subset", 1), guard=3)
 
 
 def test_circuit_bruteforce_matches_model_oracle(and_tree, fig1, fig1_e):

@@ -19,6 +19,8 @@ from xbool.cli import DEFAULT_CAP, ROUTES, main, run_verify, run_verify_minimal
 from xbool.explain import DEFAULT_GUARD, ExplanationQuery, Witness, verify_subset_minimal
 from xbool.models import DecisionList, DecisionTree, DtInner, DtLeaf, Ensemble, dumps_model
 
+from helpers import json_paths, with_replaced
+
 FIG1 = DecisionList(
     [
         ([("x", 1), ("y", 1)], 0),
@@ -617,29 +619,11 @@ JSON_VALUES = st.recursive(
 )
 
 
-def _paths(value, prefix=()):
-    yield prefix
-    if isinstance(value, dict):
-        for key, inner in value.items():
-            yield from _paths(inner, prefix + (key,))
-    elif isinstance(value, list):
-        for i, inner in enumerate(value):
-            yield from _paths(inner, prefix + (i,))
-
-
-def _replaced(value, path, new):
-    if not path:
-        return new
-    copy = dict(value) if isinstance(value, dict) else list(value)
-    copy[path[0]] = _replaced(value[path[0]], path[1:], new)
-    return copy
-
-
 @st.composite
 def one_field_replaced(draw, documents):
     doc = draw(st.sampled_from(documents))
-    path = draw(st.sampled_from(list(_paths(doc))))
-    return _replaced(doc, path, draw(JSON_VALUES))
+    path = draw(st.sampled_from(list(json_paths(doc))))
+    return with_replaced(doc, path, draw(JSON_VALUES))
 
 
 def _any_of(documents):

@@ -16,6 +16,7 @@ import sys
 import pytest
 
 import xbool
+from xbool.circuits import Gate
 from xbool.dslist import BranchStats
 from xbool.explain import ExplanationQuery, Witness
 from xbool.models import DtInner, DtLeaf, ObddNode, Parameters, Rule
@@ -138,6 +139,12 @@ FROZEN = [
         "Witness(features=('x',), assignment=None)",
         Witness.of_features(["x"]),
         Witness(assignment=(("x", 1),)),
+    ),
+    (
+        Gate("MAJ", ("x", "y"), 1),
+        "Gate(kind='MAJ', inputs=('x', 'y'), threshold=1)",
+        Gate(kind="MAJ", threshold=1, inputs=("x", "y")),
+        Gate("MAJ", ("x", "y"), 2),
     ),
 ]
 
