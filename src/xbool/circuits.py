@@ -31,7 +31,7 @@ from .models import (
     simplify_dt,
 )
 from .dt import _leaf_paths
-from .obdd import _can_reach
+from .obdd import _can_reach, _rebase
 from .records import Frozen
 
 GATE_KINDS = ("IN", "AND", "OR", "NOT", "MAJ")
@@ -382,18 +382,7 @@ def compile_obdd(o: Obdd, c: int) -> Circuit:
 
 
 def compile_obdd_ensemble_ordered(ens: Ensemble, c: int) -> Circuit:
-    if any(el.kind != "obdd" for el in ens.elements):
-        raise ModelError("expected an ensemble of diagrams")
-    if ens.shared_order is not None:
-        order = ens.shared_order
-    else:
-        orders = {el.order for el in ens.elements}
-        if len(orders) > 1:
-            raise ModelError("elements do not share a variable order")
-        order = orders.pop()
-    elems = [
-        Obdd(dict(el.nodes), el.source, el.t0, el.t1, order) for el in ens.elements
-    ]
+    order, elems = _rebase(ens)
     b = _Builder(sorted(order))
     votes = tuple(_obdd_indicator(b, el, c) for el in elems)
     out = b.add("MAJ", votes, threshold=len(votes) // 2 + 1)

@@ -32,6 +32,8 @@ from .explain import (
 from .models import (
     DEFAULT_NODE_CAP as DEFAULT_CAP,
     Ensemble,
+    _pairs,
+    _wrong_type,
     complete_obdd,
     dumps_canonical,
     dumps_model,
@@ -232,9 +234,29 @@ def _zero_query(model, k: Optional[int]) -> Dict:
     }
 
 
+def _integer(params: Dict, key: str, default=None):
+    """Integer param `key`, or `default` when it is absent; an optional
+    param (default None) may also be null."""
+    value = params.get(key, default)
+    if type(value) is not int and not (value is None and default is None):
+        raise ModelError(f"param {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _array(params: Dict, key: str) -> list:
+    value = params[key]
+    if not isinstance(value, list):
+        raise _wrong_type(f"param {key!r}", list, value)
+    return value
+
+
 def _gen_hitting_set(gadgets, params):
+    sets = _array(params, "sets")
+    for s in sets:
+        if not isinstance(s, list):
+            raise _wrong_type("each entry of param 'sets'", list, s)
     tree, e0, k = gadgets.gen_hitting_set_laxp(
-        params["universe"], params["sets"], params.get("k")
+        _array(params, "universe"), sets, _integer(params, "k")
     )
     query = {
         "kind": "lAXp",
@@ -250,8 +272,8 @@ def _gen_mcc_gaxp_dt(gadgets, params):
     tree, target, k = gadgets.gen_mcc_gaxp_dt(
         g,
         params.get("k"),
-        params.get("max_k", 10),
-        params.get("node_cap", DEFAULT_CAP),
+        _integer(params, "max_k", 10),
+        _integer(params, "node_cap", DEFAULT_CAP),
     )
     query = {"kind": "gAXp", "minimality": "cardinality", "target": target, "k": k}
     return tree, query
@@ -270,7 +292,8 @@ def _gen_maj_hom(gadgets, params):
 
 
 def _gen_taut_ds(gadgets, params):
-    ds = gadgets.gen_taut_ds(params["terms"])
+    terms = [_pairs(t, "a term") for t in _array(params, "terms")]
+    ds = gadgets.gen_taut_ds(terms)
     return ds, _zero_query(ds, None)
 
 
@@ -296,8 +319,11 @@ def _gen_laxp_to_gaxp(gadgets, params):
     model = loads_model(_load_text(raw)) if isinstance(raw, str) else loads_model(
         json.dumps(raw)
     )
+    example = params["example"]
+    if not isinstance(example, dict):
+        raise _wrong_type("param 'example'", dict, example)
     prod, target, k = gadgets.gen_laxp_to_gaxp(
-        model, params["example"], params["k"], params.get("node_cap", DEFAULT_CAP)
+        model, example, params["k"], _integer(params, "node_cap", DEFAULT_CAP)
     )
     query = {"kind": "gAXp", "minimality": "cardinality", "target": target, "k": k}
     return prod, query
@@ -392,6 +418,8 @@ def cmd_generate(args) -> int:
             f"unknown gadget {args.gadget!r}; available: {', '.join(sorted(GENERATORS))}"
         )
     params = _structured(args.params)
+    if not isinstance(params, dict):
+        raise _wrong_type("the params", dict, params)
     from . import gadgets
 
     try:

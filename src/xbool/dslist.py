@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .errors import ModelError, UndefinedFeature
+from .errors import ModelError
 from .explain import Witness
 from .models import (
     DecisionList,
@@ -23,6 +23,7 @@ from .models import (
     Example,
     classify,
     flip,
+    require_total,
     term_applies,
 )
 from .records import Record
@@ -36,18 +37,12 @@ def ds_to_dl(s: DecisionSet) -> DecisionList:
 
 
 class BranchStats(Record):
-    """Recursion-leaf counts, one entry per candidate rule examined."""
+    """Search-leaf counts, one entry per candidate rule examined."""
 
     __slots__ = ("leaves_per_rule",)
 
     def __init__(self, leaves_per_rule: Optional[List[int]] = None):
         self._fill([] if leaves_per_rule is None else leaves_per_rule)
-
-
-def _require_total(features, e: Example) -> None:
-    for f in sorted(features):
-        if f not in e:
-            raise UndefinedFeature(f"example does not assign feature {f!r}")
 
 
 def _branch_ensemble(
@@ -56,33 +51,40 @@ def _branch_ensemble(
     k: int,
     combo: Tuple[int, ...],
     fixed: FrozenSet[str],
-    flips: FrozenSet[str],
+    seed: FrozenSet[str],
     leaves: List[int],
 ) -> Optional[FrozenSet[str]]:
-    if len(flips) > k:
-        leaves[0] += 1
-        return None
-    moved = flip(e, flips)
-    blocker = None
-    for i, dl in enumerate(lists):
-        for l in range(combo[i]):
-            if term_applies(dl.rules[l].term, moved):
-                blocker = dl.rules[l].term
-                break
-        if blocker is not None:
-            break
-    if blocker is None:
-        leaves[0] += 1
-        return flips
-    branch = sorted({f for f, _ in blocker} - flips - fixed)
-    if not branch or len(flips) == k:
-        leaves[0] += 1
-        return None
+    """Smallest flip set, grown from `seed`, under which every rule
+    before the guessed ones stays silent.  The branches are walked
+    depth first in ascending feature order with an explicit stack, and
+    only a strictly smaller set replaces the best, so ties go to the
+    first set found."""
     best = None
-    for f in branch:
-        got = _branch_ensemble(lists, e, k, combo, fixed, flips | {f}, leaves)
-        if got is not None and (best is None or len(got) < len(best)):
-            best = got
+    stack = [seed]
+    while stack:
+        flips = stack.pop()
+        if len(flips) > k:
+            leaves[0] += 1
+            continue
+        moved = flip(e, flips)
+        blocker = None
+        for i, dl in enumerate(lists):
+            for l in range(combo[i]):
+                if term_applies(dl.rules[l].term, moved):
+                    blocker = dl.rules[l].term
+                    break
+            if blocker is not None:
+                break
+        if blocker is None:
+            leaves[0] += 1
+            if best is None or len(flips) < len(best):
+                best = flips
+            continue
+        branch = sorted({f for f, _ in blocker} - flips - fixed)
+        if not branch or len(flips) == k:
+            leaves[0] += 1
+            continue
+        stack.extend(flips | {f} for f in reversed(branch))
     return best
 
 
@@ -101,7 +103,7 @@ def _min_lcxp(
     lists = ens.elements
     if any(dl.kind != "dl" for dl in lists):
         raise ModelError("expected an ensemble of decision lists")
-    _require_total(ens.features(), e)
+    require_total(e, ens.features())
     c = classify(ens, e)
     best: Optional[FrozenSet[str]] = None
     for combo in itertools.product(*(range(len(dl.rules)) for dl in lists)):

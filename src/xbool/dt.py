@@ -9,20 +9,20 @@ target example and each oppositely-labeled leaf's path.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Optional, Tuple
 
-from .errors import BudgetExceeded, Homogeneous, ModelError, UndefinedFeature
+from .errors import BudgetExceeded, Homogeneous, ModelError
 from .explain import ExplanationQuery, Witness
 from .models import (
     DEFAULT_NODE_CAP,
     DecisionTree,
-    DtInner,
     DtLeaf,
     Ensemble,
     Example,
+    _project,
     classify,
     dt_size,
+    require_total,
     simplify_dt,
     walk_labels,
 )
@@ -30,7 +30,7 @@ from .restriction import Restriction
 
 
 class _TreeRestriction(Restriction):
-    """Restriction view of a decision tree."""
+    """Restriction view of a decision tree without repeated tests."""
 
     def universe(self) -> Tuple[str, ...]:
         return tuple(sorted(self.model.features()))
@@ -49,17 +49,23 @@ class _TreeRestriction(Restriction):
         return dt_min_lcxp(self.model, e)
 
 
+def _restriction(t: DecisionTree) -> _TreeRestriction:
+    # a walk over a repeated test would follow both of its arcs once the
+    # first test of the feature has picked one; the simplified tree has none
+    return _TreeRestriction(simplify_dt(t))
+
+
 def dt_check(t: DecisionTree, q: ExplanationQuery, w: Witness) -> bool:
     """Polynomial witness check via tree restriction; no lCXp variant exists."""
     if q.kind == "lCXp":
         raise ModelError("lCXp has no restriction test; use dt_min_lcxp")
-    return _TreeRestriction(t).check(q, w)
+    return _restriction(t).check(q, w)
 
 
 def dt_lcxp_check(t: DecisionTree, e: Example, features) -> bool:
     """True iff flipping inside the set can change the class: fix the
     example outside it and look for an opposite leaf."""
-    return _TreeRestriction(t).lcxp_check(e, features)
+    return _restriction(t).lcxp_check(e, features)
 
 
 def _leaf_paths(t: DecisionTree) -> List[Tuple[Dict[str, int], int]]:
@@ -82,9 +88,8 @@ def _leaf_paths(t: DecisionTree) -> List[Tuple[Dict[str, int], int]]:
 
 def dt_min_lcxp(t: DecisionTree, e: Example) -> Witness:
     """Smallest flip set, scanning leaves labeled against classify(t, e)."""
-    for f in sorted(t.features()):
-        if f not in e:
-            raise UndefinedFeature(f"example does not assign feature {f!r}")
+    require_total(e, t.features())
+    t = simplify_dt(t)
     c = classify(t, e)
     best: Optional[Tuple[int, Tuple[str, ...]]] = None
     for alpha, label in _leaf_paths(t):
@@ -101,12 +106,12 @@ def dt_min_lcxp(t: DecisionTree, e: Example) -> Witness:
 
 def dt_subset_min(t: DecisionTree, q: ExplanationQuery) -> Optional[Witness]:
     """Greedy subset-minimal witness; deletions tried in ascending name order."""
-    return _TreeRestriction(t).subset_min(q)
+    return _restriction(t).subset_min(q)
 
 
 def dt_xp_search(t: DecisionTree, q: ExplanationQuery) -> Optional[Witness]:
     """Exhaustive size-bounded search matching the oracle's tie-break."""
-    return _TreeRestriction(t).xp_search(q)
+    return _restriction(t).xp_search(q)
 
 
 def dt_ensemble_to_dt(ens: Ensemble, node_cap: int = DEFAULT_NODE_CAP) -> DecisionTree:
@@ -128,39 +133,4 @@ def dt_ensemble_to_dt(ens: Ensemble, node_cap: int = DEFAULT_NODE_CAP) -> Decisi
         bound *= dt_size(t)
         if bound > node_cap:
             raise BudgetExceeded(f"product would exceed {node_cap} leaves")
-    majority = len(trees) // 2 + 1
-    counter = itertools.count()
-    leaves: Dict[str, DtLeaf] = {}
-    inner: Dict[str, Tuple[str, Dict[str, str]]] = {}
-    root_slot: Dict[str, str] = {}
-    work = [(0, trees[0].root, 0, {}, root_slot, "root")]
-    while work:
-        ti, nid, votes, path, slot, key = work.pop()
-        node = trees[ti].nodes[nid]
-        while True:
-            if isinstance(node, DtLeaf):
-                votes += node.label
-                ti += 1
-                if ti == len(trees):
-                    break
-                node = trees[ti].nodes[trees[ti].root]
-            elif node.feature in path:
-                node = trees[ti].nodes[node.one if path[node.feature] else node.zero]
-            else:
-                break
-        fresh = f"n{next(counter)}"
-        slot[key] = fresh
-        if isinstance(node, DtLeaf):
-            leaves[fresh] = DtLeaf(1 if votes >= majority else 0)
-        else:
-            fields: Dict[str, str] = {}
-            inner[fresh] = (node.feature, fields)
-            one = dict(path)
-            one[node.feature] = 1
-            path[node.feature] = 0
-            work.append((ti, node.one, votes, one, fields, "one"))
-            work.append((ti, node.zero, votes, path, fields, "zero"))
-    nodes: Dict[str, object] = dict(leaves)
-    for fresh, (feature, fields) in inner.items():
-        nodes[fresh] = DtInner(feature, fields["zero"], fields["one"])
-    return simplify_dt(DecisionTree(nodes, root_slot["root"]))
+    return simplify_dt(_project(trees, {}, accumulate=True))

@@ -26,7 +26,6 @@ from .records import Frozen
 
 KINDS = ("lAXp", "lCXp", "gAXp", "gCXp")
 LOCAL_KINDS = ("lAXp", "lCXp")
-GLOBAL_KINDS = ("gAXp", "gCXp")
 DEFAULT_GUARD = 20
 
 

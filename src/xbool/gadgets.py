@@ -23,6 +23,9 @@ from .models import (
     Example,
     Obdd,
     ObddNode,
+    _emit_tree,
+    _pairs,
+    _wrong_type,
     classify,
     complete_obdd,
 )
@@ -54,10 +57,15 @@ class MccInstance:
             part[name] = idx
         if not names:
             raise ModelError("graph needs at least one vertex")
+        k = max(part.values()) + 1
+        if k > len(names):
+            # bounds every generator's output by the graph's size
+            raise ModelError(f"part index {k - 1} needs at least {k} vertices")
         pos = {v: i for i, v in enumerate(names)}
         seen: Set[Tuple[str, str]] = set()
         ordered = []
         for u, v in edges:
+            u, v = str(u), str(v)
             if u not in part or v not in part:
                 raise ModelError(f"edge ({u!r}, {v!r}) uses an unknown vertex")
             if u == v:
@@ -70,7 +78,7 @@ class MccInstance:
                 ordered.append(pair)
         self.vertices: Tuple[str, ...] = tuple(names)
         self.part = part
-        self.k = max(part.values()) + 1
+        self.k = k
         self.edges: Tuple[Tuple[str, str], ...] = tuple(ordered)
         self._edge_set = frozenset(ordered)
         self._pos = pos
@@ -94,9 +102,12 @@ def mcc_to_json(g: MccInstance) -> Dict:
 
 
 def mcc_from_json(data: Mapping) -> MccInstance:
+    """Graph from its JSON object; every shape error is a ModelError."""
+    if not isinstance(data, dict):
+        raise _wrong_type("the graph", dict, data)
     return MccInstance(
-        [(v, p) for v, p in data["vertices"]],
-        [(u, v) for u, v in data.get("edges", ())],
+        _pairs(data.get("vertices", []), "the graph's vertices"),
+        _pairs(data.get("edges", []), "the graph's edges"),
     )
 
 
@@ -105,9 +116,9 @@ def _check_k(g: MccInstance, k: Optional[int], at_least: int = 1) -> int:
         k = g.k
     if k != g.k:
         raise ModelError(f"graph has {g.k} parts, not {k}")
-    if k < at_least:
+    if g.k < at_least:
         raise ModelError(f"need at least {at_least} parts")
-    return k
+    return g.k
 
 
 def vertex_feature(v: str) -> str:
@@ -179,25 +190,7 @@ def _shape_leaves(shape) -> int:
 
 
 def _shape_to_dt(shape) -> DecisionTree:
-    counter = itertools.count()
-    nodes: Dict[str, object] = {}
-    inner: List[Tuple[str, str, Dict[str, str]]] = []
-    root_slot: Dict[str, str] = {}
-    work = [(shape, root_slot, "root")]
-    while work:
-        s, slot, key = work.pop()
-        nid = f"n{next(counter)}"
-        slot[key] = nid
-        if s[0] == _LEAF:
-            nodes[nid] = DtLeaf(s[1])
-        else:
-            fields: Dict[str, str] = {}
-            inner.append((nid, s[1], fields))
-            work.append((s[3], fields, "one"))
-            work.append((s[2], fields, "zero"))
-    for nid, feature, fields in inner:
-        nodes[nid] = DtInner(feature, fields["zero"], fields["one"])
-    return DecisionTree(nodes, root_slot["root"])
+    return _emit_tree(shape, lambda s: s[1] if s[0] == _LEAF else s[1:])
 
 
 def dt_from_examples(examples: Sequence[Example], order: Sequence[str]) -> DecisionTree:
@@ -511,9 +504,6 @@ def gen_mcc_ds_ensemble(g: MccInstance, k: Optional[int] = None) -> Ensemble:
 # ---------------------------------------------------------------------------
 # Counter-style OBDD primitives
 
-PRIMITIVE_KINDS = ("exactly_one", "exists", "iff_exists", "all_equal")
-
-
 def _track_obdd(feats: Sequence[str], start: int, step, accept, flip_sinks=False) -> Obdd:
     """Leveled diagram over feats: walk tracks via step(pos, track, bit),
     accept at the end iff the final track is in accept.  Only reachable
@@ -751,8 +741,10 @@ def gen_laxp_to_gaxp(
     agreement counter around e, and a constant drag vote for the other
     class.  Budgets above the feature count clamp to it, which keeps
     the equivalence tight."""
-    if k < 0:
-        raise ModelError("budget must be non-negative")
+    if not isinstance(o, Obdd):
+        raise ModelError("the lift takes a diagram")
+    if not isinstance(k, int) or k < 0:
+        raise ModelError(f"budget must be a non-negative integer, got {k!r}")
     o = complete_obdd(o)
     c = classify(o, e)
     threshold = min(k, len(o.order))

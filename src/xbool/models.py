@@ -14,7 +14,6 @@ example.
 
 from __future__ import annotations
 
-import itertools
 import json
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
@@ -125,6 +124,7 @@ class DecisionTree:
         self.root = root
         # leaf id -> class label, the terminals of a restriction walk
         self.leaf_labels: Dict[str, int] = labels
+        self._repeat_free: Optional[bool] = None  # memo of simplify_dt
 
     def features(self) -> FrozenSet[str]:
         return frozenset(
@@ -156,48 +156,77 @@ def _dt_has_repeats(t: DecisionTree) -> bool:
     return False
 
 
-def _project_dt(t: DecisionTree, fixed: Mapping[str, int], accumulate: bool) -> DecisionTree:
-    """Rebuild t, short-circuiting nodes whose feature is already decided.
+def _emit_tree(start, expand) -> DecisionTree:
+    """The tree unfolded from `start`; the one place tree node ids are made.
 
-    With accumulate=True every branch decision joins the context, which
-    removes repeated tests; with accumulate=False only `fixed` is applied.
+    `expand(state)` gives a leaf label or `(feature, zero_state,
+    one_state)`.  Ids run n0, n1, ... in preorder, the 0-child first,
+    and an explicit stack keeps depth off the call stack.
     """
-    counter = itertools.count()
-    leaves: Dict[str, DtLeaf] = {}
-    inner: Dict[str, Tuple[str, Dict[str, str]]] = {}
-    root_slot: Dict[str, str] = {}
-    work = [(t.root, dict(fixed), root_slot, "root")]
+    nodes: Dict[str, DtNode] = {}
+    inner = []
+    work = [(start, [None], 0)]
     while work:
-        orig, ctx, slot, key = work.pop()
-        node = t.nodes[orig]
-        while isinstance(node, DtInner) and node.feature in ctx:
-            node = t.nodes[node.one if ctx[node.feature] else node.zero]
-        nid = f"n{next(counter)}"
-        slot[key] = nid
-        if isinstance(node, DtLeaf):
-            leaves[nid] = node
+        state, slots, side = work.pop()
+        slots[side] = nid = f"n{len(nodes) + len(inner)}"
+        got = expand(state)
+        if isinstance(got, tuple):
+            slots = list(got)  # [feature, zero, one] until the ids are in
+            inner.append((nid, slots))
+            work += ((got[2], slots, 2), (got[1], slots, 1))
         else:
-            fields: Dict[str, str] = {}
-            inner[nid] = (node.feature, fields)
-            ctx1 = dict(ctx)
-            ctx0 = ctx
-            if accumulate:
-                ctx0 = dict(ctx)
-                ctx0[node.feature] = 0
-                ctx1[node.feature] = 1
-            work.append((node.one, ctx1, fields, "one"))
-            work.append((node.zero, ctx0, fields, "zero"))
-    nodes: Dict[str, DtNode] = dict(leaves)
-    for nid, (feature, fields) in inner.items():
-        nodes[nid] = DtInner(feature, fields["zero"], fields["one"])
-    return DecisionTree(nodes, root_slot["root"])
+            nodes[nid] = DtLeaf(got)
+    for nid, slots in inner:
+        nodes[nid] = DtInner(*slots)
+    return DecisionTree(nodes, "n0")
+
+
+def _project(
+    trees: Sequence[DecisionTree], fixed: Mapping[str, int], accumulate: bool
+) -> DecisionTree:
+    """The majority vote of `trees`, read one after another, each path
+    ending in the majority of the leaves it crosses (one tree keeps its
+    labels).  A node whose feature the path context decides follows the
+    decided arc.  The context is `fixed`, plus every branch decision
+    when `accumulate`, which leaves no feature tested twice on a path.
+    """
+    majority = len(trees) // 2 + 1
+
+    def expand(state):
+        ti, nid, votes, path = state
+        node = trees[ti].nodes[nid]
+        while True:
+            if isinstance(node, DtLeaf):
+                votes += node.label
+                ti += 1
+                if ti == len(trees):
+                    return 1 if votes >= majority else 0
+                nid = trees[ti].root
+            elif node.feature in path:
+                nid = node.one if path[node.feature] else node.zero
+            else:
+                break
+            node = trees[ti].nodes[nid]
+        one = path
+        if accumulate:
+            one = dict(path)
+            one[node.feature] = 1
+            path[node.feature] = 0
+        return node.feature, (ti, node.zero, votes, path), (ti, node.one, votes, one)
+
+    out = _emit_tree((0, trees[0].root, 0, dict(fixed)), expand)
+    if accumulate:
+        out._repeat_free = True
+    return out
 
 
 def simplify_dt(t: DecisionTree) -> DecisionTree:
     """Drop re-tests of features already decided on the path; same classifier."""
-    if not _dt_has_repeats(t):
+    if t._repeat_free is None:
+        t._repeat_free = not _dt_has_repeats(t)
+    if t._repeat_free:
         return t
-    return _project_dt(t, {}, accumulate=True)
+    return _project([t], {}, accumulate=True)
 
 
 def restrict_dt(t: DecisionTree, tau: PartialExample) -> DecisionTree:
@@ -205,7 +234,14 @@ def restrict_dt(t: DecisionTree, tau: PartialExample) -> DecisionTree:
     if not tau:
         return t
     fixed = {str(f): _bit(z, f"assignment of {f!r}") for f, z in tau.items()}
-    return _project_dt(t, fixed, accumulate=False)
+    return _project([t], fixed, accumulate=False)
+
+
+def require_total(e: Example, features: Iterable[str]) -> None:
+    """Raise UndefinedFeature naming the least feature e leaves unassigned."""
+    for f in sorted(features):
+        if f not in e:
+            raise UndefinedFeature(f"example does not assign feature {f!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -713,13 +749,14 @@ def _strings(value, what: str) -> list:
     return value
 
 
-def _literals(value, what: str) -> list:
-    """An array of [feature, bit] pairs; make_term checks the bits."""
+def _pairs(value, what: str) -> list:
+    """An array of [name, value] pairs, such as a term's [feature, bit]
+    literals; the caller checks the values."""
     if not isinstance(value, list):
         raise _wrong_type(what, list, value)
     for pair in value:
         if not (isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)):
-            raise ModelError(f"{what} must hold [feature, bit] pairs, got {pair!r}")
+            raise ModelError(f"{what} must hold [name, value] pairs, got {pair!r}")
     return value
 
 
@@ -749,14 +786,14 @@ def model_from_json(data: Mapping) -> Model:
                 nodes[nid] = DtInner(*_arcs(spec))
         return simplify_dt(DecisionTree(nodes, _require(data, "root", str)))
     if kind == "ds":
-        terms = [_literals(t, "a term") for t in _require(data, "terms", list)]
+        terms = [_pairs(t, "a term") for t in _require(data, "terms", list)]
         return DecisionSet(terms, _require(data, "default"))
     if kind == "dl":
         rules = []
         for rule in _require(data, "rules", list):
             if not (isinstance(rule, list) and len(rule) == 2):
                 raise ModelError(f"a rule must be a [term, class] pair, got {rule!r}")
-            rules.append((_literals(rule[0], "a rule's term"), rule[1]))
+            rules.append((_pairs(rule[0], "a rule's term"), rule[1]))
         return DecisionList(rules)
     if kind == "obdd":
         nodes = {nid: ObddNode(*_arcs(spec)) for nid, spec in _arc_specs(data).items()}
@@ -793,10 +830,6 @@ def _infer_order(nodes: Mapping[str, ObddNode], source: str, t0: str, t1: str):
         {n.feature for n in nodes.values()} - set(order)
     )
     return order + rest
-
-
-def example_from_json(data: Mapping) -> Dict[str, int]:
-    return {str(f): _bit(z, f"value of feature {f!r}") for f, z in data.items()}
 
 
 def example_to_json(e: Example) -> Dict[str, int]:

@@ -18,7 +18,6 @@ from .errors import (
     Homogeneous,
     ModelError,
     NotOrdered,
-    UndefinedFeature,
 )
 from .explain import ExplanationQuery, Witness
 from .models import (
@@ -33,6 +32,7 @@ from .models import (
     classify,
     complete_obdd,
     reachable_sinks,
+    require_total,
 )
 from .restriction import Restriction
 
@@ -110,9 +110,7 @@ def obdd_min_lcxp(o: Obdd, e: Example) -> Witness:
     ties toward the lexicographically least sorted flip set.
     """
     o = complete_obdd(o)
-    for f in sorted(o.features()):
-        if f not in e:
-            raise UndefinedFeature(f"example does not assign feature {f!r}")
+    require_total(e, o.features())
     c = classify(o, e)
     target = o.t0 if c == 1 else o.t1
     best: Dict[str, Tuple[int, Tuple[str, ...]]] = {o.source: (0, ())}
@@ -138,14 +136,12 @@ def obdd_xp_search(o: Obdd, q: ExplanationQuery) -> Optional[Witness]:
     return _restriction(o).xp_search(q)
 
 
-def obdd_ensemble_product(ens: Ensemble, node_cap: int = DEFAULT_NODE_CAP) -> Obdd:
-    """Single complete diagram computing the ensemble vote.
+def _rebase(ens: Ensemble) -> Tuple[Tuple[str, ...], List[Obdd]]:
+    """The order a diagram ensemble shares, and its members rebuilt over it.
 
-    Elements are first rebuilt over the ensemble's shared order (their
-    own orders must be subsequences of it) and completed, so the walk
-    can advance all members one level at a time.  A product state is a
-    tuple of member nodes; all-sink states collapse into the two sinks
-    by majority vote.  Size is bounded by the product of member sizes.
+    The order is the ensemble's shared order if it declares one, else
+    the one order all members read; members reading different orders
+    raise NotOrdered.
     """
     if any(el.kind != "obdd" for el in ens.elements):
         raise ModelError("expected an ensemble of diagrams")
@@ -156,10 +152,20 @@ def obdd_ensemble_product(ens: Ensemble, node_cap: int = DEFAULT_NODE_CAP) -> Ob
         if len(orders) > 1:
             raise NotOrdered("elements disagree on the variable order")
         order = orders.pop()
-    elems = [
-        complete_obdd(Obdd(dict(el.nodes), el.source, el.t0, el.t1, order))
-        for el in ens.elements
-    ]
+    return order, [Obdd(dict(el.nodes), el.source, el.t0, el.t1, order) for el in ens.elements]
+
+
+def obdd_ensemble_product(ens: Ensemble, node_cap: int = DEFAULT_NODE_CAP) -> Obdd:
+    """Single complete diagram computing the ensemble vote.
+
+    Elements are first rebuilt over the ensemble's order
+    (`_rebase`) and completed, so the walk
+    can advance all members one level at a time.  A product state is a
+    tuple of member nodes; all-sink states collapse into the two sinks
+    by majority vote.  Size is bounded by the product of member sizes.
+    """
+    order, elems = _rebase(ens)
+    elems = [complete_obdd(el) for el in elems]
     majority = len(elems) // 2 + 1
     depth = len(order)
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from .errors import Homogeneous, ModelError, UndefinedFeature
+from .errors import Homogeneous, ModelError
 from .explain import ExplanationQuery, Witness
-from .models import Example, _lookup, classify
+from .models import Example, _lookup, classify, require_total
 
 
 class Restriction:
@@ -72,9 +72,7 @@ class Restriction:
         if not names:
             return False
         universe = self.universe()
-        for f in universe:
-            if f not in e:
-                raise UndefinedFeature(f"example does not assign feature {f!r}")
+        require_total(e, universe)
         tau = {f: e[f] for f in universe if f not in names}
         return self.reaches(tau, 1 - classify(self.model, e))
 

@@ -27,7 +27,7 @@ from xbool.circuits import (
     eval_circuit,
 )
 from xbool.dt import dt_ensemble_to_dt
-from xbool.errors import ModelError, TooLarge, UnassignedInput
+from xbool.errors import ModelError, NotOrdered, TooLarge, UnassignedInput
 from xbool.explain import (
     KINDS,
     ExplanationQuery,
@@ -364,12 +364,15 @@ def test_compile_obdd_ensemble_ordered():
     assert _circuit_matches(c, ens, 1)
     bound = 3 * 2 ** (3 * 5 * max(obdd_width(el) for el in ens.elements))
     assert c.reported_width_bound == bound
-    # rejects order disagreement
+    # rejects order disagreement with the product's error
     bad = Ensemble(
         [single("f1", ("f1", "f2")), single("f2", ("f2", "f1")), single("f1", ("f1", "f2"))]
     )
-    with pytest.raises(ModelError):
+    with pytest.raises(NotOrdered) as compiled:
         compile_obdd_ensemble_ordered(bad, 1)
+    with pytest.raises(NotOrdered) as multiplied:
+        obdd_ensemble_product(bad)
+    assert str(compiled.value) == str(multiplied.value)
 
 
 def test_compile_obdd_ensemble_cross_check_with_product():

@@ -118,6 +118,23 @@ def test_explain_past_guard_exits_1(capsys, tmp_path):
     assert json.loads(out)["error"]["type"] == "TooLarge"
 
 
+def test_branching_is_deeper_than_the_recursion_limit(capsys, tmp_path):
+    # all rules fire on the all-zero example, so the default is reached
+    # only by flipping every feature, one branching level per rule
+    m = sys.getrecursionlimit() + 100
+    feats = [f"x{i:05d}" for i in range(m)]
+    model = {"kind": "dl", "rules": [[[[f, 0]], 0] for f in feats] + [[[], 1]]}
+    query = {"kind": "lCXp", "minimality": "cardinality",
+             "target": {f: 0 for f in feats}, "k": m}
+    model_path, query_path = tmp_path / "deep.json", tmp_path / "q.json"
+    model_path.write_text(json.dumps(model))
+    query_path.write_text(json.dumps(query))
+    out = run(capsys, "explain", "--model", str(model_path), "--query", str(query_path))
+    payload = json.loads(out)
+    assert payload["algorithm"] == "branching"
+    assert payload["size"] == m and payload["witness"] == feats
+
+
 def test_explain_with_timeout_headroom(capsys, fig1_path):
     out = run(
         capsys, "explain", "--model", fig1_path, "--query", Q_LCXP1,
@@ -512,6 +529,39 @@ def test_generate_deep_part_keeps_the_exit_code_contract(capsys, tmp_path):
     }
 
 
+TREE_MODEL = {
+    "kind": "dt",
+    "root": "r",
+    "nodes": {"r": {"feature": "f1", "zero": "a", "one": "b"},
+              "a": {"leaf": 0}, "b": {"leaf": 1}},
+}
+
+
+@pytest.mark.parametrize(
+    "gadget, params",
+    [
+        ("mcc_ds", {"graph": 5}),
+        ("mcc_ds", {"graph": {"vertices": 5}}),
+        ("mcc_ds", {"graph": {"vertices": [["a"]]}}),
+        ("mcc_ds", {"graph": {"vertices": [["a", 0]], "edges": [["a", ["b"]]]}}),
+        ("maj_hom", {"graph": {"vertices": [["a", 0], ["b", 10**12]]}}),
+        ("mcc_dt_ensemble", {"graph": {"vertices": [["a", 0], ["b", 1]]}, "k": "2"}),
+        ("hitting_set", {"universe": 5, "sets": [["1"]]}),
+        ("hitting_set", {"universe": ["1"], "sets": 5}),
+        ("hitting_set", {"universe": ["1"], "sets": [5]}),
+        ("hitting_set", [1]),
+        ("taut_ds", {"terms": 5}),
+        ("mcc_gaxp_dt", {"graph": json.loads(K3_PARAMS)["graph"], "max_k": "x"}),
+        ("laxp_to_gaxp", {"model": TREE_MODEL, "example": {"f1": 1}, "k": 1}),
+        ("laxp_to_gaxp", {"model": dict(OBDD_XY, order=["x", "y"]), "example": 5, "k": 1}),
+    ],
+)
+def test_generate_malformed_params_exit_2(capsys, tmp_path, gadget, params):
+    out = run(capsys, "generate", gadget, "--params", json.dumps(params),
+              "--out", str(tmp_path / "x.json"), expect=2)
+    assert json.loads(out)["error"]["type"] == "ModelError"
+
+
 def test_generate_unknown_gadget_exits_2(capsys, tmp_path):
     out = run(capsys, "generate", "warp_drive", "--params", "{}",
               "--out", str(tmp_path / "x.json"), expect=2)
@@ -660,6 +710,43 @@ def test_any_json_input_keeps_the_exit_code_contract(model, query, witness, comm
             argv += ["--route", route]
         else:
             argv += ["--witness", paths["witness"]]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert isinstance(json.loads(out.getvalue()), dict)
+
+
+GENERATE_PARAMS = [
+    ("hitting_set", {"universe": ["1", "2"], "sets": [["1"], ["2"]], "k": 2}),
+    ("mcc_gaxp_dt", {**json.loads(K3_PARAMS), "k": 3, "max_k": 4, "node_cap": 10**4}),
+    ("mcc_dt_ensemble", json.loads(K3_PARAMS)),
+    ("maj_hom", {**json.loads(K3_PARAMS), "family": "obdd"}),
+    ("taut_ds", {"terms": [[["x", 0]], [["x", 1], ["y", 0]]]}),
+    ("mcc_ds", json.loads(K3_PARAMS)),
+    ("mcc_ds_ensemble", json.loads(K3_PARAMS)),
+    ("mcc_obdd_maj", json.loads(K3_PARAMS)),
+    ("laxp_to_gaxp", {"model": dict(OBDD_XY, order=["x", "y"]),
+                      "example": {"x": 1, "y": 0}, "k": 1, "node_cap": 100}),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    case=st.sampled_from(GENERATE_PARAMS).flatmap(
+        lambda case: st.tuples(
+            st.just(case[0]),
+            st.just(case[1]) | one_field_replaced([case[1]]) | JSON_VALUES,
+        )
+    )
+)
+def test_any_generate_params_keep_the_exit_code_contract(case):
+    gadget, params = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "params.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(params, fh)
+        argv = ["generate", gadget, "--params", path, "--out", os.path.join(tmp, "out.json")]
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv)

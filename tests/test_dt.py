@@ -24,7 +24,14 @@ from xbool.explain import (
 )
 from xbool.models import DecisionTree, DtInner, DtLeaf, Ensemble, classify, dt_size
 
-from helpers import all_examples, models_equal, rand_dt, rand_example
+from helpers import (
+    all_examples,
+    models_equal,
+    rand_dt,
+    rand_dt_with_repeats,
+    rand_example,
+    rand_partial,
+)
 
 
 def _single(f: str) -> DecisionTree:
@@ -219,6 +226,65 @@ def test_xp_search_sizes_match_oracle():
             if got is not None:
                 assert got.size == want.size
                 assert is_explanation(t, q, got)
+
+
+# ---------------------------------------------------------------------------
+# trees that test a feature again below itself
+
+
+def test_constant_tree_with_a_repeated_test():
+    # x ? (x ? 0 : 1) : 0 is constant 0: the inner 1-leaf needs x both ways
+    t = DecisionTree(
+        {
+            "r": DtInner("x", "z", "i"),
+            "i": DtInner("x", "p", "q"),
+            "z": DtLeaf(0),
+            "p": DtLeaf(1),
+            "q": DtLeaf(0),
+        },
+        "r",
+    )
+    assert dt_check(t, ExplanationQuery("gAXp", "subset", 0), Witness.of_assignment({}))
+    with pytest.raises(Homogeneous):
+        dt_min_lcxp(t, {"x": 1})
+
+
+def test_procedures_match_oracle_on_repeat_trees():
+    rng = random.Random(5)
+    feats = tuple("abcde")
+    for _ in range(120):
+        t = rand_dt_with_repeats(rng, feats)
+        e = rand_example(rng, feats)
+        names = sorted(t.features())
+        qa = ExplanationQuery("lAXp", "subset", e)
+        qc = ExplanationQuery("lCXp", "subset", e)
+        for _ in range(4):
+            sub = Witness.of_features(rng.sample(names, rng.randint(0, len(names))))
+            assert dt_check(t, qa, sub) == is_explanation(t, qa, sub)
+            assert dt_lcxp_check(t, e, sub.features) == is_explanation(t, qc, sub)
+            tau = Witness.of_assignment(rand_partial(rng, names))
+            for cls in (0, 1):
+                for kind in ("gAXp", "gCXp"):
+                    q = ExplanationQuery(kind, "subset", cls)
+                    assert dt_check(t, q, tau) == is_explanation(t, q, tau)
+        want = oracle_min(t, qc)
+        try:
+            got = dt_min_lcxp(t, e)
+        except Homogeneous:
+            got = None
+        assert (got is None) == (want is None)
+        assert got is None or got.size == want.size
+        k = rng.randint(0, len(feats))
+        targets = {"lAXp": e, "lCXp": e, "gAXp": rng.randint(0, 1), "gCXp": rng.randint(0, 1)}
+        for kind, target in targets.items():
+            q = ExplanationQuery(kind, "subset", target)
+            got = dt_subset_min(t, q)
+            if got is None:
+                assert oracle_min(t, q) is None, kind
+            else:
+                assert verify_subset_minimal(t, q, got), (kind, got)
+            q = ExplanationQuery(kind, "cardinality", target, k=k)
+            assert dt_xp_search(t, q) == oracle_min(t, q), (kind, t.nodes)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,16 @@
 each checked against the construction it replaces or a brute-force
 reference; plus counts of the models the checks build."""
 
+import itertools
 import random
 
+from xbool import models
 from xbool.dt import dt_ensemble_to_dt, dt_xp_search
 from xbool.explain import ExplanationQuery
 from xbool.models import (
     DecisionTree,
+    DtInner,
+    DtLeaf,
     Ensemble,
     Obdd,
     ObddNode,
@@ -86,6 +90,113 @@ def test_pruned_graft_equals_simplified_full_product():
             assert got.nodes == ref.nodes
             assert list(got.nodes) == list(ref.nodes)
             assert models_equal(got, ens, feats)
+
+
+def _project_loop(t: DecisionTree, fixed, accumulate: bool) -> DecisionTree:
+    """The per-function rebuild loop that simplify and restrict ran on
+    before trees got one emitter, kept verbatim as their reference."""
+    counter = itertools.count()
+    leaves, inner, root_slot = {}, {}, {}
+    work = [(t.root, dict(fixed), root_slot, "root")]
+    while work:
+        orig, ctx, slot, key = work.pop()
+        node = t.nodes[orig]
+        while isinstance(node, DtInner) and node.feature in ctx:
+            node = t.nodes[node.one if ctx[node.feature] else node.zero]
+        nid = f"n{next(counter)}"
+        slot[key] = nid
+        if isinstance(node, DtLeaf):
+            leaves[nid] = node
+        else:
+            fields = {}
+            inner[nid] = (node.feature, fields)
+            ctx1 = dict(ctx)
+            ctx0 = ctx
+            if accumulate:
+                ctx0 = dict(ctx)
+                ctx0[node.feature] = 0
+                ctx1[node.feature] = 1
+            work.append((node.one, ctx1, fields, "one"))
+            work.append((node.zero, ctx0, fields, "zero"))
+    nodes = dict(leaves)
+    for nid, (feature, fields) in inner.items():
+        nodes[nid] = DtInner(feature, fields["zero"], fields["one"])
+    return DecisionTree(nodes, root_slot["root"])
+
+
+def _graft_loop(trees) -> DecisionTree:
+    """The graft's own pruned loop from before the shared emitter."""
+    majority = len(trees) // 2 + 1
+    counter = itertools.count()
+    leaves, inner, root_slot = {}, {}, {}
+    work = [(0, trees[0].root, 0, {}, root_slot, "root")]
+    while work:
+        ti, nid, votes, path, slot, key = work.pop()
+        node = trees[ti].nodes[nid]
+        while True:
+            if isinstance(node, DtLeaf):
+                votes += node.label
+                ti += 1
+                if ti == len(trees):
+                    break
+                node = trees[ti].nodes[trees[ti].root]
+            elif node.feature in path:
+                node = trees[ti].nodes[node.one if path[node.feature] else node.zero]
+            else:
+                break
+        fresh = f"n{next(counter)}"
+        slot[key] = fresh
+        if isinstance(node, DtLeaf):
+            leaves[fresh] = DtLeaf(1 if votes >= majority else 0)
+        else:
+            fields = {}
+            inner[fresh] = (node.feature, fields)
+            one = dict(path)
+            one[node.feature] = 1
+            path[node.feature] = 0
+            work.append((ti, node.one, votes, one, fields, "one"))
+            work.append((ti, node.zero, votes, path, fields, "zero"))
+    nodes = dict(leaves)
+    for fresh, (feature, fields) in inner.items():
+        nodes[fresh] = DtInner(feature, fields["zero"], fields["one"])
+    return DecisionTree(nodes, root_slot["root"])
+
+
+def _same_tree(got: DecisionTree, ref: DecisionTree) -> None:
+    assert got.root == ref.root
+    assert got.nodes == ref.nodes
+    assert list(got.nodes) == list(ref.nodes)
+
+
+def test_one_emitter_builds_the_trees_of_the_loops_it_replaced():
+    rng = random.Random(103)
+    feats = tuple(f"x{i}" for i in range(5))
+    for _ in range(150):
+        t = rand_dt_with_repeats(rng, feats, depth=5)
+        simple = simplify_dt(t)
+        if simple is not t:
+            _same_tree(simple, _project_loop(t, {}, True))
+        tau = rand_partial(rng, feats)
+        if tau:
+            _same_tree(restrict_dt(t, tau), _project_loop(t, tau, False))
+    for size in (1, 3, 5):
+        for i in range(15):
+            make = rand_dt if i % 2 else rand_dt_with_repeats
+            trees = [make(rng, feats) for _ in range(size)]
+            _same_tree(dt_ensemble_to_dt(Ensemble(trees)), _graft_loop(trees))
+
+
+def test_simplified_trees_are_marked_repeat_free(monkeypatch):
+    rng = random.Random(107)
+    feats = tuple(f"x{i}" for i in range(5))
+    trees = [rand_dt_with_repeats(rng, feats) for _ in range(20)]
+    done = [simplify_dt(t) for t in trees]
+    done.append(dt_ensemble_to_dt(Ensemble(trees[:3])))
+    walks = []
+    monkeypatch.setattr(models, "_dt_has_repeats", lambda t: walks.append(t))
+    for t in done:
+        assert simplify_dt(t) is t
+    assert walks == []
 
 
 # ---------------------------------------------------------------------------
