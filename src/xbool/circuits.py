@@ -12,7 +12,7 @@ import itertools
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ModelError, TooLarge, UnassignedInput
-from .explain import DEFAULT_GUARD, ExplanationQuery, TableOracle, Witness, _feature_mask
+from .explain import DEFAULT_GUARD, ExplanationQuery, TableOracle, Witness
 from .models import (
     DecisionList,
     DecisionTree,
@@ -33,6 +33,7 @@ from .models import (
 from .dt import _leaf_paths
 from .obdd import _can_reach, _rebase
 from .records import Frozen
+from .tables import at_least, feature_mask
 
 GATE_KINDS = ("IN", "AND", "OR", "NOT", "MAJ")
 
@@ -162,29 +163,6 @@ def eval_circuit(c: Circuit, alpha: Example) -> int:
     return value[c.output]
 
 
-def _at_least(values: Sequence[int], threshold: int, full: int) -> int:
-    """Points where at least `threshold` of `values` are set: add the
-    values into a bit-sliced counter, then compare it with the threshold
-    from the top bit down (Knuth, TAOCP 4A, 7.1.3)."""
-    count: List[int] = []  # count[b] holds bit b of every point's count
-    for carry in values:
-        for b in range(len(count)):
-            if not carry:
-                break
-            count[b], carry = count[b] ^ carry, count[b] & carry
-        if carry:
-            count.append(carry)
-    above, equal = 0, full
-    for b in reversed(range(max(len(count), threshold.bit_length()))):
-        bit = count[b] if b < len(count) else 0
-        if threshold >> b & 1:
-            equal &= bit
-        else:
-            above |= equal & bit
-            equal &= ~bit
-    return above | equal
-
-
 def circuit_table(c: Circuit) -> int:
     """The circuit over all 2^n points at once, as one 2^n-bit int.
 
@@ -194,14 +172,14 @@ def circuit_table(c: Circuit) -> int:
     dropped after its last reader, so memory is the number of live
     values times 2^n bits.  Callers bound n.
     """
-    width = 1 << len(c._inputs)
-    full = (1 << width) - 1
+    n = len(c._inputs)
+    full = (1 << (1 << n)) - 1
     position = {gid: j for j, gid in enumerate(c._inputs)}
     value: Dict[str, int] = {}
 
     def read(gid: str) -> int:
         if gid not in value:  # an input's mask is made at its first reader
-            value[gid] = _feature_mask(position[gid], width)
+            value[gid] = feature_mask(position[gid], n)
         return value[gid]
 
     for gid, srcs, need, spent in c._steps:
@@ -216,7 +194,7 @@ def circuit_table(c: Circuit) -> int:
             for src in srcs:
                 out &= read(src)
         else:
-            out = _at_least([read(src) for src in srcs], need, full)
+            out = at_least([read(src) for src in srcs], need, full)
         for src in spent:
             del value[src]
         value[gid] = out

@@ -497,6 +497,17 @@ def cmd_bench(args) -> int:
 # Argument plumbing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refusals raise ModelError, so a bad command line exits 2 with a
+    JSON payload like any other bad input; stderr still gets argparse's
+    usage and error lines.  `--help` still prints and exits 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise ModelError(message)
+
+
 def _add_limits(sub):
     sub.add_argument("--cap-nodes", type=int, default=DEFAULT_CAP)
     sub.add_argument("--guard-features", type=int, default=DEFAULT_GUARD)
@@ -505,7 +516,7 @@ def _add_limits(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="xbool",
         description="Explanations for transparent binary classifiers.",
     )
@@ -543,8 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (ModelError, json.JSONDecodeError, OSError) as err:
         sys.stdout.write(_error_payload(err))

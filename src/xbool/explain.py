@@ -21,7 +21,7 @@ import itertools
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import ModelError, TooLarge, UndefinedFeature
-from .models import Example, Model, _bit, classify, example_to_json, model_features
+from .models import Example, Model, _bit, example_to_json, model_features
 from .records import Frozen
 
 KINDS = ("lAXp", "lCXp", "gAXp", "gCXp")
@@ -109,8 +109,9 @@ class FunctionOracle:
 
     Classifications are memoized per feature vector, so repeated candidate
     checks against the same function stay cheap.  Every check asks one
-    question, `reaches`; the oracle answers it by enumeration and shares
-    no code with the tree and diagram walks it referees.
+    question, `reaches`; this class answers it by enumeration, which only
+    callers holding a bare function need: a model's oracle is the
+    `TableOracle` that `_oracle_for` fills from the model's structure.
     """
 
     def __init__(self, features: Iterable[str], classify_fn: Callable[[Dict[str, int]], int], guard: int = DEFAULT_GUARD):
@@ -212,6 +213,7 @@ class TableOracle(FunctionOracle):
     (in sorted order) takes bit j of i.  `reaches` ANDs one literal mask
     per fixed feature with the class's points and tests for any left
     (Knuth, TAOCP 4A, 7.1.3); the candidate order is the inherited one.
+    The table and its masks hold 2^n bits each, 128 KiB at the guard.
     """
 
     def __init__(self, features: Iterable[str], table: int, guard: int = DEFAULT_GUARD):
@@ -221,11 +223,10 @@ class TableOracle(FunctionOracle):
         full = (1 << width) - 1
         if not 0 <= table <= full:
             raise ModelError(f"a table over {len(self.features)} features must fit in {width} bits")
+        from .tables import literals
+
         self._points = (full ^ table, table)  # the points of class 0, of class 1
-        self._literals = []  # per position: (points where it is 0, where it is 1)
-        for j in range(len(self.features)):
-            ones = _feature_mask(j, width)
-            self._literals.append((full ^ ones, ones))
+        self._literals = literals(len(self.features))  # per position: (0s, 1s)
 
     def label(self, bits: Tuple[int, ...]) -> int:
         index = sum(bit << j for j, bit in enumerate(bits))
@@ -238,12 +239,6 @@ class TableOracle(FunctionOracle):
         return points != 0
 
 
-def _feature_mask(j: int, width: int) -> int:
-    """The points of a `width`-point table whose index has bit j set."""
-    block = 1 << j
-    return ((1 << width) - 1) // ((1 << 2 * block) - 1) * (((1 << block) - 1) << block)
-
-
 def _universe(features: Iterable[str], guard: int) -> Tuple[str, ...]:
     feats = tuple(sorted(set(str(f) for f in features)))
     if len(feats) > guard:
@@ -253,8 +248,12 @@ def _universe(features: Iterable[str], guard: int) -> Tuple[str, ...]:
     return feats
 
 
-def _oracle_for(model: Model, guard: int) -> FunctionOracle:
-    return FunctionOracle(model_features(model), lambda e: classify(model, e), guard)
+def _oracle_for(model: Model, guard: int) -> TableOracle:
+    """The oracle over `model`'s truth table, filled from its structure."""
+    from .tables import model_table
+
+    features = _universe(model_features(model), guard)
+    return TableOracle(features, model_table(model, features), guard)
 
 
 def is_explanation(model: Model, q: ExplanationQuery, w: Witness, guard: int = DEFAULT_GUARD) -> bool:

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 import xbool
 from xbool.cli import DEFAULT_CAP, ROUTES, main, run_verify, run_verify_minimal
 from xbool.explain import DEFAULT_GUARD, ExplanationQuery, Witness, verify_subset_minimal
-from xbool.models import DecisionList, DecisionTree, DtInner, DtLeaf, Ensemble, dumps_model
+from xbool.models import (
+    DecisionList, DecisionSet, DecisionTree, DtInner, DtLeaf, Ensemble, dumps_model,
+)
 
 from helpers import json_paths, with_replaced
 
@@ -172,8 +175,8 @@ def test_malformed_model_json_exits_2(capsys, tmp_path, model):
 
 
 # A constant list over 18 features has no contrastive set, so the oracle's
-# cardinality search at k=18 tries every subset with every completion of
-# it: about 3^18 lookups, far longer than any test runs.
+# cardinality search at k=18 checks every one of the 2^18 subsets against
+# the truth table: about 2.6 s untimed on 2 cores, far past the deadline.
 SLOW_FEATURES = [f"f{i:02d}" for i in range(18)]
 SLOW_LIST = DecisionList([([(f, 1)], 0) for f in SLOW_FEATURES] + [([], 0)])
 SLOW_QUERY = json.dumps(
@@ -211,23 +214,48 @@ def test_explain_timeout_stops_the_work(tmp_path):
 
 
 # One rule fires only when all 18 features are 1, so the lCXp witness of
-# all 18 features is valid and subset-minimal, and each of its 18
-# delete-one checks runs the oracle through 2^17 completions before it
-# fails: about 2.6 million classifications, many seconds of work.
+# all 18 features is valid and subset-minimal.  Enumerating completions,
+# its 18 delete-one checks cost about 2.6 million classifications (9.7 s
+# untimed); from the truth table they are 19 mask checks.
 SLOW_RULE = DecisionList([([(f, 1) for f in SLOW_FEATURES], 1), ([], 0)])
+
+# A majority of 10,001 one-term rule sets over 20 features: its truth
+# table feeds 10,001 member tables of 2^20 bits through the bit-sliced
+# counter, about 3.5 s untimed for `verify --minimal` on 2 cores.
+VOTE_FEATURES = [f"f{i:02d}" for i in range(20)]
+
+
+def slow_vote() -> Ensemble:
+    rng = random.Random(20)
+    return Ensemble(
+        [DecisionSet([[(f, 1) for f in rng.sample(VOTE_FEATURES, 2)]], 0) for _ in range(10001)]
+    )
+
+
+def verify_all_features(tmp_path, model, features, *flags):
+    path = tmp_path / "slow.json"
+    path.write_text(dumps_model(model))
+    query = {"kind": "lCXp", "minimality": "subset", "target": {f: 0 for f in features}}
+    return run_cli_process(
+        "verify", "--minimal", "--model", str(path), "--query", json.dumps(query),
+        "--witness", json.dumps(features), *flags,
+    )
 
 
 def test_verify_timeout_stops_the_work(tmp_path):
-    path = tmp_path / "slow.json"
-    path.write_text(dumps_model(SLOW_RULE))
-    query = {"kind": "lCXp", "minimality": "subset", "target": {f: 0 for f in SLOW_FEATURES}}
-    proc, wall = run_cli_process(
-        "verify", "--minimal", "--model", str(path), "--query", json.dumps(query),
-        "--witness", json.dumps(SLOW_FEATURES), "--timeout-ms", "200",
+    proc, wall = verify_all_features(
+        tmp_path, slow_vote(), VOTE_FEATURES, "--timeout-ms", "200"
     )
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout)["error"]["type"] == "DeadlineExceeded"
     assert wall < 5.0
+
+
+def test_verify_answers_from_the_table(tmp_path):
+    proc, wall = verify_all_features(tmp_path, SLOW_RULE, SLOW_FEATURES)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"valid": True, "minimal": True}
+    assert wall < 1.0
 
 
 def test_timeout_off_the_main_thread_exits_2(capsys, fig1_path):
@@ -306,30 +334,64 @@ def test_verify_non_minimal_superset(capsys, fig1_path):
 
 
 def test_verify_minimal_builds_one_oracle(capsys, fig1_path, monkeypatch):
-    from xbool.explain import FunctionOracle
+    from xbool import models
+    from xbool.explain import TableOracle
 
-    built = []
-    init = FunctionOracle.__init__
+    built, classified = [], []
+    init = TableOracle.__init__
 
     def counted_init(self, *args, **kwargs):
         built.append(self)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(FunctionOracle, "__init__", counted_init)
+    monkeypatch.setattr(TableOracle, "__init__", counted_init)
+    for kind, fn in list(models._CLASSIFIERS.items()):
+        monkeypatch.setitem(
+            models._CLASSIFIERS, kind, lambda m, e, fn=fn: classified.append(m) or fn(m, e)
+        )
     out = run(
         capsys, "verify", "--model", fig1_path, "--query", Q_LAXP,
         "--witness", json.dumps(["y", "z"]), "--minimal",
     )
     assert json.loads(out) == {"valid": True, "minimal": True}
     assert len(built) == 1
+    assert classified == []  # the table is filled from the rules
 
 
 def test_verify_has_no_route_flag(capsys, fig1_path):
-    with pytest.raises(SystemExit) as exit_:
-        main(["verify", "--model", fig1_path, "--query", Q_LAXP,
-              "--witness", json.dumps(["y", "z"]), "--route", "dt"])
-    assert exit_.value.code == 2
-    assert "unrecognized arguments: --route dt" in capsys.readouterr().err
+    code = main(["verify", "--model", fig1_path, "--query", Q_LAXP,
+                 "--witness", json.dumps(["y", "z"]), "--route", "dt"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "unrecognized arguments: --route dt" in captured.err
+    assert json.loads(captured.out)["error"] == {
+        "type": "ModelError", "message": "unrecognized arguments: --route dt",
+    }
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["generate", "hitting_set", "--params", "-1e+16", "--out", "x.json"],
+     "argument --params: expected one argument"),
+    (["explain", "--query", "{}"], "the following arguments are required: --model"),
+    (["explain", "--model", "m.json", "--query", "{}", "--route", "fast"],
+     "argument --route: invalid choice"),
+    (["bench", "--corpus", ".", "--query", "{}", "--timeout-ms", "soon"],
+     "argument --timeout-ms: invalid int value: 'soon'"),
+    ([], "the following arguments are required: command"),
+])
+def test_argparse_refusals_keep_the_exit_code_contract(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    error = json.loads(captured.out)["error"]
+    assert error["type"] == "ModelError" and error["message"].startswith(message)
+    assert captured.err.startswith("usage: xbool") and message in captured.err
+
+
+def test_help_still_prints_and_exits_0():
+    proc, _ = run_cli_process("--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: xbool") and proc.stderr == ""
 
 
 @pytest.mark.parametrize("query", [

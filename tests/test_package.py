@@ -85,7 +85,8 @@ def test_a_request_loads_only_its_route(tmp_path):
     assert report["explain"] == 0 and report["verify"] == 0
     assert "xbool.dt" in report["after_tree"]
     assert "xbool.obdd" not in report["after_tree"]
-    for name in ("dataclasses", "xbool.gadgets", "xbool.circuits", "xbool.dslist", "csv"):
+    for name in ("dataclasses", "xbool.gadgets", "xbool.circuits", "xbool.dslist",
+                 "xbool.tables", "csv"):
         assert name not in report["after_diagram"], name
 
 
