@@ -23,7 +23,6 @@ from .models import (
     _require,
     _strings,
     _wrong_type,
-    complete_obdd,
     dl_size,
     dt_mnl,
     dumps_canonical,
@@ -31,7 +30,7 @@ from .models import (
     simplify_dt,
 )
 from .dt import _leaf_paths
-from .obdd import _can_reach, _rebase
+from .obdd import _rebase, _restriction
 from .records import Frozen
 from .tables import at_least, feature_mask
 
@@ -333,9 +332,10 @@ def compile_dl_ensemble(ens: Ensemble, c: int) -> Circuit:
 
 def _obdd_indicator(b: _Builder, o: Obdd, c: int) -> str:
     """Gate computing [o(e) = c]: per-vertex OR over arcs that reach t_c."""
-    o = complete_obdd(o)
+    view = _restriction(o)
+    o = view.model
     target = o.t1 if c == 1 else o.t0
-    hit = _can_reach(o, c)
+    hit = view.hits(c)
     if o.source == target:
         return b.true_gate()
     if o.source not in hit:

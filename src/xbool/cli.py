@@ -38,6 +38,7 @@ from .models import (
     dumps_canonical,
     dumps_model,
     example_to_json,
+    loads_json,
     loads_model,
     measure_parameters,
     model_features,
@@ -54,8 +55,8 @@ def _load_text(path: str) -> str:
 def _structured(value: str):
     """Inline JSON when the argument looks like it, else a file path."""
     if value.lstrip().startswith(("{", "[")):
-        return json.loads(value)
-    return json.loads(_load_text(value))
+        return loads_json(value)
+    return loads_json(_load_text(value))
 
 
 def _load_model(path: str):

@@ -1,58 +1,52 @@
 """Explanation algorithms for decision trees.
 
 All checks reduce to one primitive: walk the tree under a partial
-assignment and ask whether a leaf of a given label stays reachable; the
-query procedures around it are shared with diagrams (`restriction`).  Minimum
-local contrastive sets come from scanning the disagreement between the
-target example and each oppositely-labeled leaf's path.
+assignment and ask whether a leaf of a given label stays reachable.  The
+tree is a graph view (`restriction.Restriction`) like a diagram, so the
+query procedures, the seed path and the minimum contrastive search are
+shared with diagrams; this module builds the view of the simplified tree.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .errors import BudgetExceeded, Homogeneous, ModelError
+from .errors import BudgetExceeded, ModelError
 from .explain import ExplanationQuery, Witness
 from .models import (
     DEFAULT_NODE_CAP,
     DecisionTree,
+    DtInner,
     DtLeaf,
     Ensemble,
     Example,
     _project,
-    classify,
     dt_size,
     require_total,
     simplify_dt,
-    walk_labels,
 )
 from .restriction import Restriction
 
 
-class _TreeRestriction(Restriction):
-    """Restriction view of a decision tree without repeated tests."""
-
-    def universe(self) -> Tuple[str, ...]:
-        return tuple(sorted(self.model.features()))
-
-    def reaches(self, tau, label: int) -> bool:
-        t = self.model
-        return label in walk_labels(t.nodes, t.leaf_labels, t.root, tau)
-
-    def seed_path(self, label: int) -> Optional[Dict[str, int]]:
-        for alpha, got in _leaf_paths(self.model):
-            if got == label:
-                return alpha
-        return None
-
-    def min_lcxp(self, e: Example) -> Witness:
-        return dt_min_lcxp(self.model, e)
-
-
-def _restriction(t: DecisionTree) -> _TreeRestriction:
+def _restriction(t: DecisionTree) -> Restriction:
     # a walk over a repeated test would follow both of its arcs once the
     # first test of the feature has picked one; the simplified tree has none
-    return _TreeRestriction(simplify_dt(t))
+    t = simplify_dt(t)
+    return Restriction(t, t.nodes, t.leaf_labels, t.root, lambda: _preorder(t))
+
+
+def _preorder(t: DecisionTree) -> List[str]:
+    """Inner node ids in preorder, the 0-child first."""
+    out = []
+    stack = [t.root]
+    while stack:
+        nid = stack.pop()
+        node = t.nodes[nid]
+        if isinstance(node, DtInner):
+            out.append(nid)
+            stack.append(node.one)
+            stack.append(node.zero)
+    return out
 
 
 def dt_check(t: DecisionTree, q: ExplanationQuery, w: Witness) -> bool:
@@ -87,21 +81,9 @@ def _leaf_paths(t: DecisionTree) -> List[Tuple[Dict[str, int], int]]:
 
 
 def dt_min_lcxp(t: DecisionTree, e: Example) -> Witness:
-    """Smallest flip set, scanning leaves labeled against classify(t, e)."""
+    """Smallest flip set reaching a leaf labeled against classify(t, e)."""
     require_total(e, t.features())
-    t = simplify_dt(t)
-    c = classify(t, e)
-    best: Optional[Tuple[int, Tuple[str, ...]]] = None
-    for alpha, label in _leaf_paths(t):
-        if label == c:
-            continue
-        flips = tuple(sorted(f for f, z in alpha.items() if e[f] != z))
-        key = (len(flips), flips)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        raise Homogeneous(f"every leaf is labeled {c}")
-    return Witness.of_features(best[1])
+    return _restriction(t).min_lcxp(e)
 
 
 def dt_subset_min(t: DecisionTree, q: ExplanationQuery) -> Optional[Witness]:

@@ -238,6 +238,17 @@ class TableOracle(FunctionOracle):
             points &= self._literals[i][bit]
         return points != 0
 
+    def minimum(self, q: ExplanationQuery) -> Optional[Witness]:
+        # validity only grows with the witness, and a check here is a few
+        # ANDs, so first rule out the queries no candidate can answer: the
+        # full feature set fails (lCXp), or the class a global witness must
+        # force is reached nowhere
+        if q.kind == "lCXp" and not self._validity(q)(self.features):
+            return None
+        if not q.is_local and not self.reaches({}, q.target if q.kind == "gAXp" else 1 - q.target):
+            return None
+        return super().minimum(q)
+
 
 def _universe(features: Iterable[str], guard: int) -> Tuple[str, ...]:
     feats = tuple(sorted(set(str(f) for f in features)))

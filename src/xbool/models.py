@@ -844,5 +844,14 @@ def dumps_model(model: Model) -> str:
     return dumps_canonical(model_to_json(model))
 
 
+def loads_json(text: str):
+    """Parse JSON given from outside; nesting past the parser's depth
+    limit is refused like any other bad input."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ModelError("JSON input nests too deeply") from None
+
+
 def loads_model(text: str) -> Model:
-    return model_from_json(json.loads(text))
+    return model_from_json(loads_json(text))

@@ -2,10 +2,10 @@
 
 The primitive here is sink reachability under a partial assignment:
 drop every arc that disagrees with the assignment and see which sinks
-survive; the query procedures around it are shared with trees
-(`restriction`).  Completeness makes the diagram leveled, which turns the
-minimum contrastive search into a per-level dynamic program and the
-ensemble product into a lockstep walk.
+survive.  The completed diagram is a graph view (`restriction.Restriction`)
+like a tree, so the query procedures, the seed path and the minimum
+contrastive search are shared with trees.  Completeness makes the
+diagram leveled, which turns the ensemble product into a lockstep walk.
 """
 
 from __future__ import annotations
@@ -13,12 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Tuple
 
-from .errors import (
-    BudgetExceeded,
-    Homogeneous,
-    ModelError,
-    NotOrdered,
-)
+from .errors import BudgetExceeded, ModelError, NotOrdered
 from .explain import ExplanationQuery, Witness
 from .models import (
     DEFAULT_NODE_CAP,
@@ -29,32 +24,14 @@ from .models import (
     Example,
     Obdd,
     ObddNode,
-    classify,
     complete_obdd,
-    reachable_sinks,
-    require_total,
 )
 from .restriction import Restriction
 
 
-class _DiagramRestriction(Restriction):
-    """Restriction view of a complete diagram."""
-
-    def universe(self) -> Tuple[str, ...]:
-        return self.model.order
-
-    def reaches(self, tau, label: int) -> bool:
-        return label in reachable_sinks(self.model, tau)
-
-    def seed_path(self, label: int) -> Optional[Dict[str, int]]:
-        return _least_path(self.model, label)
-
-    def min_lcxp(self, e: Example) -> Witness:
-        return obdd_min_lcxp(self.model, e)
-
-
-def _restriction(o: Obdd) -> _DiagramRestriction:
-    return _DiagramRestriction(complete_obdd(o))
+def _restriction(o: Obdd) -> Restriction:
+    o = complete_obdd(o)
+    return Restriction(o, o.nodes, o.sink_labels, o.source, lambda: sorted(o.nodes, key=o.level))
 
 
 def obdd_check(o: Obdd, q: ExplanationQuery, w: Witness) -> bool:
@@ -70,65 +47,14 @@ def obdd_lcxp_check(o: Obdd, e: Example, features) -> bool:
     return _restriction(o).lcxp_check(e, features)
 
 
-def _can_reach(o: Obdd, label: int) -> set:
-    """Node ids (and the sink) from which the sink labeled `label` is reachable."""
-    target = o.t1 if label == 1 else o.t0
-    hit = {target}
-    # arcs only go forward in the order, so one reverse sweep suffices
-    for nid in sorted(o.nodes, key=lambda n: -o.level(n)):
-        node = o.nodes[nid]
-        if node.zero in hit or node.one in hit:
-            hit.add(nid)
-    return hit
-
-
-def _least_path(o: Obdd, label: int) -> Optional[Dict[str, int]]:
-    """Full assignment along the 0-preferring path to the given sink."""
-    hit = _can_reach(o, label)
-    if o.source not in hit:
-        return None
-    alpha: Dict[str, int] = {}
-    nid = o.source
-    while nid in o.nodes:
-        node = o.nodes[nid]
-        bit = 0 if node.zero in hit else 1
-        alpha[node.feature] = bit
-        nid = node.zero if bit == 0 else node.one
-    return alpha
-
-
 def obdd_subset_min(o: Obdd, q: ExplanationQuery) -> Optional[Witness]:
     """Greedy subset-minimal witness; deletions tried in ascending name order."""
     return _restriction(o).subset_min(q)
 
 
 def obdd_min_lcxp(o: Obdd, e: Example) -> Witness:
-    """Cheapest flip set driving the walk into the opposite sink.
-
-    Arcs agreeing with the example cost nothing, disagreeing arcs cost
-    one flip; a level-by-level relaxation finds the minimum, breaking
-    ties toward the lexicographically least sorted flip set.
-    """
-    o = complete_obdd(o)
-    require_total(e, o.features())
-    c = classify(o, e)
-    target = o.t0 if c == 1 else o.t1
-    best: Dict[str, Tuple[int, Tuple[str, ...]]] = {o.source: (0, ())}
-    for nid in sorted(o.nodes, key=o.level):
-        if nid not in best:
-            continue
-        cost, flips = best[nid]
-        node = o.nodes[nid]
-        for bit, child in ((0, node.zero), (1, node.one)):
-            if bit == e[node.feature]:
-                key = (cost, flips)
-            else:
-                key = (cost + 1, tuple(sorted(flips + (node.feature,))))
-            if child not in best or key < best[child]:
-                best[child] = key
-    if target not in best:
-        raise Homogeneous(f"every input is classified {c}")
-    return Witness.of_features(best[target][1])
+    """Cheapest flip set driving the walk into the opposite sink."""
+    return _restriction(o).min_lcxp(e)
 
 
 def obdd_xp_search(o: Obdd, q: ExplanationQuery) -> Optional[Witness]:

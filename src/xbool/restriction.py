@@ -6,44 +6,100 @@ assignment (`models.walk_labels`)?  lAXp and gAXp rule out the other
 class and gCXp the target class; lCXp must reach the other class.  Local
 abductive sets restrict by the target example, global queries by the
 witness itself, and local contrastive sets by the example outside the
-set.  A family supplies that walk plus two searches of its own: the
-least path into a given label, which seeds the global subset search, and
-the minimum local contrastive set.  Everything else is written once, here.
+set.  Both families are one graph to every search: inner nodes testing a
+feature, terminals carrying a class, one start.  The least path into a
+label, which seeds the global subset search, and the minimum local
+contrastive set are each one pass over that graph, parents first.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set
 
 from .errors import Homogeneous, ModelError
 from .explain import ExplanationQuery, Witness
-from .models import Example, _lookup, classify, require_total
+from .models import Example, _lookup, classify, require_total, walk_labels
 
 
 class Restriction:
-    """One model of a restrictable family; subclasses give the walk and
-    the two family-specific searches."""
+    """The graph view of one tree or diagram.
 
-    def __init__(self, model):
+    `terminals` maps leaf or sink ids to their class, `nodes` maps every
+    other id to a node with `feature`, `zero` and `one`, and `start` is
+    the root or source; every node is reachable from `start`.
+    `parents_first()` lists the inner ids with each after all of its
+    parents (preorder for a tree, level order for a complete diagram);
+    like the universe, only the searches that need it ask for it.  A tree
+    must be free of repeated tests and a diagram complete, as the walk
+    and the seed path assume.
+    """
+
+    def __init__(self, model, nodes, terminals: Mapping[str, int], start: str, parents_first):
         self.model = model
+        self.nodes = nodes
+        self.terminals = terminals
+        self.start = start
+        self.parents_first = parents_first
 
-    def universe(self) -> Tuple[str, ...]:
-        """Every feature, in the order an example is validated against."""
-        raise NotImplementedError
+    def universe(self) -> List[str]:
+        """Every feature, sorted; built only when a search asks for it."""
+        return sorted(self.model.features())
 
     def reaches(self, tau: Mapping[str, int], label: int) -> bool:
         """Some completion of `tau` gets `label`."""
-        raise NotImplementedError
+        return label in walk_labels(self.nodes, self.terminals, self.start, tau)
+
+    def hits(self, label: int) -> Set[str]:
+        """Ids from which some terminal of `label` is reachable."""
+        hit = {nid for nid, got in self.terminals.items() if got == label}
+        for nid in reversed(self.parents_first()):
+            node = self.nodes[nid]
+            if node.zero in hit or node.one in hit:
+                hit.add(nid)
+        return hit
 
     def seed_path(self, label: int) -> Optional[Dict[str, int]]:
         """Full assignment along the least (0-preferring) path into `label`."""
-        raise NotImplementedError
+        hit = self.hits(label)
+        if self.start not in hit:
+            return None
+        alpha: Dict[str, int] = {}
+        nid = self.start
+        while nid not in self.terminals:
+            node = self.nodes[nid]
+            bit = 0 if node.zero in hit else 1
+            alpha[node.feature] = bit
+            nid = node.one if bit else node.zero
+        return alpha
 
     def min_lcxp(self, e: Example) -> Witness:
-        raise NotImplementedError
+        """Cheapest flip set driving the walk into the other class.
 
-    # -- the shared procedures
+        Arcs agreeing with the example cost nothing, disagreeing arcs one
+        flip; one parents-first relaxation keeps the least `(flips, sorted
+        flip tuple)` per node, so ties go to the lexicographically least
+        sorted flip set, the oracle's order among sets of one size.
+        """
+        require_total(e, self.model.features())
+        c = classify(self.model, e)
+        best = {self.start: (0, ())}
+        for nid in self.parents_first():
+            cost, flips = best[nid]
+            node = self.nodes[nid]
+            for bit, child in ((0, node.zero), (1, node.one)):
+                if bit == e[node.feature]:
+                    key = (cost, flips)
+                else:
+                    key = (cost + 1, tuple(sorted(flips + (node.feature,))))
+                if child not in best or key < best[child]:
+                    best[child] = key
+        ends = [best[t] for t, got in self.terminals.items() if got != c and t in best]
+        if not ends:
+            raise Homogeneous(f"every input is classified {c}")
+        return Witness.of_features(min(ends)[1])
+
+    # -- the query procedures
 
     def _valid_under(self, q: ExplanationQuery) -> Callable[[Mapping[str, int]], bool]:
         """Validity of a restriction for the abductive and global kinds:
@@ -86,9 +142,7 @@ class Restriction:
         valid = self._valid_under(q)
         if q.kind == "lAXp":
             e = q.target
-            kept = _greedy_shrink(
-                lambda names: valid({f: e[f] for f in names}), sorted(self.universe())
-            )
+            kept = _greedy_shrink(lambda names: valid({f: e[f] for f in names}), self.universe())
             return Witness.of_features(kept)
         # global kinds: start from a full path into an agreeing (gAXp) or
         # disagreeing (gCXp) label, then drop assignments greedily
@@ -102,7 +156,7 @@ class Restriction:
         """Exhaustive size-bounded search matching the oracle's tie-break."""
         if q.k is None:
             raise ModelError("xp search needs a cardinality query with budget k")
-        names = sorted(self.universe())
+        names = self.universe()
         limit = min(q.k, len(names))
         if q.kind == "lCXp":
             try:

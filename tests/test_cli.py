@@ -174,9 +174,23 @@ def test_malformed_model_json_exits_2(capsys, tmp_path, model):
     assert json.loads(out)["error"]["type"] == "ModelError"
 
 
-# A constant list over 18 features has no contrastive set, so the oracle's
-# cardinality search at k=18 checks every one of the 2^18 subsets against
-# the truth table: about 2.6 s untimed on 2 cores, far past the deadline.
+@pytest.mark.parametrize("nested", ["model", "query", "witness", "params"])
+def test_deeply_nested_json_exits_2(capsys, tmp_path, fig1_path, nested):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    deep = str(deep)
+    argv = {
+        "model": ["explain", "--model", deep, "--query", Q_LAXP],
+        "query": ["explain", "--model", fig1_path, "--query", deep],
+        "witness": ["verify", "--model", fig1_path, "--query", Q_LAXP, "--witness", deep],
+        "params": ["generate", "taut_ds", "--params", deep, "--out", str(tmp_path / "x.json")],
+    }[nested]
+    error = json.loads(run(capsys, *argv, expect=2))["error"]
+    assert error == {"type": "ModelError", "message": "JSON input nests too deeply"}
+
+
+# A constant list over 18 features has no contrastive set; one check of
+# the full feature set proves it, so the oracle's search stops at once.
 SLOW_FEATURES = [f"f{i:02d}" for i in range(18)]
 SLOW_LIST = DecisionList([([(f, 1)], 0) for f in SLOW_FEATURES] + [([], 0)])
 SLOW_QUERY = json.dumps(
@@ -201,9 +215,29 @@ def run_cli_process(*argv):
     return proc, time.perf_counter() - started
 
 
-def test_explain_timeout_stops_the_work(tmp_path):
+def test_explain_without_candidates_stops_at_once(tmp_path):
     path = tmp_path / "slow.json"
     path.write_text(dumps_model(SLOW_LIST))
+    proc, wall = run_cli_process(
+        "explain", "--model", str(path), "--query", SLOW_QUERY, "--route", "bruteforce",
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stdout)["witness"] is None
+    assert wall < 1.0
+
+
+# One rule fires only when all 18 features are 1, so the lCXp witness of
+# all 18 features is valid and subset-minimal.  Enumerating completions,
+# its 18 delete-one checks cost about 2.6 million classifications (9.7 s
+# untimed); from the truth table they are 19 mask checks.  The full set is
+# the only witness, so the cardinality search at k=18 checks every smaller
+# subset first: about 7 s untimed on 2 cores, far past the deadline.
+SLOW_RULE = DecisionList([([(f, 1) for f in SLOW_FEATURES], 1), ([], 0)])
+
+
+def test_explain_timeout_stops_the_work(tmp_path):
+    path = tmp_path / "slow.json"
+    path.write_text(dumps_model(SLOW_RULE))
     proc, wall = run_cli_process(
         "explain", "--model", str(path), "--query", SLOW_QUERY,
         "--route", "bruteforce", "--timeout-ms", "200",
@@ -211,13 +245,6 @@ def test_explain_timeout_stops_the_work(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout)["error"]["type"] == "DeadlineExceeded"
     assert wall < 5.0
-
-
-# One rule fires only when all 18 features are 1, so the lCXp witness of
-# all 18 features is valid and subset-minimal.  Enumerating completions,
-# its 18 delete-one checks cost about 2.6 million classifications (9.7 s
-# untimed); from the truth table they are 19 mask checks.
-SLOW_RULE = DecisionList([([(f, 1) for f in SLOW_FEATURES], 1), ([], 0)])
 
 # A majority of 10,001 one-term rule sets over 20 features: its truth
 # table feeds 10,001 member tables of 2^20 bits through the bit-sliced
@@ -277,7 +304,7 @@ def test_bench_timeout_stops_the_row(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     (corpus / "fig1.json").write_text(dumps_model(FIG1))
-    (corpus / "slow.json").write_text(dumps_model(SLOW_LIST))
+    (corpus / "slow.json").write_text(dumps_model(SLOW_RULE))
     proc, wall = run_cli_process(
         "bench", "--corpus", str(corpus), "--query", SLOW_QUERY,
         "--route", "bruteforce", "--timeout-ms", "200",

@@ -137,6 +137,8 @@ def test_min_lcxp_matches_oracle():
         if got is not None:
             assert got.size == want.size
             assert is_explanation(t, q, got)
+            least = ExplanationQuery("lCXp", "cardinality", e, k=len(feats))
+            assert got == oracle_min(t, least)
 
 
 # ---------------------------------------------------------------------------

@@ -124,18 +124,20 @@ def test_min_lcxp_matches_oracle():
     rng = random.Random(73)
     for _ in range(50):
         feats = tuple(f"x{i}" for i in range(rng.randint(1, 6)))
-        o = rand_obdd(rng, feats)
-        e = rand_example(rng, feats)
-        q = ExplanationQuery("lCXp", "subset", e)
-        want = oracle_min(o, q)
-        try:
-            got = obdd_min_lcxp(o, e)
-        except Homogeneous:
-            got = None
-        assert (got is None) == (want is None)
-        if got is not None:
-            assert got.size == want.size
-            assert is_explanation(o, q, got)
+        for o in (rand_obdd(rng, feats), rand_sparse_obdd(rng, feats)):
+            e = rand_example(rng, feats)
+            q = ExplanationQuery("lCXp", "subset", e)
+            want = oracle_min(o, q)
+            try:
+                got = obdd_min_lcxp(o, e)
+            except Homogeneous:
+                got = None
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.size == want.size
+                assert is_explanation(o, q, got)
+                least = ExplanationQuery("lCXp", "cardinality", e, k=len(feats))
+                assert got == oracle_min(o, least)
 
 
 # ---------------------------------------------------------------------------
@@ -156,20 +158,20 @@ def test_subset_min_verified_by_oracle():
     rng = random.Random(79)
     for _ in range(40):
         feats = tuple(f"x{i}" for i in range(rng.randint(1, 6)))
-        o = rand_obdd(rng, feats)
-        e = rand_example(rng, feats)
-        queries = [
-            ExplanationQuery("lAXp", "subset", e),
-            ExplanationQuery("lCXp", "subset", e),
-            ExplanationQuery("gAXp", "subset", rng.randint(0, 1)),
-            ExplanationQuery("gCXp", "subset", rng.randint(0, 1)),
-        ]
-        for q in queries:
-            got = obdd_subset_min(o, q)
-            if got is None:
-                assert oracle_min(o, q) is None
-            else:
-                assert verify_subset_minimal(o, q, got), (q.kind, got)
+        for o in (rand_obdd(rng, feats), rand_sparse_obdd(rng, feats)):
+            e = rand_example(rng, feats)
+            queries = [
+                ExplanationQuery("lAXp", "subset", e),
+                ExplanationQuery("lCXp", "subset", e),
+                ExplanationQuery("gAXp", "subset", rng.randint(0, 1)),
+                ExplanationQuery("gCXp", "subset", rng.randint(0, 1)),
+            ]
+            for q in queries:
+                got = obdd_subset_min(o, q)
+                if got is None:
+                    assert oracle_min(o, q) is None
+                else:
+                    assert verify_subset_minimal(o, q, got), (q.kind, got)
 
 
 # ---------------------------------------------------------------------------
@@ -191,22 +193,22 @@ def test_xp_search_sizes_match_oracle():
     rng = random.Random(83)
     for _ in range(25):
         feats = tuple(f"x{i}" for i in range(rng.randint(1, 5)))
-        o = rand_obdd(rng, feats)
-        e = rand_example(rng, feats)
-        k = rng.randint(0, len(feats))
-        queries = [
-            ExplanationQuery("lAXp", "cardinality", e, k=k),
-            ExplanationQuery("lCXp", "cardinality", e, k=k),
-            ExplanationQuery("gAXp", "cardinality", rng.randint(0, 1), k=k),
-            ExplanationQuery("gCXp", "cardinality", rng.randint(0, 1), k=k),
-        ]
-        for q in queries:
-            got = obdd_xp_search(o, q)
-            want = oracle_min(o, q)
-            assert (got is None) == (want is None), q.kind
-            if got is not None:
-                assert got.size == want.size
-                assert is_explanation(o, q, got)
+        for o in (rand_obdd(rng, feats), rand_sparse_obdd(rng, feats)):
+            e = rand_example(rng, feats)
+            k = rng.randint(0, len(feats))
+            queries = [
+                ExplanationQuery("lAXp", "cardinality", e, k=k),
+                ExplanationQuery("lCXp", "cardinality", e, k=k),
+                ExplanationQuery("gAXp", "cardinality", rng.randint(0, 1), k=k),
+                ExplanationQuery("gCXp", "cardinality", rng.randint(0, 1), k=k),
+            ]
+            for q in queries:
+                got = obdd_xp_search(o, q)
+                want = oracle_min(o, q)
+                assert (got is None) == (want is None), q.kind
+                if got is not None:
+                    assert got.size == want.size
+                    assert is_explanation(o, q, got)
 
 
 # ---------------------------------------------------------------------------

@@ -202,3 +202,25 @@ def test_mutable_records_keep_their_dataclass_behaviour():
     assert first == BranchStats(leaves_per_rule=[4]) != second
     with pytest.raises(TypeError):
         hash(first)
+
+
+# Imports the benchmark's tracer and workload modules and wraps every
+# name the tracer binds, so a rename of a wrapped function fails here.
+TRACER_PROBE = """
+import builders, tracing, workloads
+from xbool import circuits
+tracer = tracing.Tracer()
+tracer.install()
+tracer.uninstall()
+assert all(hasattr(circuits, name) for name in workloads.COMPILERS.values())
+"""
+
+
+def test_the_benchmark_tracer_binds_every_name_it_wraps():
+    bench = os.path.join(os.path.dirname(SRC), "perfbench")
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACER_PROBE],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, bench])),
+    )
+    assert proc.returncode == 0, proc.stderr
