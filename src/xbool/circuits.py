@@ -412,20 +412,20 @@ def circuit_from_json(data: Mapping) -> Circuit:
     if not isinstance(data, dict):
         raise _wrong_type("a circuit", dict, data)
     gates: Dict[str, Gate] = {}
-    for row in _require(data, "gates", list):
+    for row in _require(data, "gates", list, "circuit"):
         if not isinstance(row, dict):
             raise _wrong_type("a gate", dict, row)
-        gid = _require(row, "id", str)
+        gid = _require(row, "id", str, "gate")
         if gid in gates:
             raise ModelError(f"gate id {gid!r} appears twice")
         inputs = _strings(row.get("inputs", []), f"the inputs of gate {gid!r}")
-        gates[gid] = Gate(_require(row, "kind", str), tuple(inputs), row.get("threshold"))
+        gates[gid] = Gate(_require(row, "kind", str, "gate"), tuple(inputs), row.get("threshold"))
     meta = data.get("meta", {})
     if not isinstance(meta, dict):
         raise _wrong_type("the circuit's meta", dict, meta)
     return Circuit(
         gates,
-        _require(data, "output", str),
+        _require(data, "output", str, "circuit"),
         meta.get("source_kind", "circuit"),
         meta.get("target_class", 1),
         meta.get("reported_width_bound"),

@@ -32,12 +32,11 @@ from .explain import (
 from .models import (
     DEFAULT_NODE_CAP as DEFAULT_CAP,
     Ensemble,
-    _pairs,
+    _load_text,
     _wrong_type,
     complete_obdd,
     dumps_canonical,
     dumps_model,
-    example_to_json,
     loads_json,
     loads_model,
     measure_parameters,
@@ -45,11 +44,6 @@ from .models import (
 )
 
 ROUTES = ("auto", "dt", "obdd", "branching", "product", "bruteforce")
-
-
-def _load_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
 
 
 def _structured(value: str):
@@ -81,79 +75,79 @@ def _error_payload(err: Exception) -> str:
 # Route selection and execution
 
 
-def _members(model) -> tuple:
-    return model.elements if model.kind == "ensemble" else (model,)
-
-
 def _pick_route(model, q: ExplanationQuery) -> str:
     """The route the model's family takes: trees and diagrams their own,
     their ensembles the product, rule sets and lists branching for
     cardinality lCXp and the oracle otherwise."""
-    family = _members(model)[0].kind
+    family = model.elements[0].kind if model.kind == "ensemble" else model.kind
     if family in ("ds", "dl"):
         branching = q.kind == "lCXp" and q.minimality == "cardinality"
         return "branching" if branching else "bruteforce"
     return "product" if model.kind == "ensemble" else family
 
 
-def _flatten(model, cap: int):
-    """One tree for a tree ensemble, one diagram for a diagram ensemble,
-    any other model as it is."""
-    if model.kind == "ensemble":
-        if model.elements[0].kind == "dt":
-            from .dt import dt_ensemble_to_dt
+def _direct(model, cap: int, fallback: bool):
+    """The one tree or diagram a tree or diagram model stands for (an
+    ensemble flattened), with its family's (xp_search, subset_min, check,
+    lcxp_check).  None for a rule set or list and, when `fallback`, for
+    an ensemble whose flattening hits the cap or an order conflict.
 
-            return dt_ensemble_to_dt(model, cap)
-        if model.elements[0].kind == "obdd":
-            from .obdd import obdd_ensemble_product
+    The procedures are imported at call time, so a tree request never
+    loads the diagram module, nor a diagram request the tree module.
+    """
+    family = model.elements[0].kind if model.kind == "ensemble" else model.kind
+    if family == "dt":
+        from .dt import dt_check, dt_ensemble_to_dt, dt_lcxp_check, dt_subset_min, dt_xp_search
 
-            return obdd_ensemble_product(model, cap)
-    return model
-
-
-def _procedures(kind: str) -> tuple:
-    """(xp_search, subset_min, check, lcxp_check) of the tree or diagram
-    family, imported at call time so a tree request never loads the
-    diagram module, nor a diagram request the tree module."""
-    if kind == "dt":
-        from .dt import dt_check, dt_lcxp_check, dt_subset_min, dt_xp_search
-
-        return dt_xp_search, dt_subset_min, dt_check, dt_lcxp_check
-    from .obdd import obdd_check, obdd_lcxp_check, obdd_subset_min, obdd_xp_search
-
-    return obdd_xp_search, obdd_subset_min, obdd_check, obdd_lcxp_check
-
-
-def _explain_via(model, q: ExplanationQuery, route: str, cap: int, guard: int):
-    if route == "bruteforce":
-        return oracle_min(model, q, guard)
-    picked = _pick_route(model, q)
-    if route != picked:
-        raise ModelError(
-            f"route {route!r} does not fit this model and query; "
-            f"use {picked!r} or 'bruteforce'"
+        flatten = dt_ensemble_to_dt
+        procedures = dt_xp_search, dt_subset_min, dt_check, dt_lcxp_check
+    elif family == "obdd":
+        from .obdd import (
+            obdd_check,
+            obdd_ensemble_product,
+            obdd_lcxp_check,
+            obdd_subset_min,
+            obdd_xp_search,
         )
-    if route == "branching":
-        from .dslist import dle_min_lcxp_branch, ds_to_dl
 
-        lists = [ds_to_dl(el) if el.kind == "ds" else el for el in _members(model)]
-        return dle_min_lcxp_branch(Ensemble(lists), q.target, q.k)
-    model = _flatten(model, cap)
-    xp_search, subset_min, _, _ = _procedures(model.kind)
-    return (subset_min if q.minimality == "subset" else xp_search)(model, q)
+        flatten = obdd_ensemble_product
+        procedures = obdd_xp_search, obdd_subset_min, obdd_check, obdd_lcxp_check
+    else:
+        return None
+    if model.kind == "ensemble":
+        try:
+            model = flatten(model, cap)
+        except (BudgetExceeded, NotOrdered):
+            if fallback:
+                return None
+            raise
+    return model, procedures
 
 
 def run_explain(
     model, q: ExplanationQuery, route: str, cap: int, guard: int
 ) -> Tuple[Optional[Witness], str]:
-    if route == "auto":
-        route = _pick_route(model, q)
-        if route == "product":
-            try:
-                return _explain_via(model, q, route, cap, guard), route
-            except (BudgetExceeded, NotOrdered):
-                route = "bruteforce"
-    return _explain_via(model, q, route, cap, guard), route
+    """(witness, the route that answered); `auto` takes the family's route
+    and falls back from the product to the oracle."""
+    picked = _pick_route(model, q)
+    if route not in ("auto", picked, "bruteforce"):
+        raise ModelError(
+            f"route {route!r} does not fit this model and query; "
+            f"use {picked!r} or 'bruteforce'"
+        )
+    auto = route == "auto"
+    route = picked if auto else route
+    if route == "branching":
+        from .dslist import dle_min_lcxp_branch, ds_to_dl
+
+        members = model.elements if model.kind == "ensemble" else (model,)
+        lists = [ds_to_dl(el) if el.kind == "ds" else el for el in members]
+        return dle_min_lcxp_branch(Ensemble(lists), q.target, q.k), route
+    direct = None if route == "bruteforce" else _direct(model, cap, fallback=auto)
+    if direct is None:
+        return oracle_min(model, q, guard), "bruteforce"
+    flat, (xp_search, subset_min, _, _) = direct
+    return (subset_min if q.minimality == "subset" else xp_search)(flat, q), route
 
 
 def _validity(model, q: ExplanationQuery, cap: int, guard: int) -> Callable[[Witness], bool]:
@@ -164,16 +158,13 @@ def _validity(model, q: ExplanationQuery, cap: int, guard: int) -> Callable[[Wit
     a rule set or list, or an ensemble whose flattening hits the cap or an
     order conflict, is checked by one oracle shared by every witness.
     """
-    try:
-        model = _flatten(model, cap)
-    except (BudgetExceeded, NotOrdered):
-        pass
-    if model.kind not in ("dt", "obdd"):
+    direct = _direct(model, cap, fallback=True)
+    if direct is None:
         oracle = _oracle_for(model, guard)
         return lambda w: oracle.holds(q, w)
+    model, (_, _, check, lcxp_check) = direct
     if model.kind == "obdd":
         model = complete_obdd(model)
-    _, _, check, lcxp_check = _procedures(model.kind)
     if q.kind == "lCXp":
         return lambda w: lcxp_check(model, q.target, w.features)
     return lambda w: check(model, q, w)
@@ -208,139 +199,6 @@ def _verdicts(
         )
     return True, not any(valid(rest) for rest in smaller)
 
-
-def run_verify(model, q: ExplanationQuery, w: Witness, cap: int, guard: int) -> bool:
-    return _verdicts(model, q, w, cap, guard, minimal=False)[0]
-
-
-def run_verify_minimal(model, q, w: Witness, cap: int, guard: int) -> bool:
-    """Validity plus subset minimality by single deletions."""
-    return _verdicts(model, q, w, cap, guard, minimal=True)[1]
-
-
-# ---------------------------------------------------------------------------
-# Gadget registry for `generate`; each maker takes the `gadgets` module,
-# which only `generate` imports.
-
-
-def _zero_query(model, k: Optional[int]) -> Dict:
-    feats = sorted(model_features(model))
-    if k is None:
-        k = len(feats)
-    return {
-        "kind": "lCXp",
-        "minimality": "cardinality",
-        "target": {f: 0 for f in feats},
-        "k": k,
-    }
-
-
-def _integer(params: Dict, key: str, default=None):
-    """Integer param `key`, or `default` when it is absent; an optional
-    param (default None) may also be null."""
-    value = params.get(key, default)
-    if type(value) is not int and not (value is None and default is None):
-        raise ModelError(f"param {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _array(params: Dict, key: str) -> list:
-    value = params[key]
-    if not isinstance(value, list):
-        raise _wrong_type(f"param {key!r}", list, value)
-    return value
-
-
-def _gen_hitting_set(gadgets, params):
-    sets = _array(params, "sets")
-    for s in sets:
-        if not isinstance(s, list):
-            raise _wrong_type("each entry of param 'sets'", list, s)
-    tree, e0, k = gadgets.gen_hitting_set_laxp(
-        _array(params, "universe"), sets, _integer(params, "k")
-    )
-    query = {
-        "kind": "lAXp",
-        "minimality": "cardinality",
-        "target": example_to_json(e0),
-        "k": k,
-    }
-    return tree, query
-
-
-def _gen_mcc_gaxp_dt(gadgets, params):
-    g = gadgets.mcc_from_json(params["graph"])
-    tree, target, k = gadgets.gen_mcc_gaxp_dt(
-        g,
-        params.get("k"),
-        _integer(params, "max_k", 10),
-        _integer(params, "node_cap", DEFAULT_CAP),
-    )
-    query = {"kind": "gAXp", "minimality": "cardinality", "target": target, "k": k}
-    return tree, query
-
-
-def _gen_mcc_dt_ensemble(gadgets, params):
-    g = gadgets.mcc_from_json(params["graph"])
-    ens = gadgets.gen_mcc_dt_ensemble(g, params.get("k"))
-    return ens, _zero_query(ens, g.k)
-
-
-def _gen_maj_hom(gadgets, params):
-    g = gadgets.mcc_from_json(params["graph"])
-    ens = gadgets.gen_maj_hom(g, params.get("k"), params.get("family", "dt"))
-    return ens, _zero_query(ens, g.k)
-
-
-def _gen_taut_ds(gadgets, params):
-    terms = [_pairs(t, "a term") for t in _array(params, "terms")]
-    ds = gadgets.gen_taut_ds(terms)
-    return ds, _zero_query(ds, None)
-
-
-def _gen_mcc_ds(gadgets, params):
-    g = gadgets.mcc_from_json(params["graph"])
-    return gadgets.gen_mcc_ds(g, params.get("k")), None
-
-
-def _gen_mcc_ds2(gadgets, params):
-    g = gadgets.mcc_from_json(params["graph"])
-    ens = gadgets.gen_mcc_ds_ensemble(g, params.get("k"))
-    return ens, _zero_query(ens, g.k)
-
-
-def _gen_mcc_obdd_maj(gadgets, params):
-    g = gadgets.mcc_from_json(params["graph"])
-    ens = gadgets.gen_mcc_obdd_maj(g, params.get("k"))
-    return ens, _zero_query(ens, g.k)
-
-
-def _gen_laxp_to_gaxp(gadgets, params):
-    raw = params["model"]
-    model = loads_model(_load_text(raw)) if isinstance(raw, str) else loads_model(
-        json.dumps(raw)
-    )
-    example = params["example"]
-    if not isinstance(example, dict):
-        raise _wrong_type("param 'example'", dict, example)
-    prod, target, k = gadgets.gen_laxp_to_gaxp(
-        model, example, params["k"], _integer(params, "node_cap", DEFAULT_CAP)
-    )
-    query = {"kind": "gAXp", "minimality": "cardinality", "target": target, "k": k}
-    return prod, query
-
-
-GENERATORS = {
-    "hitting_set": _gen_hitting_set,
-    "mcc_gaxp_dt": _gen_mcc_gaxp_dt,
-    "mcc_dt_ensemble": _gen_mcc_dt_ensemble,
-    "maj_hom": _gen_maj_hom,
-    "taut_ds": _gen_taut_ds,
-    "mcc_ds": _gen_mcc_ds,
-    "mcc_ds_ensemble": _gen_mcc_ds2,
-    "mcc_obdd_maj": _gen_mcc_obdd_maj,
-    "laxp_to_gaxp": _gen_laxp_to_gaxp,
-}
 
 # ---------------------------------------------------------------------------
 # Subcommands
@@ -413,6 +271,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    from .gadgets import GENERATORS
+
     maker = GENERATORS.get(args.gadget)
     if maker is None:
         raise ModelError(
@@ -421,10 +281,8 @@ def cmd_generate(args) -> int:
     params = _structured(args.params)
     if not isinstance(params, dict):
         raise _wrong_type("the params", dict, params)
-    from . import gadgets
-
     try:
-        model, query = maker(gadgets, params)
+        model, query = maker(params)
     except KeyError as missing:
         raise ModelError(f"params object misses {missing}") from None
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -21,7 +21,7 @@ import itertools
 from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import ModelError, TooLarge, UndefinedFeature
-from .models import Example, Model, _bit, example_to_json, model_features
+from .models import Example, Model, _bit, _strings, example_to_json, model_features
 from .records import Frozen
 
 KINDS = ("lAXp", "lCXp", "gAXp", "gCXp")
@@ -319,5 +319,5 @@ def witness_from_json(data) -> Witness:
     if isinstance(data, Mapping):
         return Witness.of_assignment(data)
     if isinstance(data, (list, tuple)):
-        return Witness.of_features(data)
+        return Witness.of_features(_strings(list(data), "the witness"))
     raise ModelError("witness must be a feature array or a feature->bit object")

@@ -24,10 +24,15 @@ from .models import (
     Obdd,
     ObddNode,
     _emit_tree,
+    _load_text,
     _pairs,
     _wrong_type,
     classify,
     complete_obdd,
+    example_to_json,
+    loads_model,
+    model_features,
+    model_from_json,
 )
 from .obdd import obdd_ensemble_product
 
@@ -752,3 +757,114 @@ def gen_laxp_to_gaxp(
     drag = Obdd({}, "t1" if c == 0 else "t0", "t0", "t1", ())
     ens = Ensemble([o, counter, drag], shared_order=o.order)
     return obdd_ensemble_product(ens, node_cap), c, k
+
+
+# ---------------------------------------------------------------------------
+# The `generate` params table: each maker reads its gadget's params from
+# the params object and returns (model, the query it is meant for or None)
+
+
+def _zero_query(model, k: Optional[int]) -> Dict:
+    feats = sorted(model_features(model))
+    if k is None:
+        k = len(feats)
+    return {
+        "kind": "lCXp",
+        "minimality": "cardinality",
+        "target": {f: 0 for f in feats},
+        "k": k,
+    }
+
+
+def _integer(params: Dict, key: str, default=None, required: bool = False):
+    """Integer param `key`; unless `required`, `default` when it is
+    absent, and an optional param (default None) may also be null."""
+    value = params[key] if required else params.get(key, default)
+    if type(value) is int or (value is None and default is None and not required):
+        return value
+    raise ModelError(f"param {key!r} must be an integer, got {value!r}")
+
+
+def _array(params: Dict, key: str) -> list:
+    value = params[key]
+    if not isinstance(value, list):
+        raise _wrong_type(f"param {key!r}", list, value)
+    return value
+
+
+def _make_hitting_set(params):
+    sets = _array(params, "sets")
+    for s in sets:
+        if not isinstance(s, list):
+            raise _wrong_type("each entry of param 'sets'", list, s)
+    tree, e0, k = gen_hitting_set_laxp(
+        _array(params, "universe"), sets, _integer(params, "k")
+    )
+    query = {
+        "kind": "lAXp",
+        "minimality": "cardinality",
+        "target": example_to_json(e0),
+        "k": k,
+    }
+    return tree, query
+
+
+def _make_mcc_gaxp_dt(params):
+    g = mcc_from_json(params["graph"])
+    tree, target, k = gen_mcc_gaxp_dt(
+        g,
+        _integer(params, "k"),
+        _integer(params, "max_k", 10),
+        _integer(params, "node_cap", DEFAULT_NODE_CAP),
+    )
+    query = {"kind": "gAXp", "minimality": "cardinality", "target": target, "k": k}
+    return tree, query
+
+
+def _clique(generate, *options, query: bool = True):
+    """Maker for `generate(graph, k, **options)`: the graph, an optional
+    integer `k` and each of the `options` given are read from the params,
+    and the model is paired with the all-zero contrastive query of
+    budget k unless `query` is False."""
+
+    def make(params):
+        g = mcc_from_json(params["graph"])
+        given = {key: params[key] for key in options if key in params}
+        model = generate(g, _integer(params, "k"), **given)
+        return model, _zero_query(model, g.k) if query else None
+
+    return make
+
+
+def _make_taut_ds(params):
+    ds = gen_taut_ds([_pairs(t, "a term") for t in _array(params, "terms")])
+    return ds, _zero_query(ds, None)
+
+
+def _make_laxp_to_gaxp(params):
+    raw = params["model"]
+    model = loads_model(_load_text(raw)) if isinstance(raw, str) else model_from_json(raw)
+    example = params["example"]
+    if not isinstance(example, dict):
+        raise _wrong_type("param 'example'", dict, example)
+    prod, target, k = gen_laxp_to_gaxp(
+        model,
+        example,
+        _integer(params, "k", required=True),
+        _integer(params, "node_cap", DEFAULT_NODE_CAP),
+    )
+    query = {"kind": "gAXp", "minimality": "cardinality", "target": target, "k": k}
+    return prod, query
+
+
+GENERATORS = {
+    "hitting_set": _make_hitting_set,
+    "mcc_gaxp_dt": _make_mcc_gaxp_dt,
+    "mcc_dt_ensemble": _clique(gen_mcc_dt_ensemble),
+    "maj_hom": _clique(gen_maj_hom, "family"),
+    "taut_ds": _make_taut_ds,
+    "mcc_ds": _clique(gen_mcc_ds, query=False),
+    "mcc_ds_ensemble": _clique(gen_mcc_ds_ensemble),
+    "mcc_obdd_maj": _clique(gen_mcc_obdd_maj),
+    "laxp_to_gaxp": _make_laxp_to_gaxp,
+}

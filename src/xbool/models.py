@@ -731,12 +731,13 @@ def _wrong_type(what: str, kind: type, value) -> ModelError:
     return ModelError(f"{what} must be {_JSON_TYPES[kind]}, got {type(value).__name__}")
 
 
-def _require(data: Mapping, key: str, kind: type = object):
+def _require(data: Mapping, key: str, kind: type = object, noun: str = "model"):
+    """`data[key]` of type `kind`; an error names the `noun` read."""
     if key not in data:
-        raise ModelError(f"model object misses {key!r}")
+        raise ModelError(f"{noun} object misses {key!r}")
     value = data[key]
     if not isinstance(value, kind):
-        raise _wrong_type(f"model field {key!r}", kind, value)
+        raise _wrong_type(f"{noun} field {key!r}", kind, value)
     return value
 
 
@@ -842,6 +843,11 @@ def dumps_canonical(data) -> str:
 
 def dumps_model(model: Model) -> str:
     return dumps_canonical(model_to_json(model))
+
+
+def _load_text(path: str) -> str:
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def loads_json(text: str):

@@ -182,6 +182,11 @@ def test_circuit_json_errors_are_model_errors():
     dup = {"id": "x", "kind": "NOT", "inputs": ["x"]}
     with pytest.raises(ModelError, match="^gate id 'x' appears twice$"):
         circuit_from_json({"gates": [x, dup], "output": "x"})
+    # a miss names the object read: the circuit or the gate, not a model
+    with pytest.raises(ModelError, match="^circuit object misses 'output'$"):
+        circuit_from_json({"gates": []})
+    with pytest.raises(ModelError, match="^gate object misses 'id'$"):
+        circuit_from_json({"gates": [{"kind": "IN"}], "output": "x"})
 
 
 CIRCUIT_WORDS = st.sampled_from(

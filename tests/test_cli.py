@@ -1,6 +1,7 @@
 """Command-line behaviors: explain/verify/generate/bench and exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xbool
-from xbool.cli import DEFAULT_CAP, ROUTES, main, run_verify, run_verify_minimal
+from xbool.cli import DEFAULT_CAP, ROUTES, _verdicts, main
 from xbool.explain import DEFAULT_GUARD, ExplanationQuery, Witness, verify_subset_minimal
 from xbool.models import (
     DecisionList, DecisionSet, DecisionTree, DtInner, DtLeaf, Ensemble, dumps_model,
@@ -153,6 +154,149 @@ OBDD_XY = {
     "t0": "t0",
     "t1": "t1",
 }
+
+
+def _leaves_tree(feature, zero, one):
+    return {
+        "kind": "dt",
+        "root": "r",
+        "nodes": {
+            "r": {"feature": feature, "zero": "a", "one": "b"},
+            "a": {"leaf": zero},
+            "b": {"leaf": one},
+        },
+    }
+
+
+def _chain_diagram(first, second, order=("x", "y", "z")):
+    """Accepts iff `first` and `second` are both set."""
+    return {
+        "kind": "obdd",
+        "source": "s",
+        "t0": "t0",
+        "t1": "t1",
+        "order": list(order),
+        "nodes": {
+            "s": {"feature": first, "zero": "t0", "one": "a"},
+            "a": {"feature": second, "zero": "t0", "one": "t1"},
+        },
+    }
+
+
+TREE_ENSEMBLE = {
+    "kind": "ensemble",
+    "elements": [_leaves_tree("x", 0, 1), _leaves_tree("y", 1, 0), _leaves_tree("z", 0, 1)],
+}
+# family -> (model, extra arguments); every model reads x, y and z
+ROUTE_FAMILIES = {
+    "tree": ({
+        "kind": "dt",
+        "root": "r",
+        "nodes": {
+            "r": {"feature": "x", "zero": "a", "one": "b"},
+            "a": {"feature": "z", "zero": "a0", "one": "a1"},
+            "b": {"feature": "y", "zero": "b0", "one": "b1"},
+            "a0": {"leaf": 0}, "a1": {"leaf": 1}, "b0": {"leaf": 1}, "b1": {"leaf": 0},
+        },
+    }, []),
+    "diagram": (_chain_diagram("x", "y"), []),
+    "set": ({"kind": "ds", "terms": [[["x", 1], ["y", 0]], [["z", 1]]], "default": 0}, []),
+    "list": (json.loads(dumps_model(FIG1)), []),
+    "tree ensemble": (TREE_ENSEMBLE, []),
+    "tree ensemble over the cap": (TREE_ENSEMBLE, ["--cap-nodes", "2"]),
+    "diagram ensemble": ({
+        "kind": "ensemble",
+        "elements": [_chain_diagram("x", "y"), _chain_diagram("y", "z"), _chain_diagram("x", "z")],
+    }, []),
+    "diagram ensemble out of order": ({
+        "kind": "ensemble",
+        "elements": [_chain_diagram("x", "y"), _chain_diagram("y", "x", ("y", "x", "z")),
+                     _chain_diagram("x", "z", ("x", "z", "y"))],
+    }, []),
+}
+ROUTE_QUERIES = {
+    "lCXp": {"kind": "lCXp", "minimality": "cardinality", "target": E, "k": 2},
+    "lAXp": {"kind": "lAXp", "minimality": "subset", "target": E},
+}
+# (family, query) -> one cell per route in ROUTES order: the "algorithm"
+# of an answer (exit 0), or "<exit code>:<error type>"
+ROUTE_MATRIX = {
+    ("tree", "lAXp"): ("dt", "dt", "2:ModelError", "2:ModelError", "2:ModelError", "bruteforce"),
+    ("tree", "lCXp"): ("dt", "dt", "2:ModelError", "2:ModelError", "2:ModelError", "bruteforce"),
+    ("diagram", "lAXp"): ("obdd", "2:ModelError", "obdd", "2:ModelError", "2:ModelError", "bruteforce"),
+    ("diagram", "lCXp"): ("obdd", "2:ModelError", "obdd", "2:ModelError", "2:ModelError", "bruteforce"),
+    ("set", "lAXp"): ("bruteforce", "2:ModelError", "2:ModelError", "2:ModelError", "2:ModelError", "bruteforce"),
+    ("set", "lCXp"): ("branching", "2:ModelError", "2:ModelError", "branching", "2:ModelError", "bruteforce"),
+    ("list", "lAXp"): ("bruteforce", "2:ModelError", "2:ModelError", "2:ModelError", "2:ModelError", "bruteforce"),
+    ("list", "lCXp"): ("branching", "2:ModelError", "2:ModelError", "branching", "2:ModelError", "bruteforce"),
+    ("tree ensemble", "lAXp"): ("product", "2:ModelError", "2:ModelError", "2:ModelError", "product", "bruteforce"),
+    ("tree ensemble", "lCXp"): ("product", "2:ModelError", "2:ModelError", "2:ModelError", "product", "bruteforce"),
+    ("tree ensemble over the cap", "lAXp"): (
+        "bruteforce", "2:ModelError", "2:ModelError", "2:ModelError", "1:BudgetExceeded", "bruteforce"),
+    ("tree ensemble over the cap", "lCXp"): (
+        "bruteforce", "2:ModelError", "2:ModelError", "2:ModelError", "1:BudgetExceeded", "bruteforce"),
+    ("diagram ensemble", "lAXp"): ("product", "2:ModelError", "2:ModelError", "2:ModelError", "product", "bruteforce"),
+    ("diagram ensemble", "lCXp"): ("product", "2:ModelError", "2:ModelError", "2:ModelError", "product", "bruteforce"),
+    ("diagram ensemble out of order", "lAXp"): (
+        "bruteforce", "2:ModelError", "2:ModelError", "2:ModelError", "2:NotOrdered", "bruteforce"),
+    ("diagram ensemble out of order", "lCXp"): (
+        "bruteforce", "2:ModelError", "2:ModelError", "2:ModelError", "2:NotOrdered", "bruteforce"),
+}
+# (family, query) -> (valid, subset-minimal) of ROUTE_WITNESSES[query]
+VERIFY_MATRIX = {
+    ("tree", "lAXp"): (True, True),
+    ("tree", "lCXp"): (True, True),
+    ("diagram", "lAXp"): (True, False),
+    ("diagram", "lCXp"): (False, False),
+    ("set", "lAXp"): (True, False),
+    ("set", "lCXp"): (True, True),
+    ("list", "lAXp"): (True, True),
+    ("list", "lCXp"): (True, True),
+    ("tree ensemble", "lAXp"): (True, True),
+    ("tree ensemble", "lCXp"): (True, True),
+    ("tree ensemble over the cap", "lAXp"): (True, True),
+    ("tree ensemble over the cap", "lCXp"): (True, True),
+    ("diagram ensemble", "lAXp"): (True, False),
+    ("diagram ensemble", "lCXp"): (False, False),
+    ("diagram ensemble out of order", "lAXp"): (True, False),
+    ("diagram ensemble out of order", "lCXp"): (False, False),
+}
+ROUTE_WITNESSES = {"lCXp": ["z"], "lAXp": ["y", "z"]}
+
+
+def _family_file(tmp_path, family):
+    model, extra = ROUTE_FAMILIES[family]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    return ["--model", str(path), *extra]
+
+
+@pytest.mark.parametrize("query", sorted(ROUTE_QUERIES))
+@pytest.mark.parametrize("family", list(ROUTE_FAMILIES))
+def test_route_matrix(capsys, tmp_path, family, query):
+    argv = ["explain", "--query", json.dumps(ROUTE_QUERIES[query]), *_family_file(tmp_path, family)]
+    cells = []
+    for route in ROUTES:
+        code = main(argv + ["--route", route])
+        payload = json.loads(capsys.readouterr().out)
+        if "error" in payload:
+            cells.append(f"{code}:{payload['error']['type']}")
+        else:
+            assert code == 0, (route, payload)
+            cells.append(payload["algorithm"])
+    assert tuple(cells) == ROUTE_MATRIX[family, query]
+
+
+@pytest.mark.parametrize("query", sorted(ROUTE_QUERIES))
+@pytest.mark.parametrize("family", list(ROUTE_FAMILIES))
+def test_verify_matrix(capsys, tmp_path, family, query):
+    argv = ["verify", "--query", json.dumps(ROUTE_QUERIES[query]),
+            "--witness", json.dumps(ROUTE_WITNESSES[query]), *_family_file(tmp_path, family)]
+    valid, minimal = VERIFY_MATRIX[family, query]
+    assert json.loads(run(capsys, *argv, expect=0 if valid else 3)) == {"valid": valid}
+    assert json.loads(run(capsys, *argv, "--minimal", expect=0 if minimal else 3)) == {
+        "valid": valid, "minimal": minimal,
+    }
 
 
 @pytest.mark.parametrize(
@@ -444,6 +588,24 @@ def test_verify_unknown_feature_exits_2(capsys, fig1_path):
     assert json.loads(out)["error"]["type"] == "UndefinedFeature"
 
 
+@pytest.mark.parametrize("witness", [[1], "deep"])
+def test_verify_refuses_a_feature_name_that_is_not_a_string(capsys, tmp_path, witness):
+    # a tree whose feature is named "1": the number 1 does not name it
+    model = tmp_path / "one.json"
+    model.write_text(json.dumps(_leaves_tree("1", 0, 1)))
+    if witness == "deep":
+        witness = []
+        for _ in range(900):
+            witness = [witness]
+    q = json.dumps({"kind": "lAXp", "minimality": "subset", "target": {"1": 1}})
+    out = run(capsys, "verify", "--model", str(model), "--query", q,
+              "--witness", json.dumps(witness), expect=2)
+    error = json.loads(out)["error"]
+    assert error["type"] == "ModelError"
+    assert error["message"].startswith("each entry of the witness must be a string, got ")
+    assert len(error["message"]) < 80
+
+
 def test_verify_budget_overflow_is_invalid(capsys, fig1_path):
     out = run(
         capsys, "verify", "--model", fig1_path, "--query", Q_LCXP1,
@@ -479,8 +641,8 @@ def test_verify_keeps_features_the_graft_drops():
     ]
     for q, w in cases:
         # valid, but g alone already is
-        assert run_verify(ens, q, w, DEFAULT_CAP, DEFAULT_GUARD) is True
-        assert run_verify_minimal(ens, q, w, DEFAULT_CAP, DEFAULT_GUARD) is False
+        assert _verdicts(ens, q, w, DEFAULT_CAP, DEFAULT_GUARD, minimal=False) == (True, False)
+        assert _verdicts(ens, q, w, DEFAULT_CAP, DEFAULT_GUARD, minimal=True) == (True, False)
         assert verify_subset_minimal(ens, q, w) is False
 
 
@@ -643,12 +805,19 @@ TREE_MODEL = {
         ("mcc_gaxp_dt", {"graph": json.loads(K3_PARAMS)["graph"], "max_k": "x"}),
         ("laxp_to_gaxp", {"model": TREE_MODEL, "example": {"f1": 1}, "k": 1}),
         ("laxp_to_gaxp", {"model": dict(OBDD_XY, order=["x", "y"]), "example": 5, "k": 1}),
+        ("mcc_ds", {**json.loads(K3_PARAMS), "k": "3"}),
+        ("mcc_ds_ensemble", {**json.loads(K3_PARAMS), "k": 3.0}),
+        ("laxp_to_gaxp", {"model": dict(OBDD_XY, order=["x", "y"]),
+                          "example": {"x": 1, "y": 0}, "k": True}),
     ],
 )
 def test_generate_malformed_params_exit_2(capsys, tmp_path, gadget, params):
     out = run(capsys, "generate", gadget, "--params", json.dumps(params),
               "--out", str(tmp_path / "x.json"), expect=2)
-    assert json.loads(out)["error"]["type"] == "ModelError"
+    error = json.loads(out)["error"]
+    assert error["type"] == "ModelError"
+    if isinstance(params, dict) and type(params.get("k", 0)) is not int:
+        assert error["message"].startswith("param 'k' must be an integer"), error
 
 
 def test_generate_unknown_gadget_exits_2(capsys, tmp_path):
@@ -712,24 +881,12 @@ def test_bench_empty_corpus_prints_header_only(capsys, tmp_path):
 # exit-code contract under fuzzing
 
 
-def _tree_json(feature):
-    return {
-        "kind": "dt",
-        "root": "r",
-        "nodes": {
-            "r": {"feature": feature, "zero": "a", "one": "b"},
-            "a": {"leaf": 0},
-            "b": {"leaf": 1},
-        },
-    }
-
-
 VALID_MODELS = [
-    _tree_json("x"),
+    _leaves_tree("x", 0, 1),
     {"kind": "ds", "terms": [[["x", 1], ["y", 0]], [["z", 1]]], "default": 0},
     json.loads(dumps_model(FIG1)),
     dict(OBDD_XY, order=["x", "y"]),
-    {"kind": "ensemble", "elements": [_tree_json(f) for f in "xyz"]},
+    {"kind": "ensemble", "elements": [_leaves_tree(f, 0, 1) for f in "xyz"]},
     {
         "kind": "ensemble",
         "elements": [dict(OBDD_XY, order=["x"]), dict(OBDD_XY, order=["x", "y"]),
@@ -818,6 +975,47 @@ GENERATE_PARAMS = [
     ("laxp_to_gaxp", {"model": dict(OBDD_XY, order=["x", "y"]),
                       "example": {"x": 1, "y": 0}, "k": 1, "node_cap": 100}),
 ]
+# sha256 of (the printed summary, the written model), one per case of
+# GENERATE_PARAMS and then maj_hom over sets
+GENERATE_DIGESTS = [
+    ("4ec49e4d8bd9307421dd27520b98ad02c1b042045e0091c7168db6a0b9406a80",
+     "df936c1f07845eb5537963bda2896d39613546054af83f75f3f9adb27df0b9dd"),
+    ("0aa6a166fb76f6c9ab84d9eb8cc761b11610ab2e8f7c5586ca7f04b36af94ffa",
+     "660472926ca5ca7d6e2cdab5a3df41b5e25e88fb8950758067c46da9433760a4"),
+    ("ca97c30c72b33306bd1a1b1d9ffafd0844f0e3f42cc6f1f1d65d3c62f3fbdc4c",
+     "3fc005eac2cbb8776b544e3a8c4e616b4286075120be1cdd42ad1e54912a1e42"),
+    ("a08d98f81205a00d01e4774f96318b660ed33e61fd5061b1b9e00858301fcdc4",
+     "f19d9d5c5910c29181f8b82d6feee3986d9caa30d7e32f66b60045cb1f418777"),
+    ("64f0843e8916390a0e39ef350aac4f924fcff004fb78444503853421f0834917",
+     "f3b431f14fcf4aabe18bf3cf5c92e56414531c4a33efcb5ee6baffe76d72d091"),
+    ("677bd72f59c0f5b17c14b4e0f02ef2a32c9b908f24a0fb61ac7e7ae8e2a63670",
+     "4c11b40faace597d8061fb23cf07c6e20e55e9a0d8af1842d828c6464f55d322"),
+    ("77f026ec85d3633c5a1bfe50d53dc49523826b95ec40c8969f9b3dea935de393",
+     "c2960d05cf38e6bd5cc32915a9d7ab80309d24419e52ad314618fe1a59678bec"),
+    ("98881340a375dc738df00c4ca0ddfac7d25cf769c2dc9fcdc7ecb411e700b7b4",
+     "5aef929e748446c03cad02bbaeb397911c8632db31358cd88fa385363e823388"),
+    ("4f8898da31f9a017e0b99bb6ee3c9ddb7fb8e70c5e424a3a99c0dab6add0223b",
+     "26a94cd158c41d4c4845cfacf95b93858d0ef4a54f7bdb88204b4839d38685cb"),
+    ("a08d98f81205a00d01e4774f96318b660ed33e61fd5061b1b9e00858301fcdc4",
+     "ad02c453338b6d8873a32ad93901124f1b3a7c75643a57cf54fb60a8eb948799"),
+]
+
+
+PINNED_GENERATE = GENERATE_PARAMS + [("maj_hom", {**json.loads(K3_PARAMS), "family": "ds"})]
+
+
+@pytest.mark.parametrize(
+    "gadget, params, digests",
+    [(*case, digests) for case, digests in zip(PINNED_GENERATE, GENERATE_DIGESTS)],
+    ids=[" ".join([gadget, params.get("family", "")]).strip() for gadget, params in PINNED_GENERATE],
+)
+def test_generate_writes_the_pinned_bytes(capsys, tmp_path, gadget, params, digests):
+    out_path = tmp_path / "out.json"
+    summary = run(capsys, "generate", gadget, "--params", json.dumps(params),
+                  "--out", str(out_path))
+    got = (hashlib.sha256(summary.encode()).hexdigest(),
+           hashlib.sha256(out_path.read_bytes()).hexdigest())
+    assert got == digests
 
 
 @settings(max_examples=300, deadline=None)
