@@ -131,10 +131,8 @@ def run_explain(
     and falls back from the product to the oracle."""
     picked = _pick_route(model, q)
     if route not in ("auto", picked, "bruteforce"):
-        raise ModelError(
-            f"route {route!r} does not fit this model and query; "
-            f"use {picked!r} or 'bruteforce'"
-        )
+        fits = "'bruteforce'" if picked == "bruteforce" else f"{picked!r} or 'bruteforce'"
+        raise ModelError(f"route {route!r} does not fit this model and query; use {fits}")
     auto = route == "auto"
     route = picked if auto else route
     if route == "branching":

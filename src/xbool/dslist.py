@@ -7,12 +7,17 @@ rule's own term forces, then repeatedly knock out the earliest earlier
 rule that still fires, branching on which of its features to flip.
 Ensembles do the same with one candidate rule per member, keeping only
 combinations that flip the majority; a single list is the one-member case.
+
+Everything runs on ints over the sorted feature names: the example is one
+int, a flip set is a mask, and a rule with mask `vars` and literal values
+`values` fires under A iff ((e ^ A) & vars) == values.  The best size found
+so far is carried as the budget, so once a set of size s is found only
+sets of size at most s - 1 are searched for.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import ModelError
 from .explain import Witness
@@ -21,12 +26,13 @@ from .models import (
     DecisionSet,
     Ensemble,
     Example,
+    _lookup,
     classify,
-    flip,
     require_total,
-    term_applies,
 )
 from .records import Record
+
+Rules = Tuple[Tuple[int, int, int], ...]  # (vars, values, votes against the class)
 
 
 def ds_to_dl(s: DecisionSet) -> DecisionList:
@@ -37,7 +43,7 @@ def ds_to_dl(s: DecisionSet) -> DecisionList:
 
 
 class BranchStats(Record):
-    """Search-leaf counts, one entry per candidate rule examined."""
+    """Search-leaf counts, one entry per candidate rule combination searched."""
 
     __slots__ = ("leaves_per_rule",)
 
@@ -45,47 +51,43 @@ class BranchStats(Record):
         self._fill([] if leaves_per_rule is None else leaves_per_rule)
 
 
-def _branch_ensemble(
-    lists: Sequence[DecisionList],
-    e: Example,
-    k: int,
-    combo: Tuple[int, ...],
-    fixed: FrozenSet[str],
-    seed: FrozenSet[str],
-    leaves: List[int],
-) -> Optional[FrozenSet[str]]:
-    """Smallest flip set, grown from `seed`, under which every rule
-    before the guessed ones stays silent.  The branches are walked
-    depth first in ascending feature order with an explicit stack, and
-    only a strictly smaller set replaces the best, so ties go to the
-    first set found."""
+def _branch(
+    x: int, silent: Rules, fixed: int, seed: int, budget: int
+) -> Tuple[Optional[int], int]:
+    """(first smallest flip set of size ≤ budget, grown from `seed`, under
+    which every rule in `silent` stays silent; the leaves searched).
+
+    The branches are walked depth first in ascending bit order with an
+    explicit stack; each set found lowers the budget below its own size,
+    so only a strictly smaller set replaces it."""
     best = None
+    leaves = 0
     stack = [seed]
     while stack:
         flips = stack.pop()
-        if len(flips) > k:
-            leaves[0] += 1
+        size = flips.bit_count()
+        if size > budget:
+            leaves += 1
             continue
-        moved = flip(e, flips)
+        moved = x ^ flips
         blocker = None
-        for i, dl in enumerate(lists):
-            for l in range(combo[i]):
-                if term_applies(dl.rules[l].term, moved):
-                    blocker = dl.rules[l].term
-                    break
-            if blocker is not None:
+        for vars_, values, _ in silent:
+            if moved & vars_ == values:
+                blocker = vars_
                 break
-        if blocker is None:
-            leaves[0] += 1
-            if best is None or len(flips) < len(best):
-                best = flips
+        if blocker is None:  # an empty term's mask is 0 but still blocks
+            leaves += 1
+            best, budget = flips, size - 1
             continue
-        branch = sorted({f for f, _ in blocker} - flips - fixed)
-        if not branch or len(flips) == k:
-            leaves[0] += 1
+        branch = blocker & ~flips & ~fixed
+        if not branch or size == budget:
+            leaves += 1
             continue
-        stack.extend(flips | {f} for f in reversed(branch))
-    return best
+        while branch:  # highest bit pushed first, so the lowest pops first
+            top = 1 << (branch.bit_length() - 1)
+            stack.append(flips | top)
+            branch ^= top
+    return best, leaves
 
 
 def _min_lcxp(
@@ -94,41 +96,61 @@ def _min_lcxp(
     """The search behind both public names; a list is a one-element ensemble.
 
     One classifying rule is guessed per member, in lexicographic
-    rule-index order; a combination survives only if the guessed labels
-    outvote the current class and the guessed terms do not contradict
-    each other.
+    rule-index order, member by member with an explicit stack.  A partial
+    combination is dropped as soon as a guessed term contradicts an
+    earlier one, the guessed labels can no longer outvote the current
+    class, or the flips the guessed terms force exceed the budget.
     """
     if k < 0:
         raise ModelError("budget must be non-negative")
     lists = ens.elements
     if any(dl.kind != "dl" for dl in lists):
         raise ModelError("expected an ensemble of decision lists")
-    require_total(e, ens.features())
+    names = sorted(ens.features())
+    require_total(e, names)
+    index = {f: 1 << i for i, f in enumerate(names)}
+    x = sum(index[f] for f in names if _lookup(e, f))
     c = classify(ens, e)
-    best: Optional[FrozenSet[str]] = None
-    for combo in itertools.product(*(range(len(dl.rules)) for dl in lists)):
-        flipped = sum(1 for i, j in enumerate(combo) if lists[i].rules[j].label != c)
-        if flipped <= len(lists) - flipped:
+    members = [
+        tuple(
+            (
+                sum(index[f] for f, _ in rule.term),
+                sum(index[f] for f, v in rule.term if v),
+                int(rule.label != c),
+            )
+            for rule in dl.rules
+        )
+        for dl in lists
+    ]
+    m = len(members)
+    need = m // 2 + 1
+    best = None
+    budget = k
+    # (next member, guessed vars, guessed values, votes, rules to keep silent)
+    stack: List[Tuple[int, int, int, int, Rules]] = [(0, 0, 0, 0, ())]
+    while stack:
+        i, fixed, values, votes, silent = stack.pop()
+        seed = (x ^ values) & fixed
+        if seed.bit_count() > budget:
             continue
-        union: Dict[str, int] = {}
-        conflict = False
-        for i, j in enumerate(combo):
-            for f, v in lists[i].rules[j].term:
-                if union.setdefault(f, v) != v:
-                    conflict = True
-                    break
-            if conflict:
-                break
-        if conflict:
+        if i == m:
+            got, leaves = _branch(x, silent, fixed, seed, budget)
+            if stats is not None:
+                stats.leaves_per_rule.append(leaves)
+            if got is not None:
+                best, budget = got, got.bit_count() - 1
             continue
-        seed = frozenset(f for f, v in union.items() if v != e[f])
-        leaves = [0]
-        got = _branch_ensemble(lists, e, k, combo, frozenset(union), seed, leaves)
-        if stats is not None:
-            stats.leaves_per_rule.append(leaves[0])
-        if got is not None and (best is None or len(got) < len(best)):
-            best = got
-    return None if best is None else Witness.of_features(best)
+        rules = members[i]
+        for j in range(len(rules) - 1, -1, -1):
+            vars_, vals, against = rules[j]
+            if votes + against + m - i - 1 < need or (values ^ vals) & fixed & vars_:
+                continue
+            stack.append(
+                (i + 1, fixed | vars_, values | vals, votes + against, silent + rules[:j])
+            )
+    if best is None:
+        return None
+    return Witness.of_features(f for f in names if best & index[f])
 
 
 def dl_min_lcxp_branch(

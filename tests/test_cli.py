@@ -287,6 +287,15 @@ def test_route_matrix(capsys, tmp_path, family, query):
     assert tuple(cells) == ROUTE_MATRIX[family, query]
 
 
+def test_a_refused_route_names_the_oracle_once(capsys, tmp_path):
+    argv = ["explain", "--query", json.dumps(ROUTE_QUERIES["lAXp"]),
+            *_family_file(tmp_path, "set"), "--route", "dt"]
+    assert json.loads(run(capsys, *argv, expect=2)) == {"error": {
+        "type": "ModelError",
+        "message": "route 'dt' does not fit this model and query; use 'bruteforce'",
+    }}
+
+
 @pytest.mark.parametrize("query", sorted(ROUTE_QUERIES))
 @pytest.mark.parametrize("family", list(ROUTE_FAMILIES))
 def test_verify_matrix(capsys, tmp_path, family, query):

@@ -1,5 +1,7 @@
 """Bounded-depth branching for lists, sets, and their majority ensembles."""
 
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -12,9 +14,17 @@ from xbool.dslist import (
 )
 from xbool.errors import ModelError, UndefinedFeature
 from xbool.explain import ExplanationQuery, Witness, is_explanation, oracle_min
-from xbool.models import DecisionList, DecisionSet, Ensemble, classify, model_features
+from xbool.models import (
+    DecisionList,
+    DecisionSet,
+    Ensemble,
+    classify,
+    flip,
+    model_features,
+    term_applies,
+)
 
-from helpers import all_examples, models_equal, rand_dl, rand_ds, rand_example
+from helpers import all_examples, models_equal, rand_dl, rand_ds, rand_example, rand_term
 
 
 # ---------------------------------------------------------------------------
@@ -182,3 +192,104 @@ def test_set_ensembles_via_conversion():
             assert (got is None) == (want is None)
             if got is not None:
                 assert got.size == want.size
+
+
+# ---------------------------------------------------------------------------
+# exact witnesses and the carried budget
+
+
+def _with_empty_term(rng, dl):
+    rules = [(r.term, r.label) for r in dl.rules]
+    rules.insert(rng.randint(0, len(rules) - 1), ((), rng.randint(0, 1)))
+    return DecisionList(rules)
+
+
+def _witness_corpus(rng):
+    """(ensemble, example, feature count): lists, sets through ds_to_dl,
+    ensembles of 1, 3 and 5 members, and lists with an empty term before
+    the last rule."""
+    for n_cases, make in [
+        (900, lambda feats: [rand_dl(rng, feats, max_rules=6)]),
+        (600, lambda feats: [ds_to_dl(rand_ds(rng, feats))]),
+        (400, lambda feats: [rand_dl(rng, feats, max_rules=4) for _ in range(3)]),
+        (300, lambda feats: [ds_to_dl(rand_ds(rng, feats, max_terms=3)) for _ in range(3)]),
+        (300, lambda feats: [rand_dl(rng, feats, max_rules=4) for _ in range(5)]),
+        (500, lambda feats: [_with_empty_term(rng, rand_dl(rng, feats, max_rules=5))]),
+    ]:
+        for _ in range(n_cases):
+            feats = tuple(f"x{i}" for i in range(rng.randint(1, 6)))
+            yield Ensemble(make(feats)), rand_example(rng, feats), len(feats)
+
+
+# recorded from the search as it stood before it moved onto bitmasks
+WITNESS_DIGEST = "82644162370b634d8eb740ddb09cee988751203c77fcfb762b0fce1f0be20f30"
+
+
+def test_branch_witnesses_match_the_pinned_digest():
+    # not only the sizes: which of several minimum sets comes back is pinned too
+    digest = hashlib.sha256()
+    cases = 0
+    for ens, e, n in _witness_corpus(random.Random(139)):
+        cases += 1
+        for k in range(n + 1):
+            got = dle_min_lcxp_branch(ens, e, k)
+            digest.update(repr(None if got is None else got.features).encode() + b"\n")
+    assert cases == 3000
+    assert digest.hexdigest() == WITNESS_DIGEST
+
+
+def test_empty_term_blocks_every_later_rule():
+    # the empty term has mask 0 yet always fires: rule 2 can never classify
+    dl = DecisionList([([("a", 1)], 1), ([], 0), ([("b", 1)], 1), ([], 1)])
+    e = {"a": 0, "b": 1}
+    assert classify(dl, e) == 0
+    assert dl_min_lcxp_branch(dl, e, 0) is None
+    for k in (1, 2):
+        got = dl_min_lcxp_branch(dl, e, k)
+        assert got == Witness.of_features(("a",))
+        assert got == oracle_min(dl, ExplanationQuery("lCXp", "cardinality", e, k=k))
+
+
+def _first_combination_one_flip_completes(lists, e):
+    """Index, among the rule combinations that outvote the current class
+    and do not contradict themselves, of the first one that a single flip
+    makes classify: every guessed rule fires, every earlier rule is silent."""
+    c = classify(Ensemble(lists), e)
+    feats = sorted(Ensemble(lists).features())
+    searched = 0
+    for combo in itertools.product(*(range(len(dl.rules)) for dl in lists)):
+        guessed = [dl.rules[j] for dl, j in zip(lists, combo)]
+        if 2 * sum(r.label != c for r in guessed) <= len(lists):
+            continue
+        terms = [lit for r in guessed for lit in r.term]
+        if len({f for f, _ in terms}) != len(set(terms)):
+            continue
+        for f in feats:
+            moved = flip(e, [f])
+            if all(term_applies(r.term, moved) for r in guessed) and not any(
+                term_applies(r.term, moved)
+                for dl, j in zip(lists, combo)
+                for r in dl.rules[:j]
+            ):
+                return searched
+        searched += 1
+    raise AssertionError("no single flip changes the vote")
+
+
+def test_found_size_becomes_the_budget():
+    rng = random.Random(100)
+    feats = tuple(f"x{i}" for i in range(8))
+    lists = [
+        DecisionList(
+            [(rand_term(rng, feats, 3), rng.randint(0, 1)) for _ in range(size - 1)]
+            + [([], rng.randint(0, 1))]
+        )
+        for size in (6, 6, 7)
+    ]
+    e = rand_example(rng, feats)
+    stats = BranchStats()
+    got = dle_min_lcxp_branch(Ensemble(lists), e, len(feats), stats)
+    assert got is not None and got.size == 1
+    first = _first_combination_one_flip_completes(lists, e)
+    after = stats.leaves_per_rule[first + 1:]
+    assert after and all(count <= 1 for count in after)
