@@ -227,7 +227,10 @@ def _with_timeout(fn, timeout_ms: int):
             "(the deadline is a SIGALRM handler)"
         ) from None
     try:
-        signal.setitimer(signal.ITIMER_REAL, timeout_ms / 1000.0)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, timeout_ms / 1000.0)
+        except OverflowError:
+            raise ModelError(f"timeout of {timeout_ms} ms is too large for the timer") from None
         return fn()
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)

@@ -37,7 +37,7 @@ class DeadlineExceeded(Exception):
     """A run went past its `--timeout-ms` wall-clock deadline."""
 
 
-class SharedFeature(ValueError):
+class SharedFeature(ModelError):
     """Conjunction chaining requires pairwise disjoint feature sets."""
 
 

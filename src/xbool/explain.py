@@ -162,9 +162,9 @@ class FunctionOracle:
             avoid = q.target if q.kind == "gCXp" else 1 - q.target
             return lambda pairs: not self.reaches({pos[f]: z for f, z in pairs}, avoid)
         e_bits = self.bits_of(q.target)
+        other = 1 - self.label(e_bits)
 
         def valid(names) -> bool:
-            other = 1 - self.label(e_bits)
             if q.kind == "lAXp":
                 return not self.reaches({pos[f]: e_bits[pos[f]] for f in names}, other)
             inside = {pos[f] for f in names}
@@ -178,8 +178,15 @@ class FunctionOracle:
         check_witness(q, w, self._pos)
         return self._validity(q)(w.features if q.is_local else w.assignment)
 
+    def _rules_out(self, q: ExplanationQuery, valid) -> bool:
+        """True when `q` surely has no witness, decided before the search;
+        an enumerating oracle does not try."""
+        return False
+
     def minimum(self, q: ExplanationQuery) -> Optional[Witness]:
         valid = self._validity(q)
+        if self._rules_out(q, valid):
+            return None
         n = len(self.features)
         limit = n if q.k is None else min(q.k, n)
         for size in range(1 if q.kind == "lCXp" else 0, limit + 1):
@@ -238,16 +245,14 @@ class TableOracle(FunctionOracle):
             points &= self._literals[i][bit]
         return points != 0
 
-    def minimum(self, q: ExplanationQuery) -> Optional[Witness]:
+    def _rules_out(self, q: ExplanationQuery, valid) -> bool:
         # validity only grows with the witness, and a check here is a few
         # ANDs, so first rule out the queries no candidate can answer: the
         # full feature set fails (lCXp), or the class a global witness must
         # force is reached nowhere
-        if q.kind == "lCXp" and not self._validity(q)(self.features):
-            return None
-        if not q.is_local and not self.reaches({}, q.target if q.kind == "gAXp" else 1 - q.target):
-            return None
-        return super().minimum(q)
+        if q.kind == "lCXp":
+            return not valid(self.features)
+        return not q.is_local and not self.reaches({}, q.target if q.kind == "gAXp" else 1 - q.target)
 
 
 def _universe(features: Iterable[str], guard: int) -> Tuple[str, ...]:

@@ -9,12 +9,11 @@ inputs give identical models, so generated files are golden-testable.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import BudgetExceeded, ModelError, SharedFeature
 from .models import (
     DEFAULT_NODE_CAP,
-    DecisionList,
     DecisionSet,
     DecisionTree,
     DtInner,
@@ -87,6 +86,12 @@ class MccInstance:
         self.edges: Tuple[Tuple[str, str], ...] = tuple(ordered)
         self._edge_set = frozenset(ordered)
         self._pos = pos
+        self._adjacent: Dict[str, List[str]] = {v: [] for v in names}
+        for u, v in ordered:
+            self._adjacent[u].append(v)
+            self._adjacent[v].append(u)
+        for near in self._adjacent.values():
+            near.sort(key=pos.__getitem__)
 
     def has_edge(self, u: str, v: str) -> bool:
         pair = (u, v) if self._pos[u] < self._pos[v] else (v, u)
@@ -96,7 +101,7 @@ class MccInstance:
         return tuple(v for v in self.vertices if self.part[v] == i)
 
     def neighbors(self, v: str) -> Tuple[str, ...]:
-        return tuple(u for u in self.vertices if u != v and self.has_edge(u, v))
+        return tuple(self._adjacent[v])
 
 
 def mcc_to_json(g: MccInstance) -> Dict:
@@ -131,71 +136,65 @@ def vertex_feature(v: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Decision trees accepting an explicit example set
+# Decision trees unfolded from states
+#
+# `models._emit_tree` unfolds the trees of the tree reductions straight
+# from two kinds of state, each a plain tuple:
+#   (_TRIE, order, rows, depth, ends): the examples a path agrees with.
+#     Each row is the set of features its example sets to 1.  The state
+#     splits the rows on order[depth]; no row left is a 0-leaf, and at full
+#     depth the state `ends` gives for the first row carries on, or else
+#     the path ends in a 1-leaf.  Every path tests a prefix of the order,
+#     so the tree is ordered and repeat-free.
+#   (_FAN, base, leaves, height, index, pos): a complete tree of the given
+#     height (at least 1) whose node at preorder `index` tests
+#     aux{base + index} and whose leaf at position `pos` from the left is
+#     the state leaves[pos].
 
-_LEAF, _NODE = "L", "N"
-
-
-def _shape_from_examples(examples: Sequence[Example], order: Sequence[str]):
-    """Tree shape accepting exactly the given examples, tagging the
-    accepting leaf of example i with tag i.  Every path tests a prefix
-    of the order, so the result is ordered and repeat-free."""
-    order = tuple(order)
-    shape = (_LEAF, 0, None)
-    for tag, e in enumerate(examples):
-        path = []
-        cur = shape
-        while cur[0] == _NODE:
-            bit = e[cur[1]]
-            if bit not in (0, 1):
-                raise ModelError(f"example value for {cur[1]!r} must be 0 or 1")
-            path.append((cur, bit))
-            cur = cur[3] if bit else cur[2]
-        if cur[1] == 1:
-            continue
-        new = (_LEAF, 1, tag)
-        for f in reversed(order[len(path):]):
-            bit = e[f]
-            if bit not in (0, 1):
-                raise ModelError(f"example value for {f!r} must be 0 or 1")
-            off = (_LEAF, 0, None)
-            new = (_NODE, f, off, new) if bit else (_NODE, f, new, off)
-        for node, bit in reversed(path):
-            new = (_NODE, node[1], node[2], new) if bit else (_NODE, node[1], new, node[3])
-        shape = new
-    return shape
+_TRIE, _FAN = "trie", "fan"
+_REJECT = (_TRIE, (), (), 0, None)  # no rows: a 0-leaf
 
 
-def _replace_tags(shape, subs: Mapping[int, tuple]):
-    """`shape` with each leaf tagged t replaced by `subs[t]`, rebuilt
-    bottom-up with an explicit stack, so depth costs no recursion."""
-    done: List[tuple] = []
-    work = [(shape, False)]
-    while work:
-        s, expanded = work.pop()
-        if s[0] == _LEAF:
-            done.append(subs.get(s[2], s))
-        elif expanded:
-            one = done.pop()
-            done.append((_NODE, s[1], done.pop(), one))
-        else:
-            work += ((s, True), (s[3], False), (s[2], False))
-    return done[0]
+def _expand(s):
+    while True:
+        if s[0] is _TRIE:
+            _, order, rows, depth, ends = s
+            if not rows:
+                return 0
+            if depth == len(order):
+                s = ends.get(rows[0])
+                if s is None:
+                    return 1
+                continue
+            f = order[depth]
+            depth += 1
+            # most nodes hold one row (every T[i][j] ends in such chains),
+            # and a loop splits a few rows faster than two comprehensions
+            if len(rows) == 1:
+                if f in rows[0]:
+                    return f, _REJECT, (_TRIE, order, rows, depth, ends)
+                return f, (_TRIE, order, rows, depth, ends), _REJECT
+            zero, one = [], []
+            for r in rows:
+                (one if f in r else zero).append(r)
+            return f, (_TRIE, order, zero, depth, ends), (_TRIE, order, one, depth, ends)
+        _, base, leaves, height, index, pos = s
+        if height == 1:
+            return f"aux{base + index}", leaves[pos], leaves[pos + 1]
+        half = 1 << (height - 1)
+        return (
+            f"aux{base + index}",
+            (_FAN, base, leaves, height - 1, index + 1, pos),
+            (_FAN, base, leaves, height - 1, index + half, pos + half),
+        )
 
 
-def _shape_leaves(shape) -> int:
-    count, work = 0, [shape]
-    while work:
-        s = work.pop()
-        if s[0] == _LEAF:
-            count += 1
-        else:
-            work += (s[2], s[3])
-    return count
+def _unfold(start) -> DecisionTree:
+    return _emit_tree(start, _expand)
 
 
-def _shape_to_dt(shape) -> DecisionTree:
-    return _emit_tree(shape, lambda s: s[1] if s[0] == _LEAF else s[1:])
+def _accepting(order: Tuple[str, ...], rows) -> DecisionTree:
+    return _unfold((_TRIE, order, list(rows), 0, {}))
 
 
 def dt_from_examples(examples: Sequence[Example], order: Sequence[str]) -> DecisionTree:
@@ -204,11 +203,16 @@ def dt_from_examples(examples: Sequence[Example], order: Sequence[str]) -> Decis
     Examples must be total over the order.  Leaf count stays within
     2 * len(examples) * len(order) + 1.
     """
+    order = tuple(order)
+    rows = []
     for e in examples:
         for f in order:
             if f not in e:
                 raise ModelError(f"example does not assign feature {f!r}")
-    return _shape_to_dt(_shape_from_examples(examples, order))
+            if e[f] not in (0, 1):
+                raise ModelError(f"example value for {f!r} must be 0 or 1")
+        rows.append(frozenset(f for f in order if e[f]))
+    return _accepting(order, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +230,15 @@ def gen_hitting_set_laxp(
     if not sets:
         raise ModelError("need at least one set")
     order = tuple(f"f{u}" for u in ground)
-    examples = []
+    rows = []
     for s in sets:
         members = {str(u) for u in s}
         if not members:
             raise ModelError("sets must be non-empty")
         if not members <= set(ground):
             raise ModelError("set element outside the universe")
-        examples.append({f"f{u}": int(u in members) for u in ground})
-    tree = dt_from_examples(examples, order)
+        rows.append(frozenset(f"f{u}" for u in members))
+    tree = _accepting(order, rows)
     e0 = {f: 0 for f in order}
     if k is None:
         k = len(ground)
@@ -245,29 +249,27 @@ def gen_hitting_set_laxp(
 # Multicolored clique -> small global abductive set on a tree
 
 
-def _pair_shape(g: MccInstance, i: int, j: int) -> tuple:
-    """The shape of the tree T[i][j] of `gen_mcc_gaxp_dt`."""
+def _pair_state(g: MccInstance, i: int, j: int) -> tuple:
+    """Start state of the tree T[i][j] of `gen_mcc_gaxp_dt`: a trie over
+    part i accepting its all-zero row, where the unit row of a vertex v
+    carries on into a trie over v's part-j neighbours accepting only
+    their all-zero row."""
     members = g.part_members(i)
-    order_i = tuple(vertex_feature(v) for v in members)
-    zero_i = {f: 0 for f in order_i}
-    examples = [dict(zero_i)]
+    ends = {}
     for v in members:
-        e = dict(zero_i)
-        e[vertex_feature(v)] = 1
-        examples.append(e)
-    subs = {}
-    for tag, v in enumerate(members, start=1):
         hood = tuple(vertex_feature(u) for u in g.neighbors(v) if g.part[u] == j)
-        subs[tag] = _shape_from_examples([{f: 0 for f in hood}], hood)
-    return _replace_tags(_shape_from_examples(examples, order_i), subs)
+        ends[frozenset((vertex_feature(v),))] = (_TRIE, hood, [frozenset()], 0, {})
+    order = tuple(vertex_feature(v) for v in members)
+    return (_TRIE, order, [frozenset(), *ends], 0, ends)
 
 
 def _pair_leaves(g: MccInstance, i: int, j: int) -> int:
-    """Leaves of `_pair_shape(g, i, j)`, counted without building it: with
-    m vertices in part i, the p-th unit example ends in m - p + 1 leaves,
-    the all-zero one in one, and each edge into part j adds a leaf."""
-    m = len(g.part_members(i))
-    cross = sum(1 for u, v in g.edges if {g.part[u], g.part[v]} == {i, j})
+    """Leaves of the tree T[i][j], counted without building it: with m
+    vertices in part i, the p-th unit row ends in m - p + 1 leaves, the
+    all-zero one in one, and each edge into part j adds a leaf."""
+    members = g.part_members(i)
+    m = len(members)
+    cross = sum(g.part[u] == j for v in members for u in g.neighbors(v))
     return 1 + m * (m + 1) // 2 + cross
 
 
@@ -289,11 +291,6 @@ def gen_mcc_gaxp_dt(
     k = _check_k(g, k, at_least=2)
     if k > max_k:
         raise BudgetExceeded(f"k={k} exceeds the generator cap of {max_k}")
-    aux = itertools.count()
-
-    def fresh() -> str:
-        return f"aux{next(aux)}"
-
     pairs = [(i, j) for i in range(k) for j in range(k) if j != i]
     slots = len(pairs)
     depth = max(1, (slots - 1).bit_length()) if slots else 1
@@ -301,33 +298,12 @@ def gen_mcc_gaxp_dt(
     total = (2**k) * per_fan
     if total > node_cap:
         raise BudgetExceeded(f"{total} leaves exceed the cap of {node_cap}")
-    pair_shapes = [_pair_shape(g, i, j) for i, j in pairs]
-
-    def fan(height: int, leaf_source) -> tuple:
-        if height == 0:
-            return leaf_source()
-        f = fresh()
-        zero = fan(height - 1, leaf_source)
-        one = fan(height - 1, leaf_source)
-        return (_NODE, f, zero, one)
-
-    def make_branch() -> tuple:
-        remaining = list(pair_shapes)
-
-        def leaf_source():
-            if remaining:
-                return remaining.pop(0)
-            return (_LEAF, 0, None)
-
-        return fan(depth, leaf_source)
-
-    pool = [make_branch() for _ in range(2**k)]
-
-    def upper_leaf():
-        return pool.pop(0)
-
-    tree = _shape_to_dt(fan(k, upper_leaf))
-    return tree, 0, k
+    # the 2^k lower fans hold the T[i][j] in turn, then 0-leaves; fresh
+    # features are numbered lower fans first
+    lower = [_pair_state(g, i, j) for i, j in pairs] + [_REJECT] * (2**depth - slots)
+    inner = 2**depth - 1
+    upper = [(_FAN, b * inner, lower, depth, 0, 0) for b in range(2**k)]
+    return _unfold((_FAN, 2**k * inner, upper, k, 0, 0)), 0, k
 
 
 # ---------------------------------------------------------------------------
@@ -345,27 +321,17 @@ def gen_mcc_dt_ensemble(g: MccInstance, k: Optional[int] = None) -> Ensemble:
     k = _check_k(g, k, at_least=2)
     elements = []
     for i in range(k):
-        members = g.part_members(i)
-        order = tuple(vertex_feature(v) for v in members)
-        examples = []
-        for v in members:
-            e = {f: 0 for f in order}
-            e[vertex_feature(v)] = 1
-            examples.append(e)
-        elements.append(dt_from_examples(examples, order))
+        order = tuple(vertex_feature(v) for v in g.part_members(i))
+        elements.append(_accepting(order, (frozenset((f,)) for f in order)))
     for i, j in itertools.combinations(range(k), 2):
         left, right = g.part_members(i), g.part_members(j)
-        order = tuple(vertex_feature(v) for v in left + right)
-        examples = []
-        for v in left:
-            for u in right:
-                if not g.has_edge(v, u):
-                    continue
-                e = {f: 0 for f in order}
-                e[vertex_feature(v)] = 1
-                e[vertex_feature(u)] = 1
-                examples.append(e)
-        elements.append(dt_from_examples(examples, order))
+        rows = (
+            frozenset((vertex_feature(v), vertex_feature(u)))
+            for v in left
+            for u in right
+            if g.has_edge(v, u)
+        )
+        elements.append(_accepting(tuple(vertex_feature(v) for v in left + right), rows))
     pad = k + k * (k - 1) // 2 - 1
     for _ in range(pad):
         elements.append(DecisionTree({"z": DtLeaf(0)}, "z"))

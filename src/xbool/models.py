@@ -846,17 +846,25 @@ def dumps_model(model: Model) -> str:
 
 
 def _load_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as err:
+        raise ModelError(f"{path!r} is not UTF-8 text ({err.reason} at byte {err.start})") from None
 
 
 def loads_json(text: str):
     """Parse JSON given from outside; nesting past the parser's depth
-    limit is refused like any other bad input."""
+    limit and integers past the interpreter's digit limit are refused
+    like any other bad input, and malformed text stays a JSONDecodeError."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ModelError("JSON input nests too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as err:
+        raise ModelError(f"JSON input is unreadable: {err}") from None
 
 
 def loads_model(text: str) -> Model:

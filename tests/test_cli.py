@@ -90,7 +90,7 @@ def test_explain_forced_route_mismatch_exits_2(capsys, fig1_path):
 
 def test_explain_broken_query_exits_2(capsys, fig1_path):
     out = run(capsys, "explain", "--model", fig1_path, "--query", "{broken", expect=2)
-    assert "error" in json.loads(out)
+    assert json.loads(out)["error"]["type"] == "JSONDecodeError"
 
 
 def test_explain_missing_file_exits_2(capsys, tmp_path):
@@ -327,19 +327,101 @@ def test_malformed_model_json_exits_2(capsys, tmp_path, model):
     assert json.loads(out)["error"]["type"] == "ModelError"
 
 
+def _tree(**nodes):
+    return {"kind": "dt", "root": "r", "nodes": nodes}
+
+
+def _x_node(zero, one):
+    return {"feature": "x", "zero": zero, "one": one}
+
+
+LEAF0, LEAF1 = {"leaf": 0}, {"leaf": 1}
+_y_node = {"feature": "y", "zero": "t0", "one": "t1"}
+
+
+@pytest.mark.parametrize(
+    "model, error",
+    [
+        (_tree(r=_x_node("a", "b"), b=dict(_y_node, zero="a", one="c"), a=LEAF0, c=LEAF1),
+         ("ModelError", "node 'a' has two parents")),
+        (_tree(r=LEAF0, s=LEAF1),
+         ("ModelError", "tree contains nodes unreachable from the root")),
+        (_tree(r=_x_node("a", "r"), a=LEAF0),
+         ("ModelError", "root must not have a parent")),
+        (_tree(r=_x_node("a", "gone"), a=LEAF0),
+         ("ModelError", "child 'gone' of 'r' is not a node")),
+        (dict(OBDD_XY, nodes={"s": _x_node("gone", "t1")}, order=["x"]),
+         ("ModelError", "child 'gone' of 's' is not a node")),
+        ({"kind": "dl", "rules": []},
+         ("ModelError", "decision list needs at least the default rule")),
+        (dict(OBDD_XY, t1="t0", order=["x"]),
+         ("ModelError", "t0 and t1 must differ")),
+        (dict(OBDD_XY, nodes={"t1": _x_node("t0", "t0")}, source="t1", order=["x"]),
+         ("ModelError", "sink 't1' also appears as an inner node")),
+        ({"kind": "ensemble", "elements": []},
+         ("ModelError", "ensemble needs at least one element")),
+        ({"kind": "ensemble", "elements": [{"kind": "ensemble", "elements": [OBDD_XY]}]},
+         ("ModelError", "ensembles cannot nest")),
+        ({"kind": "ensemble", "elements": [OBDD_XY], "shared_order": ["x", "x"]},
+         ("ModelError", "shared order has duplicates")),
+        ({"kind": "ensemble", "elements": [_tree(r=LEAF0)], "shared_order": ["x"]},
+         ("ModelError", "shared order only applies to OBDD ensembles")),
+        ({"kind": "ensemble", "elements": [dict(OBDD_XY, nodes={"s": _x_node("u", "t1"), "u": _y_node})],
+          "shared_order": ["x"]},
+         ("ModelError", "element 0 reads outside the shared order")),
+        (dict(OBDD_XY, nodes={"s": _x_node("gone", "t1")}),
+         ("ModelError", "node 'gone' missing while inferring the order")),
+        (dict(OBDD_XY, nodes={"s": _x_node("u", "t1"), "u": _x_node("t0", "t1")}),
+         ("NotOrdered", "feature repeats along the first path")),
+    ],
+)
+def test_model_refusals_exit_2(capsys, tmp_path, model, error):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(model))
+    q = json.dumps({"kind": "gAXp", "minimality": "subset", "target": 1})
+    out = run(capsys, "explain", "--model", str(path), "--query", q, expect=2)
+    assert json.loads(out)["error"] == dict(zip(("type", "message"), error))
+
+
+def _reading(tmp_path, fig1_path, reader, path):
+    """A command that reads `path` as its model, query, witness or params."""
+    return {
+        "model": ["explain", "--model", path, "--query", Q_LAXP],
+        "query": ["explain", "--model", fig1_path, "--query", path],
+        "witness": ["verify", "--model", fig1_path, "--query", Q_LAXP, "--witness", path],
+        "params": ["generate", "taut_ds", "--params", path, "--out", str(tmp_path / "x.json")],
+    }[reader]
+
+
 @pytest.mark.parametrize("nested", ["model", "query", "witness", "params"])
 def test_deeply_nested_json_exits_2(capsys, tmp_path, fig1_path, nested):
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
-    deep = str(deep)
-    argv = {
-        "model": ["explain", "--model", deep, "--query", Q_LAXP],
-        "query": ["explain", "--model", fig1_path, "--query", deep],
-        "witness": ["verify", "--model", fig1_path, "--query", Q_LAXP, "--witness", deep],
-        "params": ["generate", "taut_ds", "--params", deep, "--out", str(tmp_path / "x.json")],
-    }[nested]
+    argv = _reading(tmp_path, fig1_path, nested, str(deep))
     error = json.loads(run(capsys, *argv, expect=2))["error"]
     assert error == {"type": "ModelError", "message": "JSON input nests too deeply"}
+
+
+NOT_UTF8 = b'{"x": "\xff"}'
+LONG_INTEGER = ("[" + "9" * 5000 + "]").encode()
+
+
+@pytest.mark.parametrize("reader", ["model", "query", "witness", "params"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (NOT_UTF8, "{path!r} is not UTF-8 text (invalid start byte at byte 7)"),
+        (LONG_INTEGER, "JSON input is unreadable: Exceeds the limit (4300 digits)"),
+    ],
+    ids=["not UTF-8", "long integer"],
+)
+def test_undecodable_input_exits_2(capsys, tmp_path, fig1_path, reader, content, message):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    argv = _reading(tmp_path, fig1_path, reader, str(path))
+    error = json.loads(run(capsys, *argv, expect=2))["error"]
+    assert error["type"] == "ModelError"
+    assert error["message"].startswith(message.format(path=str(path))), error
 
 
 # A constant list over 18 features has no contrastive set; one check of
@@ -451,6 +533,22 @@ def test_timeout_off_the_main_thread_exits_2(capsys, fig1_path):
     error = json.loads(capsys.readouterr().out)["error"]
     assert codes == [2]
     assert error["type"] == "ModelError" and "main thread" in error["message"]
+
+
+@pytest.mark.parametrize("timeout", ["99999999999999999", "1" + "0" * 400],
+                         ids=["past the timer", "past a float"])
+def test_over_large_timeout_exits_2(capsys, fig1_path, timeout):
+    import signal
+
+    handler = signal.getsignal(signal.SIGALRM)
+    out = run(capsys, "explain", "--model", fig1_path, "--query", Q_LCXP1,
+              "--timeout-ms", timeout, expect=2)
+    assert json.loads(out)["error"] == {
+        "type": "ModelError",
+        "message": f"timeout of {timeout} ms is too large for the timer",
+    }
+    assert signal.getsignal(signal.SIGALRM) is handler
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
 def test_bench_timeout_stops_the_row(tmp_path):
@@ -789,6 +887,23 @@ def test_generate_deep_part_keeps_the_exit_code_contract(capsys, tmp_path):
     }
 
 
+# x.y-z and x-y.z both derive the edge feature p.x.y.z
+COLLIDING_GRAPH = {
+    "vertices": [["x.y", 0], ["x", 0], ["z", 1], ["y.z", 1]],
+    "edges": [["x.y", "z"], ["x", "y.z"]],
+}
+
+
+def test_generate_colliding_feature_names_exit_2(capsys, tmp_path):
+    out = run(capsys, "generate", "mcc_obdd_maj", "--params",
+              json.dumps({"graph": COLLIDING_GRAPH}), "--out", str(tmp_path / "x.json"),
+              expect=2)
+    assert json.loads(out)["error"] == {
+        "type": "SharedFeature",
+        "message": "feature 'p.x.y.z' appears in two pieces",
+    }
+
+
 TREE_MODEL = {
     "kind": "dt",
     "root": "r",
@@ -1048,6 +1163,25 @@ def test_any_generate_params_keep_the_exit_code_contract(case):
             code = main(argv)
     assert code in (0, 1, 2, 3), (argv, code)
     assert isinstance(json.loads(out.getvalue()), dict)
+
+
+@pytest.mark.parametrize("case", ["shared feature", "timeout", "not UTF-8", "long integer"])
+def test_refused_inputs_print_no_traceback(tmp_path, fig1_path, case):
+    latin, long = tmp_path / "latin.json", tmp_path / "long.json"
+    latin.write_bytes(NOT_UTF8)
+    long.write_bytes(LONG_INTEGER)
+    argv = {
+        "shared feature": ["generate", "mcc_obdd_maj", "--params",
+                           json.dumps({"graph": COLLIDING_GRAPH}), "--out", str(tmp_path / "x.json")],
+        "timeout": ["explain", "--model", fig1_path, "--query", Q_LCXP1,
+                    "--timeout-ms", "99999999999999999"],
+        "not UTF-8": ["explain", "--model", str(latin), "--query", Q_LCXP1],
+        "long integer": ["explain", "--model", fig1_path, "--query", str(long)],
+    }[case]
+    proc, _ = run_cli_process(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "error" in json.loads(proc.stdout)
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -253,3 +253,20 @@ def test_oracle_lcxp_minimum_costs_three_lookups_per_candidate(monkeypatch):
     q = ExplanationQuery("lCXp", "cardinality", {f: 0 for f in feats}, k=1)
     assert oracle.minimum(q) is None
     assert len(lookups) <= 1 + 12 * 3
+
+
+def test_table_oracle_lcxp_minimum_labels_the_target_once(fig1, fig1_e, monkeypatch):
+    from xbool.explain import TableOracle, _oracle_for
+
+    oracle = _oracle_for(fig1, 20)
+    labelled = []
+    label = TableOracle.label
+
+    def counted_label(self, bits):
+        labelled.append(bits)
+        return label(self, bits)
+
+    monkeypatch.setattr(TableOracle, "label", counted_label)
+    q = ExplanationQuery("lCXp", "cardinality", fig1_e, k=3)
+    assert oracle.minimum(q) == Witness.of_features(["y"])
+    assert labelled == [oracle.bits_of(fig1_e)]

@@ -1,5 +1,6 @@
 """Hard-instance generators checked against exhaustive ground truth."""
 
+import hashlib
 import itertools
 import random
 
@@ -11,8 +12,8 @@ from xbool.explain import ExplanationQuery, Witness, is_explanation, oracle_min
 from xbool.gadgets import (
     MccInstance,
     _pair_leaves,
-    _pair_shape,
-    _shape_leaves,
+    _pair_state,
+    _unfold,
     dt_from_examples,
     gen_hitting_set_laxp,
     gen_laxp_to_gaxp,
@@ -33,6 +34,7 @@ from xbool.gadgets import (
 from xbool.models import (
     DtLeaf,
     classify,
+    dumps_model,
     is_complete,
     obdd_width,
 )
@@ -194,7 +196,7 @@ def test_gaxp_pair_leaves_are_counted_without_building():
         k = rng.randint(2, 4)
         g = random_mcc(rng, rng.randint(k, 9), k, density=rng.random())
         cases += [(g, i, j) for i, j in itertools.permutations(range(k), 2)]
-    # one part-1 vertex joined to 1,100 part-0 vertices: a pair shape
+    # one part-1 vertex joined to 1,100 part-0 vertices: a pair tree
     # deeper than the default recursion limit
     deep = MccInstance(
         [(f"a{i}", 0) for i in range(1100)] + [("b0", 1)],
@@ -202,7 +204,46 @@ def test_gaxp_pair_leaves_are_counted_without_building():
     )
     cases.append((deep, 1, 0))
     for g, i, j in cases:
-        assert _pair_leaves(g, i, j) == _shape_leaves(_pair_shape(g, i, j))
+        assert _pair_leaves(g, i, j) == len(_unfold(_pair_state(g, i, j)).leaves())
+
+
+def _generated_trees():
+    """The trees of the four tree generators on seeded inputs, among them
+    empty parts, duplicate examples and vertices without neighbours."""
+    rng = random.Random(1313)
+    for _ in range(40):
+        nf = rng.randint(0, 5)
+        feats = [f"x{i}" for i in range(nf)]
+        pool = [dict(zip(feats, bits)) for bits in itertools.product((0, 1), repeat=nf)]
+        rows = [rng.choice(pool) for _ in range(rng.randint(0, 8))] if pool else []
+        yield dt_from_examples(rows, feats)
+    # True, False, 1.0 and 0.0 pass the 0/1 check and are read by truthiness
+    yield dt_from_examples([{"a": True, "b": 0.0}, {"a": 1.0, "b": False}], ("b", "a"))
+    for _ in range(30):
+        universe = [str(u) for u in range(rng.randint(1, 7))]
+        sets = [rng.sample(universe, rng.randint(1, len(universe)))
+                for _ in range(rng.randint(1, 6))]
+        sets += rng.sample(sets, rng.randint(0, len(sets)))
+        yield gen_hitting_set_laxp(universe, sets)[0]
+    graphs = [
+        # part 1 empty; c and d have no neighbours
+        MccInstance([("a", 0), ("b", 2), ("c", 2), ("d", 0)], [("a", "b")]),
+        MccInstance([("a", 0), ("b", 1), ("c", 1)], []),
+        K3, PATH3, EDGE2, ISO2,
+    ]
+    for _ in range(30):
+        k = rng.randint(2, 4)
+        graphs.append(random_mcc(rng, rng.randint(k, 8), k, density=rng.random()))
+    for g in graphs:
+        yield gen_mcc_dt_ensemble(g)
+        yield gen_mcc_gaxp_dt(g)[0]
+
+
+def test_tree_generators_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for model in _generated_trees():
+        digest.update(dumps_model(model).encode())
+    assert digest.hexdigest() == "fd72c4f9b9fa4419a823065614de8d7c6b71089bf836c0096e5e17d3006e723e"
 
 
 # ---------------------------------------------------------------------------
