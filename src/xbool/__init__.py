@@ -6,8 +6,8 @@ local/global abductive/contrastive explanation algorithms, circuit
 compilers, and deterministic hard-instance generators.
 
 Submodules load on first use: `xbool.classify` imports `xbool.models`,
-and `xbool.gadgets` imports the generators, so a process pays only for
-the code it touches.
+`xbool.DecisionTree` the tree module, and `xbool.gadgets` the
+generators, so a process pays only for the code it touches.
 """
 
 import importlib
@@ -20,25 +20,29 @@ _EXPORTS = {
         "SharedFeature", "TooLarge", "UndefinedFeature", "UnassignedInput",
     ),
     "models": (
-        "DecisionList", "DecisionSet", "DecisionTree", "DtInner", "DtLeaf",
-        "Ensemble", "Obdd", "ObddNode", "Parameters", "Rule", "classify",
-        "complete_obdd", "feature_order", "flip", "is_complete", "loads_model",
-        "dumps_model", "measure_parameters", "model_features",
-        "model_from_json", "model_to_json", "reachable_sinks", "restrict_dt",
-        "simplify_dt",
+        "DecisionList", "DecisionSet", "Ensemble", "Parameters", "Rule", "classify",
+        "dl_size", "dumps_canonical", "dumps_model", "feature_order", "flip",
+        "loads_model", "make_term", "measure_parameters", "model_features",
+        "model_from_json", "model_to_json", "term_applies",
     ),
     "explain": (
-        "DEFAULT_GUARD", "ExplanationQuery", "FunctionOracle", "TableOracle", "Witness",
-        "is_explanation", "oracle_min", "query_from_json", "query_to_json",
-        "verify_subset_minimal", "witness_from_json", "witness_to_json",
+        "DEFAULT_GUARD", "ExplanationQuery", "KINDS", "Witness", "query_from_json",
+        "query_to_json", "witness_from_json", "witness_to_json",
     ),
+    "tables": (
+        "FunctionOracle", "TableOracle", "is_explanation", "oracle_min",
+        "verify_subset_minimal",
+    ),
+    "restriction": ("walk_labels",),
     "dt": (
-        "dt_check", "dt_ensemble_to_dt", "dt_lcxp_check", "dt_min_lcxp",
-        "dt_subset_min", "dt_xp_search",
+        "DecisionTree", "DtInner", "DtLeaf", "dt_check", "dt_ensemble_to_dt",
+        "dt_lcxp_check", "dt_min_lcxp", "dt_mnl", "dt_size", "dt_subset_min",
+        "dt_xp_search", "restrict_dt", "simplify_dt",
     ),
     "obdd": (
-        "dt_to_obdd", "obdd_check", "obdd_ensemble_product", "obdd_lcxp_check",
-        "obdd_min_lcxp", "obdd_subset_min", "obdd_xp_search",
+        "Obdd", "ObddNode", "complete_obdd", "dt_to_obdd", "is_complete",
+        "obdd_check", "obdd_ensemble_product", "obdd_lcxp_check", "obdd_min_lcxp",
+        "obdd_subset_min", "obdd_width", "obdd_xp_search", "reachable_sinks",
     ),
     "dslist": (
         "BranchStats", "dl_min_lcxp_branch", "dle_min_lcxp_branch", "ds_to_dl",
@@ -52,7 +56,7 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"gadgets", "restriction"}
+_SUBMODULES = frozenset(_EXPORTS) | {"gadgets"}
 
 __all__ = [*_HOME, "gadgets"]
 
@@ -63,6 +67,21 @@ def __getattr__(name: str):
     if name in _HOME:
         return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _forward(module: str, *homes: str):
+    """The PEP 562 `__getattr__` of `module`: a public name whose home is
+    one of `homes` resolves there.  Each access reads `_HOME` and the home
+    module afresh and caches nothing, so a name rebound at its home (as
+    the benchmark's tracer rebinds them) reads rebound here too."""
+
+    def forward(name: str):
+        home = _HOME.get(name)
+        if home in homes:
+            return getattr(importlib.import_module(f"{__name__}.{home}"), name)
+        raise AttributeError(f"module {module!r} has no attribute {name!r}")
+
+    return forward
 
 
 def __dir__():

@@ -12,27 +12,22 @@ import itertools
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ModelError, TooLarge, UnassignedInput
-from .explain import DEFAULT_GUARD, ExplanationQuery, TableOracle, Witness
+from .dt import DecisionTree, _leaf_paths, dt_mnl, simplify_dt
+from .explain import DEFAULT_GUARD, ExplanationQuery, Witness
 from .models import (
     DecisionList,
-    DecisionTree,
     Ensemble,
     Example,
-    Obdd,
     _bit,
     _require,
     _strings,
     _wrong_type,
     dl_size,
-    dt_mnl,
     dumps_canonical,
-    obdd_width,
-    simplify_dt,
 )
-from .dt import _leaf_paths
-from .obdd import _rebase, _restriction
+from .obdd import Obdd, _rebase, _restriction, obdd_width
 from .records import Frozen
-from .tables import at_least, feature_mask
+from .tables import TableOracle, at_least, feature_mask
 
 GATE_KINDS = ("IN", "AND", "OR", "NOT", "MAJ")
 

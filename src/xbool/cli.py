@@ -10,21 +10,16 @@ sorted keys, so reruns on identical inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import io
 import json
-import os
 import sys
-import time
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .errors import BudgetExceeded, DeadlineExceeded, ModelError, NotOrdered, TooLarge
 from .explain import (
     DEFAULT_GUARD,
     ExplanationQuery,
     Witness,
-    _oracle_for,
     check_witness,
-    oracle_min,
     query_from_json,
     witness_from_json,
     witness_to_json,
@@ -33,10 +28,7 @@ from .models import (
     DEFAULT_NODE_CAP as DEFAULT_CAP,
     Ensemble,
     _load_text,
-    _wrong_type,
-    complete_obdd,
     dumps_canonical,
-    dumps_model,
     loads_json,
     loads_model,
     measure_parameters,
@@ -143,6 +135,8 @@ def run_explain(
         return dle_min_lcxp_branch(Ensemble(lists), q.target, q.k), route
     direct = None if route == "bruteforce" else _direct(model, cap, fallback=auto)
     if direct is None:
+        from .tables import oracle_min
+
         return oracle_min(model, q, guard), "bruteforce"
     flat, (xp_search, subset_min, _, _) = direct
     return (subset_min if q.minimality == "subset" else xp_search)(flat, q), route
@@ -158,10 +152,14 @@ def _validity(model, q: ExplanationQuery, cap: int, guard: int) -> Callable[[Wit
     """
     direct = _direct(model, cap, fallback=True)
     if direct is None:
+        from .tables import _oracle_for
+
         oracle = _oracle_for(model, guard)
         return lambda w: oracle.holds(q, w)
     model, (_, _, check, lcxp_check) = direct
     if model.kind == "obdd":
+        from .obdd import complete_obdd
+
         model = complete_obdd(model)
     if q.kind == "lCXp":
         return lambda w: lcxp_check(model, q.target, w.features)
@@ -272,85 +270,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    from .gadgets import GENERATORS
+    from .gadgets import cmd_generate
 
-    maker = GENERATORS.get(args.gadget)
-    if maker is None:
-        raise ModelError(
-            f"unknown gadget {args.gadget!r}; available: {', '.join(sorted(GENERATORS))}"
-        )
-    params = _structured(args.params)
-    if not isinstance(params, dict):
-        raise _wrong_type("the params", dict, params)
-    try:
-        model, query = maker(params)
-    except KeyError as missing:
-        raise ModelError(f"params object misses {missing}") from None
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(dumps_model(model))
-    summary: Dict = {"gadget": args.gadget, "kind": model.kind}
-    if query is not None:
-        summary["query"] = query
-    sys.stdout.write(dumps_canonical(summary))
-    return 0
-
-
-_BENCH_COLUMNS = (
-    "instance",
-    "ens_size",
-    "mnl_size",
-    "terms_elem",
-    "term_size",
-    "width_elem",
-    "size_elem",
-    "witness_size",
-    "route",
-    "status",
-    "time_ms",
-)
-
-
-def _bench_row(path: str, q: ExplanationQuery, args) -> Dict:
-    row: Dict = {"instance": os.path.basename(path)}
-
-    def solve():
-        model = _load_model(path)
-        row.update(measure_parameters(model).to_json())
-        witness, row["route"] = run_explain(
-            model, q, args.route, args.cap_nodes, args.guard_features
-        )
-        row["status"] = "ok" if witness is not None else "none"
-        if witness is not None:
-            row["witness_size"] = witness.size
-
-    started = time.perf_counter()
-    try:
-        _with_timeout(solve, args.timeout_ms)
-    except DeadlineExceeded:
-        row = {"instance": row["instance"], "status": "timeout"}
-    except Exception as err:
-        row["status"] = "error"
-        row["route"] = type(err).__name__
-    row["time_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
-    return row
+    return cmd_generate(args)
 
 
 def cmd_bench(args) -> int:
-    """One row per corpus file, run in name order, each under its own deadline."""
-    q = query_from_json(_structured(args.query))
-    files = sorted(f for f in os.listdir(args.corpus) if f.endswith(".json"))
-    rows = [_bench_row(os.path.join(args.corpus, f), q, args) for f in files]
-    import csv
+    from .gadgets import cmd_bench
 
-    buffer = io.StringIO()
-    writer = csv.DictWriter(
-        buffer, fieldnames=_BENCH_COLUMNS, lineterminator="\n", restval=""
-    )
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    _emit(buffer.getvalue(), args.out)
-    return 0
+    return cmd_bench(args)
 
 
 # ---------------------------------------------------------------------------
@@ -368,28 +296,50 @@ class _Parser(argparse.ArgumentParser):
         raise ModelError(message)
 
 
+class _NonNegative(argparse.Action):
+    """Stores an int option, refusing a negative one like any argparse
+    refusal; a negative `--timeout-ms` is refused where it is used."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if value < 0:
+            raise argparse.ArgumentError(self, f"must be non-negative, got {value}")
+        setattr(namespace, self.dest, value)
+
+
 def _add_limits(sub):
-    sub.add_argument("--cap-nodes", type=int, default=DEFAULT_CAP)
-    sub.add_argument("--guard-features", type=int, default=DEFAULT_GUARD)
+    sub.add_argument("--cap-nodes", type=int, default=DEFAULT_CAP, action=_NonNegative)
+    sub.add_argument(
+        "--guard-features", type=int, default=DEFAULT_GUARD, action=_NonNegative
+    )
     sub.add_argument("--timeout-ms", type=int, default=0)
     sub.add_argument("--out")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import functools
+    import shutil
+
+    # a HelpFormatter left to itself asks the terminal for its width, and
+    # argparse makes one for every add_argument: ask once, hand it to all
+    formatter = functools.partial(
+        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
+    )
     parser = _Parser(
         prog="xbool",
         description="Explanations for transparent binary classifiers.",
+        formatter_class=formatter,
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(commands.add_parser, formatter_class=formatter)
 
-    ex = commands.add_parser("explain", help="compute a minimal explanation")
+    ex = add("explain", help="compute a minimal explanation")
     ex.add_argument("--model", required=True)
     ex.add_argument("--query", required=True)
     ex.add_argument("--route", default="auto", choices=ROUTES)
     _add_limits(ex)
     ex.set_defaults(handler=cmd_explain)
 
-    ve = commands.add_parser("verify", help="check a witness against a query")
+    ve = add("verify", help="check a witness against a query")
     ve.add_argument("--model", required=True)
     ve.add_argument("--query", required=True)
     ve.add_argument("--witness", required=True)
@@ -397,13 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_limits(ve)
     ve.set_defaults(handler=cmd_verify)
 
-    ge = commands.add_parser("generate", help="write a hard-instance model file")
+    ge = add("generate", help="write a hard-instance model file")
     ge.add_argument("gadget")
     ge.add_argument("--params", default="{}")
     ge.add_argument("--out", required=True)
     ge.set_defaults(handler=cmd_generate)
 
-    be = commands.add_parser("bench", help="run a query over a corpus directory")
+    be = add("bench", help="run a query over a corpus directory")
     be.add_argument("--corpus", required=True)
     be.add_argument("--query", required=True)
     be.add_argument("--route", default="auto", choices=ROUTES)

@@ -1,31 +1,219 @@
-"""Explanation algorithms for decision trees.
+"""Decision trees: the model, its one builder, and its explanation algorithms.
 
 All checks reduce to one primitive: walk the tree under a partial
 assignment and ask whether a leaf of a given label stays reachable.  The
 tree is a graph view (`restriction.Restriction`) like a diagram, so the
 query procedures, the seed path and the minimum contrastive search are
 shared with diagrams; this module builds the view of the simplified tree.
+The tree classes live here rather than in `models`, so only a request
+that meets a tree compiles them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetExceeded, ModelError
 from .explain import ExplanationQuery, Witness
 from .models import (
+    _CLASSIFIERS,
     DEFAULT_NODE_CAP,
-    DecisionTree,
-    DtInner,
-    DtLeaf,
     Ensemble,
     Example,
-    _project,
-    dt_size,
+    PartialExample,
+    _bit,
+    _lookup,
     require_total,
-    simplify_dt,
 )
+from .records import Frozen
 from .restriction import Restriction
+
+
+class DtLeaf(Frozen):
+    __slots__ = ("label",)
+
+    def __init__(self, label: int):
+        self._fill(label)
+
+
+class DtInner(Frozen):
+    __slots__ = ("feature", "zero", "one")
+
+    def __init__(self, feature: str, zero: str, one: str):
+        self._fill(feature, zero, one)
+
+
+DtNode = Union[DtLeaf, DtInner]
+
+
+class DecisionTree:
+    """Rooted binary tree; inner nodes test a feature, leaves carry a class."""
+
+    kind = "dt"
+
+    def __init__(self, nodes: Mapping[str, DtNode], root: str):
+        nodes = dict(nodes)
+        if root not in nodes:
+            raise ModelError(f"root {root!r} is not a node")
+        parent: Dict[str, str] = {}
+        labels: Dict[str, int] = {}
+        for nid, node in nodes.items():
+            if isinstance(node, DtLeaf):
+                _bit(node.label, "leaf label")
+                labels[nid] = node.label
+            elif isinstance(node, DtInner):
+                for child in (node.zero, node.one):
+                    if child not in nodes:
+                        raise ModelError(f"child {child!r} of {nid!r} is not a node")
+                    if child in parent:
+                        raise ModelError(f"node {child!r} has two parents")
+                    parent[child] = nid
+            else:
+                raise ModelError(f"node {nid!r} is neither leaf nor inner")
+        if root in parent:
+            raise ModelError("root must not have a parent")
+        # unique parents rule out sharing; a full walk rules out stray components
+        seen = 0
+        stack = [root]
+        while stack:
+            node = nodes[stack.pop()]
+            seen += 1
+            if isinstance(node, DtInner):
+                stack.append(node.zero)
+                stack.append(node.one)
+        if seen != len(nodes):
+            raise ModelError("tree contains nodes unreachable from the root")
+        self.nodes: Dict[str, DtNode] = nodes
+        self.root = root
+        # leaf id -> class label, the terminals of a restriction walk
+        self.leaf_labels: Dict[str, int] = labels
+        self._repeat_free: Optional[bool] = None  # memo of simplify_dt
+
+    def features(self) -> FrozenSet[str]:
+        return frozenset(
+            n.feature for n in self.nodes.values() if isinstance(n, DtInner)
+        )
+
+    def leaves(self) -> Tuple[Tuple[str, int], ...]:
+        return tuple(self.leaf_labels.items())
+
+
+def _classify_dt(t: DecisionTree, e: Example) -> int:
+    node = t.nodes[t.root]
+    while isinstance(node, DtInner):
+        node = t.nodes[node.one if _lookup(e, node.feature) else node.zero]
+    return node.label
+
+
+_CLASSIFIERS["dt"] = _classify_dt
+
+
+def _dt_has_repeats(t: DecisionTree) -> bool:
+    stack = [(t.root, frozenset())]
+    while stack:
+        nid, seen = stack.pop()
+        node = t.nodes[nid]
+        if isinstance(node, DtInner):
+            if node.feature in seen:
+                return True
+            seen = seen | {node.feature}
+            stack.append((node.zero, seen))
+            stack.append((node.one, seen))
+    return False
+
+
+def _emit_tree(start, expand) -> DecisionTree:
+    """The tree unfolded from `start`; the one place tree node ids are made.
+
+    `expand(state)` gives a leaf label or `(feature, zero_state,
+    one_state)`.  Ids run n0, n1, ... in preorder, the 0-child first,
+    and an explicit stack keeps depth off the call stack.
+    """
+    nodes: Dict[str, DtNode] = {}
+    inner = []
+    work = [(start, [None], 0)]
+    while work:
+        state, slots, side = work.pop()
+        slots[side] = nid = f"n{len(nodes) + len(inner)}"
+        got = expand(state)
+        if isinstance(got, tuple):
+            slots = list(got)  # [feature, zero, one] until the ids are in
+            inner.append((nid, slots))
+            work += ((got[2], slots, 2), (got[1], slots, 1))
+        else:
+            nodes[nid] = DtLeaf(got)
+    for nid, slots in inner:
+        nodes[nid] = DtInner(*slots)
+    return DecisionTree(nodes, "n0")
+
+
+def _project(
+    trees: Sequence[DecisionTree], fixed: Mapping[str, int], accumulate: bool
+) -> DecisionTree:
+    """The majority vote of `trees`, read one after another, each path
+    ending in the majority of the leaves it crosses (one tree keeps its
+    labels).  A node whose feature the path context decides follows the
+    decided arc.  The context is `fixed`, plus every branch decision
+    when `accumulate`, which leaves no feature tested twice on a path.
+    """
+    majority = len(trees) // 2 + 1
+
+    def expand(state):
+        ti, nid, votes, path = state
+        node = trees[ti].nodes[nid]
+        while True:
+            if isinstance(node, DtLeaf):
+                votes += node.label
+                ti += 1
+                if ti == len(trees):
+                    return 1 if votes >= majority else 0
+                nid = trees[ti].root
+            elif node.feature in path:
+                nid = node.one if path[node.feature] else node.zero
+            else:
+                break
+            node = trees[ti].nodes[nid]
+        one = path
+        if accumulate:
+            one = dict(path)
+            one[node.feature] = 1
+            path[node.feature] = 0
+        return node.feature, (ti, node.zero, votes, path), (ti, node.one, votes, one)
+
+    out = _emit_tree((0, trees[0].root, 0, dict(fixed)), expand)
+    if accumulate:
+        out._repeat_free = True
+    return out
+
+
+def simplify_dt(t: DecisionTree) -> DecisionTree:
+    """Drop re-tests of features already decided on the path; same classifier."""
+    if t._repeat_free is None:
+        t._repeat_free = not _dt_has_repeats(t)
+    if t._repeat_free:
+        return t
+    return _project([t], {}, accumulate=True)
+
+
+def restrict_dt(t: DecisionTree, tau: PartialExample) -> DecisionTree:
+    """Keep only the tau(f)-subtree below every node testing f in dom(tau)."""
+    if not tau:
+        return t
+    fixed = {str(f): _bit(z, f"assignment of {f!r}") for f, z in tau.items()}
+    return _project([t], fixed, accumulate=False)
+
+
+def dt_mnl(t: DecisionTree) -> int:
+    labels = [label for _, label in t.leaves()]
+    return min(labels.count(0), labels.count(1))
+
+
+def dt_size(t: DecisionTree) -> int:
+    return len(t.leaves())
+
+
+# ---------------------------------------------------------------------------
+# Explanation procedures
 
 
 def _restriction(t: DecisionTree) -> Restriction:

@@ -1,4 +1,4 @@
-"""Explanation queries, witnesses, and the brute-force ground-truth oracle.
+"""Explanation queries and witnesses, and their JSON forms.
 
 Four query kinds over a model M with feature set F:
 
@@ -9,19 +9,18 @@ Four query kinds over a model M with feature set F:
 * gAXp(c): a partial assignment forcing class c on all completions.
 * gCXp(c): a partial assignment forcing class != c on all completions.
 
-The oracle enumerates candidate witnesses smallest-first with a fixed
-tie-break (lexicographic over the sorted feature universe, assignments
-counted binary with the first chosen feature most significant), so its
-answers are deterministic and usable as frozen expected values.
+The brute-force ground-truth oracle that answers them lives in
+`tables`, beside the truth tables it reads, so a request whose route
+runs no oracle never compiles it; its names resolve here too.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
-from .errors import ModelError, TooLarge, UndefinedFeature
-from .models import Example, Model, _bit, _strings, example_to_json, model_features
+from . import _forward
+from .errors import ModelError, UndefinedFeature
+from .models import _bit, _strings, example_to_json
 from .records import Frozen
 
 KINDS = ("lAXp", "lCXp", "gAXp", "gCXp")
@@ -104,190 +103,6 @@ def check_witness(q: ExplanationQuery, w: Witness, features) -> None:
             raise UndefinedFeature(f"witness mentions unknown feature {f!r}")
 
 
-class FunctionOracle:
-    """Brute-force query evaluation for an arbitrary total 0/1 classifier.
-
-    Classifications are memoized per feature vector, so repeated candidate
-    checks against the same function stay cheap.  Every check asks one
-    question, `reaches`; this class answers it by enumeration, which only
-    callers holding a bare function need: a model's oracle is the
-    `TableOracle` that `_oracle_for` fills from the model's structure.
-    """
-
-    def __init__(self, features: Iterable[str], classify_fn: Callable[[Dict[str, int]], int], guard: int = DEFAULT_GUARD):
-        self.features = _universe(features, guard)
-        self._pos = {f: i for i, f in enumerate(self.features)}
-        self._fn = classify_fn
-        self._memo: Dict[Tuple[int, ...], int] = {}
-
-    # -- plumbing
-
-    def label(self, bits: Tuple[int, ...]) -> int:
-        got = self._memo.get(bits)
-        if got is None:
-            got = _bit(
-                self._fn({f: bits[i] for i, f in enumerate(self.features)}),
-                "classifier output",
-            )
-            self._memo[bits] = got
-        return got
-
-    def bits_of(self, e: Example) -> Tuple[int, ...]:
-        try:
-            return tuple(_bit(e[f], f"value of feature {f!r}") for f in self.features)
-        except KeyError as missing:
-            raise UndefinedFeature(f"example does not assign feature {missing}") from None
-
-    def _completions(self, fixed: Dict[int, int]):
-        free = [i for i in range(len(self.features)) if i not in fixed]
-        base = [fixed.get(i, 0) for i in range(len(self.features))]
-        for values in itertools.product((0, 1), repeat=len(free)):
-            for i, v in zip(free, values):
-                base[i] = v
-            yield tuple(base)
-
-    # -- the one question behind the four definitions
-
-    def reaches(self, fixed: Dict[int, int], z: int) -> bool:
-        """Some completion of `fixed` (position -> bit) gets label z."""
-        return any(self.label(b) == z for b in self._completions(fixed))
-
-    def _validity(self, q: ExplanationQuery) -> Callable[[Iterable], bool]:
-        """Validity of a witness given by its features (local kinds) or its
-        (feature, bit) pairs (global kinds): lCXp must reach the other
-        class with the example fixed outside the set; every other kind
-        must leave the class it rules out unreachable."""
-        pos = self._pos
-        if not q.is_local:
-            avoid = q.target if q.kind == "gCXp" else 1 - q.target
-            return lambda pairs: not self.reaches({pos[f]: z for f, z in pairs}, avoid)
-        e_bits = self.bits_of(q.target)
-        other = 1 - self.label(e_bits)
-
-        def valid(names) -> bool:
-            if q.kind == "lAXp":
-                return not self.reaches({pos[f]: e_bits[pos[f]] for f in names}, other)
-            inside = {pos[f] for f in names}
-            return self.reaches({i: z for i, z in enumerate(e_bits) if i not in inside}, other)
-
-        return valid
-
-    # -- public checks
-
-    def holds(self, q: ExplanationQuery, w: Witness) -> bool:
-        check_witness(q, w, self._pos)
-        return self._validity(q)(w.features if q.is_local else w.assignment)
-
-    def _rules_out(self, q: ExplanationQuery, valid) -> bool:
-        """True when `q` surely has no witness, decided before the search;
-        an enumerating oracle does not try."""
-        return False
-
-    def minimum(self, q: ExplanationQuery) -> Optional[Witness]:
-        valid = self._validity(q)
-        if self._rules_out(q, valid):
-            return None
-        n = len(self.features)
-        limit = n if q.k is None else min(q.k, n)
-        for size in range(1 if q.kind == "lCXp" else 0, limit + 1):
-            for combo in itertools.combinations(self.features, size):
-                if q.is_local:
-                    if valid(combo):
-                        return Witness(features=combo)
-                    continue
-                for values in itertools.product((0, 1), repeat=size):
-                    pairs = tuple(zip(combo, values))
-                    if valid(pairs):
-                        return Witness(assignment=pairs)
-        return None
-
-    def subset_minimal(self, q: ExplanationQuery, w: Witness) -> bool:
-        if not self.holds(q, w):
-            return False
-        if q.is_local:
-            rests = (Witness.of_features(g for g in w.features if g != f) for f in w.features)
-        else:
-            tau = dict(w.assignment)
-            rests = (
-                Witness.of_assignment({g: z for g, z in tau.items() if g != f}) for f in tau
-            )
-        return not any(self.holds(q, rest) for rest in rests)
-
-
-class TableOracle(FunctionOracle):
-    """The oracle over a truth table given up front: `table` is one
-    2^n-bit int whose bit i is the class of the point where feature j
-    (in sorted order) takes bit j of i.  `reaches` ANDs one literal mask
-    per fixed feature with the class's points and tests for any left
-    (Knuth, TAOCP 4A, 7.1.3); the candidate order is the inherited one.
-    The table and its masks hold 2^n bits each, 128 KiB at the guard.
-    """
-
-    def __init__(self, features: Iterable[str], table: int, guard: int = DEFAULT_GUARD):
-        self.features = _universe(features, guard)
-        self._pos = {f: i for i, f in enumerate(self.features)}
-        width = 1 << len(self.features)
-        full = (1 << width) - 1
-        if not 0 <= table <= full:
-            raise ModelError(f"a table over {len(self.features)} features must fit in {width} bits")
-        from .tables import literals
-
-        self._points = (full ^ table, table)  # the points of class 0, of class 1
-        self._literals = literals(len(self.features))  # per position: (0s, 1s)
-
-    def label(self, bits: Tuple[int, ...]) -> int:
-        index = sum(bit << j for j, bit in enumerate(bits))
-        return self._points[1] >> index & 1
-
-    def reaches(self, fixed: Dict[int, int], z: int) -> bool:
-        points = self._points[z]
-        for i, bit in fixed.items():
-            points &= self._literals[i][bit]
-        return points != 0
-
-    def _rules_out(self, q: ExplanationQuery, valid) -> bool:
-        # validity only grows with the witness, and a check here is a few
-        # ANDs, so first rule out the queries no candidate can answer: the
-        # full feature set fails (lCXp), or the class a global witness must
-        # force is reached nowhere
-        if q.kind == "lCXp":
-            return not valid(self.features)
-        return not q.is_local and not self.reaches({}, q.target if q.kind == "gAXp" else 1 - q.target)
-
-
-def _universe(features: Iterable[str], guard: int) -> Tuple[str, ...]:
-    feats = tuple(sorted(set(str(f) for f in features)))
-    if len(feats) > guard:
-        raise TooLarge(
-            f"{len(feats)} features exceed the exhaustive-check guard of {guard}"
-        )
-    return feats
-
-
-def _oracle_for(model: Model, guard: int) -> TableOracle:
-    """The oracle over `model`'s truth table, filled from its structure."""
-    from .tables import model_table
-
-    features = _universe(model_features(model), guard)
-    return TableOracle(features, model_table(model, features), guard)
-
-
-def is_explanation(model: Model, q: ExplanationQuery, w: Witness, guard: int = DEFAULT_GUARD) -> bool:
-    if q.k is not None and w.size > q.k:
-        return False
-    return _oracle_for(model, guard).holds(q, w)
-
-
-def oracle_min(model: Model, q: ExplanationQuery, guard: int = DEFAULT_GUARD) -> Optional[Witness]:
-    return _oracle_for(model, guard).minimum(q)
-
-
-def verify_subset_minimal(model: Model, q: ExplanationQuery, w: Witness, guard: int = DEFAULT_GUARD) -> bool:
-    if q.k is not None and w.size > q.k:
-        return False
-    return _oracle_for(model, guard).subset_minimal(q, w)
-
-
 # ---------------------------------------------------------------------------
 # JSON interchange
 
@@ -326,3 +141,8 @@ def witness_from_json(data) -> Witness:
     if isinstance(data, (list, tuple)):
         return Witness.of_features(_strings(list(data), "the witness"))
     raise ModelError("witness must be a feature array or a feature->bit object")
+
+
+# the oracle lives in `tables`, beside the tables it reads; its names
+# resolve here too, for callers that import them from this module
+__getattr__ = _forward(__name__, "tables")

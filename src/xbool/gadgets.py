@@ -4,36 +4,39 @@ Each generator encodes a combinatorial problem (multicolored clique,
 hitting set, DNF tautology) into a model whose explanation queries
 answer the original question.  Constructions are seedless: identical
 inputs give identical models, so generated files are golden-testable.
+The `generate` and `bench` subcommands live at the end, so an `explain`
+or `verify` process never compiles them.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import sys
+import time
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from .errors import BudgetExceeded, ModelError, SharedFeature
+from .dt import DecisionTree, DtInner, DtLeaf, _emit_tree
+from .errors import BudgetExceeded, DeadlineExceeded, ModelError, SharedFeature
+from .explain import ExplanationQuery, query_from_json
 from .models import (
     DEFAULT_NODE_CAP,
     DecisionSet,
-    DecisionTree,
-    DtInner,
-    DtLeaf,
     Ensemble,
     Example,
-    Obdd,
-    ObddNode,
-    _emit_tree,
     _load_text,
     _pairs,
     _wrong_type,
     classify,
-    complete_obdd,
+    dumps_canonical,
+    dumps_model,
     example_to_json,
     loads_model,
+    measure_parameters,
     model_features,
     model_from_json,
 )
-from .obdd import obdd_ensemble_product
+from .obdd import Obdd, ObddNode, complete_obdd, obdd_ensemble_product
 
 
 class MccInstance:
@@ -138,7 +141,7 @@ def vertex_feature(v: str) -> str:
 # ---------------------------------------------------------------------------
 # Decision trees unfolded from states
 #
-# `models._emit_tree` unfolds the trees of the tree reductions straight
+# `dt._emit_tree` unfolds the trees of the tree reductions straight
 # from two kinds of state, each a plain tuple:
 #   (_TRIE, order, rows, depth, ends): the examples a path agrees with.
 #     Each row is the set of features its example sets to 1.  The state
@@ -751,6 +754,13 @@ def _integer(params: Dict, key: str, default=None, required: bool = False):
     raise ModelError(f"param {key!r} must be an integer, got {value!r}")
 
 
+def _node_cap(params: Dict) -> int:
+    cap = _integer(params, "node_cap", DEFAULT_NODE_CAP)
+    if cap < 0:
+        raise ModelError(f"param 'node_cap' must be non-negative, got {cap}")
+    return cap
+
+
 def _array(params: Dict, key: str) -> list:
     value = params[key]
     if not isinstance(value, list):
@@ -781,7 +791,7 @@ def _make_mcc_gaxp_dt(params):
         g,
         _integer(params, "k"),
         _integer(params, "max_k", 10),
-        _integer(params, "node_cap", DEFAULT_NODE_CAP),
+        _node_cap(params),
     )
     query = {"kind": "gAXp", "minimality": "cardinality", "target": target, "k": k}
     return tree, query
@@ -817,7 +827,7 @@ def _make_laxp_to_gaxp(params):
         model,
         example,
         _integer(params, "k", required=True),
-        _integer(params, "node_cap", DEFAULT_NODE_CAP),
+        _node_cap(params),
     )
     query = {"kind": "gAXp", "minimality": "cardinality", "target": target, "k": k}
     return prod, query
@@ -834,3 +844,94 @@ GENERATORS = {
     "mcc_obdd_maj": _clique(gen_mcc_obdd_maj),
     "laxp_to_gaxp": _make_laxp_to_gaxp,
 }
+
+
+# ---------------------------------------------------------------------------
+# The `generate` and `bench` subcommands
+
+
+def cmd_generate(args) -> int:
+    from .cli import _structured
+
+    maker = GENERATORS.get(args.gadget)
+    if maker is None:
+        raise ModelError(
+            f"unknown gadget {args.gadget!r}; available: {', '.join(sorted(GENERATORS))}"
+        )
+    params = _structured(args.params)
+    if not isinstance(params, dict):
+        raise _wrong_type("the params", dict, params)
+    try:
+        model, query = maker(params)
+    except KeyError as missing:
+        raise ModelError(f"params object misses {missing}") from None
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(dumps_model(model))
+    summary: Dict = {"gadget": args.gadget, "kind": model.kind}
+    if query is not None:
+        summary["query"] = query
+    sys.stdout.write(dumps_canonical(summary))
+    return 0
+
+
+_BENCH_COLUMNS = (
+    "instance",
+    "ens_size",
+    "mnl_size",
+    "terms_elem",
+    "term_size",
+    "width_elem",
+    "size_elem",
+    "witness_size",
+    "route",
+    "status",
+    "time_ms",
+)
+
+
+def _bench_row(path: str, q: ExplanationQuery, args) -> Dict:
+    from .cli import _load_model, _with_timeout, run_explain
+
+    row: Dict = {"instance": os.path.basename(path)}
+
+    def solve():
+        model = _load_model(path)
+        row.update(measure_parameters(model).to_json())
+        witness, row["route"] = run_explain(
+            model, q, args.route, args.cap_nodes, args.guard_features
+        )
+        row["status"] = "ok" if witness is not None else "none"
+        if witness is not None:
+            row["witness_size"] = witness.size
+
+    started = time.perf_counter()
+    try:
+        _with_timeout(solve, args.timeout_ms)
+    except DeadlineExceeded:
+        row = {"instance": row["instance"], "status": "timeout"}
+    except Exception as err:
+        row["status"] = "error"
+        row["route"] = type(err).__name__
+    row["time_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
+    return row
+
+
+def cmd_bench(args) -> int:
+    """One row per corpus file, run in name order, each under its own deadline."""
+    import csv
+    import io
+
+    from .cli import _emit, _structured
+
+    q = query_from_json(_structured(args.query))
+    files = sorted(f for f in os.listdir(args.corpus) if f.endswith(".json"))
+    rows = [_bench_row(os.path.join(args.corpus, f), q, args) for f in files]
+    buffer = io.StringIO()
+    writer = csv.DictWriter(
+        buffer, fieldnames=_BENCH_COLUMNS, lineterminator="\n", restval=""
+    )
+    writer.writeheader()
+    for row in rows:
+        writer.writerow(row)
+    _emit(buffer.getvalue(), args.out)
+    return 0

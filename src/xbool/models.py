@@ -6,6 +6,12 @@ majority ensembles of a single family.  Values are validated when
 constructed and treated as immutable afterwards; every operation here is
 pure, so models can be shared freely across threads.
 
+This module holds what every request shares: bits and terms, rule sets
+and lists, ensembles, the `classify` dispatch, the structural parameters
+and the JSON boundary.  Trees live in `dt` and diagrams in `obdd`, each
+loaded when a request first meets one, and each adds its classifier to
+`_CLASSIFIERS`; their names resolve here too.
+
 Classification requires the example to cover the model's feature
 universe.  Extra features are ignored: ensemble elements typically read
 only a slice of the shared universe and still get handed the full
@@ -15,8 +21,9 @@ example.
 from __future__ import annotations
 
 import json
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
+from . import _forward
 from .errors import (
     ContradictoryTerm,
     EvenEnsemble,
@@ -25,6 +32,10 @@ from .errors import (
     UndefinedFeature,
 )
 from .records import Frozen, Record
+
+if TYPE_CHECKING:
+    from .dt import DecisionTree
+    from .obdd import Obdd
 
 Example = Mapping[str, int]
 PartialExample = Mapping[str, int]
@@ -60,181 +71,6 @@ def make_term(literals: Iterable[Literal]) -> Term:
 
 def term_applies(term: Term, e: Example) -> bool:
     return all(_lookup(e, f) == z for f, z in term)
-
-
-# ---------------------------------------------------------------------------
-# Decision trees
-
-
-class DtLeaf(Frozen):
-    __slots__ = ("label",)
-
-    def __init__(self, label: int):
-        self._fill(label)
-
-
-class DtInner(Frozen):
-    __slots__ = ("feature", "zero", "one")
-
-    def __init__(self, feature: str, zero: str, one: str):
-        self._fill(feature, zero, one)
-
-
-DtNode = Union[DtLeaf, DtInner]
-
-
-class DecisionTree:
-    """Rooted binary tree; inner nodes test a feature, leaves carry a class."""
-
-    kind = "dt"
-
-    def __init__(self, nodes: Mapping[str, DtNode], root: str):
-        nodes = dict(nodes)
-        if root not in nodes:
-            raise ModelError(f"root {root!r} is not a node")
-        parent: Dict[str, str] = {}
-        labels: Dict[str, int] = {}
-        for nid, node in nodes.items():
-            if isinstance(node, DtLeaf):
-                _bit(node.label, "leaf label")
-                labels[nid] = node.label
-            elif isinstance(node, DtInner):
-                for child in (node.zero, node.one):
-                    if child not in nodes:
-                        raise ModelError(f"child {child!r} of {nid!r} is not a node")
-                    if child in parent:
-                        raise ModelError(f"node {child!r} has two parents")
-                    parent[child] = nid
-            else:
-                raise ModelError(f"node {nid!r} is neither leaf nor inner")
-        if root in parent:
-            raise ModelError("root must not have a parent")
-        # unique parents rule out sharing; a full walk rules out stray components
-        seen = 0
-        stack = [root]
-        while stack:
-            node = nodes[stack.pop()]
-            seen += 1
-            if isinstance(node, DtInner):
-                stack.append(node.zero)
-                stack.append(node.one)
-        if seen != len(nodes):
-            raise ModelError("tree contains nodes unreachable from the root")
-        self.nodes: Dict[str, DtNode] = nodes
-        self.root = root
-        # leaf id -> class label, the terminals of a restriction walk
-        self.leaf_labels: Dict[str, int] = labels
-        self._repeat_free: Optional[bool] = None  # memo of simplify_dt
-
-    def features(self) -> FrozenSet[str]:
-        return frozenset(
-            n.feature for n in self.nodes.values() if isinstance(n, DtInner)
-        )
-
-    def leaves(self) -> Tuple[Tuple[str, int], ...]:
-        return tuple(self.leaf_labels.items())
-
-
-def _classify_dt(t: DecisionTree, e: Example) -> int:
-    node = t.nodes[t.root]
-    while isinstance(node, DtInner):
-        node = t.nodes[node.one if _lookup(e, node.feature) else node.zero]
-    return node.label
-
-
-def _dt_has_repeats(t: DecisionTree) -> bool:
-    stack = [(t.root, frozenset())]
-    while stack:
-        nid, seen = stack.pop()
-        node = t.nodes[nid]
-        if isinstance(node, DtInner):
-            if node.feature in seen:
-                return True
-            seen = seen | {node.feature}
-            stack.append((node.zero, seen))
-            stack.append((node.one, seen))
-    return False
-
-
-def _emit_tree(start, expand) -> DecisionTree:
-    """The tree unfolded from `start`; the one place tree node ids are made.
-
-    `expand(state)` gives a leaf label or `(feature, zero_state,
-    one_state)`.  Ids run n0, n1, ... in preorder, the 0-child first,
-    and an explicit stack keeps depth off the call stack.
-    """
-    nodes: Dict[str, DtNode] = {}
-    inner = []
-    work = [(start, [None], 0)]
-    while work:
-        state, slots, side = work.pop()
-        slots[side] = nid = f"n{len(nodes) + len(inner)}"
-        got = expand(state)
-        if isinstance(got, tuple):
-            slots = list(got)  # [feature, zero, one] until the ids are in
-            inner.append((nid, slots))
-            work += ((got[2], slots, 2), (got[1], slots, 1))
-        else:
-            nodes[nid] = DtLeaf(got)
-    for nid, slots in inner:
-        nodes[nid] = DtInner(*slots)
-    return DecisionTree(nodes, "n0")
-
-
-def _project(
-    trees: Sequence[DecisionTree], fixed: Mapping[str, int], accumulate: bool
-) -> DecisionTree:
-    """The majority vote of `trees`, read one after another, each path
-    ending in the majority of the leaves it crosses (one tree keeps its
-    labels).  A node whose feature the path context decides follows the
-    decided arc.  The context is `fixed`, plus every branch decision
-    when `accumulate`, which leaves no feature tested twice on a path.
-    """
-    majority = len(trees) // 2 + 1
-
-    def expand(state):
-        ti, nid, votes, path = state
-        node = trees[ti].nodes[nid]
-        while True:
-            if isinstance(node, DtLeaf):
-                votes += node.label
-                ti += 1
-                if ti == len(trees):
-                    return 1 if votes >= majority else 0
-                nid = trees[ti].root
-            elif node.feature in path:
-                nid = node.one if path[node.feature] else node.zero
-            else:
-                break
-            node = trees[ti].nodes[nid]
-        one = path
-        if accumulate:
-            one = dict(path)
-            one[node.feature] = 1
-            path[node.feature] = 0
-        return node.feature, (ti, node.zero, votes, path), (ti, node.one, votes, one)
-
-    out = _emit_tree((0, trees[0].root, 0, dict(fixed)), expand)
-    if accumulate:
-        out._repeat_free = True
-    return out
-
-
-def simplify_dt(t: DecisionTree) -> DecisionTree:
-    """Drop re-tests of features already decided on the path; same classifier."""
-    if t._repeat_free is None:
-        t._repeat_free = not _dt_has_repeats(t)
-    if t._repeat_free:
-        return t
-    return _project([t], {}, accumulate=True)
-
-
-def restrict_dt(t: DecisionTree, tau: PartialExample) -> DecisionTree:
-    """Keep only the tau(f)-subtree below every node testing f in dom(tau)."""
-    if not tau:
-        return t
-    fixed = {str(f): _bit(z, f"assignment of {f!r}") for f, z in tau.items()}
-    return _project([t], fixed, accumulate=False)
 
 
 def require_total(e: Example, features: Iterable[str]) -> None:
@@ -301,214 +137,9 @@ def _classify_dl(dl: DecisionList, e: Example) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Ordered binary decision diagrams
-
-
-class ObddNode(Frozen):
-    __slots__ = ("feature", "zero", "one")
-
-    def __init__(self, feature: str, zero: str, one: str):
-        self._fill(feature, zero, one)
-
-
-class Obdd:
-    """DAG reading features along a fixed order, ending in sinks t0/t1.
-
-    The `order` is the feature universe: completion pads every path so it
-    reads each feature of the order exactly once.  Every node must be
-    reachable from the source, and arcs must move strictly forward in the
-    order, which also guarantees acyclicity.
-    """
-
-    kind = "obdd"
-
-    def __init__(
-        self,
-        nodes: Mapping[str, ObddNode],
-        source: str,
-        t0: str,
-        t1: str,
-        order: Sequence[str],
-    ):
-        nodes = dict(nodes)
-        order = tuple(str(f) for f in order)
-        if len(set(order)) != len(order):
-            raise ModelError("feature order has duplicates")
-        if t0 == t1:
-            raise ModelError("t0 and t1 must differ")
-        for sink in (t0, t1):
-            if sink in nodes:
-                raise ModelError(f"sink {sink!r} also appears as an inner node")
-        index = {f: i for i, f in enumerate(order)}
-        sinks = {t0, t1}
-        if source not in nodes and source not in sinks:
-            raise ModelError(f"source {source!r} is not a node")
-        for nid, node in nodes.items():
-            if node.feature not in index:
-                raise NotOrdered(f"feature {node.feature!r} of {nid!r} is not in the order")
-            for child in (node.zero, node.one):
-                if child in sinks:
-                    continue
-                if child not in nodes:
-                    raise ModelError(f"child {child!r} of {nid!r} is not a node")
-                if index[nodes[child].feature] <= index[node.feature]:
-                    raise NotOrdered(
-                        f"arc {nid!r} -> {child!r} does not advance in the order"
-                    )
-        reached = set()
-        stack = [source]
-        while stack:
-            nid = stack.pop()
-            if nid in sinks or nid in reached:
-                continue
-            reached.add(nid)
-            node = nodes[nid]
-            stack.append(node.zero)
-            stack.append(node.one)
-        if reached != set(nodes):
-            raise ModelError("OBDD contains nodes unreachable from the source")
-        self.nodes: Dict[str, ObddNode] = nodes
-        self.source = source
-        self.t0 = t0
-        self.t1 = t1
-        self.order: Tuple[str, ...] = order
-        self._index = index
-        self.sink_labels: Dict[str, int] = {t0: 0, t1: 1}
-        self._complete: Optional[bool] = None  # memo of is_complete
-
-    def features(self) -> FrozenSet[str]:
-        return frozenset(self.order)
-
-    def level(self, nid: str) -> int:
-        if nid == self.t0 or nid == self.t1:
-            return len(self.order)
-        return self._index[self.nodes[nid].feature]
-
-    def sink_label(self, nid: str) -> Optional[int]:
-        return self.sink_labels.get(nid)
-
-    def present_sinks(self) -> Tuple[str, ...]:
-        referenced = {self.source}
-        for node in self.nodes.values():
-            referenced.add(node.zero)
-            referenced.add(node.one)
-        return tuple(s for s in (self.t0, self.t1) if s in referenced)
-
-    def size(self) -> int:
-        return len(self.nodes) + len(self.present_sinks())
-
-
-def _classify_obdd(o: Obdd, e: Example) -> int:
-    nid = o.source
-    label = o.sink_label(nid)
-    while label is None:
-        node = o.nodes[nid]
-        nid = node.one if _lookup(e, node.feature) else node.zero
-        label = o.sink_label(nid)
-    return label
-
-
-def is_complete(o: Obdd) -> bool:
-    if o._complete is None:
-        o._complete = _levels_complete(o)
-    return o._complete
-
-
-def _levels_complete(o: Obdd) -> bool:
-    if o.level(o.source) != 0 and len(o.order) > 0:
-        return False
-    for nid, node in o.nodes.items():
-        lv = o.level(nid)
-        if o.level(node.zero) != lv + 1 or o.level(node.one) != lv + 1:
-            return False
-    return True
-
-
-def complete_obdd(o: Obdd) -> Obdd:
-    """Pad skipped levels so every path reads the whole order; same classifier."""
-    if is_complete(o):
-        return o
-    extra: Dict[str, ObddNode] = {}
-    memo: Dict[Tuple[str, int], str] = {}
-
-    def pad(target: str, lv: int) -> str:
-        # node at level lv whose both arcs lead onward to target, through
-        # one padding node per level; the chain is built bottom-up, so
-        # deeper padding nodes get their ids first
-        top = o.level(target)
-        low = lv
-        while low < top and (target, low) not in memo:
-            low += 1
-        nxt = memo.get((target, low), target)
-        for level in range(low - 1, lv - 1, -1):
-            nid = f"pad:{target}:{level}"
-            while nid in o.nodes or nid in extra:
-                nid += "~"
-            extra[nid] = ObddNode(o.order[level], nxt, nxt)
-            memo[(target, level)] = nxt = nid
-        return nxt
-
-    rebuilt: Dict[str, ObddNode] = {}
-    for nid, node in o.nodes.items():
-        lv = o.level(nid)
-        rebuilt[nid] = ObddNode(
-            node.feature, pad(node.zero, lv + 1), pad(node.one, lv + 1)
-        )
-    source = pad(o.source, 0)
-    rebuilt.update(extra)
-    done = Obdd(rebuilt, source, o.t0, o.t1, o.order)
-    done._complete = True
-    return done
-
-
-def walk_labels(
-    nodes: Mapping[str, object],
-    terminals: Mapping[str, int],
-    start: str,
-    tau: PartialExample,
-) -> FrozenSet[int]:
-    """Labels reachable from `start` once arcs disagreeing with tau are cut.
-
-    The one restriction primitive of trees and diagrams: `terminals` maps
-    leaf or sink ids to their class, `nodes` maps every other id to a
-    node with `feature`, `zero` and `one`.  An assigned feature follows
-    its fixed arc, a free one both; the walk stops as soon as both labels
-    are seen and builds no model.
-    """
-    fixed = {str(f): _bit(z, f"assignment of {f!r}") for f, z in tau.items()}
-    labels = set()
-    seen = set()
-    stack = [start]
-    while stack:
-        nid = stack.pop()
-        label = terminals.get(nid)
-        if label is not None:
-            labels.add(label)
-            if len(labels) == 2:
-                break
-            continue
-        if nid in seen:
-            continue
-        seen.add(nid)
-        node = nodes[nid]
-        z = fixed.get(node.feature)
-        if z is None:
-            stack.append(node.one)
-            stack.append(node.zero)
-        else:
-            stack.append(node.one if z else node.zero)
-    return frozenset(labels)
-
-
-def reachable_sinks(o: Obdd, tau: PartialExample) -> FrozenSet[int]:
-    """Labels of sinks reachable once arcs disagreeing with tau are removed."""
-    return walk_labels(o.nodes, o.sink_labels, o.source, tau)
-
-
-# ---------------------------------------------------------------------------
 # Ensembles
 
-Model = Union[DecisionTree, DecisionSet, DecisionList, Obdd, "Ensemble"]
+Model = Union["DecisionTree", DecisionSet, DecisionList, "Obdd", "Ensemble"]
 
 
 def _is_subsequence(sub: Sequence[str], full: Sequence[str]) -> bool:
@@ -562,11 +193,11 @@ def _classify_ensemble(ens: Ensemble, e: Example) -> int:
 # ---------------------------------------------------------------------------
 # Shared entry points
 
+# kind -> classifier; `dt` and `obdd` add theirs when loaded, which is
+# before any tree or diagram can exist
 _CLASSIFIERS = {
-    "dt": _classify_dt,
     "ds": _classify_ds,
     "dl": _classify_dl,
-    "obdd": _classify_obdd,
     "ensemble": _classify_ensemble,
 }
 
@@ -626,15 +257,6 @@ class Parameters(Record):
         }
 
 
-def dt_mnl(t: DecisionTree) -> int:
-    labels = [label for _, label in t.leaves()]
-    return min(labels.count(0), labels.count(1))
-
-
-def dt_size(t: DecisionTree) -> int:
-    return len(t.leaves())
-
-
 def ds_size(s: DecisionSet) -> int:
     return sum(len(t) for t in s.terms) + 1
 
@@ -643,19 +265,13 @@ def dl_size(dl: DecisionList) -> int:
     return sum(len(r.term) + 1 for r in dl.rules)
 
 
-def obdd_width(o: Obdd) -> int:
-    full = complete_obdd(o)
-    per_feature: Dict[str, int] = {}
-    for node in full.nodes.values():
-        per_feature[node.feature] = per_feature.get(node.feature, 0) + 1
-    return max(per_feature.values(), default=0)
-
-
 def measure_parameters(model: Model) -> Parameters:
     elements = model.elements if isinstance(model, Ensemble) else (model,)
     kind = elements[0].kind
     params = Parameters(ens_size=len(elements))
     if kind == "dt":
+        from .dt import dt_mnl, dt_size
+
         params.mnl_size = max(dt_mnl(t) for t in elements)
         params.size_elem = max(dt_size(t) for t in elements)
     elif kind == "ds":
@@ -671,6 +287,8 @@ def measure_parameters(model: Model) -> Parameters:
         )
         params.size_elem = max(dl_size(dl) for dl in elements)
     elif kind == "obdd":
+        from .obdd import obdd_width
+
         params.width_elem = max(obdd_width(o) for o in elements)
         params.size_elem = max(o.size() for o in elements)
     return params
@@ -681,26 +299,27 @@ def measure_parameters(model: Model) -> Parameters:
 
 
 def model_to_json(model: Model) -> Dict:
-    if isinstance(model, DecisionTree):
+    kind = getattr(model, "kind", None)
+    if kind == "dt":
         nodes = {}
         for nid, node in model.nodes.items():
-            if isinstance(node, DtLeaf):
+            if nid in model.leaf_labels:
                 nodes[nid] = {"leaf": node.label}
             else:
                 nodes[nid] = {"feature": node.feature, "zero": node.zero, "one": node.one}
         return {"kind": "dt", "root": model.root, "nodes": nodes}
-    if isinstance(model, DecisionSet):
+    if kind == "ds":
         return {
             "kind": "ds",
             "terms": [[[f, z] for f, z in sorted(t)] for t in model.terms],
             "default": model.default,
         }
-    if isinstance(model, DecisionList):
+    if kind == "dl":
         return {
             "kind": "dl",
             "rules": [[[[f, z] for f, z in sorted(r.term)], r.label] for r in model.rules],
         }
-    if isinstance(model, Obdd):
+    if kind == "obdd":
         nodes = {
             nid: {"feature": n.feature, "zero": n.zero, "one": n.one}
             for nid, n in model.nodes.items()
@@ -713,7 +332,7 @@ def model_to_json(model: Model) -> Dict:
             "t1": model.t1,
             "order": list(model.order),
         }
-    if isinstance(model, Ensemble):
+    if kind == "ensemble":
         data: Dict = {
             "kind": "ensemble",
             "elements": [model_to_json(el) for el in model.elements],
@@ -779,7 +398,9 @@ def model_from_json(data: Mapping) -> Model:
         raise _wrong_type("a model", dict, data)
     kind = _require(data, "kind")
     if kind == "dt":
-        nodes: Dict[str, DtNode] = {}
+        from .dt import DecisionTree, DtInner, DtLeaf, simplify_dt
+
+        nodes = {}
         for nid, spec in _arc_specs(data).items():
             if "leaf" in spec:
                 nodes[nid] = DtLeaf(_bit(spec["leaf"], "leaf label"))
@@ -797,6 +418,8 @@ def model_from_json(data: Mapping) -> Model:
             rules.append((_pairs(rule[0], "a rule's term"), rule[1]))
         return DecisionList(rules)
     if kind == "obdd":
+        from .obdd import Obdd, ObddNode, _infer_order
+
         nodes = {nid: ObddNode(*_arcs(spec)) for nid, spec in _arc_specs(data).items()}
         source, t0, t1 = (_require(data, key, str) for key in ("source", "t0", "t1"))
         order = data.get("order")
@@ -812,25 +435,6 @@ def model_from_json(data: Mapping) -> Model:
             _strings(shared_order, "the shared order")
         return Ensemble([model_from_json(el) for el in raw], shared_order)
     raise ModelError(f"unknown model kind {kind!r}")
-
-
-def _infer_order(nodes: Mapping[str, ObddNode], source: str, t0: str, t1: str):
-    # walk the 0-arcs once, then append the leftover features sorted; the
-    # Obdd constructor re-checks the guess against every arc
-    order = []
-    nid = source
-    while nid not in (t0, t1):
-        if nid not in nodes:
-            raise ModelError(f"node {nid!r} missing while inferring the order")
-        node = nodes[nid]
-        if node.feature in order:
-            raise NotOrdered("feature repeats along the first path")
-        order.append(node.feature)
-        nid = node.zero
-    rest = sorted(
-        {n.feature for n in nodes.values()} - set(order)
-    )
-    return order + rest
 
 
 def example_to_json(e: Example) -> Dict[str, int]:
@@ -869,3 +473,8 @@ def loads_json(text: str):
 
 def loads_model(text: str) -> Model:
     return model_from_json(loads_json(text))
+
+
+# tree and diagram names resolve here from `dt` and `obdd`, and the walk
+# from `restriction`, for callers that import them from this module
+__getattr__ = _forward(__name__, "dt", "obdd", "restriction")

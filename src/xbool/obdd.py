@@ -1,4 +1,4 @@
-"""Explanation algorithms for complete ordered binary decision diagrams.
+"""Ordered binary decision diagrams: the model and its explanation algorithms.
 
 The primitive here is sink reachability under a partial assignment:
 drop every arc that disagrees with the assignment and see which sinks
@@ -6,27 +6,225 @@ survive.  The completed diagram is a graph view (`restriction.Restriction`)
 like a tree, so the query procedures, the seed path and the minimum
 contrastive search are shared with trees.  Completeness makes the
 diagram leveled, which turns the ensemble product into a lockstep walk.
+The diagram classes live here rather than in `models`, so only a
+request that meets a diagram compiles them.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, ModelError, NotOrdered
 from .explain import ExplanationQuery, Witness
 from .models import (
+    _CLASSIFIERS,
     DEFAULT_NODE_CAP,
-    DecisionTree,
-    DtInner,
-    DtLeaf,
     Ensemble,
     Example,
-    Obdd,
-    ObddNode,
-    complete_obdd,
+    PartialExample,
+    _lookup,
 )
-from .restriction import Restriction
+from .records import Frozen
+from .restriction import Restriction, walk_labels
+
+if TYPE_CHECKING:
+    from .dt import DecisionTree
+
+class ObddNode(Frozen):
+    __slots__ = ("feature", "zero", "one")
+
+    def __init__(self, feature: str, zero: str, one: str):
+        self._fill(feature, zero, one)
+
+
+class Obdd:
+    """DAG reading features along a fixed order, ending in sinks t0/t1.
+
+    The `order` is the feature universe: completion pads every path so it
+    reads each feature of the order exactly once.  Every node must be
+    reachable from the source, and arcs must move strictly forward in the
+    order, which also guarantees acyclicity.
+    """
+
+    kind = "obdd"
+
+    def __init__(
+        self,
+        nodes: Mapping[str, ObddNode],
+        source: str,
+        t0: str,
+        t1: str,
+        order: Sequence[str],
+    ):
+        nodes = dict(nodes)
+        order = tuple(str(f) for f in order)
+        if len(set(order)) != len(order):
+            raise ModelError("feature order has duplicates")
+        if t0 == t1:
+            raise ModelError("t0 and t1 must differ")
+        for sink in (t0, t1):
+            if sink in nodes:
+                raise ModelError(f"sink {sink!r} also appears as an inner node")
+        index = {f: i for i, f in enumerate(order)}
+        sinks = {t0, t1}
+        if source not in nodes and source not in sinks:
+            raise ModelError(f"source {source!r} is not a node")
+        for nid, node in nodes.items():
+            if node.feature not in index:
+                raise NotOrdered(f"feature {node.feature!r} of {nid!r} is not in the order")
+            for child in (node.zero, node.one):
+                if child in sinks:
+                    continue
+                if child not in nodes:
+                    raise ModelError(f"child {child!r} of {nid!r} is not a node")
+                if index[nodes[child].feature] <= index[node.feature]:
+                    raise NotOrdered(
+                        f"arc {nid!r} -> {child!r} does not advance in the order"
+                    )
+        reached = set()
+        stack = [source]
+        while stack:
+            nid = stack.pop()
+            if nid in sinks or nid in reached:
+                continue
+            reached.add(nid)
+            node = nodes[nid]
+            stack.append(node.zero)
+            stack.append(node.one)
+        if reached != set(nodes):
+            raise ModelError("OBDD contains nodes unreachable from the source")
+        self.nodes: Dict[str, ObddNode] = nodes
+        self.source = source
+        self.t0 = t0
+        self.t1 = t1
+        self.order: Tuple[str, ...] = order
+        self._index = index
+        self.sink_labels: Dict[str, int] = {t0: 0, t1: 1}
+        self._complete: Optional[bool] = None  # memo of is_complete
+
+    def features(self) -> FrozenSet[str]:
+        return frozenset(self.order)
+
+    def level(self, nid: str) -> int:
+        if nid == self.t0 or nid == self.t1:
+            return len(self.order)
+        return self._index[self.nodes[nid].feature]
+
+    def sink_label(self, nid: str) -> Optional[int]:
+        return self.sink_labels.get(nid)
+
+    def present_sinks(self) -> Tuple[str, ...]:
+        referenced = {self.source}
+        for node in self.nodes.values():
+            referenced.add(node.zero)
+            referenced.add(node.one)
+        return tuple(s for s in (self.t0, self.t1) if s in referenced)
+
+    def size(self) -> int:
+        return len(self.nodes) + len(self.present_sinks())
+
+
+def _classify_obdd(o: Obdd, e: Example) -> int:
+    nid = o.source
+    label = o.sink_label(nid)
+    while label is None:
+        node = o.nodes[nid]
+        nid = node.one if _lookup(e, node.feature) else node.zero
+        label = o.sink_label(nid)
+    return label
+
+
+_CLASSIFIERS["obdd"] = _classify_obdd
+
+
+def is_complete(o: Obdd) -> bool:
+    if o._complete is None:
+        o._complete = _levels_complete(o)
+    return o._complete
+
+
+def _levels_complete(o: Obdd) -> bool:
+    if o.level(o.source) != 0 and len(o.order) > 0:
+        return False
+    for nid, node in o.nodes.items():
+        lv = o.level(nid)
+        if o.level(node.zero) != lv + 1 or o.level(node.one) != lv + 1:
+            return False
+    return True
+
+
+def complete_obdd(o: Obdd) -> Obdd:
+    """Pad skipped levels so every path reads the whole order; same classifier."""
+    if is_complete(o):
+        return o
+    extra: Dict[str, ObddNode] = {}
+    memo: Dict[Tuple[str, int], str] = {}
+
+    def pad(target: str, lv: int) -> str:
+        # node at level lv whose both arcs lead onward to target, through
+        # one padding node per level; the chain is built bottom-up, so
+        # deeper padding nodes get their ids first
+        top = o.level(target)
+        low = lv
+        while low < top and (target, low) not in memo:
+            low += 1
+        nxt = memo.get((target, low), target)
+        for level in range(low - 1, lv - 1, -1):
+            nid = f"pad:{target}:{level}"
+            while nid in o.nodes or nid in extra:
+                nid += "~"
+            extra[nid] = ObddNode(o.order[level], nxt, nxt)
+            memo[(target, level)] = nxt = nid
+        return nxt
+
+    rebuilt: Dict[str, ObddNode] = {}
+    for nid, node in o.nodes.items():
+        lv = o.level(nid)
+        rebuilt[nid] = ObddNode(
+            node.feature, pad(node.zero, lv + 1), pad(node.one, lv + 1)
+        )
+    source = pad(o.source, 0)
+    rebuilt.update(extra)
+    done = Obdd(rebuilt, source, o.t0, o.t1, o.order)
+    done._complete = True
+    return done
+
+
+def reachable_sinks(o: Obdd, tau: PartialExample) -> FrozenSet[int]:
+    """Labels of sinks reachable once arcs disagreeing with tau are removed."""
+    return walk_labels(o.nodes, o.sink_labels, o.source, tau)
+
+
+def obdd_width(o: Obdd) -> int:
+    full = complete_obdd(o)
+    per_feature: Dict[str, int] = {}
+    for node in full.nodes.values():
+        per_feature[node.feature] = per_feature.get(node.feature, 0) + 1
+    return max(per_feature.values(), default=0)
+
+
+def _infer_order(nodes: Mapping[str, ObddNode], source: str, t0: str, t1: str):
+    # walk the 0-arcs once, then append the leftover features sorted; the
+    # Obdd constructor re-checks the guess against every arc
+    order = []
+    nid = source
+    while nid not in (t0, t1):
+        if nid not in nodes:
+            raise ModelError(f"node {nid!r} missing while inferring the order")
+        node = nodes[nid]
+        if node.feature in order:
+            raise NotOrdered("feature repeats along the first path")
+        order.append(node.feature)
+        nid = node.zero
+    rest = sorted(
+        {n.feature for n in nodes.values()} - set(order)
+    )
+    return order + rest
+
+
+# ---------------------------------------------------------------------------
+# Explanation procedures
 
 
 def _restriction(o: Obdd) -> Restriction:
@@ -142,6 +340,8 @@ def dt_to_obdd(t: DecisionTree) -> Obdd:
     constraints, smallest name first among the unconstrained; a cycle
     means no single order fits every branch and raises NotOrdered.
     """
+    from .dt import DtInner, DtLeaf
+
     after: Dict[str, set] = {f: set() for f in t.features()}
     indegree = {f: 0 for f in after}
     for node in t.nodes.values():

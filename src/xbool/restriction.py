@@ -1,25 +1,65 @@
-"""Query procedures shared by decision trees and diagrams.
+"""The restriction walk, and the query procedures trees and diagrams share.
 
 A tree and a diagram answer every check with one question: can a given
 class still be reached once the model is restricted by a partial
-assignment (`models.walk_labels`)?  lAXp and gAXp rule out the other
-class and gCXp the target class; lCXp must reach the other class.  Local
-abductive sets restrict by the target example, global queries by the
-witness itself, and local contrastive sets by the example outside the
-set.  Both families are one graph to every search: inner nodes testing a
-feature, terminals carrying a class, one start.  The least path into a
-label, which seeds the global subset search, and the minimum local
-contrastive set are each one pass over that graph, parents first.
+assignment (`walk_labels`, the one restriction primitive, defined here)?
+lAXp and gAXp rule out the other class and gCXp the target class; lCXp
+must reach the other class.  Local abductive sets restrict by the target
+example, global queries by the witness itself, and local contrastive
+sets by the example outside the set.  Both families are one graph to
+every search (`Restriction`): inner nodes testing a feature, terminals
+carrying a class, one start.  The least path into a label, which seeds
+the global subset search, and the minimum local contrastive set are
+each one pass over that graph, parents first.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Mapping, Optional, Set
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set
 
 from .errors import Homogeneous, ModelError
 from .explain import ExplanationQuery, Witness
-from .models import Example, _lookup, classify, require_total, walk_labels
+from .models import Example, PartialExample, _bit, _lookup, classify, require_total
+
+
+def walk_labels(
+    nodes: Mapping[str, object],
+    terminals: Mapping[str, int],
+    start: str,
+    tau: PartialExample,
+) -> FrozenSet[int]:
+    """Labels reachable from `start` once arcs disagreeing with tau are cut.
+
+    The one restriction primitive of trees and diagrams: `terminals` maps
+    leaf or sink ids to their class, `nodes` maps every other id to a
+    node with `feature`, `zero` and `one`.  An assigned feature follows
+    its fixed arc, a free one both; the walk stops as soon as both labels
+    are seen and builds no model.
+    """
+    fixed = {str(f): _bit(z, f"assignment of {f!r}") for f, z in tau.items()}
+    labels = set()
+    seen = set()
+    stack = [start]
+    while stack:
+        nid = stack.pop()
+        label = terminals.get(nid)
+        if label is not None:
+            labels.add(label)
+            if len(labels) == 2:
+                break
+            continue
+        if nid in seen:
+            continue
+        seen.add(nid)
+        node = nodes[nid]
+        z = fixed.get(node.feature)
+        if z is None:
+            stack.append(node.one)
+            stack.append(node.zero)
+        else:
+            stack.append(node.one if z else node.zero)
+    return frozenset(labels)
 
 
 class Restriction:

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xbool
-from xbool.cli import DEFAULT_CAP, ROUTES, _verdicts, main
+from xbool.cli import DEFAULT_CAP, ROUTES, _verdicts, build_parser, main
 from xbool.explain import DEFAULT_GUARD, ExplanationQuery, Witness, verify_subset_minimal
 from xbool.models import (
     DecisionList, DecisionSet, DecisionTree, DtInner, DtLeaf, Ensemble, dumps_model,
@@ -551,6 +551,30 @@ def test_over_large_timeout_exits_2(capsys, fig1_path, timeout):
     assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("command", ["explain", "verify", "bench"])
+@pytest.mark.parametrize("option, value", [("--cap-nodes", "-1"), ("--guard-features", "-3")])
+def test_negative_limits_exit_2(capsys, fig1_path, command, option, value):
+    argv = {
+        "explain": ["explain", "--model", fig1_path, "--query", Q_LAXP],
+        "verify": ["verify", "--model", fig1_path, "--query", Q_LAXP,
+                   "--witness", json.dumps(["y", "z"])],
+        "bench": ["bench", "--corpus", os.path.dirname(fig1_path), "--query", Q_LAXP],
+    }[command]
+    code = main(argv + [option, value])
+    captured = capsys.readouterr()
+    message = f"argument {option}: must be non-negative, got {value}"
+    assert code == 2
+    assert json.loads(captured.out) == {"error": {"type": "ModelError", "message": message}}
+    assert captured.err.startswith(f"usage: xbool {command}") and message in captured.err
+
+
+def test_zero_limits_are_taken(capsys, fig1_path):
+    out = run(capsys, "explain", "--model", fig1_path, "--query", Q_LAXP,
+              "--guard-features", "0", expect=1)
+    assert json.loads(out)["error"]["type"] == "TooLarge"
+    run(capsys, "explain", "--model", fig1_path, "--query", Q_LAXP, "--cap-nodes", "0")
+
+
 def test_bench_timeout_stops_the_row(tmp_path):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -670,6 +694,73 @@ def test_help_still_prints_and_exits_0():
     proc, _ = run_cli_process("--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: xbool") and proc.stderr == ""
+
+
+HELP_TOP = """\
+usage: xbool [-h] {{explain,verify,generate,bench}} ...
+
+Explanations for transparent binary classifiers.
+
+positional arguments:
+  {{explain,verify,generate,bench}}
+    explain             compute a minimal explanation
+    verify              check a witness against a query
+    generate            write a hard-instance model file
+{bench}
+options:
+  -h, --help            show this help message and exit
+"""
+HELP_EXPLAIN_OPTIONS = """
+options:
+  -h, --help            show this help message and exit
+  --model MODEL
+  --query QUERY
+  --route {auto,dt,obdd,branching,product,bruteforce}
+  --cap-nodes CAP_NODES
+  --guard-features GUARD_FEATURES
+  --timeout-ms TIMEOUT_MS
+  --out OUT
+"""
+HELP = {
+    ("60", "xbool"): HELP_TOP.format(bench="""\
+    bench               run a query over a corpus
+                        directory
+"""),
+    ("200", "xbool"): HELP_TOP.format(bench="""\
+    bench               run a query over a corpus directory
+"""),
+    ("60", "xbool explain"): """\
+usage: xbool explain [-h] --model MODEL --query QUERY
+                     [--route {auto,dt,obdd,branching,product,bruteforce}]
+                     [--cap-nodes CAP_NODES]
+                     [--guard-features GUARD_FEATURES]
+                     [--timeout-ms TIMEOUT_MS] [--out OUT]
+""" + HELP_EXPLAIN_OPTIONS,
+    ("200", "xbool explain"): """\
+usage: xbool explain [-h] --model MODEL --query QUERY [--route {auto,dt,obdd,branching,product,bruteforce}] \
+[--cap-nodes CAP_NODES] [--guard-features GUARD_FEATURES] [--timeout-ms TIMEOUT_MS]
+                     [--out OUT]
+""" + HELP_EXPLAIN_OPTIONS,
+}
+
+
+@pytest.mark.parametrize("columns, command", sorted(HELP))
+def test_help_text_is_pinned(capsys, monkeypatch, columns, command):
+    monkeypatch.setenv("COLUMNS", columns)
+    with pytest.raises(SystemExit) as done:
+        main(command.split()[1:] + ["--help"])
+    assert done.value.code == 0
+    assert capsys.readouterr().out == HELP[columns, command]
+
+
+def test_one_parser_asks_the_terminal_width_once(monkeypatch):
+    import shutil
+
+    asked = []
+    size = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: asked.append(a) or size(*a))
+    build_parser()
+    assert len(asked) == 1
 
 
 @pytest.mark.parametrize("query", [
@@ -942,6 +1033,20 @@ def test_generate_malformed_params_exit_2(capsys, tmp_path, gadget, params):
     assert error["type"] == "ModelError"
     if isinstance(params, dict) and type(params.get("k", 0)) is not int:
         assert error["message"].startswith("param 'k' must be an integer"), error
+
+
+@pytest.mark.parametrize("gadget, params", [
+    ("mcc_gaxp_dt", {**json.loads(K3_PARAMS), "node_cap": -5}),
+    ("laxp_to_gaxp", {"model": dict(OBDD_XY, order=["x", "y"]),
+                      "example": {"x": 1, "y": 0}, "k": 1, "node_cap": -5}),
+])
+def test_generate_negative_node_cap_exits_2(capsys, tmp_path, gadget, params):
+    out = run(capsys, "generate", gadget, "--params", json.dumps(params),
+              "--out", str(tmp_path / "x.json"), expect=2)
+    assert json.loads(out) == {"error": {
+        "type": "ModelError", "message": "param 'node_cap' must be non-negative, got -5",
+    }}
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_generate_unknown_gadget_exits_2(capsys, tmp_path):

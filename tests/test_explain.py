@@ -256,7 +256,8 @@ def test_oracle_lcxp_minimum_costs_three_lookups_per_candidate(monkeypatch):
 
 
 def test_table_oracle_lcxp_minimum_labels_the_target_once(fig1, fig1_e, monkeypatch):
-    from xbool.explain import TableOracle, _oracle_for
+    from xbool.explain import TableOracle
+    from xbool.tables import _oracle_for
 
     oracle = _oracle_for(fig1, 20)
     labelled = []

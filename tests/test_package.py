@@ -6,7 +6,9 @@ still resolves, the records keep the dataclass behaviour they replaced,
 and an `explain`/`verify` process loads only the modules its route runs.
 """
 
+import ast
 import copy
+import importlib
 import json
 import os
 import pickle
@@ -46,48 +48,95 @@ DIAGRAM = {
     },
 }
 
-# Runs two requests through cli.main in a fresh interpreter and prints
-# the exit codes and the modules loaded after each.
+RULES = {"kind": "dl", "rules": [[[["x", 1], ["y", 1]], 1], [[["y", 0]], 0], [[], 1]]}
+LAXP = json.dumps({"kind": "lAXp", "minimality": "subset", "target": {"x": 1, "y": 1}})
+
+# Runs one request through cli.main in a fresh interpreter and prints
+# its exit code and the modules loaded after it.
 PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
 from xbool import cli
-tree, diagram = sys.argv[1:3]
-report = {}
 with redirect_stdout(io.StringIO()):
-    report["explain"] = cli.main([
-        "explain", "--model", tree, "--query",
-        json.dumps({"kind": "lAXp", "minimality": "subset", "target": {"x": 1, "y": 1}}),
-    ])
-report["after_tree"] = sorted(sys.modules)
-with redirect_stdout(io.StringIO()):
-    report["verify"] = cli.main([
-        "verify", "--minimal", "--model", diagram, "--query",
-        json.dumps({"kind": "gAXp", "minimality": "subset", "target": 1}),
-        "--witness", json.dumps({"x": 1, "y": 1}),
-    ])
-report["after_diagram"] = sorted(sys.modules)
-print(json.dumps(report))
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
+# loaded by no explain or verify request
+NEVER = ("dataclasses", "xbool.gadgets", "xbool.circuits", "csv")
 
-def test_a_request_loads_only_its_route(tmp_path):
-    tree, diagram = tmp_path / "tree.json", tmp_path / "diagram.json"
-    tree.write_text(json.dumps(TREE))
-    diagram.write_text(json.dumps(DIAGRAM))
+
+def _loaded(*argv):
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, str(tree), str(diagram)],
+        [sys.executable, "-c", PROBE, *argv],
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=SRC),
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["explain"] == 0 and report["verify"] == 0
-    assert "xbool.dt" in report["after_tree"]
-    assert "xbool.obdd" not in report["after_tree"]
-    for name in ("dataclasses", "xbool.gadgets", "xbool.circuits", "xbool.dslist",
-                 "xbool.tables", "csv"):
-        assert name not in report["after_diagram"], name
+    assert report["code"] == 0, argv
+    return set(report["modules"])
+
+
+def test_a_request_loads_only_its_route(tmp_path):
+    paths = {}
+    for name, model in (("tree", TREE), ("diagram", DIAGRAM), ("rules", RULES)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(model))
+    after_tree = _loaded("explain", "--model", str(paths["tree"]), "--query", LAXP)
+    assert "xbool.dt" in after_tree
+    for name in NEVER + ("xbool.obdd", "xbool.tables", "xbool.dslist"):
+        assert name not in after_tree, name
+    after_diagram = _loaded(
+        "verify", "--minimal", "--model", str(paths["diagram"]), "--query",
+        json.dumps({"kind": "gAXp", "minimality": "subset", "target": 1}),
+        "--witness", json.dumps({"x": 1, "y": 1}),
+    )
+    assert "xbool.obdd" in after_diagram
+    for name in NEVER + ("xbool.dt", "xbool.tables", "xbool.dslist"):
+        assert name not in after_diagram, name
+    after_rules = _loaded("explain", "--model", str(paths["rules"]), "--query", LAXP)
+    assert "xbool.tables" in after_rules
+    for name in NEVER + ("xbool.dt", "xbool.obdd", "xbool.restriction", "xbool.dslist"):
+        assert name not in after_rules, name
+
+
+def _imported_from(module: str):
+    """(file, name) for every name the tests and the benchmark import
+    from `module` by a `from ... import` statement."""
+    root = os.path.dirname(SRC)
+    for folder in ("tests", "perfbench"):
+        for entry in sorted(os.listdir(os.path.join(root, folder))):
+            if not entry.endswith(".py"):
+                continue
+            with open(os.path.join(root, folder, entry), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == module:
+                    yield from ((entry, alias.name) for alias in node.names)
+
+
+@pytest.mark.parametrize("module", ["xbool.models", "xbool.explain"])
+def test_names_imported_from_models_and_explain_resolve_there(module, monkeypatch):
+    owner = importlib.import_module(module)
+    imported = list(_imported_from(module))
+    assert imported
+    for entry, name in imported:
+        assert getattr(owner, name) is getattr(xbool, name), (entry, name)
+    # a moved name is looked up at its home on every access, so a
+    # rebinding there (the benchmark tracer's wrappers) shows here too
+    moved = [name for _, name in imported if name not in vars(owner)]
+    assert moved
+    for name in moved:
+        home = sys.modules[f"xbool.{xbool._HOME[name]}"]
+        stand_in = object()
+        monkeypatch.setattr(home, name, stand_in)
+        assert getattr(owner, name) is stand_in, name
+        assert name not in vars(owner), name
+    with pytest.raises(AttributeError):
+        getattr(owner, "no_such_name")
+    with pytest.raises(AttributeError):
+        getattr(owner, "Circuit")  # public, but it never lived here
 
 
 def test_every_public_name_resolves():

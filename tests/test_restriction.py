@@ -5,7 +5,7 @@ reference; plus counts of the models the checks build."""
 import itertools
 import random
 
-from xbool import models
+from xbool import dt
 from xbool.dt import dt_ensemble_to_dt, dt_xp_search
 from xbool.explain import ExplanationQuery
 from xbool.models import (
@@ -193,7 +193,7 @@ def test_simplified_trees_are_marked_repeat_free(monkeypatch):
     done = [simplify_dt(t) for t in trees]
     done.append(dt_ensemble_to_dt(Ensemble(trees[:3])))
     walks = []
-    monkeypatch.setattr(models, "_dt_has_repeats", lambda t: walks.append(t))
+    monkeypatch.setattr(dt, "_dt_has_repeats", lambda t: walks.append(t))
     for t in done:
         assert simplify_dt(t) is t
     assert walks == []

@@ -12,7 +12,6 @@ from xbool.explain import (
     FunctionOracle,
     TableOracle,
     Witness,
-    _oracle_for,
 )
 from xbool.models import (
     DecisionList,
@@ -24,7 +23,7 @@ from xbool.models import (
     classify,
     model_features,
 )
-from xbool.tables import at_least, feature_mask, literals, model_table
+from xbool.tables import _oracle_for, at_least, feature_mask, literals, model_table
 
 from helpers import (
     rand_dl,
