@@ -8,7 +8,6 @@ nothing in here computes an actual decomposition.
 
 from __future__ import annotations
 
-import itertools
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ModelError, TooLarge, UnassignedInput
@@ -41,12 +40,19 @@ class Gate(Frozen):
         self._fill(kind, inputs, threshold)
 
 
+_NO_INPUTS = "gate {!r} needs at least one input"
+
+
 class Circuit:
     """Gate DAG with a designated output and compile-time metadata.
 
     Unused IN gates are legal (a model may ignore a feature); every
-    other non-output gate must feed something.  The cycle check's
-    topological order is kept, so evaluation is one straight-line pass.
+    other non-output gate must feed something.  A circuit is kept as a
+    straight-line program, one step per non-IN gate in a topological
+    order: (gate, its inputs, the ones that switch it on or None for
+    NOT, the inputs no later step reads).  A hand-built circuit takes
+    the order of its cycle check; a compiled one the builder's order,
+    and it builds its `Gate` records only when `gates` is first read.
     """
 
     def __init__(
@@ -79,7 +85,7 @@ class Circuit:
             if gate.kind == "NOT" and len(gate.inputs) != 1:
                 raise ModelError(f"NOT gate {gid!r} needs exactly one input")
             if not gate.inputs:
-                raise ModelError(f"gate {gid!r} needs at least one input")
+                raise ModelError(_NO_INPUTS.format(gid))
             for src in gate.inputs:
                 if src not in gates:
                     raise ModelError(f"gate {gid!r} reads missing gate {src!r}")
@@ -88,13 +94,10 @@ class Circuit:
             if gid != output and gate.kind != "IN" and not users[gid]:
                 raise ModelError(f"gate {gid!r} feeds nothing")
         # Cycle check: count how often each gate is still waiting on an
-        # input.  The order it finds is kept as the program, one step per
-        # non-IN gate: (gate, its inputs, the ones that switch it on or
-        # None for NOT, the inputs no later step reads).
+        # input.  The order it finds is kept as the program.
         pending = {gid: len(g.inputs) for gid, g in gates.items()}
-        unread = {gid: len(readers) for gid, readers in users.items()}
         ready = [gid for gid, n in pending.items() if n == 0]
-        steps = []
+        rows = []
         reached = len(ready)
         while ready:
             gid = ready.pop()
@@ -104,36 +107,60 @@ class Circuit:
                     ready.append(user)
                     reached += 1
             gate = gates[gid]
-            if gate.kind == "IN":
-                continue
-            spent = []
-            for src in gate.inputs:
-                unread[src] -= 1
-                if not unread[src]:
-                    spent.append(src)
-            if gate.kind == "AND":
-                need = len(gate.inputs)
-            elif gate.kind == "OR":
-                need = 1
-            else:
-                need = gate.threshold  # None for NOT
-            steps.append((gid, gate.inputs, need, tuple(spent)))
+            if gate.kind != "IN":
+                rows.append((gid, gate.kind, gate.inputs, gate.threshold))
         if reached != len(gates):
             raise ModelError("circuit contains a cycle")
-        self.gates: Dict[str, Gate] = gates
+        inputs = tuple(sorted(g for g, gate in gates.items() if gate.kind == "IN"))
+        self._program(gates, rows, inputs, output, source_kind, target_class, reported_width_bound)
+
+    def _program(self, gates, rows, inputs, output, source_kind, target_class,
+                 reported_width_bound) -> None:
+        """Set every field from `rows`, (gate, kind, inputs, threshold) in
+        a topological order.  One pass from the output back keeps the rows
+        the output reads and marks each value's last reader, so a value is
+        spent there; `gates` is None for a compiled circuit until read."""
+        read = {output}
+        kept, steps = [], []
+        for row in reversed(rows):
+            gid, kind, srcs, threshold = row
+            if gid not in read:
+                continue
+            spent = []
+            for src in srcs:
+                if src not in read:  # once, even if read twice here
+                    read.add(src)
+                    spent.append(src)
+            if kind == "AND":
+                need = len(srcs)
+            else:
+                need = 1 if kind == "OR" else threshold  # None for NOT
+            kept.append(row)
+            steps.append((gid, srcs, need, tuple(spent)))
+        self._gates: Optional[Dict[str, Gate]] = gates
+        self._rows = tuple(reversed(kept))
+        self._steps = tuple(reversed(steps))
+        self._inputs = inputs
+        self._read = tuple(f for f in inputs if f in read)  # the inputs anything reads
         self.output = output
         self.source_kind = source_kind
         self.target_class = _bit(target_class, "target class")
         self.reported_width_bound = reported_width_bound
-        self._steps = tuple(steps)
-        self._inputs = tuple(sorted(g for g, gate in gates.items() if gate.kind == "IN"))
-        self._read = tuple(g for g in self._inputs if users[g] or g == output)
+
+    @property
+    def gates(self) -> Dict[str, Gate]:
+        if self._gates is None:
+            gates = {f: Gate("IN") for f in self._inputs}
+            for gid, kind, srcs, threshold in self._rows:
+                gates[gid] = Gate(kind, srcs, threshold)
+            self._gates = gates
+        return self._gates
 
     def inputs(self) -> Tuple[str, ...]:
         return self._inputs
 
     def maj_count(self) -> int:
-        return sum(1 for gate in self.gates.values() if gate.kind == "MAJ")
+        return sum(1 for row in self._rows if row[1] == "MAJ")
 
 
 def eval_circuit(c: Circuit, alpha: Example) -> int:
@@ -196,24 +223,34 @@ def circuit_table(c: Circuit) -> int:
 
 
 class _Builder:
-    """Shared gate table; duplicate structures collapse onto one gate."""
+    """Shared gate table; duplicate structures collapse onto one gate.
+
+    Gates are rows (gate, kind, inputs, threshold) in insertion order.
+    A gate is added only after its inputs, so that order is topological
+    and `finish` reads the program straight off it.
+    """
 
     def __init__(self, features: Sequence[str]):
         if not features:
             raise ValueError("cannot compile a model without features")
         self.order = tuple(sorted(features))
-        self.gates: Dict[str, Gate] = {f: Gate("IN") for f in self.order}
+        self._features = frozenset(self.order)
+        self.rows: List[Tuple[str, str, Tuple[str, ...], Optional[int]]] = []
         self._cache: Dict[Tuple, str] = {}
-        self._counter = itertools.count()
 
     def add(self, kind: str, inputs: Sequence[str], threshold: Optional[int] = None) -> str:
-        key = (kind, tuple(inputs), threshold)
-        if key in self._cache:
-            return self._cache[key]
-        gid = f"@{next(self._counter)}"
-        while gid in self.gates:
+        inputs = tuple(inputs)
+        key = (kind, inputs, threshold)
+        gid = self._cache.get(key)
+        if gid is not None:
+            return gid
+        # row ids differ in their digits, so only a feature can collide
+        gid = f"@{len(self.rows)}"
+        while gid in self._features:
             gid += "~"
-        self.gates[gid] = Gate(kind, tuple(inputs), threshold)
+        if not inputs:
+            raise ModelError(_NO_INPUTS.format(gid))
+        self.rows.append((gid, kind, inputs, threshold))
         self._cache[key] = gid
         return gid
 
@@ -229,21 +266,10 @@ class _Builder:
         return self.add("AND", (f, self.lit(f, 0)))
 
     def finish(self, output: str, source_kind: str, c: int, bound: int) -> Circuit:
-        # drop internal gates the output never reads; IN gates stay
-        live = set()
-        stack = [output]
-        while stack:
-            gid = stack.pop()
-            if gid in live:
-                continue
-            live.add(gid)
-            stack.extend(self.gates[gid].inputs)
-        kept = {
-            gid: gate
-            for gid, gate in self.gates.items()
-            if gid in live or gate.kind == "IN"
-        }
-        return Circuit(kept, output, source_kind, c, bound)
+        # the rows are already the program: no shape check or sort to redo
+        circuit = Circuit.__new__(Circuit)
+        circuit._program(None, self.rows, self.order, output, source_kind, c, bound)
+        return circuit
 
 
 def _dt_indicator(b: _Builder, t: DecisionTree, c: int) -> str:

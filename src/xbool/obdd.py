@@ -13,7 +13,7 @@ request that meets a diagram compiles them.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetExceeded, ModelError, NotOrdered
 from .explain import ExplanationQuery, Witness
@@ -101,7 +101,9 @@ class Obdd:
         self.order: Tuple[str, ...] = order
         self._index = index
         self.sink_labels: Dict[str, int] = {t0: 0, t1: 1}
-        self._complete: Optional[bool] = None  # memo of is_complete
+        # memo of complete_obdd: True when this diagram is complete, else
+        # its padded copy; None until asked
+        self._complete: Optional[Union[bool, Obdd]] = None
 
     def features(self) -> FrozenSet[str]:
         return frozenset(self.order)
@@ -139,9 +141,9 @@ _CLASSIFIERS["obdd"] = _classify_obdd
 
 
 def is_complete(o: Obdd) -> bool:
-    if o._complete is None:
-        o._complete = _levels_complete(o)
-    return o._complete
+    if o._complete is None and _levels_complete(o):
+        o._complete = True
+    return o._complete is True
 
 
 def _levels_complete(o: Obdd) -> bool:
@@ -155,9 +157,18 @@ def _levels_complete(o: Obdd) -> bool:
 
 
 def complete_obdd(o: Obdd) -> Obdd:
-    """Pad skipped levels so every path reads the whole order; same classifier."""
+    """Pad skipped levels so every path reads the whole order; same classifier.
+
+    The padded copy is built once per diagram and kept on it.
+    """
     if is_complete(o):
         return o
+    if o._complete is None:
+        o._complete = _padded(o)
+    return o._complete
+
+
+def _padded(o: Obdd) -> Obdd:
     extra: Dict[str, ObddNode] = {}
     memo: Dict[Tuple[str, int], str] = {}
 

@@ -1,7 +1,9 @@
 """Shared test machinery: seeded random model builders and independent
 brute-force checkers that the library results are compared against."""
 
+import hashlib
 import itertools
+import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from xbool.models import (
@@ -17,6 +19,7 @@ from xbool.models import (
     complete_obdd,
     model_features,
 )
+from xbool import circuits
 from xbool.circuits import Circuit, Gate
 from xbool.gadgets import MccInstance, vertex_feature
 from xbool.explain import ExplanationQuery, Witness, is_explanation, oracle_min
@@ -190,6 +193,40 @@ def _random_gate(rng, srcs: Sequence[str]) -> Gate:
     kind = rng.choice(kinds)
     threshold = rng.randint(1, len(srcs) + 1) if kind == "MAJ" else None
     return Gate(kind, tuple(srcs), threshold)
+
+
+def six_compiled(rng, feats):
+    """One random model per compiler, with its compiler."""
+    def three(make):
+        return Ensemble([make(rng, feats) for _ in range(3)])
+
+    return [
+        (circuits.compile_dt, rand_dt(rng, feats)),
+        (circuits.compile_dl, rand_dl(rng, feats)),
+        (circuits.compile_obdd, rand_obdd(rng, feats)),
+        (circuits.compile_dt_ensemble, three(rand_dt)),
+        (circuits.compile_dl_ensemble, three(rand_dl)),
+        (circuits.compile_obdd_ensemble_ordered, three(rand_obdd)),
+    ]
+
+
+def compiled_digest(rounds: int = 8) -> str:
+    """sha256 of every compiler's JSON, Graphviz and truth table for both
+    classes over a seeded corpus.  One feature set is named like builder
+    gates (@0, @0~, @1), so gate ids must step around them."""
+    rng = random.Random(191)
+    h = hashlib.sha256()
+    for feats in (("x0", "x1", "x2", "x3", "x4"), ("@0", "@0~", "@1", "x")):
+        for _ in range(rounds):
+            for compile_fn, model in six_compiled(rng, feats):
+                if not model_features(model):
+                    continue
+                for c in (0, 1):
+                    circuit = compile_fn(model, c)
+                    h.update(circuits.dumps_circuit(circuit).encode())
+                    h.update(circuits.circuit_to_dot(circuit).encode())
+                    h.update(b"%x\n" % circuits.circuit_table(circuit))
+    return h.hexdigest()
 
 
 def rand_example(rng, feats) -> Dict[str, int]:

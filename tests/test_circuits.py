@@ -1,13 +1,17 @@
 """Gate validation, evaluation, compilers, and the compiled-form oracle."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xbool
 from xbool import circuits
 from xbool.circuits import (
     Circuit,
@@ -60,6 +64,7 @@ from helpers import (
     rand_dt,
     rand_obdd,
     random_circuit,
+    six_compiled,
     with_replaced,
 )
 
@@ -420,26 +425,11 @@ def _by_definition(c: Circuit, e) -> int:
     return value(c.output)
 
 
-def _six_compiled(rng, feats):
-    """One random model per compiler, with its compiler."""
-    def three(make):
-        return Ensemble([make(rng, feats) for _ in range(3)])
-
-    return [
-        (compile_dt, rand_dt(rng, feats)),
-        (compile_dl, rand_dl(rng, feats)),
-        (compile_obdd, rand_obdd(rng, feats)),
-        (compile_dt_ensemble, three(rand_dt)),
-        (compile_dl_ensemble, three(rand_dl)),
-        (compile_obdd_ensemble_ordered, three(rand_obdd)),
-    ]
-
-
 def test_table_equals_eval_at_every_point():
     rng = random.Random(171)
     feats = tuple(f"x{i}" for i in range(5))
     for _ in range(6):
-        for compile_fn, model in _six_compiled(rng, feats):
+        for compile_fn, model in six_compiled(rng, feats):
             if not model_features(model):
                 continue
             for c in (0, 1):
@@ -488,6 +478,45 @@ def test_table_memory_follows_live_values_not_gates():
     assert peak < 8 * (1 << 16) // 8, peak
 
 
+def _wide_diagram(n: int, width: int) -> Obdd:
+    """Complete diagram over n features whose nodes all compute different
+    functions: levels widen by doubling from the source up to `width`
+    nodes and narrow by halving to two nodes above the sinks, and no two
+    nodes of a level share their pair of children."""
+    order = tuple(f"x{lv:02d}" for lv in range(n))
+    widths = [min(2 ** lv, 2 ** (n - lv), width) for lv in range(n)]
+    nodes = {}
+    for lv, w in enumerate(widths):
+        below = widths[lv + 1] if lv + 1 < n else 0
+        for i in range(w):
+            if not below:
+                zero, one = ("t0", "t1") if i == 0 else ("t1", "t0")
+            elif below > w:
+                zero, one = f"n{lv + 1}.{2 * i}", f"n{lv + 1}.{2 * i + 1}"
+            else:
+                zero = f"n{lv + 1}.{i % below}"
+                one = f"n{lv + 1}.{(i + 1 + i // below) % below}"
+            nodes[f"n{lv}.{i}"] = ObddNode(order[lv], zero, one)
+    return Obdd(nodes, "n0.0", "t0", "t1", order)
+
+
+def test_compiled_table_memory_follows_live_values_not_gates():
+    c = compile_obdd(_wide_diagram(16, 8), 1)
+    tracemalloc.start()
+    try:
+        table = circuit_table(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    points = list(_points(c))
+    for i in range(0, len(points), 997):
+        assert table >> i & 1 == eval_circuit(c, points[i])
+    # one table is 2^16 bits: the program holds two levels of the diagram
+    # and the negated inputs at a time, not its 300-odd gates
+    assert len(c.gates) > 300
+    assert peak < 40 * (1 << 16) // 8, peak
+
+
 def test_table_oracle_agrees_with_the_enumeration_oracle():
     rng = random.Random(173)
     for n in (0, 1, 2, 3, 4, 5, 6, 7, 7, 7):
@@ -520,6 +549,87 @@ def test_table_oracle_agrees_with_the_enumeration_oracle():
 
 
 # ---------------------------------------------------------------------------
+# the compiled program
+
+
+# compiled_digest() under PYTHONHASHSEED=0; changes only when compiled
+# output does
+COMPILED_DIGEST = "47048d511a553cddf32dcb7b650cd7fb97fbb5b1c7efe2bbda4f9ecba9040878"
+
+
+def test_compiled_output_is_pinned():
+    # a child process with a fixed hash seed: the diagram compilers visit
+    # a level's nodes in set order, so gate numbers follow string hashing
+    src = os.path.dirname(os.path.dirname(os.path.abspath(xbool.__file__)))
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join([src, os.path.dirname(os.path.abspath(__file__))]),
+        PYTHONHASHSEED="0",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", "from helpers import compiled_digest; print(compiled_digest())"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == COMPILED_DIGEST
+
+
+def test_compiled_circuits_pass_the_checked_constructor():
+    rng = random.Random(193)
+    for feats in (("x0", "x1", "x2", "x3", "x4"), ("@0", "@0~", "@1", "x")):
+        for _ in range(4):
+            for compile_fn, model in six_compiled(rng, feats):
+                if not model_features(model):
+                    continue
+                for c in (0, 1):
+                    compiled = compile_fn(model, c)
+                    checked = Circuit(
+                        compiled.gates,
+                        compiled.output,
+                        compiled.source_kind,
+                        compiled.target_class,
+                        compiled.reported_width_bound,
+                    )
+                    assert checked.inputs() == compiled.inputs()
+                    assert circuit_table(checked) == circuit_table(compiled)
+                    assert checked.maj_count() == compiled.maj_count()
+                    assert dumps_circuit(checked) == dumps_circuit(compiled)
+                    for _ in range(8):
+                        e = {f: rng.randint(0, 1) for f in compiled.inputs()}
+                        assert eval_circuit(checked, e) == eval_circuit(compiled, e)
+
+
+def test_compile_builds_gate_records_only_when_read(monkeypatch):
+    built = []
+    init = Gate.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Gate, "__init__", counted)
+    rng = random.Random(197)
+    for compile_fn, model in six_compiled(rng, tuple(f"x{i}" for i in range(5))):
+        if not model_features(model):
+            continue
+        c = compile_fn(model, 1)
+        circuit_table(c)
+        eval_circuit(c, {f: 0 for f in c.inputs()})
+        circuit_explain_bruteforce(c, ExplanationQuery("gAXp", "subset", 1))
+        c.maj_count()
+        assert built == []
+        gates = c.gates
+        assert len(built) == len(gates) and c.gates is gates
+        built.clear()
+
+
+def test_builder_refuses_a_gate_without_inputs():
+    b = circuits._Builder(["@0", "x"])
+    with pytest.raises(ModelError, match="^gate '@0~' needs at least one input$"):
+        b.add("OR", ())
+
+
+# ---------------------------------------------------------------------------
 # explanation over compiled circuits
 
 
@@ -530,7 +640,7 @@ def test_circuit_explain_reads_the_table_not_points(monkeypatch):
     rng = random.Random(177)
     feats = tuple(f"x{i}" for i in range(4))
     for _ in range(3):
-        for compile_fn, model in _six_compiled(rng, feats):
+        for compile_fn, model in six_compiled(rng, feats):
             if not model_features(model):
                 continue
             e = {f: rng.randint(0, 1) for f in feats}

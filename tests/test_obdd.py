@@ -1,10 +1,13 @@
 """Diagram algorithms checked against the exhaustive oracle."""
 
 import itertools
+import json
 import random
 
 import pytest
 
+from xbool.circuits import compile_obdd
+from xbool.cli import main
 from xbool.errors import BudgetExceeded, Homogeneous, ModelError, NotOrdered
 from xbool.explain import (
     ExplanationQuery,
@@ -21,10 +24,13 @@ from xbool.models import (
     Obdd,
     ObddNode,
     classify,
+    dumps_model,
     is_complete,
+    loads_model,
     obdd_width,
 )
 from xbool.obdd import (
+    complete_obdd,
     dt_to_obdd,
     obdd_check,
     obdd_ensemble_product,
@@ -316,3 +322,33 @@ def test_tree_conversion_random():
     )
     with pytest.raises(NotOrdered):
         dt_to_obdd(conflicted)
+
+
+def test_a_diagram_is_completed_once(monkeypatch, capsys, tmp_path):
+    # "s" reads a and skips b on its 1-arc, so completion pads one node
+    skips = Obdd(
+        {"s": ObddNode("a", "t0", "c"), "c": ObddNode("c", "t0", "t1")},
+        "s", "t0", "t1", ("a", "b", "c"),
+    )
+    path = tmp_path / "skips.json"
+    path.write_text(dumps_model(skips))
+    built = []
+    init = Obdd.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Obdd, "__init__", counted)
+    q = {"kind": "lAXp", "minimality": "subset", "target": {"a": 1, "b": 0, "c": 1}}
+    assert main(["explain", "--model", str(path), "--query", json.dumps(q)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["algorithm"] == "obdd" and payload["witness"] == ["a", "c"]
+    assert len(built) == 2  # the load and one completion
+    loaded = loads_model(path.read_text())
+    built.clear()
+    compile_obdd(loaded, 1)
+    assert len(built) == 1  # the walk and the width share one completion
+    done = complete_obdd(loaded)
+    assert len(built) == 1 and is_complete(done) and not is_complete(loaded)
+    assert complete_obdd(done) is done
