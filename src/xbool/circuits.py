@@ -362,7 +362,9 @@ def _obdd_indicator(b: _Builder, o: Obdd, c: int) -> str:
     if o.source not in hit:
         return b.false_gate()
     gate: Dict[str, str] = {}
-    for nid in sorted(hit - {target}, key=lambda n: -o.level(n)):
+    for nid in reversed(view.parents_first()):
+        if nid not in hit:
+            continue
         node = o.nodes[nid]
         parts = []
         for bit, child in ((0, node.zero), (1, node.one)):

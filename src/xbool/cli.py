@@ -10,9 +10,10 @@ sorted keys, so reruns on identical inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from .errors import BudgetExceeded, DeadlineExceeded, ModelError, NotOrdered, TooLarge
 from .explain import (
@@ -26,7 +27,6 @@ from .explain import (
 )
 from .models import (
     DEFAULT_NODE_CAP as DEFAULT_CAP,
-    Ensemble,
     _load_text,
     dumps_canonical,
     loads_json,
@@ -80,30 +80,24 @@ def _pick_route(model, q: ExplanationQuery) -> str:
 
 def _direct(model, cap: int, fallback: bool):
     """The one tree or diagram a tree or diagram model stands for (an
-    ensemble flattened), with its family's (xp_search, subset_min, check,
-    lcxp_check).  None for a rule set or list and, when `fallback`, for
-    an ensemble whose flattening hits the cap or an order conflict.
+    ensemble flattened), with its family's (xp_search, subset_min, check).
+    None for a rule set or list and, when `fallback`, for an ensemble
+    whose flattening hits the cap or an order conflict.
 
     The procedures are imported at call time, so a tree request never
     loads the diagram module, nor a diagram request the tree module.
     """
     family = model.elements[0].kind if model.kind == "ensemble" else model.kind
     if family == "dt":
-        from .dt import dt_check, dt_ensemble_to_dt, dt_lcxp_check, dt_subset_min, dt_xp_search
+        from .dt import dt_check, dt_ensemble_to_dt, dt_subset_min, dt_xp_search
 
         flatten = dt_ensemble_to_dt
-        procedures = dt_xp_search, dt_subset_min, dt_check, dt_lcxp_check
+        procedures = dt_xp_search, dt_subset_min, dt_check
     elif family == "obdd":
-        from .obdd import (
-            obdd_check,
-            obdd_ensemble_product,
-            obdd_lcxp_check,
-            obdd_subset_min,
-            obdd_xp_search,
-        )
+        from .obdd import obdd_check, obdd_ensemble_product, obdd_subset_min, obdd_xp_search
 
         flatten = obdd_ensemble_product
-        procedures = obdd_xp_search, obdd_subset_min, obdd_check, obdd_lcxp_check
+        procedures = obdd_xp_search, obdd_subset_min, obdd_check
     else:
         return None
     if model.kind == "ensemble":
@@ -128,42 +122,16 @@ def run_explain(
     auto = route == "auto"
     route = picked if auto else route
     if route == "branching":
-        from .dslist import dle_min_lcxp_branch, ds_to_dl
+        from .dslist import dle_min_lcxp_branch
 
-        members = model.elements if model.kind == "ensemble" else (model,)
-        lists = [ds_to_dl(el) if el.kind == "ds" else el for el in members]
-        return dle_min_lcxp_branch(Ensemble(lists), q.target, q.k), route
+        return dle_min_lcxp_branch(model, q.target, q.k), route
     direct = None if route == "bruteforce" else _direct(model, cap, fallback=auto)
     if direct is None:
         from .tables import oracle_min
 
         return oracle_min(model, q, guard), "bruteforce"
-    flat, (xp_search, subset_min, _, _) = direct
+    flat, (xp_search, subset_min, _) = direct
     return (subset_min if q.minimality == "subset" else xp_search)(flat, q), route
-
-
-def _validity(model, q: ExplanationQuery, cap: int, guard: int) -> Callable[[Witness], bool]:
-    """Validity test for witnesses already checked against `model`.
-
-    A tree or diagram ensemble is flattened once and a diagram completed
-    once, so every witness checked through the result reuses that model;
-    a rule set or list, or an ensemble whose flattening hits the cap or an
-    order conflict, is checked by one oracle shared by every witness.
-    """
-    direct = _direct(model, cap, fallback=True)
-    if direct is None:
-        from .tables import _oracle_for
-
-        oracle = _oracle_for(model, guard)
-        return lambda w: oracle.holds(q, w)
-    model, (_, _, check, lcxp_check) = direct
-    if model.kind == "obdd":
-        from .obdd import complete_obdd
-
-        model = complete_obdd(model)
-    if q.kind == "lCXp":
-        return lambda w: lcxp_check(model, q.target, w.features)
-    return lambda w: check(model, q, w)
 
 
 def _verdicts(
@@ -174,12 +142,19 @@ def _verdicts(
 
     Minimality is tested by single deletions; validity is monotone for
     all four query kinds, so that test is exact.  All |w|+1 checks share
-    one flattened or completed model.
+    one flattened model or one oracle.
     """
     check_witness(q, w, model_features(model))
     if q.k is not None and w.size > q.k:
         return False, False
-    valid = _validity(model, q, cap, guard)
+    direct = _direct(model, cap, fallback=True)
+    if direct is None:
+        from .tables import _oracle_for
+
+        valid = functools.partial(_oracle_for(model, guard).holds, q)
+    else:
+        flat, (_, _, check) = direct
+        valid = functools.partial(check, flat, q)
     if not valid(w):
         return False, False
     if not minimal:
@@ -316,7 +291,6 @@ def _add_limits(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    import functools
     import shutil
 
     # a HelpFormatter left to itself asks the terminal for its width, and

@@ -6,7 +6,8 @@ opposite-class rule as that classifying rule: seed with the flips the
 rule's own term forces, then repeatedly knock out the earliest earlier
 rule that still fires, branching on which of its features to flip.
 Ensembles do the same with one candidate rule per member, keeping only
-combinations that flip the majority; a single list is the one-member case.
+combinations that flip the majority; a single list is the one-member case,
+and a rule set is searched as its equivalent list (`ds_to_dl`).
 
 Everything runs on ints over the sorted feature names: the example is one
 int, a flip set is a mask, and a rule with mask `vars` and literal values
@@ -24,8 +25,8 @@ from .explain import Witness
 from .models import (
     DecisionList,
     DecisionSet,
-    Ensemble,
     Example,
+    Model,
     _lookup,
     classify,
     require_total,
@@ -91,9 +92,9 @@ def _branch(
 
 
 def _min_lcxp(
-    ens: Ensemble, e: Example, k: int, stats: Optional[BranchStats]
+    model: Model, e: Example, k: int, stats: Optional[BranchStats]
 ) -> Optional[Witness]:
-    """The search behind both public names; a list is a one-element ensemble.
+    """The search behind both public names; sets, lists and their ensembles.
 
     One classifying rule is guessed per member, in lexicographic
     rule-index order, member by member with an explicit stack.  A partial
@@ -103,14 +104,15 @@ def _min_lcxp(
     """
     if k < 0:
         raise ModelError("budget must be non-negative")
-    lists = ens.elements
-    if any(dl.kind != "dl" for dl in lists):
-        raise ModelError("expected an ensemble of decision lists")
-    names = sorted(ens.features())
+    elements = model.elements if model.kind == "ensemble" else (model,)
+    if any(el.kind not in ("ds", "dl") for el in elements):
+        raise ModelError("expected rule sets or rule lists")
+    lists = [ds_to_dl(el) if el.kind == "ds" else el for el in elements]
+    names = sorted(model.features())
     require_total(e, names)
     index = {f: 1 << i for i, f in enumerate(names)}
     x = sum(index[f] for f in names if _lookup(e, f))
-    c = classify(ens, e)
+    c = classify(model, e)
     members = [
         tuple(
             (
@@ -161,18 +163,18 @@ def dl_min_lcxp_branch(
 ) -> Optional[Witness]:
     """Minimum flip set of size ≤ k changing the list's verdict, or None.
 
-    The list is searched as a one-element ensemble: candidate rules are
-    tried in list order and only a strictly smaller result replaces the
-    current best, so ties go to the earliest rule.
+    Candidate rules are tried in list order and only a strictly smaller
+    result replaces the current best, so ties go to the earliest rule.
     """
-    return _min_lcxp(Ensemble([dl]), e, k, stats)
+    return _min_lcxp(dl, e, k, stats)
 
 
 def dle_min_lcxp_branch(
-    ens: Ensemble,
+    ens: Model,
     e: Example,
     k: int,
     stats: Optional[BranchStats] = None,
 ) -> Optional[Witness]:
-    """Minimum flip set of size ≤ k changing the ensemble vote, or None."""
+    """Minimum flip set of size ≤ k changing the vote of an ensemble of
+    rule sets or lists (or of a lone one), or None."""
     return _min_lcxp(ens, e, k, stats)

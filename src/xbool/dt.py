@@ -238,9 +238,7 @@ def _preorder(t: DecisionTree) -> List[str]:
 
 
 def dt_check(t: DecisionTree, q: ExplanationQuery, w: Witness) -> bool:
-    """Polynomial witness check via tree restriction; no lCXp variant exists."""
-    if q.kind == "lCXp":
-        raise ModelError("lCXp has no restriction test; use dt_min_lcxp")
+    """Polynomial witness check via tree restriction, for all four kinds."""
     return _restriction(t).check(q, w)
 
 

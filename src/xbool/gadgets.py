@@ -24,6 +24,7 @@ from .models import (
     DecisionSet,
     Ensemble,
     Example,
+    Parameters,
     _load_text,
     _pairs,
     _wrong_type,
@@ -874,19 +875,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-_BENCH_COLUMNS = (
-    "instance",
-    "ens_size",
-    "mnl_size",
-    "terms_elem",
-    "term_size",
-    "width_elem",
-    "size_elem",
-    "witness_size",
-    "route",
-    "status",
-    "time_ms",
-)
+_BENCH_COLUMNS = ("instance", *Parameters.__slots__, "witness_size", "route", "status", "time_ms")
 
 
 def _bench_row(path: str, q: ExplanationQuery, args) -> Dict:

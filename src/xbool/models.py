@@ -234,7 +234,6 @@ class Parameters(Record):
         "term_size",
         "width_elem",
         "size_elem",
-        "xp_size",
     )
 
     def __init__(
@@ -245,9 +244,8 @@ class Parameters(Record):
         term_size: Optional[int] = None,
         width_elem: Optional[int] = None,
         size_elem: Optional[int] = None,
-        xp_size: Optional[int] = None,
     ):
-        self._fill(ens_size, mnl_size, terms_elem, term_size, width_elem, size_elem, xp_size)
+        self._fill(ens_size, mnl_size, terms_elem, term_size, width_elem, size_elem)
 
     def to_json(self) -> Dict[str, int]:
         return {

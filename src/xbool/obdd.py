@@ -244,9 +244,7 @@ def _restriction(o: Obdd) -> Restriction:
 
 
 def obdd_check(o: Obdd, q: ExplanationQuery, w: Witness) -> bool:
-    """Polynomial witness check via sink reachability; no lCXp variant."""
-    if q.kind == "lCXp":
-        raise ModelError("lCXp has no reachability test; use obdd_min_lcxp")
+    """Polynomial witness check via sink reachability, for all four kinds."""
     return _restriction(o).check(q, w)
 
 
@@ -272,11 +270,13 @@ def obdd_xp_search(o: Obdd, q: ExplanationQuery) -> Optional[Witness]:
 
 
 def _rebase(ens: Ensemble) -> Tuple[Tuple[str, ...], List[Obdd]]:
-    """The order a diagram ensemble shares, and its members rebuilt over it.
+    """The order a diagram ensemble shares, and its members over it.
 
     The order is the ensemble's shared order if it declares one, else
     the one order all members read; members reading different orders
-    raise NotOrdered.
+    raise NotOrdered.  A member already reading that order is kept as
+    it is, so its completion memo serves every later caller; only the
+    others are rebuilt.
     """
     if any(el.kind != "obdd" for el in ens.elements):
         raise ModelError("expected an ensemble of diagrams")
@@ -287,7 +287,10 @@ def _rebase(ens: Ensemble) -> Tuple[Tuple[str, ...], List[Obdd]]:
         if len(orders) > 1:
             raise NotOrdered("elements disagree on the variable order")
         order = orders.pop()
-    return order, [Obdd(dict(el.nodes), el.source, el.t0, el.t1, order) for el in ens.elements]
+    return order, [
+        el if el.order == order else Obdd(dict(el.nodes), el.source, el.t0, el.t1, order)
+        for el in ens.elements
+    ]
 
 
 def obdd_ensemble_product(ens: Ensemble, node_cap: int = DEFAULT_NODE_CAP) -> Obdd:

@@ -139,6 +139,13 @@ class Restriction:
             raise Homogeneous(f"every input is classified {c}")
         return Witness.of_features(min(ends)[1])
 
+    def _min_lcxp_or_none(self, e: Example) -> Optional[Witness]:
+        """`min_lcxp`, or None when no flip set changes the class."""
+        try:
+            return self.min_lcxp(e)
+        except Homogeneous:
+            return None
+
     # -- the query procedures
 
     def _valid_under(self, q: ExplanationQuery) -> Callable[[Mapping[str, int]], bool]:
@@ -155,6 +162,8 @@ class Restriction:
     def check(self, q: ExplanationQuery, w: Witness) -> bool:
         if q.k is not None and w.size > q.k:
             return False
+        if q.kind == "lCXp":
+            return self.lcxp_check(q.target, w.features)
         if q.kind == "lAXp":
             tau = {f: _lookup(q.target, f) for f in w.features}
         else:
@@ -175,10 +184,7 @@ class Restriction:
     def subset_min(self, q: ExplanationQuery) -> Optional[Witness]:
         """Greedy subset-minimal witness; deletions tried in ascending name order."""
         if q.kind == "lCXp":
-            try:
-                return self.min_lcxp(q.target)
-            except Homogeneous:
-                return None
+            return self._min_lcxp_or_none(q.target)
         valid = self._valid_under(q)
         if q.kind == "lAXp":
             e = q.target
@@ -199,11 +205,8 @@ class Restriction:
         names = self.universe()
         limit = min(q.k, len(names))
         if q.kind == "lCXp":
-            try:
-                w = self.min_lcxp(q.target)
-            except Homogeneous:
-                return None
-            return w if w.size <= limit else None
+            w = self._min_lcxp_or_none(q.target)
+            return w if w is not None and w.size <= limit else None
         valid = self._valid_under(q)
         for size in range(0, limit + 1):
             for combo in itertools.combinations(names, size):

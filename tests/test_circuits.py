@@ -166,6 +166,21 @@ def test_threshold_rules():
         Circuit({"x": Gate("IN", threshold=1), "o": Gate("NOT", ("x",))}, "o")
 
 
+@pytest.mark.parametrize(
+    "gates, message",
+    [
+        ({"x": Gate("IN")}, "^output 'o' is not a gate$"),
+        ({"x": Gate("IN", ("x",)), "o": Gate("NOT", ("x",))}, "^IN gate 'x' cannot have inputs$"),
+        ({"x": Gate("IN"), "o": Gate("NOT", ("x", "x"))}, "^NOT gate 'o' needs exactly one input$"),
+        ({"x": Gate("IN"), "o": Gate("OR", ())}, "^gate 'o' needs at least one input$"),
+        ({"x": Gate("IN"), "o": Gate("AND", ("x", "y"))}, "^gate 'o' reads missing gate 'y'$"),
+    ],
+)
+def test_hand_built_circuit_shape_errors(gates, message):
+    with pytest.raises(ModelError, match=message):
+        Circuit(gates, "o")
+
+
 def test_circuit_json_errors_are_model_errors():
     x = {"id": "x", "kind": "IN"}
     o = {"id": "o", "kind": "NOT", "inputs": ["x"]}
@@ -237,6 +252,13 @@ def test_compile_and_tree(and_tree):
     assert c.maj_count() == 0
     assert c.reported_width_bound == 3 * 2 ** dt_mnl(simplify_dt(and_tree))
     assert _circuit_matches(compile_dt(and_tree, 0), and_tree, 0)
+
+
+def test_ensemble_compilers_refuse_another_family(and_tree, fig1):
+    with pytest.raises(ModelError, match="^expected an ensemble of decision trees$"):
+        compile_dt_ensemble(Ensemble([fig1]), 1)
+    with pytest.raises(ModelError, match="^expected an ensemble of decision lists$"):
+        compile_dl_ensemble(Ensemble([and_tree]), 1)
 
 
 def test_compile_featureless_model_is_an_error():
@@ -552,26 +574,26 @@ def test_table_oracle_agrees_with_the_enumeration_oracle():
 # the compiled program
 
 
-# compiled_digest() under PYTHONHASHSEED=0; changes only when compiled
-# output does
-COMPILED_DIGEST = "47048d511a553cddf32dcb7b650cd7fb97fbb5b1c7efe2bbda4f9ecba9040878"
+# compiled_digest(); changes only when compiled output does
+COMPILED_DIGEST = "c7780be1f6190d62a4907cd4cf364319bb914e06ce8fcf13edc65bb326076a08"
 
 
 def test_compiled_output_is_pinned():
-    # a child process with a fixed hash seed: the diagram compilers visit
-    # a level's nodes in set order, so gate numbers follow string hashing
+    # a child process per string-hash seed: gate numbers must not follow
+    # the iteration order of any set of names
     src = os.path.dirname(os.path.dirname(os.path.abspath(xbool.__file__)))
-    env = dict(
-        os.environ,
-        PYTHONPATH=os.pathsep.join([src, os.path.dirname(os.path.abspath(__file__))]),
-        PYTHONHASHSEED="0",
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", "from helpers import compiled_digest; print(compiled_digest())"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == COMPILED_DIGEST
+    for hash_seed in ("0", "1"):
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([src, os.path.dirname(os.path.abspath(__file__))]),
+            PYTHONHASHSEED=hash_seed,
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", "from helpers import compiled_digest; print(compiled_digest())"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == COMPILED_DIGEST, hash_seed
 
 
 def test_compiled_circuits_pass_the_checked_constructor():

@@ -176,7 +176,8 @@ def test_ensemble_branch_leaf_counts_stay_within_bound():
 
 
 def test_set_ensembles_via_conversion():
-    # sets turn into lists, then the ensemble branching applies unchanged
+    # sets turn into lists, then the ensemble branching applies unchanged;
+    # the search converts a set, or an ensemble of them, itself
     rng = random.Random(137)
     for _ in range(15):
         feats = tuple(f"x{i}" for i in range(rng.randint(2, 4)))
@@ -192,6 +193,10 @@ def test_set_ensembles_via_conversion():
             assert (got is None) == (want is None)
             if got is not None:
                 assert got.size == want.size
+            assert dle_min_lcxp_branch(ens_raw, e, k) == got
+            alone = dl_min_lcxp_branch(ds_to_dl(sets[0]), e, k)
+            assert dle_min_lcxp_branch(sets[0], e, k) == alone
+            assert dle_min_lcxp_branch(Ensemble(sets[:1]), e, k) == alone
 
 
 # ---------------------------------------------------------------------------

@@ -66,10 +66,20 @@ def test_check_empty_gcxp_iff_no_such_leaf(and_tree):
     assert dt_check(const, ExplanationQuery("gCXp", "subset", 1), empty)
 
 
-def test_check_rejects_lcxp_kind(and_tree):
-    q = ExplanationQuery("lCXp", "subset", {"f1": 0, "f2": 0})
-    with pytest.raises(ModelError):
-        dt_check(and_tree, q, Witness.of_features(("f1",)))
+def test_check_answers_lcxp_like_lcxp_check(and_tree):
+    # dt_check is total over the four kinds: lCXp takes the walk of
+    # dt_lcxp_check, and the empty set never changes the class
+    rng = random.Random(17)
+    for t in [and_tree] + [rand_dt(rng, ("x0", "x1", "x2")) for _ in range(10)]:
+        names = sorted(t.features())
+        for e in all_examples(names):
+            q = ExplanationQuery("lCXp", "subset", e)
+            assert not dt_check(t, q, Witness.of_features(()))
+            for size in range(len(names) + 1):
+                for combo in itertools.combinations(names, size):
+                    w = Witness.of_features(combo)
+                    got = dt_check(t, q, w)
+                    assert got == dt_lcxp_check(t, e, combo) == is_explanation(t, q, w)
 
 
 def test_lcxp_check_matches_oracle():

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from xbool.circuits import compile_obdd
+from xbool.circuits import compile_obdd, compile_obdd_ensemble_ordered
 from xbool.cli import main
 from xbool.errors import BudgetExceeded, Homogeneous, ModelError, NotOrdered
 from xbool.explain import (
@@ -30,6 +30,7 @@ from xbool.models import (
     obdd_width,
 )
 from xbool.obdd import (
+    _rebase,
     complete_obdd,
     dt_to_obdd,
     obdd_check,
@@ -68,10 +69,22 @@ def test_check_empty_gcxp_iff_sink_unreachable(xor_obdd):
     assert obdd_check(_const(0), ExplanationQuery("gCXp", "subset", 1), empty)
 
 
-def test_check_rejects_lcxp_kind(xor_obdd):
-    q = ExplanationQuery("lCXp", "subset", {"f1": 0, "f2": 0})
-    with pytest.raises(ModelError):
-        obdd_check(xor_obdd, q, Witness.of_features(("f1",)))
+def test_check_answers_lcxp_like_lcxp_check(xor_obdd):
+    # obdd_check is total over the four kinds: lCXp takes the walk of
+    # obdd_lcxp_check, and the empty set never changes the class
+    rng = random.Random(19)
+    feats = ("x0", "x1", "x2")
+    diagrams = [xor_obdd] + [make(rng, feats) for make in (rand_obdd, rand_sparse_obdd) * 6]
+    for o in diagrams:
+        names = sorted(o.features())
+        for e in all_examples(names):
+            q = ExplanationQuery("lCXp", "subset", e)
+            assert not obdd_check(o, q, Witness.of_features(()))
+            for size in range(len(names) + 1):
+                for combo in itertools.combinations(names, size):
+                    w = Witness.of_features(combo)
+                    got = obdd_check(o, q, w)
+                    assert got == obdd_lcxp_check(o, e, combo) == is_explanation(o, q, w)
 
 
 def test_check_completes_sparse_input():
@@ -352,3 +365,38 @@ def test_a_diagram_is_completed_once(monkeypatch, capsys, tmp_path):
     done = complete_obdd(loaded)
     assert len(built) == 1 and is_complete(done) and not is_complete(loaded)
     assert complete_obdd(done) is done
+
+
+def test_ensemble_members_are_rebased_only_off_the_shared_order(monkeypatch):
+    # members already reading the ensemble's order are walked as they
+    # are, so each one's completion is built once and then remembered
+    order = ("a", "b", "c")
+    members = [
+        Obdd({"s": ObddNode("a", "t0", "c"), "c": ObddNode("c", "t0", "t1")},
+             "s", "t0", "t1", order),
+        Obdd({"s": ObddNode("b", "t0", "t1")}, "s", "t0", "t1", order),
+        Obdd({"s": ObddNode("a", "c", "t1"), "c": ObddNode("c", "t1", "t0")},
+             "s", "t0", "t1", order),
+    ]
+    ens = Ensemble(members)
+    built = []
+    init = Obdd.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Obdd, "__init__", counted)
+    compile_obdd_ensemble_ordered(ens, 1)
+    assert len(built) == 3  # one completion per member
+    built.clear()
+    compile_obdd_ensemble_ordered(ens, 0)
+    assert built == []
+    product = obdd_ensemble_product(ens)
+    assert len(built) == 1  # the product itself
+    assert models_equal(product, ens, order)
+    wider = order + ("d",)
+    built.clear()
+    got, rebased = _rebase(Ensemble(members, shared_order=wider))
+    assert got == wider and len(built) == 3
+    assert all(el.order == wider for el in rebased)

@@ -236,7 +236,7 @@ def test_mutable_records_keep_their_dataclass_behaviour():
     params = Parameters(ens_size=3)
     assert repr(params) == (
         "Parameters(ens_size=3, mnl_size=None, terms_elem=None, term_size=None, "
-        "width_elem=None, size_elem=None, xp_size=None)"
+        "width_elem=None, size_elem=None)"
     )
     params.size_elem = 7
     assert params == Parameters(3, size_elem=7)
