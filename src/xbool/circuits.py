@@ -8,6 +8,8 @@ nothing in here computes an actual decomposition.
 
 from __future__ import annotations
 
+from functools import partial
+from operator import itemgetter, not_, truth
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ModelError, TooLarge, UnassignedInput
@@ -29,6 +31,7 @@ from .records import Frozen
 from .tables import TableOracle, at_least, feature_mask
 
 GATE_KINDS = ("IN", "AND", "OR", "NOT", "MAJ")
+_BIT = (0, 1)
 
 
 class Gate(Frozen):
@@ -53,6 +56,8 @@ class Circuit:
     NOT, the inputs no later step reads).  A hand-built circuit takes
     the order of its cycle check; a compiled one the builder's order,
     and it builds its `Gate` records only when `gates` is first read.
+    Either kind builds the slot kernel `eval_circuit` runs on at its
+    first evaluation, so compiling and `circuit_table` never pay for it.
     """
 
     def __init__(
@@ -138,6 +143,7 @@ class Circuit:
             kept.append(row)
             steps.append((gid, srcs, need, tuple(spent)))
         self._gates: Optional[Dict[str, Gate]] = gates
+        self._kernel: Optional[Tuple] = None
         self._rows = tuple(reversed(kept))
         self._steps = tuple(reversed(steps))
         self._inputs = inputs
@@ -159,29 +165,62 @@ class Circuit:
     def inputs(self) -> Tuple[str, ...]:
         return self._inputs
 
+    def _build_kernel(self) -> Tuple:
+        """The program over integer slots, for `eval_circuit`.  The slots
+        hold the read inputs, then their negations, then one value per
+        remaining step, so a NOT of an input is no step of its own.  A
+        step is (test, getter of its input slots): `all` for AND, `any`
+        for OR, `not_` for NOT, at-least-`need` for MAJ, repeats counted.
+        A one-input step reads its slot twice, so every getter but NOT's
+        returns a tuple and the same rules hold with `need` doubled."""
+        read = self._read
+        slot = {f: i for i, f in enumerate(read)}
+        negated = {f: len(read) + i for i, f in enumerate(read)}
+        steps = []
+        for gid, srcs, need, _ in self._steps:
+            if need is None and srcs[0] in negated:
+                slot[gid] = negated[srcs[0]]
+                continue
+            if need is None:
+                steps.append((not_, itemgetter(slot[srcs[0]])))
+            else:
+                if len(srcs) == 1:
+                    srcs, need = srcs * 2, need * 2
+                test = (any if need == 1 else all if need == len(srcs)
+                        else partial(_count_at_least, need))
+                steps.append((test, itemgetter(*map(slot.__getitem__, srcs))))
+            slot[gid] = 2 * len(read) + len(steps) - 1
+        self._kernel = (tuple(steps), slot[self.output])
+        return self._kernel
+
     def maj_count(self) -> int:
         return sum(1 for row in self._rows if row[1] == "MAJ")
 
 
+def _count_at_least(need: int, values: Tuple[bool, ...]) -> bool:
+    return sum(values) >= need
+
+
 def eval_circuit(c: Circuit, alpha: Example) -> int:
-    """One pass over the gates in topological order.  alpha must assign
-    every IN gate; the inputs the output depends on must be bits."""
-    for gid in c._inputs:
-        if gid not in alpha:
-            raise UnassignedInput(f"input {gid!r} is not assigned")
-    value: Dict[str, int] = {}
-    for gid in c._read:
-        bit = alpha[gid]
-        if bit not in (0, 1):
-            raise ModelError(f"input {gid!r} must be 0 or 1")
-        value[gid] = 1 if bit else 0
-    get = value.__getitem__
-    for gid, srcs, need, _ in c._steps:
-        if need is None:
-            value[gid] = 1 - get(srcs[0])
-        else:
-            value[gid] = 1 if sum(map(get, srcs)) >= need else 0
-    return value[c.output]
+    """The circuit at one point, on the kernel the circuit builds at its
+    first evaluation.  alpha must assign every IN gate (the first missing
+    one in sorted order is named); the inputs the output depends on must
+    be bits (likewise the first that is not)."""
+    steps, out = c._kernel or c._build_kernel()
+    if not all(map(alpha.__contains__, c._inputs)):
+        for gid in c._inputs:
+            if gid not in alpha:
+                raise UnassignedInput(f"input {gid!r} is not assigned")
+    bits = [*map(alpha.__getitem__, c._read)]
+    if not all(map(_BIT.__contains__, bits)):
+        for gid, bit in zip(c._read, bits):
+            if bit not in _BIT:
+                raise ModelError(f"input {gid!r} must be 0 or 1")
+    value = [*map(truth, bits), *map(not_, bits)]
+    push = value.append
+    for test, get in steps:
+        push(test(get(value)))
+    return 1 if value[out] else 0
 
 
 def circuit_table(c: Circuit) -> int:

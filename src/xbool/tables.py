@@ -188,10 +188,7 @@ class FunctionOracle:
     def label(self, bits: Tuple[int, ...]) -> int:
         got = self._memo.get(bits)
         if got is None:
-            got = _bit(
-                self._fn({f: bits[i] for i, f in enumerate(self.features)}),
-                "classifier output",
-            )
+            got = _bit(self._fn(dict(zip(self.features, bits))), "classifier output")
             self._memo[bits] = got
         return got
 
@@ -202,12 +199,11 @@ class FunctionOracle:
             raise UndefinedFeature(f"example does not assign feature {missing}") from None
 
     def _completions(self, fixed: Dict[int, int]):
-        free = [i for i in range(len(self.features)) if i not in fixed]
-        base = [fixed.get(i, 0) for i in range(len(self.features))]
-        for values in itertools.product((0, 1), repeat=len(free)):
-            for i, v in zip(free, values):
-                base[i] = v
-            yield tuple(base)
+        """Every point that agrees with `fixed`, counted in binary over the
+        free positions with the first most significant."""
+        return itertools.product(
+            *[(fixed[i],) if i in fixed else (0, 1) for i in range(len(self.features))]
+        )
 
     # -- the one question behind the four definitions
 

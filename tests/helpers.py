@@ -229,6 +229,40 @@ def compiled_digest(rounds: int = 8) -> str:
     return h.hexdigest()
 
 
+def eval_digest(rounds: int = 4) -> str:
+    """sha256 of `eval_circuit` at every point of a seeded corpus, each
+    result by its repr so a bool or float would show: all six compilers
+    for both classes, random hand-built circuits, MAJ gates over repeated
+    inputs at every threshold up to len+1, and outputs that are an input
+    or a NOT of one."""
+    rng = random.Random(211)
+    feats = tuple(f"x{i}" for i in range(5))
+    corpus = []
+    for _ in range(rounds):
+        for compile_fn, model in six_compiled(rng, feats):
+            if model_features(model):
+                corpus += [compile_fn(model, 0), compile_fn(model, 1)]
+    for _ in range(60):
+        corpus.append(random_circuit(rng, feats[: rng.randint(1, 5)], rng.randint(0, 12)))
+    for size in range(1, 4):
+        names = feats[:size]
+        ins = {f: Gate("IN") for f in names}
+        for srcs in (names, names + names[:1], names[:1] * 3):
+            for t in range(1, len(srcs) + 2):
+                corpus.append(Circuit({**ins, "o": Gate("MAJ", srcs, t)}, "o"))
+    ins = {f: Gate("IN") for f in feats[:3]}
+    corpus.append(Circuit(ins, "x1"))
+    corpus.append(Circuit({**ins, "o": Gate("NOT", ("x1",))}, "o"))
+    h = hashlib.sha256()
+    for c in corpus:
+        names = c.inputs()
+        for i in range(1 << len(names)):
+            e = {f: i >> j & 1 for j, f in enumerate(names)}
+            h.update(repr(circuits.eval_circuit(c, e)).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
 def rand_example(rng, feats) -> Dict[str, int]:
     return {f: rng.randint(0, 1) for f in feats}
 

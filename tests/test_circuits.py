@@ -59,6 +59,7 @@ from xbool.obdd import obdd_ensemble_product
 
 from helpers import (
     all_examples,
+    eval_digest,
     json_paths,
     rand_dl,
     rand_dt,
@@ -129,6 +130,71 @@ def test_eval_error_paths():
     with pytest.raises(ModelError, match="^input 'b' must be 0 or 1$"):
         eval_circuit(c, {"a": 1, "b": 2, "c": 0})
     assert eval_circuit(c, {"a": 1, "b": True, "c": "junk"}) == 1
+    # two bad bits: the first in sorted order is named
+    with pytest.raises(ModelError, match="^input 'a' must be 0 or 1$"):
+        eval_circuit(c, {"a": 2, "b": 3, "c": 0})
+    with pytest.raises(ModelError, match="^input 'a' must be 0 or 1$"):
+        eval_circuit(c, {"a": None, "b": -1, "c": 0})
+    # a missing input wins over a bad bit, even one earlier in sorted order
+    with pytest.raises(UnassignedInput, match="input 'c' is not assigned"):
+        eval_circuit(c, {"a": 2, "b": 1})
+    with pytest.raises(UnassignedInput, match="input 'a' is not assigned"):
+        eval_circuit(c, {"b": 2, "c": 0})
+
+
+class _Bit:
+    """Equal to one bit and true as that bit, but no number."""
+
+    def __init__(self, bit):
+        self.bit = bit
+
+    def __eq__(self, other):
+        return other == self.bit
+
+    def __bool__(self):
+        return bool(self.bit)
+
+
+def test_eval_gives_an_int_for_bool_and_float_bits():
+    # a bit is read by its truth, so anything equal to 0 or 1 works in
+    # every gate, a MAJ's count included, and the result is an int
+    ins = {f: Gate("IN") for f in ("a", "b")}
+    shapes = [
+        Circuit({**ins, "o": Gate("AND", ("a", "b"))}, "o"),
+        Circuit({**ins, "o": Gate("OR", ("a", "b"))}, "o"),
+        Circuit({**ins, "o": Gate("MAJ", ("a", "b", "a"), 2)}, "o"),
+        Circuit({**ins, "o": Gate("NOT", ("a",))}, "o"),
+        Circuit({**ins, "n": Gate("NOT", ("a",)), "o": Gate("NOT", ("n",))}, "o"),
+        Circuit(ins, "a"),
+    ]
+    for c in shapes:
+        for a, b in itertools.product((0, 1), repeat=2):
+            want = eval_circuit(c, {"a": a, "b": b})
+            for alpha in ({"a": bool(a), "b": bool(b)}, {"a": float(a), "b": float(b)},
+                          {"a": bool(a), "b": float(b)}, {"a": _Bit(a), "b": _Bit(b)}):
+                got = eval_circuit(c, alpha)
+                assert type(got) is int and got == want, (c.output, alpha)
+
+
+def test_eval_runs_a_long_chain_without_recursion():
+    # 3,000 steps alternating NOT and AND with a second input: deeper
+    # than the recursion limit, so only a loop can evaluate it
+    gates = {"x": Gate("IN"), "y": Gate("IN")}
+    prev = "x"
+    for i in range(3000):
+        gid = f"g{i}"
+        gates[gid] = Gate("NOT", (prev,)) if i % 2 == 0 else Gate("AND", (prev, "y"))
+        prev = gid
+    c = Circuit(gates, prev)
+    assert len(c._steps) == 3000
+    for x, y in itertools.product((0, 1), repeat=2):
+        value = x
+        for i in range(3000):
+            value = 1 - value if i % 2 == 0 else value & y
+        assert eval_circuit(c, {"x": x, "y": y}) == value
+    assert circuit_table(c) == sum(
+        eval_circuit(c, {"x": i & 1, "y": i >> 1 & 1}) << i for i in range(4)
+    )
 
 
 def test_unused_input_is_legal_but_dangling_gate_is_not():
@@ -466,6 +532,14 @@ def test_table_equals_eval_at_every_point():
         table = circuit_table(circuit)
         for i, e in enumerate(_points(circuit)):
             assert table >> i & 1 == eval_circuit(circuit, e) == _by_definition(circuit, e)
+
+
+# eval_digest(); changes only when some point evaluates differently
+EVAL_DIGEST = "673595cffab96afd60b94da4ced0bc20a2b945e8f7cad72bbe978ec7be3aeb9b"
+
+
+def test_eval_is_pinned_at_every_point():
+    assert eval_digest() == EVAL_DIGEST
 
 
 def test_maj_at_every_threshold():

@@ -1,11 +1,13 @@
 """Query plumbing and the exhaustive ground-truth oracle."""
 
+import hashlib
 import random
 
 import pytest
 
 from xbool.errors import ModelError, TooLarge, UndefinedFeature
 from xbool.explain import (
+    KINDS,
     ExplanationQuery,
     FunctionOracle,
     Witness,
@@ -19,7 +21,7 @@ from xbool.explain import (
 )
 from xbool.models import DecisionList, DecisionTree, DtLeaf, classify, model_features
 
-from helpers import rand_dt, rand_example
+from helpers import rand_dl, rand_dt, rand_example
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +236,52 @@ def test_witness_round_trip():
     assert witness_to_json(w2) == {"a": 1}
     with pytest.raises(ModelError):
         witness_from_json("ab")
+
+
+# (sha256, label calls) of test_oracle_calls_are_pinned; changes only when
+# the oracle asks its classifier or its label for other points, or answers
+# otherwise
+ORACLE_CALLS = ("a84c358aeeb7071583e771c4776678335ea0e842b8f2b84cc67a20ee0ebea7b2", 4914)
+
+
+def test_oracle_calls_are_pinned(monkeypatch):
+    """Seeded queries of all four kinds through `minimum`, `holds` and
+    `subset_minimal` on oracles over random trees and lists: a sha256 of
+    every point each classifier receives (in order, as the dict it gets)
+    and every answer, and the number of `label` calls, counted by a
+    `label` patched on the class after the oracles are built."""
+    rng = random.Random(223)
+    feats = [f"x{i}" for i in range(5)]
+    h = hashlib.sha256()
+
+    def oracle_over(model):
+        def classify_fn(e):
+            h.update(repr(list(e.items())).encode())
+            return classify(model, e)
+
+        return FunctionOracle(feats, classify_fn)
+
+    oracles = [oracle_over((rand_dt if i % 2 else rand_dl)(rng, feats)) for i in range(8)]
+    calls = []
+    label = FunctionOracle.label
+
+    def counted_label(self, bits):
+        calls.append(bits)
+        return label(self, bits)
+
+    monkeypatch.setattr(FunctionOracle, "label", counted_label)
+    for oracle in oracles:
+        for kind in KINDS:
+            for k in (None, rng.randint(0, 5)):
+                local = kind in ("lAXp", "lCXp")
+                target = rand_example(rng, feats) if local else rng.randint(0, 1)
+                q = ExplanationQuery(kind, "subset" if k is None else "cardinality", target, k)
+                picked = [f for f in feats if rng.random() < 0.5]
+                w = (Witness.of_features(picked) if local
+                     else Witness.of_assignment({f: rng.randint(0, 1) for f in picked}))
+                answers = (oracle.minimum(q), oracle.holds(q, w), oracle.subset_minimal(q, w))
+                h.update(repr(answers).encode())
+    assert (h.hexdigest(), len(calls)) == ORACLE_CALLS
 
 
 def test_oracle_lcxp_minimum_costs_three_lookups_per_candidate(monkeypatch):
