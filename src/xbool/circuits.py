@@ -53,11 +53,11 @@ class Circuit:
     other non-output gate must feed something.  A circuit is kept as a
     straight-line program, one step per non-IN gate in a topological
     order: (gate, its inputs, the ones that switch it on or None for
-    NOT, the inputs no later step reads).  A hand-built circuit takes
-    the order of its cycle check; a compiled one the builder's order,
-    and it builds its `Gate` records only when `gates` is first read.
-    Either kind builds the slot kernel `eval_circuit` runs on at its
-    first evaluation, so compiling and `circuit_table` never pay for it.
+    NOT, the inputs no later step reads), in post-order from the output.
+    A compiled circuit builds its `Gate` records only when `gates` is
+    first read.  Either kind builds the slot kernel `eval_circuit` runs
+    on at its first evaluation, so compiling and `circuit_table` never
+    pay for it.
     """
 
     def __init__(
@@ -99,7 +99,7 @@ class Circuit:
             if gid != output and gate.kind != "IN" and not users[gid]:
                 raise ModelError(f"gate {gid!r} feeds nothing")
         # Cycle check: count how often each gate is still waiting on an
-        # input.  The order it finds is kept as the program.
+        # input.  The order it finds is kept as the rows.
         pending = {gid: len(g.inputs) for gid, g in gates.items()}
         ready = [gid for gid, n in pending.items() if n == 0]
         rows = []
@@ -122,15 +122,27 @@ class Circuit:
     def _program(self, gates, rows, inputs, output, source_kind, target_class,
                  reported_width_bound) -> None:
         """Set every field from `rows`, (gate, kind, inputs, threshold) in
-        a topological order.  One pass from the output back keeps the rows
-        the output reads and marks each value's last reader, so a value is
-        spent there; `gates` is None for a compiled circuit until read."""
-        read = {output}
-        kept, steps = [], []
-        for row in reversed(rows):
-            gid, kind, srcs, threshold = row
-            if gid not in read:
-                continue
+        a topological order.  The rows the output reads keep that order,
+        which fixes the JSON and Graphviz bytes; the steps run them in
+        post-order from the output, each gate's inputs from the last, so
+        a subterm's values are mostly spent before the next one's are
+        made.  A back pass marks each value's last reader, where it is
+        spent; `gates` is None for a compiled circuit until read."""
+        row_of = {row[0]: row for row in rows}
+        order, seen = [], {output, *inputs}
+        stack = [(row_of[output], reversed(row_of[output][2]))] if output in row_of else []
+        while stack:
+            row, srcs = stack[-1]
+            for src in srcs:
+                if src not in seen:
+                    seen.add(src)
+                    row = row_of[src]
+                    stack.append((row, reversed(row[2])))
+                    break
+            else:
+                order.append(stack.pop()[0])
+        read, steps = {output}, []
+        for gid, kind, srcs, threshold in reversed(order):
             spent = []
             for src in srcs:
                 if src not in read:  # once, even if read twice here
@@ -140,11 +152,10 @@ class Circuit:
                 need = len(srcs)
             else:
                 need = 1 if kind == "OR" else threshold  # None for NOT
-            kept.append(row)
             steps.append((gid, srcs, need, tuple(spent)))
         self._gates: Optional[Dict[str, Gate]] = gates
         self._kernel: Optional[Tuple] = None
-        self._rows = tuple(reversed(kept))
+        self._rows = tuple(row for row in rows if row[0] in seen)
         self._steps = tuple(reversed(steps))
         self._inputs = inputs
         self._read = tuple(f for f in inputs if f in read)  # the inputs anything reads

@@ -248,7 +248,18 @@ class FunctionOracle:
             return None
         n = len(self.features)
         limit = n if q.k is None else min(q.k, n)
+        first = self._first(q, valid)
         for size in range(1 if q.kind == "lCXp" else 0, limit + 1):
+            found = first(size)
+            if found is not None:
+                return found
+        return None
+
+    def _first(self, q: ExplanationQuery, valid) -> Callable[[int], Optional[Witness]]:
+        """For one query, the search for the first valid candidate of a
+        given size in the tie-break order, or None."""
+
+        def first(size: int) -> Optional[Witness]:
             for combo in itertools.combinations(self.features, size):
                 if q.is_local:
                     if valid(combo):
@@ -258,7 +269,9 @@ class FunctionOracle:
                     pairs = tuple(zip(combo, values))
                     if valid(pairs):
                         return Witness(assignment=pairs)
-        return None
+            return None
+
+        return first
 
     def subset_minimal(self, q: ExplanationQuery, w: Witness) -> bool:
         if not self.holds(q, w):
@@ -278,8 +291,9 @@ class TableOracle(FunctionOracle):
     2^n-bit int whose bit i is the class of the point where feature j
     (in sorted order) takes bit j of i.  `reaches` ANDs one literal mask
     per fixed feature with the class's points and tests for any left
-    (Knuth, TAOCP 4A, 7.1.3); the candidate order is the inherited one.
-    The table and its masks hold 2^n bits each, 128 KiB at the guard.
+    (Knuth, TAOCP 4A, 7.1.3); `minimum` walks the inherited candidates
+    in the inherited order, sharing each prefix's AND (`_first`).  The
+    table and its masks hold 2^n bits each, 128 KiB at the guard.
     """
 
     def __init__(self, features: Iterable[str], table: int, guard: int = DEFAULT_GUARD):
@@ -301,6 +315,70 @@ class TableOracle(FunctionOracle):
         for i, bit in fixed.items():
             points &= self._literals[i][bit]
         return points != 0
+
+    def _first(self, q: ExplanationQuery, valid) -> Callable[[int], Optional[Witness]]:
+        """The inherited candidates in the inherited order, on a stack of
+        prefix ANDs: `zero[d]` is the class to rule out ANDed with the
+        literals of the first d chosen features at 0 (lAXp: at the
+        example's values), so a new combination recomputes only from the
+        position that moved, and the last position sweeps its range at
+        one AND each.  A global kind counts each combination's values in
+        binary on a copy, from the bit that turned 1 down: about two ANDs
+        per candidate.  Either walk holds O(size) masks; keeping every
+        value prefix would hold 2^size.  lCXp fixes the features outside
+        the set, which share no prefix, so it keeps the enumeration."""
+        if q.kind == "lCXp":
+            return super()._first(q, valid)
+        lit, local = self._literals, q.is_local
+        if local:
+            e_bits = self.bits_of(q.target)
+            root = self._points[1 - self.label(e_bits)]
+            lit = [(pair[bit],) for pair, bit in zip(lit, e_bits)]
+        else:
+            root = self._points[q.target if q.kind == "gCXp" else 1 - q.target]
+        feats, n = self.features, len(self.features)
+
+        def found(combo, values) -> Witness:
+            names = tuple(feats[i] for i in combo)
+            return Witness(features=names) if local else Witness(assignment=tuple(zip(names, values)))
+
+        def first(size: int) -> Optional[Witness]:
+            if not size:
+                return None if root else found((), ())
+            combo, zero, d, last = list(range(size)), [root] * size, 0, size - 1
+            while True:
+                for j in range(d, last):
+                    zero[j + 1] = zero[j] & lit[combo[j]][0]
+                for i in range(combo[last], n):
+                    if local:
+                        if not zero[last] & lit[i][0]:
+                            return found(combo[:last] + [i], ())
+                        continue
+                    zeros, ones = lit[i]
+                    stack, values = zero[:], [0] * last
+                    while True:
+                        if not stack[last] & zeros:
+                            return found(combo[:last] + [i], values + [0])
+                        if not stack[last] & ones:
+                            return found(combo[:last] + [i], values + [1])
+                        p = last - 1
+                        while p >= 0 and values[p]:
+                            values[p] = 0
+                            p -= 1
+                        if p < 0:
+                            break
+                        values[p] = 1
+                        stack[p + 1] = stack[p] & lit[combo[p]][1]
+                        for j in range(p + 1, last):
+                            stack[j + 1] = stack[j] & lit[combo[j]][0]
+                d = last - 1
+                while d >= 0 and combo[d] == n - size + d:
+                    d -= 1
+                if d < 0:
+                    return None
+                combo[d:] = range(combo[d] + 1, combo[d] + 1 + size - d)
+
+        return first
 
     def _rules_out(self, q: ExplanationQuery, valid) -> bool:
         # validity only grows with the witness, and a check here is a few

@@ -64,6 +64,7 @@ from helpers import (
     rand_dl,
     rand_dt,
     rand_obdd,
+    rand_term,
     random_circuit,
     six_compiled,
     with_replaced,
@@ -611,6 +612,26 @@ def test_compiled_table_memory_follows_live_values_not_gates():
     # and the negated inputs at a time, not its 300-odd gates
     assert len(c.gates) > 300
     assert peak < 40 * (1 << 16) // 8, peak
+
+
+def test_a_long_list_table_spends_each_block_before_the_next():
+    # 400 rules over 16 features: in the builder's order every rule's AND
+    # is made before any block's OR, and the table held about 340 masks
+    # at once; in post-order each block's ANDs are spent at its OR
+    rng = random.Random(0)
+    feats = [f"x{i:02d}" for i in range(16)]
+    rules = [(rand_term(rng, feats, 4), rng.randint(0, 1)) for _ in range(400)]
+    c = compile_dl(DecisionList(rules + [([], 1)]), 1)
+    tracemalloc.start()
+    try:
+        table = circuit_table(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    points = list(_points(c))
+    for i in range(0, len(points), 997):
+        assert table >> i & 1 == eval_circuit(c, points[i])
+    assert peak < 250 * (1 << 16) // 8, peak
 
 
 def test_table_oracle_agrees_with_the_enumeration_oracle():

@@ -255,13 +255,17 @@ def test_mutable_records_keep_their_dataclass_behaviour():
 
 # Imports the benchmark's tracer and workload modules and wraps every
 # name the tracer binds, so a rename of a wrapped function fails here.
+# The tracer frames the oracle by patching `FunctionOracle`, so the table
+# oracle must inherit every method it patches, not override it.
 TRACER_PROBE = """
 import builders, tracing, workloads
 from xbool import circuits
+from xbool.tables import TableOracle
 tracer = tracing.Tracer()
 tracer.install()
 tracer.uninstall()
 assert all(hasattr(circuits, name) for name in workloads.COMPILERS.values())
+assert not set(tracing.ORACLE_METHODS) & set(vars(TableOracle)), vars(TableOracle)
 """
 
 

@@ -1,11 +1,16 @@
 """Truth tables filled from model structure, checked point by point
 against `classify`, and the table oracle against the enumeration one."""
 
+import hashlib
 import random
 import time
+import tracemalloc
+from math import comb
 
 import pytest
 
+from xbool import models
+from xbool.circuits import circuit_explain_bruteforce
 from xbool.explain import (
     KINDS,
     ExplanationQuery,
@@ -23,7 +28,14 @@ from xbool.models import (
     classify,
     model_features,
 )
-from xbool.tables import _oracle_for, at_least, feature_mask, literals, model_table
+from xbool.tables import (
+    _oracle_for,
+    at_least,
+    feature_mask,
+    literals,
+    model_table,
+    oracle_min,
+)
 
 from helpers import (
     rand_dl,
@@ -33,6 +45,7 @@ from helpers import (
     rand_example,
     rand_obdd,
     rand_sparse_obdd,
+    six_compiled,
 )
 
 FEATS = ["a", "b", "c", "d", "e"]
@@ -169,3 +182,127 @@ def test_the_table_oracle_answers_like_the_enumeration_oracle():
 def test_a_model_without_features_has_a_one_point_table(model):
     q = ExplanationQuery("gAXp", "subset", classify(model, {}))
     assert _oracle_for(model, 20).minimum(q) == Witness.of_assignment({})
+
+
+def _every_query(rng, feats):
+    """All four kinds, subset and every budget from 0 to n; both classes
+    for the global kinds."""
+    e = rand_example(rng, feats)
+    for kind in KINDS:
+        for target in ((e,) if kind in ("lAXp", "lCXp") else (0, 1)):
+            yield ExplanationQuery(kind, "subset", target)
+            for k in range(len(feats) + 1):
+                yield ExplanationQuery(kind, "cardinality", target, k)
+
+
+# (sha256, answers, answers that are None) of test_oracle_answers_are_pinned;
+# changes only when some oracle answer does
+ORACLE_ANSWERS = ("4c4844cae5aaaa6a9461f003adbe1815b00e8277dc2a8b099d37d9668683eb30", 7770, 2614)
+
+
+def test_oracle_answers_are_pinned():
+    """Every `TableOracle.minimum` answer over seeded trees, rule sets,
+    rule lists, diagrams and their ensembles (through `oracle_min`) and
+    over circuits from all six compilers for both classes (through
+    `circuit_explain_bruteforce`)."""
+    rng = random.Random(307)
+    h, answers, nones = hashlib.sha256(), 0, 0
+    for n in (1, 3, 5, 7):
+        feats = [f"x{i}" for i in range(n)]
+        for _ in range(3):
+            makes = (rand_dt, rand_ds, rand_dl, rand_obdd)
+            seeded = [make(rng, feats) for make in makes]
+            seeded += [Ensemble([make(rng, feats) for _ in range(3)]) for make in makes]
+            solvers = [(lambda q, m=m: oracle_min(m, q), sorted(model_features(m))) for m in seeded]
+            for compile_fn, model in six_compiled(rng, feats):
+                if model_features(model):
+                    for c in (0, 1):
+                        circuit = compile_fn(model, c)
+                        solvers.append((lambda q, c=circuit: circuit_explain_bruteforce(c, q),
+                                        list(circuit.inputs())))
+            for solve, names in solvers:
+                for q in _every_query(rng, names):
+                    got = solve(q)
+                    h.update(repr(got).encode() + b"\n")
+                    answers += 1
+                    nones += got is None
+    assert (h.hexdigest(), answers, nones) == ORACLE_ANSWERS
+
+
+def _count_ands(oracle):
+    """Swap the oracle's class points and literals for ints that count the
+    ANDs they take part in; results are plain ints, so an AND of two
+    results would go uncounted, and the walk makes none."""
+    count = [0]
+
+    class Counted(int):
+        def __and__(self, other):
+            count[0] += 1
+            return int.__and__(self, other)
+
+        __rand__ = __and__
+
+    oracle._points = tuple(map(Counted, oracle._points))
+    oracle._literals = tuple(tuple(map(Counted, pair)) for pair in oracle._literals)
+    return count
+
+
+def test_the_table_walk_bounds_its_ands(monkeypatch):
+    """In a size-s round, lAXp makes at most one AND per combination of
+    size <= s, and gAXp and gCXp at most two per candidate of size <= s;
+    the walk labels at most once per query and never calls `reaches` or
+    `classify`."""
+
+    def refused(*args):
+        raise AssertionError("the walk called a check")
+
+    monkeypatch.setattr(models, "classify", refused)
+    rng = random.Random(41)
+    rounds = nones = 0
+    for n in (0, 1, 4, 6, 8, 8):
+        feats = [f"x{i}" for i in range(n)]
+        table = sum(1 << i for i in range(1 << n) if rng.random() < rng.choice((0.1, 0.5, 0.9)))
+        for q in _every_query(rng, feats):
+            if q.kind == "lCXp":
+                continue
+            oracle = TableOracle(feats, table)
+            want = oracle.minimum(q)
+            labels = []
+            label = oracle.label
+            oracle.label = lambda bits: labels.append(bits) or label(bits)
+            oracle.reaches = refused
+            ands = _count_ands(oracle)
+            first = oracle._first(q, None)
+            per = 1 if q.kind == "lAXp" else 2
+            size, got = 0, None
+            while got is None and size <= (n if q.k is None else q.k):
+                before = ands[0]
+                got = first(size)
+                bound = sum(comb(n, j) * (1 if per == 1 else 2 ** j) for j in range(size + 1))
+                assert ands[0] - before <= per * bound, (q, size)
+                size += 1
+                rounds += 1
+            assert got == want, q
+            assert len(labels) <= (q.kind == "lAXp"), q
+            nones += got is None
+    assert rounds > 700 and nones > 90, (rounds, nones)
+
+
+def test_a_global_walk_holds_o_size_masks():
+    """gAXp on a 16-feature parity table, which no assignment of at most
+    k features forces: the walk tries every candidate, and beyond the
+    table and its literals it holds a few masks per size, where keeping
+    every value prefix would hold 2^(k+1)."""
+    n, k = 16, 5
+    parity = 0
+    for j in range(n):
+        parity ^= feature_mask(j, n)
+    oracle = TableOracle([f"x{j:02d}" for j in range(n)], parity)
+    tracemalloc.start()
+    try:
+        assert oracle.minimum(ExplanationQuery("gAXp", "cardinality", 1, k)) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mask = (1 << n) // 8
+    assert peak < 4 * (k + 1) * mask, peak / mask
