@@ -5,14 +5,23 @@ provable negative answer (no witness exists / witness invalid), 2 a
 parse or validation problem with the inputs, 1 an operational failure
 (caps, guards, timeouts).  All structured output is JSON or CSV with
 sorted keys, so reruns on identical inputs are byte-identical.
+
+Each subcommand's options are declared once, in `_COMMANDS`.  A plain
+`explain` or `verify` line (its own flags spelled out in full, each at
+most once, every value present and accepted) is read by `_read_plain`
+without importing argparse, whose import and parser build would cost
+every request several milliseconds.  Every other line (help,
+abbreviations, `--opt=value`, repeats, refusals, `generate`, `bench`)
+goes to `build_parser`, which builds argparse from the same
+declarations, so help, usage and refusals read exactly as before.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import sys
+import types
 from typing import Optional, Tuple
 
 from .errors import BudgetExceeded, DeadlineExceeded, ModelError, NotOrdered, TooLarge
@@ -260,86 +269,156 @@ def cmd_bench(args) -> int:
 # Argument plumbing
 
 
-class _Parser(argparse.ArgumentParser):
-    """Refusals raise ModelError, so a bad command line exits 2 with a
-    JSON payload like any other bad input; stderr still gets argparse's
-    usage and error lines.  `--help` still prints and exits 0."""
+class _Option:
+    """One option of a subcommand, declared once for the plain reader and
+    for argparse.  `kind` converts its value (None: a switch, which takes
+    no value); `choices` and `non_negative` restrict the converted value."""
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise ModelError(message)
+    __slots__ = ("flag", "dest", "kind", "default", "required", "choices", "non_negative")
 
+    def __init__(self, flag, kind=str, default=None, required=False, choices=None,
+                 non_negative=False):
+        self.flag = flag
+        self.dest = flag[2:].replace("-", "_")
+        self.kind = kind
+        self.default = default
+        self.required = required
+        self.choices = choices
+        self.non_negative = non_negative
 
-class _NonNegative(argparse.Action):
-    """Stores an int option, refusing a negative one like any argparse
-    refusal; a negative `--timeout-ms` is refused where it is used."""
-
-    def __call__(self, parser, namespace, value, option_string=None):
-        if value < 0:
-            raise argparse.ArgumentError(self, f"must be non-negative, got {value}")
-        setattr(namespace, self.dest, value)
-
-
-def _add_limits(sub):
-    sub.add_argument("--cap-nodes", type=int, default=DEFAULT_CAP, action=_NonNegative)
-    sub.add_argument(
-        "--guard-features", type=int, default=DEFAULT_GUARD, action=_NonNegative
-    )
-    sub.add_argument("--timeout-ms", type=int, default=0)
-    sub.add_argument("--out")
+    def read(self, text: str):
+        """The value argparse stores for `text`; ValueError where argparse
+        would refuse it."""
+        value = self.kind(text)
+        if (self.choices is not None and value not in self.choices
+                or self.non_negative and value < 0):
+            raise ValueError(text)
+        return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+_MODEL = _Option("--model", required=True)
+_QUERY = _Option("--query", required=True)
+_ROUTE = _Option("--route", default="auto", choices=ROUTES)
+_LIMITS = (
+    _Option("--cap-nodes", int, DEFAULT_CAP, non_negative=True),
+    _Option("--guard-features", int, DEFAULT_GUARD, non_negative=True),
+    # a negative timeout is refused where it is used
+    _Option("--timeout-ms", int, 0),
+    _Option("--out"),
+)
+
+# subcommand: (help line, handler, options in usage order); `generate`
+# also takes the gadget name as a positional
+_COMMANDS = {
+    "explain": ("compute a minimal explanation", cmd_explain,
+                (_MODEL, _QUERY, _ROUTE, *_LIMITS)),
+    "verify": ("check a witness against a query", cmd_verify,
+               (_MODEL, _QUERY, _Option("--witness", required=True),
+                _Option("--minimal", None, False), *_LIMITS)),
+    "generate": ("write a hard-instance model file", cmd_generate,
+                 (_Option("--params", default="{}"), _Option("--out", required=True))),
+    "bench": ("run a query over a corpus directory", cmd_bench,
+              (_Option("--corpus", required=True), _QUERY, _ROUTE, *_LIMITS)),
+}
+
+
+def _read_plain(argv):
+    """The namespace `build_parser().parse_args(argv)` returns, read
+    without argparse, for a line that is `explain` or `verify` followed
+    only by that subcommand's flags, each spelled out in full and given
+    at most once, each value present, not starting with `-` and taken by
+    its conversion and checks, and every required flag present.  None
+    for any other line, which argparse then reads, refuses or answers
+    with help."""
+    if not argv or argv[0] not in ("explain", "verify"):
+        return None
+    _, handler, options = _COMMANDS[argv[0]]
+    by_flag = {option.flag: option for option in options}
+    values = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        option = by_flag.get(flag)
+        if option is None or option.dest in values:
+            return None
+        if option.kind is None:
+            values[option.dest] = True
+            continue
+        text = next(tokens, "-")  # a missing value declines like a flag
+        if text.startswith("-"):
+            return None
+        try:
+            values[option.dest] = option.read(text)
+        except ValueError:
+            return None
+    for option in options:
+        if option.dest not in values:
+            if option.required:
+                return None
+            values[option.dest] = option.default
+    return types.SimpleNamespace(command=argv[0], handler=handler, **values)
+
+
+def build_parser():
+    """The argparse parser for every line, built from `_COMMANDS`; the
+    only code that imports argparse, which `main` needs only for help
+    and for lines the plain reader declines."""
+    import argparse
     import shutil
+
+    class Parser(argparse.ArgumentParser):
+        """Refusals raise ModelError, so a bad command line exits 2 with a
+        JSON payload like any other bad input; stderr still gets argparse's
+        usage and error lines.  `--help` still prints and exits 0."""
+
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            sys.stderr.write(f"{self.prog}: error: {message}\n")
+            raise ModelError(message)
+
+    class NonNegative(argparse.Action):
+        """Stores an int option, refusing a negative one like any argparse
+        refusal."""
+
+        def __call__(self, parser, namespace, value, option_string=None):
+            if value < 0:
+                raise argparse.ArgumentError(self, f"must be non-negative, got {value}")
+            setattr(namespace, self.dest, value)
 
     # a HelpFormatter left to itself asks the terminal for its width, and
     # argparse makes one for every add_argument: ask once, hand it to all
     formatter = functools.partial(
         argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
     )
-    parser = _Parser(
+    parser = Parser(
         prog="xbool",
         description="Explanations for transparent binary classifiers.",
         formatter_class=formatter,
     )
     commands = parser.add_subparsers(dest="command", required=True)
-    add = functools.partial(commands.add_parser, formatter_class=formatter)
-
-    ex = add("explain", help="compute a minimal explanation")
-    ex.add_argument("--model", required=True)
-    ex.add_argument("--query", required=True)
-    ex.add_argument("--route", default="auto", choices=ROUTES)
-    _add_limits(ex)
-    ex.set_defaults(handler=cmd_explain)
-
-    ve = add("verify", help="check a witness against a query")
-    ve.add_argument("--model", required=True)
-    ve.add_argument("--query", required=True)
-    ve.add_argument("--witness", required=True)
-    ve.add_argument("--minimal", action="store_true")
-    _add_limits(ve)
-    ve.set_defaults(handler=cmd_verify)
-
-    ge = add("generate", help="write a hard-instance model file")
-    ge.add_argument("gadget")
-    ge.add_argument("--params", default="{}")
-    ge.add_argument("--out", required=True)
-    ge.set_defaults(handler=cmd_generate)
-
-    be = add("bench", help="run a query over a corpus directory")
-    be.add_argument("--corpus", required=True)
-    be.add_argument("--query", required=True)
-    be.add_argument("--route", default="auto", choices=ROUTES)
-    _add_limits(be)
-    be.set_defaults(handler=cmd_bench)
-
+    for name, (text, handler, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=text, formatter_class=formatter)
+        if name == "generate":
+            sub.add_argument("gadget")
+        for option in options:
+            if option.kind is None:
+                sub.add_argument(option.flag, action="store_true")
+            else:
+                sub.add_argument(
+                    option.flag, type=option.kind, default=option.default,
+                    required=option.required, choices=option.choices,
+                    action=NonNegative if option.non_negative else "store",
+                )
+        sub.set_defaults(handler=handler)
     return parser
 
 
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = _read_plain(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         return args.handler(args)
     except (ModelError, json.JSONDecodeError, OSError) as err:
         sys.stdout.write(_error_payload(err))
@@ -350,4 +429,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # `generate` and `bench` import names from xbool.cli: let them find
+    # this module rather than compile and run a second copy of the file
+    sys.modules.setdefault("xbool.cli", sys.modules[__name__])
     sys.exit(main())

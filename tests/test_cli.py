@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -17,7 +18,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xbool
-from xbool.cli import DEFAULT_CAP, ROUTES, _verdicts, build_parser, main
+from xbool.cli import (
+    DEFAULT_CAP, ROUTES, _read_plain, _verdicts, build_parser, cmd_verify, main,
+)
+from xbool.errors import ModelError
 from xbool.explain import DEFAULT_GUARD, ExplanationQuery, Witness, verify_subset_minimal
 from xbool.models import (
     DecisionList, DecisionSet, DecisionTree, DtInner, DtLeaf, Ensemble, dumps_model,
@@ -763,6 +767,152 @@ def test_one_parser_asks_the_terminal_width_once(monkeypatch):
     assert len(asked) == 1
 
 
+# ---------------------------------------------------------------------------
+# the plain reader: explain and verify lines read without argparse
+
+# values argparse takes for each flag, and values it refuses or that
+# start with `-`
+GOOD_VALUES = {
+    "--model": ["m.json", "", " dir/m.json"],
+    "--query": [Q_LAXP, "q.json"],
+    "--witness": ["[]", '{"x": 1}'],
+    "--route": list(ROUTES),
+    "--cap-nodes": ["0", "7", " 7", "+7", "1_000", "\t3\n", "\uff11\uff12"],
+    "--guard-features": ["12", "+0", " 4 "],
+    "--timeout-ms": ["0", "250", " -5", "2_5"],
+    "--out": ["o.json", ""],
+}
+BAD_VALUES = {
+    "--model": ["-", "-m.json", "--query"],
+    "--route": ["fast", "DT", "", " dt"],
+    "--cap-nodes": ["-1", " -1", "soon", "1.5", "", "0x10", "1__0", "1e3"],
+    "--guard-features": ["-3", "+-3", "\u00bd"],
+    "--timeout-ms": ["-5", "soon", ""],
+    "--out": ["-o.json"],
+}
+PLAIN_COMMANDS = {
+    "explain": (["--model", "--query"],
+                ["--route", "--cap-nodes", "--guard-features", "--timeout-ms", "--out"]),
+    "verify": (["--model", "--query", "--witness"],
+               ["--minimal", "--cap-nodes", "--guard-features", "--timeout-ms", "--out"]),
+}
+
+
+def _line(command, flags, rng):
+    argv = [command]
+    for flag in flags:
+        argv.append(flag)
+        if flag != "--minimal":
+            argv.append(rng.choice(GOOD_VALUES[flag]))
+    return argv
+
+
+def _mutations(line):
+    """Lines near `line` that the reader must decline or read as argparse does."""
+    command = line[0]
+    flags = sum(PLAIN_COMMANDS[command], [])
+    for at, token in enumerate(line):
+        if token not in flags:
+            continue
+        yield line[:at] + [token[:5]] + line[at + 1:]  # an abbreviation
+        if token == "--minimal":
+            yield line + [token]
+            continue
+        yield line + line[at:at + 2]  # a repeat
+        yield line[:at] + line[at + 2:]  # drops the option
+        yield line[:at + 1] + line[at + 2:]  # drops the value
+        yield line[:at] + [f"{token}={line[at + 1]}"] + line[at + 2:]
+        for bad in BAD_VALUES.get(token, ()):
+            yield line[:at + 1] + [bad] + line[at + 2:]
+    for extra in (["--"], ["-h"], ["--help"], ["stray"], ["--witness", "[]"],
+                  ["--route", "dt"], ["--minimal", "yes"]):
+        yield line + extra
+    yield line[:1] + ["--"] + line[1:]
+    yield ["--cap-nodes", "3"] + line
+    yield ["bench", "--corpus", "."] + line[1:]
+    yield ["generate", "taut_ds"] + line[1:]
+    yield [command.capitalize()] + line[1:]
+    yield line[1:]
+
+
+def plain_corpus():
+    """(argv, whether the reader must take it) for explain and verify lines:
+    every optional subset in several orders, every order of explain's
+    seven options, and lines near them."""
+    rng = random.Random(19)
+    lines = []
+    for command, (required, optional) in PLAIN_COMMANDS.items():
+        for mask in range(1 << len(optional)):
+            flags = required + [f for i, f in enumerate(optional) if mask >> i & 1]
+            orders = [flags, flags[::-1]] + [rng.sample(flags, len(flags)) for _ in range(3)]
+            lines += [_line(command, order, rng) for order in orders]
+    required, optional = PLAIN_COMMANDS["explain"]
+    lines += [_line("explain", order, rng) for order in itertools.permutations(required + optional)]
+    corpus = [(line, True) for line in lines]
+    for line in lines[::61]:
+        corpus += [(near, False) for near in _mutations(line)]
+    return corpus + [([], False), (["explain"], False), (["verify", "--minimal"], False)]
+
+
+def test_the_plain_reader_agrees_with_argparse():
+    parser = build_parser()
+    corpus = plain_corpus()
+    taken = 0
+    for argv, must_take in corpus:
+        plain = _read_plain(argv)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                expected = vars(parser.parse_args(argv))
+        except (ModelError, SystemExit):
+            expected = None
+        if plain is not None:
+            assert vars(plain) == expected, argv
+            taken += 1
+        else:
+            assert not must_take, argv
+    # the corpus holds both lines the reader takes and lines it declines
+    assert 5000 < taken < len(corpus) - 1000, (taken, len(corpus))
+
+
+def test_the_plain_reader_converts_like_argparse():
+    argv = ["verify", "--witness", "[]", "--timeout-ms", " -5", "--query", "{}",
+            "--cap-nodes", "+1_0", "--model", "", "--minimal"]
+    assert vars(_read_plain(argv)) == {
+        "command": "verify", "handler": cmd_verify,
+        "model": "", "query": "{}", "witness": "[]", "minimal": True,
+        "cap_nodes": 10, "guard_features": DEFAULT_GUARD, "timeout_ms": -5, "out": None,
+    }
+    assert _read_plain(argv + ["--minimal"]) is None
+
+
+@pytest.mark.parametrize("command, argv, code", [
+    ("explain", ["--query", Q_LCXP1], 0),
+    ("explain", ["--query", json.dumps({**json.loads(Q_LCXP1), "k": 0})], 3),
+    ("verify", ["--query", Q_LAXP, "--witness", json.dumps(["y", "z"]), "--minimal"], 0),
+    ("verify", ["--query", Q_LAXP, "--witness", json.dumps(["x", "y", "z"]), "--minimal"], 3),
+])
+def test_out_holds_what_the_request_prints(capsys, tmp_path, fig1_path, command, argv, code):
+    argv = [command, "--model", fig1_path] + argv
+    printed = run(capsys, *argv, expect=code)
+    out = tmp_path / "out.json"
+    assert run(capsys, *argv, "--out", str(out), expect=code) == ""
+    assert out.read_bytes() == printed.encode()
+
+
+def test_main_reads_sys_argv_by_default(capsys, monkeypatch, fig1_path):
+    argv = ["explain", "--model", fig1_path, "--query", Q_LCXP1]
+    printed = run(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["xbool"] + argv)
+    assert main() == 0
+    assert capsys.readouterr().out == printed
+    monkeypatch.setattr(sys, "argv", ["xbool", "explain", "--model", fig1_path])
+    assert main() == 2
+    captured = capsys.readouterr()
+    assert "required: --query" in captured.err
+    assert json.loads(captured.out)["error"]["type"] == "ModelError"
+
+
 @pytest.mark.parametrize("query", [
     {"kind": "lAXp", "minimality": "subset", "target": {"y": 0}},
     {"kind": "lCXp", "minimality": "cardinality", "target": {"y": 0}, "k": 0},
@@ -1291,6 +1441,28 @@ def test_refused_inputs_print_no_traceback(tmp_path, fig1_path, case):
 
 # ---------------------------------------------------------------------------
 # console entry point
+
+
+def test_generate_runs_one_copy_of_the_cli(tmp_path):
+    """`python -m xbool.cli` runs cli.py as `__main__`; `generate` imports
+    names from `xbool.cli`, which must find that module rather than
+    import and run the file a second time."""
+    out = tmp_path / "taut.json"
+    params = json.dumps({"terms": [[["x", 0]], [["x", 1]]]})
+    proc, _ = run_cli_process("generate", "taut_ds", "--params", params, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["kind"] == "ds"
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "xbool.cli", "generate", "taut_ds",
+         "--params", params, "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(xbool.__file__))),
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "xbool.gadgets" in imported
+    assert "xbool.cli" not in imported
 
 
 def test_console_script_runs(fig1_path):

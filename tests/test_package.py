@@ -58,15 +58,20 @@ import io, json, sys
 from contextlib import redirect_stdout
 from xbool import cli
 with redirect_stdout(io.StringIO()):
-    code = cli.main(sys.argv[1:])
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as done:  # --help
+        code = done.code
 print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
 """
 
 # loaded by no explain or verify request
 NEVER = ("dataclasses", "xbool.gadgets", "xbool.circuits", "csv")
+# loaded only by lines the plain reader declines: help and refusals
+ARGPARSE = ("argparse", "gettext", "locale")
 
 
-def _loaded(*argv):
+def _loaded(*argv, code=0):
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *argv],
         capture_output=True, text=True, timeout=60,
@@ -74,7 +79,7 @@ def _loaded(*argv):
     )
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["code"] == 0, argv
+    assert report["code"] == code, argv
     return set(report["modules"])
 
 
@@ -99,6 +104,19 @@ def test_a_request_loads_only_its_route(tmp_path):
     assert "xbool.tables" in after_rules
     for name in NEVER + ("xbool.dt", "xbool.obdd", "xbool.restriction", "xbool.dslist"):
         assert name not in after_rules, name
+    after_rules_verify = _loaded(
+        "verify", "--model", str(paths["rules"]), "--query", LAXP,
+        "--witness", json.dumps(["y"]), "--minimal", "--cap-nodes", "10",
+    )
+    for after in (after_tree, after_diagram, after_rules, after_rules_verify):
+        for name in ARGPARSE:
+            assert name not in after, name
+    after_help = _loaded("explain", "--help", code=0)
+    after_refusal = _loaded("explain", "--model", str(paths["tree"]), "--query", LAXP,
+                            "--route", "fast", code=2)
+    for after in (after_help, after_refusal):
+        for name in ARGPARSE:
+            assert name in after, name
 
 
 def _imported_from(module: str):
