@@ -2,12 +2,13 @@
 each checked against the construction it replaces or a brute-force
 reference; plus counts of the models the checks build."""
 
+import hashlib
 import itertools
 import random
 
-from xbool import dt
+from xbool import dt, obdd
 from xbool.dt import dt_ensemble_to_dt, dt_xp_search
-from xbool.explain import ExplanationQuery
+from xbool.explain import KINDS, ExplanationQuery, Witness
 from xbool.models import (
     DecisionTree,
     DtInner,
@@ -313,3 +314,67 @@ def test_graft_builds_no_more_leaves_than_it_returns(monkeypatch):
     built = _count_constructions(monkeypatch, DecisionTree, leaves=True)
     out = dt_ensemble_to_dt(Ensemble(trees))
     assert sum(built) == dt_size(out)
+
+
+# ---------------------------------------------------------------------------
+# pinned answers of the tree and diagram procedures
+
+
+def _pinned_models(rng, feats):
+    """(model, its procedures) for seeded trees, repeat-testing trees,
+    complete and sparse diagrams, and flattened ensembles of each."""
+    tree = (dt.dt_xp_search, dt.dt_subset_min, dt.dt_check)
+    diagram = (obdd.obdd_xp_search, obdd.obdd_subset_min, obdd.obdd_check)
+    yield rand_dt(rng, feats), tree
+    yield rand_dt_with_repeats(rng, feats), tree
+    yield rand_obdd(rng, feats), diagram
+    yield rand_sparse_obdd(rng, feats), diagram
+    yield dt_ensemble_to_dt(Ensemble([rand_dt(rng, feats, split=0.6) for _ in range(3)])), tree
+    yield obdd.obdd_ensemble_product(Ensemble([rand_obdd(rng, feats) for _ in range(3)])), diagram
+    yield obdd.obdd_ensemble_product(Ensemble([rand_sparse_obdd(rng, feats) for _ in range(3)])), diagram
+
+
+# (sha256, answers, answers that are None) of
+# test_restriction_answers_are_pinned; changes only when some answer does
+RESTRICTION_ANSWERS = ("6941f502652cf8d153d2ceb423535922530125d11e8b1de7fe0afe7c6cf5f98b", 16506, 1134)
+
+
+def test_restriction_answers_are_pinned():
+    """Every answer of the tree and diagram `xp_search`, `subset_min` and
+    `check` over seeded models: all four kinds, subset and every budget
+    from 0 to n, both classes for the global kinds; each found witness
+    and three random ones are checked."""
+    rng = random.Random(409)
+    h, answers, nones = hashlib.sha256(), 0, 0
+
+    def record(got):
+        nonlocal answers, nones
+        h.update(repr(got).encode() + b"\n")
+        answers += 1
+        nones += got is None
+
+    for n in (1, 2, 4, 6):
+        feats = [f"x{i}" for i in range(n)]
+        for _ in range(4):
+            for model, (xp_search, subset_min, check) in _pinned_models(rng, feats):
+                names = sorted(model.features())
+                e = rand_example(rng, feats)
+                for kind in KINDS:
+                    for target in ((e,) if kind in ("lAXp", "lCXp") else (0, 1)):
+                        queries = [ExplanationQuery(kind, "subset", target)]
+                        queries += [ExplanationQuery(kind, "cardinality", target, k)
+                                    for k in range(n + 1)]
+                        for q in queries:
+                            search = subset_min if q.k is None else xp_search
+                            found = search(model, q)
+                            record(found)
+                            tries = [] if found is None else [found]
+                            for _ in range(3):
+                                chosen = [f for f in names if rng.random() < 0.5]
+                                tries.append(
+                                    Witness.of_features(chosen) if q.is_local
+                                    else Witness.of_assignment({f: rng.randint(0, 1) for f in chosen})
+                                )
+                            for w in tries:
+                                record(check(model, q, w))
+    assert (h.hexdigest(), answers, nones) == RESTRICTION_ANSWERS
