@@ -30,6 +30,7 @@ from .explain import (
     ExplanationQuery,
     Witness,
     check_witness,
+    deletions,
     query_from_json,
     witness_from_json,
     witness_to_json,
@@ -168,16 +169,7 @@ def _verdicts(
         return False, False
     if not minimal:
         return True, False
-    if w.features is not None:
-        smaller = (
-            Witness(features=tuple(g for g in w.features if g != f)) for f in w.features
-        )
-    else:
-        smaller = (
-            Witness(assignment=tuple(p for p in w.assignment if p[0] != f))
-            for f, _ in w.assignment
-        )
-    return True, not any(valid(rest) for rest in smaller)
+    return True, not any(valid(rest) for rest in deletions(w))
 
 
 # ---------------------------------------------------------------------------

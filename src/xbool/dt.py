@@ -23,7 +23,6 @@ from .models import (
     PartialExample,
     _bit,
     _lookup,
-    require_total,
 )
 from .records import Frozen
 from .restriction import Restriction
@@ -88,11 +87,13 @@ class DecisionTree:
         # leaf id -> class label, the terminals of a restriction walk
         self.leaf_labels: Dict[str, int] = labels
         self._repeat_free: Optional[bool] = None  # memo of simplify_dt
+        self._view: Optional[Restriction] = None  # the view Restriction keeps
+        self._features: Optional[FrozenSet[str]] = None  # memo of features
 
     def features(self) -> FrozenSet[str]:
-        return frozenset(
-            n.feature for n in self.nodes.values() if isinstance(n, DtInner)
-        )
+        if self._features is None:
+            self._features = frozenset(n.feature for n in self.nodes.values() if isinstance(n, DtInner))
+        return self._features
 
     def leaves(self) -> Tuple[Tuple[str, int], ...]:
         return tuple(self.leaf_labels.items())
@@ -220,7 +221,7 @@ def _restriction(t: DecisionTree) -> Restriction:
     # a walk over a repeated test would follow both of its arcs once the
     # first test of the feature has picked one; the simplified tree has none
     t = simplify_dt(t)
-    return Restriction(t, t.nodes, t.leaf_labels, t.root, lambda: _preorder(t))
+    return t._view or Restriction(t, t.nodes, t.leaf_labels, t.root, _preorder)
 
 
 def _preorder(t: DecisionTree) -> List[str]:
@@ -245,7 +246,7 @@ def dt_check(t: DecisionTree, q: ExplanationQuery, w: Witness) -> bool:
 def dt_lcxp_check(t: DecisionTree, e: Example, features) -> bool:
     """True iff flipping inside the set can change the class: fix the
     example outside it and look for an opposite leaf."""
-    return _restriction(t).lcxp_check(e, features)
+    return _restriction(t).validity(ExplanationQuery("lCXp", "subset", e))(frozenset(features))
 
 
 def _leaf_paths(t: DecisionTree) -> List[Tuple[Dict[str, int], int]]:
@@ -268,7 +269,6 @@ def _leaf_paths(t: DecisionTree) -> List[Tuple[Dict[str, int], int]]:
 
 def dt_min_lcxp(t: DecisionTree, e: Example) -> Witness:
     """Smallest flip set reaching a leaf labeled against classify(t, e)."""
-    require_total(e, t.features())
     return _restriction(t).min_lcxp(e)
 
 

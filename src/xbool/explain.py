@@ -1,4 +1,5 @@
-"""Explanation queries and witnesses, and their JSON forms.
+"""Explanation queries and witnesses, their JSON forms, and the one
+definition of what answers a query.
 
 Four query kinds over a model M with feature set F:
 
@@ -9,14 +10,17 @@ Four query kinds over a model M with feature set F:
 * gAXp(c): a partial assignment forcing class c on all completions.
 * gCXp(c): a partial assignment forcing class != c on all completions.
 
-The brute-force ground-truth oracle that answers them lives in
-`tables`, beside the truth tables it reads, so a request whose route
-runs no oracle never compiles it; its names resolve here too.
+`Definitions` writes these rules, the candidate order and minimality
+once, over one question an engine answers: can a class still be
+reached under a partial assignment?  The tree and diagram walk
+(`restriction`) and the oracles (`tables`) subclass it; the oracle's
+names resolve here too, though a route that runs none never compiles it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+import itertools
+from typing import Callable, Dict, Iterable, Mapping, Optional, Tuple, Union
 
 from . import _forward
 from .errors import ModelError, UndefinedFeature
@@ -103,6 +107,91 @@ def check_witness(q: ExplanationQuery, w: Witness, features) -> None:
             raise UndefinedFeature(f"witness mentions unknown feature {f!r}")
 
 
+def deletions(w: Witness):
+    """The witnesses one feature smaller than `w`, in `w`'s order."""
+    if w.features is not None:
+        return (Witness(features=tuple(g for g in w.features if g != f)) for f in w.features)
+    return (Witness(assignment=tuple(p for p in w.assignment if p[0] != f)) for f, _ in w.assignment)
+
+
+class Definitions:
+    """The four query kinds over one question.
+
+    A subclass supplies `features`, the sorted universe; `example_class(e)`,
+    refusing an example that misses a feature of it; and `_reaches(tau, z)`:
+    some completion of `tau` (feature -> bit) gets class z.  lAXp and gAXp
+    leave the other class unreachable and gCXp the target class; lCXp
+    reaches the other class with the example fixed outside the set.
+    Validity only grows with the witness, so one deletion at a time
+    decides subset-minimality.  Candidates come smallest first,
+    lexicographic over `features`, an assignment's values counted in
+    binary with the first feature most significant: the frozen tie-break.
+    """
+
+    def validity(self, q: ExplanationQuery):
+        """The rule of `q` over a candidate: its feature names (local
+        kinds) or its assignment as a dict (global kinds)."""
+        if q.kind not in LOCAL_KINDS:
+            avoid = q.target if q.kind == "gCXp" else 1 - q.target
+            return lambda tau: not self._reaches(tau, avoid)
+        e = q.target
+        other = 1 - self.example_class(e)
+        if q.kind == "lAXp":
+            return lambda names: not self._reaches({f: e[f] for f in names}, other)
+        return lambda names: self._reaches({f: e[f] for f in self.features if f not in names}, other)
+
+    def _passes(self, q: ExplanationQuery, w: Witness) -> bool:
+        return self.validity(q)(w.features if w.assignment is None else dict(w.assignment))
+
+    def check(self, q: ExplanationQuery, w: Witness) -> bool:
+        """`w` keeps to the budget and passes; its names are the caller's to check."""
+        return (q.k is None or w.size <= q.k) and self._passes(q, w)
+
+    def holds(self, q: ExplanationQuery, w: Witness) -> bool:
+        """`w` fits `q` and passes, whatever its size."""
+        check_witness(q, w, self.features)
+        return self._passes(q, w)
+
+    def subset_minimal(self, q: ExplanationQuery, w: Witness) -> bool:
+        return self.holds(q, w) and not any(self.holds(q, rest) for rest in deletions(w))
+
+    def minimum(self, q: ExplanationQuery) -> Optional[Witness]:
+        """The first valid candidate within the budget, or None."""
+        valid = self.validity(q)
+        if self._rules_out(q, valid):
+            return None
+        n = len(self.features)
+        limit = n if q.k is None else min(q.k, n)
+        first = self._first(q, valid)
+        for size in range(1 if q.kind == "lCXp" else 0, limit + 1):
+            found = first(size)
+            if found is not None:
+                return found
+        return None
+
+    def _rules_out(self, q: ExplanationQuery, valid) -> bool:
+        """True when `q` surely has no witness, decided before the search."""
+        return False
+
+    def _first(self, q: ExplanationQuery, valid) -> Callable[[int], Optional[Witness]]:
+        """The search for the first valid candidate of a given size."""
+        local = q.is_local
+
+        def first(size: int) -> Optional[Witness]:
+            for combo in itertools.combinations(self.features, size):
+                if local:
+                    if valid(combo):
+                        return Witness(features=combo)
+                    continue
+                for values in itertools.product((0, 1), repeat=size):
+                    tau = dict(zip(combo, values))
+                    if valid(tau):
+                        return Witness(assignment=tuple(tau.items()))
+            return None
+
+        return first
+
+
 # ---------------------------------------------------------------------------
 # JSON interchange
 
@@ -143,6 +232,6 @@ def witness_from_json(data) -> Witness:
     raise ModelError("witness must be a feature array or a feature->bit object")
 
 
-# the oracle lives in `tables`, beside the tables it reads; its names
+# the oracles live in `tables`, beside the tables they read; their names
 # resolve here too, for callers that import them from this module
 __getattr__ = _forward(__name__, "tables")

@@ -73,9 +73,10 @@ def term_applies(term: Term, e: Example) -> bool:
     return all(_lookup(e, f) == z for f, z in term)
 
 
-def require_total(e: Example, features: Iterable[str]) -> None:
-    """Raise UndefinedFeature naming the least feature e leaves unassigned."""
-    for f in sorted(features):
+def require_total(e: Example, features: Sequence[str]) -> None:
+    """Raise UndefinedFeature naming the least feature e leaves unassigned;
+    `features` comes sorted."""
+    for f in features:
         if f not in e:
             raise UndefinedFeature(f"example does not assign feature {f!r}")
 

@@ -12,7 +12,7 @@ request that meets a diagram compiles them.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetExceeded, ModelError, NotOrdered
@@ -104,6 +104,7 @@ class Obdd:
         # memo of complete_obdd: True when this diagram is complete, else
         # its padded copy; None until asked
         self._complete: Optional[Union[bool, Obdd]] = None
+        self._view: Optional[Restriction] = None  # the view Restriction keeps
 
     def features(self) -> FrozenSet[str]:
         return frozenset(self.order)
@@ -216,22 +217,44 @@ def obdd_width(o: Obdd) -> int:
 
 
 def _infer_order(nodes: Mapping[str, ObddNode], source: str, t0: str, t1: str):
-    # walk the 0-arcs once, then append the leftover features sorted; the
-    # Obdd constructor re-checks the guess against every arc
-    order = []
+    # walk the 0-arcs once, then sort the features along the arcs, those
+    # of the 0-path first in path order, then by name
+    path: Dict[str, int] = {}
     nid = source
     while nid not in (t0, t1):
         if nid not in nodes:
             raise ModelError(f"node {nid!r} missing while inferring the order")
         node = nodes[nid]
-        if node.feature in order:
+        if node.feature in path:
             raise NotOrdered("feature repeats along the first path")
-        order.append(node.feature)
+        path[node.feature] = len(path)
         nid = node.zero
-    rest = sorted(
-        {n.feature for n in nodes.values()} - set(order)
-    )
-    return order + rest
+    return _arc_order(nodes, lambda f: (path.get(f, len(path)), f))
+
+
+def _arc_order(inner: Mapping[str, ObddNode], key) -> List[str]:
+    """The features `inner` (id -> node with `feature`, `zero`, `one`)
+    tests, each before every feature an arc between two of its nodes
+    leads to, the least by `key` first among the ready ones (Kahn).  The
+    features no order fits, on a cycle or on an arc between two tests of
+    one feature, come last by `key`, for the Obdd constructor to refuse."""
+    after: Dict[str, set] = {node.feature: set() for node in inner.values()}
+    for node in inner.values():
+        for child in (node.zero, node.one):
+            if child in inner:
+                after[node.feature].add(inner[child].feature)
+    indegree = Counter(g for later in after.values() for g in later)
+    ready = sorted((key(f), f) for f in after if not indegree[f])
+    order = []
+    while ready:
+        f = ready.pop(0)[1]
+        order.append(f)
+        for g in after[f]:
+            indegree[g] -= 1
+            if not indegree[g]:
+                ready.append((key(g), g))
+        ready.sort()
+    return order + sorted(set(after) - set(order), key=key)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +263,12 @@ def _infer_order(nodes: Mapping[str, ObddNode], source: str, t0: str, t1: str):
 
 def _restriction(o: Obdd) -> Restriction:
     o = complete_obdd(o)
-    return Restriction(o, o.nodes, o.sink_labels, o.source, lambda: sorted(o.nodes, key=o.level))
+    return o._view or Restriction(o, o.nodes, o.sink_labels, o.source, _level_order)
+
+
+def _level_order(o: Obdd) -> List[str]:
+    """Inner node ids by level: parents first in a complete diagram."""
+    return sorted(o.nodes, key=o.level)
 
 
 def obdd_check(o: Obdd, q: ExplanationQuery, w: Witness) -> bool:
@@ -251,7 +279,7 @@ def obdd_check(o: Obdd, q: ExplanationQuery, w: Witness) -> bool:
 def obdd_lcxp_check(o: Obdd, e: Example, features) -> bool:
     """True iff flipping inside the set can change the class: fix the
     example outside it and ask whether the opposite sink stays reachable."""
-    return _restriction(o).lcxp_check(e, features)
+    return _restriction(o).validity(ExplanationQuery("lCXp", "subset", e))(frozenset(features))
 
 
 def obdd_subset_min(o: Obdd, q: ExplanationQuery) -> Optional[Witness]:
@@ -351,33 +379,14 @@ def dt_to_obdd(t: DecisionTree) -> Obdd:
     """Rebuild an ordered tree as a complete diagram over a consistent order.
 
     The order is the topological sort of the parent-before-child feature
-    constraints, smallest name first among the unconstrained; a cycle
-    means no single order fits every branch and raises NotOrdered.
+    constraints, smallest name first among the ready (`_arc_order`); a
+    cycle means no single order fits every branch, and the diagram's
+    constructor raises NotOrdered.
     """
     from .dt import DtInner, DtLeaf
 
-    after: Dict[str, set] = {f: set() for f in t.features()}
-    indegree = {f: 0 for f in after}
-    for node in t.nodes.values():
-        if not isinstance(node, DtInner):
-            continue
-        for child_id in (node.zero, node.one):
-            child = t.nodes[child_id]
-            if isinstance(child, DtInner) and child.feature not in after[node.feature]:
-                after[node.feature].add(child.feature)
-                indegree[child.feature] += 1
-    order: List[str] = []
-    ready = sorted(f for f, d in indegree.items() if d == 0)
-    while ready:
-        f = ready.pop(0)
-        order.append(f)
-        for g in sorted(after[f]):
-            indegree[g] -= 1
-            if indegree[g] == 0:
-                ready.append(g)
-        ready.sort()
-    if len(order) < len(after):
-        raise NotOrdered("branches test features in conflicting orders")
+    inner = {nid: node for nid, node in t.nodes.items() if isinstance(node, DtInner)}
+    order = _arc_order(inner, lambda f: f)
     t0, t1 = "t0", "t1"
     while t0 in t.nodes:
         t0 += "~"
@@ -391,8 +400,6 @@ def dt_to_obdd(t: DecisionTree) -> Obdd:
         return nid
 
     nodes = {
-        nid: ObddNode(node.feature, slot(node.zero), slot(node.one))
-        for nid, node in t.nodes.items()
-        if isinstance(node, DtInner)
+        nid: ObddNode(node.feature, slot(node.zero), slot(node.one)) for nid, node in inner.items()
     }
     return complete_obdd(Obdd(nodes, slot(t.root), t0, t1, tuple(order)))

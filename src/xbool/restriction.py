@@ -1,26 +1,23 @@
-"""The restriction walk, and the query procedures trees and diagrams share.
+"""The restriction walk: how trees and diagrams answer the one question.
 
-A tree and a diagram answer every check with one question: can a given
-class still be reached once the model is restricted by a partial
-assignment (`walk_labels`, the one restriction primitive, defined here)?
-lAXp and gAXp rule out the other class and gCXp the target class; lCXp
-must reach the other class.  Local abductive sets restrict by the target
-example, global queries by the witness itself, and local contrastive
-sets by the example outside the set.  Both families are one graph to
-every search (`Restriction`): inner nodes testing a feature, terminals
-carrying a class, one start.  The least path into a label, which seeds
-the global subset search, and the minimum local contrastive set are
-each one pass over that graph, parents first.
+Every query asks whether a class can still be reached once the model is
+restricted by a partial assignment; a tree or diagram answers by a walk
+(`walk_labels`, the one restriction primitive, defined here).  Both
+families are one graph to every search (`Restriction`): inner nodes
+testing a feature, terminals carrying a class, one start.  On that
+answer `explain.Definitions` builds the four queries, their checks and
+the size-bounded search; the graph adds a greedy subset search seeded
+by the least path into a label, and the minimum local contrastive set,
+each one pass over the graph, parents first.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import Homogeneous, ModelError
-from .explain import ExplanationQuery, Witness
-from .models import Example, PartialExample, _bit, _lookup, classify, require_total
+from .explain import Definitions, ExplanationQuery, Witness
+from .models import Example, PartialExample, _bit, classify, require_total
 
 
 def walk_labels(
@@ -62,32 +59,43 @@ def walk_labels(
     return frozenset(labels)
 
 
-class Restriction:
-    """The graph view of one tree or diagram.
+class Restriction(Definitions):
+    """The graph view of one tree or diagram, answering `_reaches` by the walk.
 
     `terminals` maps leaf or sink ids to their class, `nodes` maps every
     other id to a node with `feature`, `zero` and `one`, and `start` is
     the root or source; every node is reachable from `start`.
-    `parents_first()` lists the inner ids with each after all of its
+    `order(model)` lists the inner ids with each after all of its
     parents (preorder for a tree, level order for a complete diagram);
-    like the universe, only the searches that need it ask for it.  A tree
-    must be free of repeated tests and a diagram complete, as the walk
-    and the seed path assume.
+    only the searches that need it ask for it.  A tree must be free of
+    repeated tests and a diagram complete, as the walk and the seed path
+    assume.  The view keeps itself on the model as `_view`.
     """
 
-    def __init__(self, model, nodes, terminals: Mapping[str, int], start: str, parents_first):
+    def __init__(self, model, nodes, terminals: Mapping[str, int], start: str, order):
         self.model = model
         self.nodes = nodes
         self.terminals = terminals
         self.start = start
-        self.parents_first = parents_first
+        self._order = order
+        self._features: Optional[Tuple[str, ...]] = None
+        model._view = self  # kept, so a model builds one view
 
-    def universe(self) -> List[str]:
-        """Every feature, sorted; built only when a search asks for it."""
-        return sorted(self.model.features())
+    @property
+    def features(self) -> Tuple[str, ...]:
+        # sorted on first use: a global check never needs the universe
+        if self._features is None:
+            self._features = tuple(sorted(self.model.features()))
+        return self._features
 
-    def reaches(self, tau: Mapping[str, int], label: int) -> bool:
-        """Some completion of `tau` gets `label`."""
+    def parents_first(self) -> List[str]:
+        return self._order(self.model)
+
+    def example_class(self, e: Example) -> int:
+        require_total(e, self.features)
+        return classify(self.model, e)
+
+    def _reaches(self, tau: Mapping[str, int], label: int) -> bool:
         return label in walk_labels(self.nodes, self.terminals, self.start, tau)
 
     def hits(self, label: int) -> Set[str]:
@@ -121,8 +129,7 @@ class Restriction:
         flip tuple)` per node, so ties go to the lexicographically least
         sorted flip set, the oracle's order among sets of one size.
         """
-        require_total(e, self.model.features())
-        c = classify(self.model, e)
+        c = self.example_class(e)
         best = {self.start: (0, ())}
         for nid in self.parents_first():
             cost, flips = best[nid]
@@ -148,48 +155,13 @@ class Restriction:
 
     # -- the query procedures
 
-    def _valid_under(self, q: ExplanationQuery) -> Callable[[Mapping[str, int]], bool]:
-        """Validity of a restriction for the abductive and global kinds:
-        the class to rule out stays unreachable."""
-        if q.kind == "lAXp":
-            avoid = 1 - classify(self.model, q.target)
-        elif q.kind == "gAXp":
-            avoid = 1 - q.target
-        else:
-            avoid = q.target
-        return lambda tau: not self.reaches(tau, avoid)
-
-    def check(self, q: ExplanationQuery, w: Witness) -> bool:
-        if q.k is not None and w.size > q.k:
-            return False
-        if q.kind == "lCXp":
-            return self.lcxp_check(q.target, w.features)
-        if q.kind == "lAXp":
-            tau = {f: _lookup(q.target, f) for f in w.features}
-        else:
-            tau = dict(w.assignment)
-        return self._valid_under(q)(tau)
-
-    def lcxp_check(self, e: Example, features) -> bool:
-        """True iff flipping inside the set can change the class: fix the
-        example outside it and look for the opposite label."""
-        names = frozenset(str(f) for f in features)
-        if not names:
-            return False
-        universe = self.universe()
-        require_total(e, universe)
-        tau = {f: e[f] for f in universe if f not in names}
-        return self.reaches(tau, 1 - classify(self.model, e))
-
     def subset_min(self, q: ExplanationQuery) -> Optional[Witness]:
         """Greedy subset-minimal witness; deletions tried in ascending name order."""
         if q.kind == "lCXp":
             return self._min_lcxp_or_none(q.target)
-        valid = self._valid_under(q)
+        valid = self.validity(q)
         if q.kind == "lAXp":
-            e = q.target
-            kept = _greedy_shrink(lambda names: valid({f: e[f] for f in names}), self.universe())
-            return Witness.of_features(kept)
+            return Witness.of_features(_greedy_shrink(valid, self.features))
         # global kinds: start from a full path into an agreeing (gAXp) or
         # disagreeing (gCXp) label, then drop assignments greedily
         seed = self.seed_path(q.target if q.kind == "gAXp" else 1 - q.target)
@@ -199,29 +171,17 @@ class Restriction:
         return Witness.of_assignment({f: seed[f] for f in kept})
 
     def xp_search(self, q: ExplanationQuery) -> Optional[Witness]:
-        """Exhaustive size-bounded search matching the oracle's tie-break."""
+        """The oracle's answer to a cardinality query: its own search, but
+        lCXp through the minimum contrastive search."""
         if q.k is None:
             raise ModelError("xp search needs a cardinality query with budget k")
-        names = self.universe()
-        limit = min(q.k, len(names))
-        if q.kind == "lCXp":
-            w = self._min_lcxp_or_none(q.target)
-            return w if w is not None and w.size <= limit else None
-        valid = self._valid_under(q)
-        for size in range(0, limit + 1):
-            for combo in itertools.combinations(names, size):
-                if q.kind == "lAXp":
-                    if valid({f: q.target[f] for f in combo}):
-                        return Witness.of_features(combo)
-                    continue
-                for values in itertools.product((0, 1), repeat=size):
-                    tau = dict(zip(combo, values))
-                    if valid(tau):
-                        return Witness.of_assignment(tau)
-        return None
+        if q.kind != "lCXp":
+            return self.minimum(q)
+        w = self._min_lcxp_or_none(q.target)
+        return w if w is not None and w.size <= q.k else None
 
 
-def _greedy_shrink(valid, items: List[str]) -> List[str]:
+def _greedy_shrink(valid, items: Sequence[str]) -> List[str]:
     # validity of all four query kinds only grows with the witness, so one
     # ascending deletion pass lands on a subset-minimal set
     kept = list(items)

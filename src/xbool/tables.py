@@ -8,14 +8,14 @@ few big-int operations per node, term or rule (Knuth, TAOCP 4A, 7.1.3);
 no point is enumerated and `models.classify` is never called, so the
 table referees the tree and diagram walks independently.
 
-The oracle (`FunctionOracle`, `TableOracle`, `oracle_min`,
-`is_explanation`, `verify_subset_minimal`) enumerates candidate
-witnesses smallest-first with a fixed tie-break (lexicographic over the
-sorted feature universe, assignments counted binary with the first
-chosen feature most significant), so its answers are deterministic and
-usable as frozen expected values.  The CLI imports this module only on a
-route that runs the oracle, and `circuits` for its own tables, so a tree
-or diagram request never loads it.
+The oracles (`FunctionOracle`, `TableOracle`, and `oracle_min`,
+`is_explanation`, `verify_subset_minimal` over them) answer
+`explain.Definitions`' one question, `reaches`: by enumeration over a
+bare function, or by ANDs of masks over a table.  Their answers,
+candidates in the definitions' tie-break, are the frozen expected
+values.  The CLI imports this module only on a route that runs the
+oracle, and `circuits` for its own tables, so a tree or diagram request
+never loads it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ModelError, TooLarge, UndefinedFeature
-from .explain import DEFAULT_GUARD, ExplanationQuery, Witness, check_witness
+from .explain import DEFAULT_GUARD, Definitions, ExplanationQuery, Witness
 from .models import Example, Model, _bit, model_features
 
 Literals = Tuple[Tuple[int, int], ...]
@@ -167,14 +167,14 @@ _FILLS = {"dt": _fill_dt, "ds": _fill_ds, "dl": _fill_dl, "obdd": _fill_obdd}
 # The oracle
 
 
-class FunctionOracle:
-    """Brute-force query evaluation for an arbitrary total 0/1 classifier.
+class FunctionOracle(Definitions):
+    """The definitions over an arbitrary total 0/1 classifier.
 
-    Classifications are memoized per feature vector, so repeated candidate
-    checks against the same function stay cheap.  Every check asks one
-    question, `reaches`; this class answers it by enumeration, which only
-    callers holding a bare function need: a model's oracle is the
-    `TableOracle` that `_oracle_for` fills from the model's structure.
+    `reaches` enumerates the completions, and classifications are
+    memoized per feature vector, so repeated candidate checks against the
+    same function stay cheap.  Only callers holding a bare function need
+    this: a model's oracle is the `TableOracle` that `_oracle_for` fills
+    from the model's structure.
     """
 
     def __init__(self, features: Iterable[str], classify_fn: Callable[[Dict[str, int]], int], guard: int = DEFAULT_GUARD):
@@ -182,8 +182,6 @@ class FunctionOracle:
         self._pos = {f: i for i, f in enumerate(self.features)}
         self._fn = classify_fn
         self._memo: Dict[Tuple[int, ...], int] = {}
-
-    # -- plumbing
 
     def label(self, bits: Tuple[int, ...]) -> int:
         got = self._memo.get(bits)
@@ -198,92 +196,21 @@ class FunctionOracle:
         except KeyError as missing:
             raise UndefinedFeature(f"example does not assign feature {missing}") from None
 
-    def _completions(self, fixed: Dict[int, int]):
-        """Every point that agrees with `fixed`, counted in binary over the
-        free positions with the first most significant."""
-        return itertools.product(
-            *[(fixed[i],) if i in fixed else (0, 1) for i in range(len(self.features))]
-        )
-
-    # -- the one question behind the four definitions
+    def example_class(self, e: Example) -> int:
+        return self.label(self.bits_of(e))
 
     def reaches(self, fixed: Dict[int, int], z: int) -> bool:
-        """Some completion of `fixed` (position -> bit) gets label z."""
-        return any(self.label(b) == z for b in self._completions(fixed))
+        """Some completion of `fixed` (position -> bit) gets label z; the
+        completions are counted in binary over the free positions with
+        the first most significant."""
+        points = itertools.product(
+            *[(fixed[i],) if i in fixed else (0, 1) for i in range(len(self.features))]
+        )
+        return any(self.label(b) == z for b in points)
 
-    def _validity(self, q: ExplanationQuery) -> Callable[[Iterable], bool]:
-        """Validity of a witness given by its features (local kinds) or its
-        (feature, bit) pairs (global kinds): lCXp must reach the other
-        class with the example fixed outside the set; every other kind
-        must leave the class it rules out unreachable."""
+    def _reaches(self, tau: Mapping[str, int], z: int) -> bool:
         pos = self._pos
-        if not q.is_local:
-            avoid = q.target if q.kind == "gCXp" else 1 - q.target
-            return lambda pairs: not self.reaches({pos[f]: z for f, z in pairs}, avoid)
-        e_bits = self.bits_of(q.target)
-        other = 1 - self.label(e_bits)
-
-        def valid(names) -> bool:
-            if q.kind == "lAXp":
-                return not self.reaches({pos[f]: e_bits[pos[f]] for f in names}, other)
-            inside = {pos[f] for f in names}
-            return self.reaches({i: z for i, z in enumerate(e_bits) if i not in inside}, other)
-
-        return valid
-
-    # -- public checks
-
-    def holds(self, q: ExplanationQuery, w: Witness) -> bool:
-        check_witness(q, w, self._pos)
-        return self._validity(q)(w.features if q.is_local else w.assignment)
-
-    def _rules_out(self, q: ExplanationQuery, valid) -> bool:
-        """True when `q` surely has no witness, decided before the search;
-        an enumerating oracle does not try."""
-        return False
-
-    def minimum(self, q: ExplanationQuery) -> Optional[Witness]:
-        valid = self._validity(q)
-        if self._rules_out(q, valid):
-            return None
-        n = len(self.features)
-        limit = n if q.k is None else min(q.k, n)
-        first = self._first(q, valid)
-        for size in range(1 if q.kind == "lCXp" else 0, limit + 1):
-            found = first(size)
-            if found is not None:
-                return found
-        return None
-
-    def _first(self, q: ExplanationQuery, valid) -> Callable[[int], Optional[Witness]]:
-        """For one query, the search for the first valid candidate of a
-        given size in the tie-break order, or None."""
-
-        def first(size: int) -> Optional[Witness]:
-            for combo in itertools.combinations(self.features, size):
-                if q.is_local:
-                    if valid(combo):
-                        return Witness(features=combo)
-                    continue
-                for values in itertools.product((0, 1), repeat=size):
-                    pairs = tuple(zip(combo, values))
-                    if valid(pairs):
-                        return Witness(assignment=pairs)
-            return None
-
-        return first
-
-    def subset_minimal(self, q: ExplanationQuery, w: Witness) -> bool:
-        if not self.holds(q, w):
-            return False
-        if q.is_local:
-            rests = (Witness.of_features(g for g in w.features if g != f) for f in w.features)
-        else:
-            tau = dict(w.assignment)
-            rests = (
-                Witness.of_assignment({g: z for g, z in tau.items() if g != f}) for f in tau
-            )
-        return not any(self.holds(q, rest) for rest in rests)
+        return self.reaches({pos[f]: bit for f, bit in tau.items()}, z)
 
 
 class TableOracle(FunctionOracle):

@@ -928,6 +928,53 @@ def test_bruteforce_names_the_first_missing_feature(capsys, fig1_path, query):
     }
 
 
+# each reads y only where x is 1, so an example that sets x to 0 and
+# leaves y out reaches a leaf, and only a totality check refuses it
+_X_THEN_Y_TREE = {
+    "kind": "dt",
+    "root": "r",
+    "nodes": {
+        "r": {"feature": "x", "zero": "a", "one": "b"},
+        "a": {"leaf": 0},
+        "b": {"feature": "y", "zero": "c", "one": "d"},
+        "c": {"leaf": 0},
+        "d": {"leaf": 1},
+    },
+}
+PARTIAL_FAMILIES = {
+    "tree": _X_THEN_Y_TREE,
+    "diagram": _chain_diagram("x", "y", order=("x", "y")),
+    "tree ensemble": {"kind": "ensemble", "elements": [_X_THEN_Y_TREE] * 3},
+    "diagram ensemble": {"kind": "ensemble",
+                         "elements": [_chain_diagram("x", "y", order=("x", "y"))] * 3},
+}
+
+
+@pytest.mark.parametrize("family", PARTIAL_FAMILIES)
+def test_every_route_refuses_a_partial_example_like_the_oracle(capsys, tmp_path, family):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(PARTIAL_FAMILIES[family]))
+    partial = {"x": 0}
+    laxp = json.dumps({"kind": "lAXp", "minimality": "subset", "target": partial})
+    oracle = run(capsys, "explain", "--model", str(model), "--query", laxp,
+                 "--route", "bruteforce", expect=2)
+    assert json.loads(oracle)["error"] == {
+        "type": "UndefinedFeature",
+        "message": "example does not assign feature 'y'",
+    }
+    for kind, k in itertools.product(("lAXp", "lCXp"), (None, 2)):
+        q = {"kind": kind, "minimality": "subset" if k is None else "cardinality",
+             "target": partial}
+        if k is not None:
+            q["k"] = k
+        argv = ("explain", "--model", str(model), "--query", json.dumps(q))
+        assert run(capsys, *argv, expect=2) == oracle, q
+        assert run(capsys, *argv, "--route", "bruteforce", expect=2) == oracle, q
+    out = run(capsys, "verify", "--model", str(model), "--query", laxp,
+              "--witness", json.dumps(["x"]), "--minimal", expect=2)
+    assert out == oracle
+
+
 def test_verify_unknown_feature_exits_2(capsys, fig1_path):
     out = run(
         capsys, "verify", "--model", fig1_path, "--query", Q_LAXP,

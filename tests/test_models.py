@@ -359,6 +359,71 @@ def test_obdd_json_infers_order(xor_obdd):
     assert models_equal(xor_obdd, back, ("f1", "f2"))
 
 
+def test_a_diagram_without_order_whose_0_path_skips_a_feature_loads():
+    # the 0-path reads a then c, yet b sits between them on the 1-arcs
+    data = {
+        "kind": "obdd", "source": "n1", "t0": "t0", "t1": "t1",
+        "nodes": {
+            "n1": {"feature": "a", "zero": "n3", "one": "n2"},
+            "n2": {"feature": "b", "zero": "n3", "one": "t1"},
+            "n3": {"feature": "c", "zero": "t0", "one": "t1"},
+        },
+    }
+    o = model_from_json(data)
+    assert o.order == ("a", "b", "c")
+    assert model_to_json(o) == dict(data, order=["a", "b", "c"])
+
+
+def _path_then_sorted(o: Obdd):
+    """The order inferred before the arcs were sorted: the source's
+    0-path, then every other feature by name."""
+    order, nid = [], o.source
+    while nid not in (o.t0, o.t1):
+        order.append(o.nodes[nid].feature)
+        nid = o.nodes[nid].zero
+    return order + sorted({n.feature for n in o.nodes.values()} - set(order))
+
+
+def test_inferred_orders_keep_every_order_the_0_path_guess_found():
+    rng = random.Random(7)
+    guessed = refused = 0
+    for i in range(400):
+        feats = [f"x{j}" for j in range(rng.randint(2, 9))]
+        o = (rand_obdd if i % 2 else rand_sparse_obdd)(rng, feats)
+        data = model_to_json(o)
+        del data["order"]
+        back = model_from_json(data)
+        assert models_equal(o, back, feats)
+        try:
+            guess = Obdd(o.nodes, o.source, o.t0, o.t1, _path_then_sorted(o)).order
+        except NotOrdered:
+            refused += 1
+            continue
+        assert back.order == guess
+        guessed += 1
+    assert guessed > 100 and refused > 20, (guessed, refused)
+
+
+def test_an_inferred_order_still_refuses_a_cycle():
+    # b before c on one branch, c before b on the other
+    data = {
+        "kind": "obdd", "source": "s", "t0": "t0", "t1": "t1",
+        "nodes": {
+            "s": {"feature": "a", "zero": "u", "one": "v"},
+            "u": {"feature": "b", "zero": "t0", "one": "w"},
+            "w": {"feature": "c", "zero": "t0", "one": "t1"},
+            "v": {"feature": "c", "zero": "t0", "one": "x"},
+            "x": {"feature": "b", "zero": "t0", "one": "t1"},
+        },
+    }
+    with pytest.raises(NotOrdered):
+        model_from_json(data)
+    data["nodes"]["w"]["feature"] = "b"  # a test of b right below one
+    data["nodes"]["v"]["feature"] = "b"
+    with pytest.raises(NotOrdered):
+        model_from_json(data)
+
+
 def test_canonical_dump_is_sorted_and_newline_terminated(fig1):
     text = dumps_model(fig1)
     assert text.endswith("\n")

@@ -278,12 +278,14 @@ def test_mutable_records_keep_their_dataclass_behaviour():
 TRACER_PROBE = """
 import builders, tracing, workloads
 from xbool import circuits
-from xbool.tables import TableOracle
+from xbool.restriction import Restriction
+from xbool.tables import FunctionOracle, TableOracle
 tracer = tracing.Tracer()
 tracer.install()
 tracer.uninstall()
 assert all(hasattr(circuits, name) for name in workloads.COMPILERS.values())
 assert not set(tracing.ORACLE_METHODS) & set(vars(TableOracle)), vars(TableOracle)
+assert not issubclass(Restriction, FunctionOracle)
 """
 
 

@@ -4,6 +4,7 @@ reference; plus counts of the models the checks build."""
 
 import hashlib
 import itertools
+import pickle
 import random
 
 from xbool import dt, obdd
@@ -26,6 +27,7 @@ from xbool.models import (
     walk_labels,
 )
 from xbool.obdd import obdd_xp_search
+from xbool.restriction import Restriction
 
 from helpers import (
     all_examples,
@@ -378,3 +380,21 @@ def test_restriction_answers_are_pinned():
                             for w in tries:
                                 record(check(model, q, w))
     assert (h.hexdigest(), answers, nones) == RESTRICTION_ANSWERS
+
+
+def test_a_model_builds_its_view_once_and_still_pickles(monkeypatch):
+    rng = random.Random(113)
+    feats = tuple(f"x{i}" for i in range(6))
+    models = [rand_dt(rng, feats), rand_sparse_obdd(rng, feats)]
+    built = _count_constructions(monkeypatch, Restriction)
+    for model, (xp_search, check) in zip(models, ((dt_xp_search, dt.dt_check),
+                                                  (obdd_xp_search, obdd.obdd_check))):
+        e = rand_example(rng, feats)
+        for kind in KINDS:
+            q = ExplanationQuery(kind, "cardinality", e if kind[0] == "l" else 1, 2)
+            found = xp_search(model, q)
+            if found is not None:
+                assert check(model, q, found)
+            copied = pickle.loads(pickle.dumps(model))
+            assert xp_search(copied, q) == found
+    assert len(built) == 2  # one per model; a pickled copy brings its own
