@@ -5,6 +5,9 @@ assignment and ask whether a leaf of a given label stays reachable.  The
 tree is a graph view (`restriction.Restriction`) like a diagram, so the
 query procedures, the seed path and the minimum contrastive search are
 shared with diagrams; this module builds the view of the simplified tree.
+A tree learns its feature set and whether some path tests a feature
+twice in the walk its constructor makes to validate it, so no later
+scan asks again.
 The tree classes live here rather than in `models`, so only a request
 that meets a tree compiles them.
 """
@@ -58,7 +61,8 @@ class DecisionTree:
         labels: Dict[str, int] = {}
         for nid, node in nodes.items():
             if isinstance(node, DtLeaf):
-                _bit(node.label, "leaf label")
+                if node.label not in (0, 1):
+                    _bit(node.label, "leaf label")
                 labels[nid] = node.label
             elif isinstance(node, DtInner):
                 for child in (node.zero, node.one):
@@ -71,28 +75,42 @@ class DecisionTree:
                 raise ModelError(f"node {nid!r} is neither leaf nor inner")
         if root in parent:
             raise ModelError("root must not have a parent")
-        # unique parents rule out sharing; a full walk rules out stray components
+        # unique parents rule out sharing, and a full walk rules out stray
+        # components; it keeps the features tested above the node in hand
+        # in one set, each dropped at its marker once its subtrees are done
+        features = set()
+        above = set()
+        repeat_free = True
         seen = 0
         stack = [root]
         while stack:
-            node = nodes[stack.pop()]
+            nid = stack.pop()
+            if nid is None:  # the marker: the entry below it is the feature
+                above.discard(stack.pop())
+                continue
             seen += 1
-            if isinstance(node, DtInner):
-                stack.append(node.zero)
-                stack.append(node.one)
+            if nid in labels:
+                continue
+            node = nodes[nid]
+            f = node.feature
+            if f in above:
+                repeat_free = False
+            else:
+                above.add(f)
+                stack += (f, None)
+                features.add(f)
+            stack += (node.zero, node.one)
         if seen != len(nodes):
             raise ModelError("tree contains nodes unreachable from the root")
         self.nodes: Dict[str, DtNode] = nodes
         self.root = root
         # leaf id -> class label, the terminals of a restriction walk
         self.leaf_labels: Dict[str, int] = labels
-        self._repeat_free: Optional[bool] = None  # memo of simplify_dt
+        self._features = frozenset(features)
+        self._repeat_free = repeat_free  # no path tests a feature twice
         self._view: Optional[Restriction] = None  # the view Restriction keeps
-        self._features: Optional[FrozenSet[str]] = None  # memo of features
 
     def features(self) -> FrozenSet[str]:
-        if self._features is None:
-            self._features = frozenset(n.feature for n in self.nodes.values() if isinstance(n, DtInner))
         return self._features
 
     def leaves(self) -> Tuple[Tuple[str, int], ...]:
@@ -107,20 +125,6 @@ def _classify_dt(t: DecisionTree, e: Example) -> int:
 
 
 _CLASSIFIERS["dt"] = _classify_dt
-
-
-def _dt_has_repeats(t: DecisionTree) -> bool:
-    stack = [(t.root, frozenset())]
-    while stack:
-        nid, seen = stack.pop()
-        node = t.nodes[nid]
-        if isinstance(node, DtInner):
-            if node.feature in seen:
-                return True
-            seen = seen | {node.feature}
-            stack.append((node.zero, seen))
-            stack.append((node.one, seen))
-    return False
 
 
 def _emit_tree(start, expand) -> DecisionTree:
@@ -181,16 +185,11 @@ def _project(
             path[node.feature] = 0
         return node.feature, (ti, node.zero, votes, path), (ti, node.one, votes, one)
 
-    out = _emit_tree((0, trees[0].root, 0, dict(fixed)), expand)
-    if accumulate:
-        out._repeat_free = True
-    return out
+    return _emit_tree((0, trees[0].root, 0, dict(fixed)), expand)
 
 
 def simplify_dt(t: DecisionTree) -> DecisionTree:
     """Drop re-tests of features already decided on the path; same classifier."""
-    if t._repeat_free is None:
-        t._repeat_free = not _dt_has_repeats(t)
     if t._repeat_free:
         return t
     return _project([t], {}, accumulate=True)

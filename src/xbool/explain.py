@@ -141,7 +141,11 @@ class Definitions:
         return lambda names: self._reaches({f: e[f] for f in self.features if f not in names}, other)
 
     def _passes(self, q: ExplanationQuery, w: Witness) -> bool:
-        return self.validity(q)(w.features if w.assignment is None else dict(w.assignment))
+        # a witness's bits are read here, once per check: the walks trust
+        # theirs; the message is built only for a value that is not a bit
+        tau = {str(f): z if z in (0, 1) else _bit(z, f"assignment of {f!r}")
+               for f, z in w.assignment or ()}
+        return self.validity(q)(w.features if w.assignment is None else tau)
 
     def check(self, q: ExplanationQuery, w: Witness) -> bool:
         """`w` keeps to the budget and passes; its names are the caller's to check."""

@@ -5,7 +5,9 @@ drop every arc that disagrees with the assignment and see which sinks
 survive.  The completed diagram is a graph view (`restriction.Restriction`)
 like a tree, so the query procedures, the seed path and the minimum
 contrastive search are shared with trees.  Completeness makes the
-diagram leveled, which turns the ensemble product into a lockstep walk.
+diagram leveled, which turns the ensemble product into a lockstep walk;
+a diagram learns whether it is complete in the arc loop its constructor
+runs to validate it, so no later scan asks again.
 The diagram classes live here rather than in `models`, so only a
 request that meets a diagram compiles them.
 """
@@ -13,7 +15,7 @@ request that meets a diagram compiles them.
 from __future__ import annotations
 
 from collections import Counter, deque
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, ModelError, NotOrdered
 from .explain import ExplanationQuery, Witness
@@ -70,18 +72,29 @@ class Obdd:
         sinks = {t0, t1}
         if source not in nodes and source not in sinks:
             raise ModelError(f"source {source!r} is not a node")
+        # complete: the source reads level 0 and no arc skips a level; a
+        # sink sits one past the last level
+        last = len(order) - 1
+        complete = True
         for nid, node in nodes.items():
-            if node.feature not in index:
+            lv = index.get(node.feature)
+            if lv is None:
                 raise NotOrdered(f"feature {node.feature!r} of {nid!r} is not in the order")
             for child in (node.zero, node.one):
                 if child in sinks:
+                    if lv != last:
+                        complete = False
                     continue
                 if child not in nodes:
                     raise ModelError(f"child {child!r} of {nid!r} is not a node")
-                if index[nodes[child].feature] <= index[node.feature]:
+                # a child whose feature is off the order does not advance either
+                step = index.get(nodes[child].feature, -1) - lv
+                if step <= 0:
                     raise NotOrdered(
                         f"arc {nid!r} -> {child!r} does not advance in the order"
                     )
+                if step > 1:
+                    complete = False
         reached = set()
         stack = [source]
         while stack:
@@ -101,9 +114,10 @@ class Obdd:
         self.order: Tuple[str, ...] = order
         self._index = index
         self.sink_labels: Dict[str, int] = {t0: 0, t1: 1}
-        # memo of complete_obdd: True when this diagram is complete, else
-        # its padded copy; None until asked
-        self._complete: Optional[Union[bool, Obdd]] = None
+        # complete_obdd's answer: this diagram when it is complete, else
+        # its padded copy once asked
+        complete = complete and (index[nodes[source].feature] if nodes else len(order)) == 0
+        self._complete: Optional[Obdd] = self if complete else None
         self._view: Optional[Restriction] = None  # the view Restriction keeps
 
     def features(self) -> FrozenSet[str]:
@@ -142,19 +156,7 @@ _CLASSIFIERS["obdd"] = _classify_obdd
 
 
 def is_complete(o: Obdd) -> bool:
-    if o._complete is None and _levels_complete(o):
-        o._complete = True
-    return o._complete is True
-
-
-def _levels_complete(o: Obdd) -> bool:
-    if o.level(o.source) != 0 and len(o.order) > 0:
-        return False
-    for nid, node in o.nodes.items():
-        lv = o.level(nid)
-        if o.level(node.zero) != lv + 1 or o.level(node.one) != lv + 1:
-            return False
-    return True
+    return o._complete is o
 
 
 def complete_obdd(o: Obdd) -> Obdd:
@@ -162,8 +164,6 @@ def complete_obdd(o: Obdd) -> Obdd:
 
     The padded copy is built once per diagram and kept on it.
     """
-    if is_complete(o):
-        return o
     if o._complete is None:
         o._complete = _padded(o)
     return o._complete
@@ -192,15 +192,13 @@ def _padded(o: Obdd) -> Obdd:
 
     rebuilt: Dict[str, ObddNode] = {}
     for nid, node in o.nodes.items():
-        lv = o.level(nid)
+        lv = o._index[node.feature]
         rebuilt[nid] = ObddNode(
             node.feature, pad(node.zero, lv + 1), pad(node.one, lv + 1)
         )
     source = pad(o.source, 0)
     rebuilt.update(extra)
-    done = Obdd(rebuilt, source, o.t0, o.t1, o.order)
-    done._complete = True
-    return done
+    return Obdd(rebuilt, source, o.t0, o.t1, o.order)
 
 
 def reachable_sinks(o: Obdd, tau: PartialExample) -> FrozenSet[int]:

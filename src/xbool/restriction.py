@@ -8,7 +8,10 @@ testing a feature, terminals carrying a class, one start.  On that
 answer `explain.Definitions` builds the four queries, their checks and
 the size-bounded search; the graph adds a greedy subset search seeded
 by the least path into a label, and the minimum local contrastive set,
-each one pass over the graph, parents first.
+each one pass over the graph, parents first, in memory linear in the
+graph.  `walk_labels` reads the bits of the assignment it is handed;
+the view's own walk trusts its callers, whose candidates are built
+from read bits (`Definitions` reads a witness's once per check).
 """
 
 from __future__ import annotations
@@ -35,6 +38,11 @@ def walk_labels(
     are seen and builds no model.
     """
     fixed = {str(f): _bit(z, f"assignment of {f!r}") for f, z in tau.items()}
+    return _walk(nodes, terminals, start, fixed)
+
+
+def _walk(nodes, terminals, start: str, fixed: Mapping[str, int]) -> FrozenSet[int]:
+    # `walk_labels` over an assignment whose names and bits are already read
     labels = set()
     seen = set()
     stack = [start]
@@ -68,8 +76,8 @@ class Restriction(Definitions):
     `order(model)` lists the inner ids with each after all of its
     parents (preorder for a tree, level order for a complete diagram);
     only the searches that need it ask for it.  A tree must be free of
-    repeated tests and a diagram complete, as the walk and the seed path
-    assume.  The view keeps itself on the model as `_view`.
+    repeated tests and a diagram complete, as the walk, the seed path and
+    the flip masks assume.  The view keeps itself on the model as `_view`.
     """
 
     def __init__(self, model, nodes, terminals: Mapping[str, int], start: str, order):
@@ -96,7 +104,7 @@ class Restriction(Definitions):
         return classify(self.model, e)
 
     def _reaches(self, tau: Mapping[str, int], label: int) -> bool:
-        return label in walk_labels(self.nodes, self.terminals, self.start, tau)
+        return label in _walk(self.nodes, self.terminals, self.start, tau)
 
     def hits(self, label: int) -> Set[str]:
         """Ids from which some terminal of `label` is reachable."""
@@ -125,26 +133,33 @@ class Restriction(Definitions):
         """Cheapest flip set driving the walk into the other class.
 
         Arcs agreeing with the example cost nothing, disagreeing arcs one
-        flip; one parents-first relaxation keeps the least `(flips, sorted
-        flip tuple)` per node, so ties go to the lexicographically least
-        sorted flip set, the oracle's order among sets of one size.
+        flip.  One parents-first relaxation keeps the least `(flips,
+        -mask)` per node, where the mask holds the flipped features with
+        the least one as the most significant bit: among sets of one size
+        the larger mask is the lexicographically least sorted set, the
+        oracle's order.  A node's entry is final, and dropped, once its
+        arcs are relaxed; the terminals keep one entry, the best of the
+        other class.
         """
         c = self.example_class(e)
-        best = {self.start: (0, ())}
+        shift = {f: i for i, f in enumerate(reversed(self.features))}
+        best = {self.start: (0, 0)}
         for nid in self.parents_first():
-            cost, flips = best[nid]
+            cost, neg = best.pop(nid)
             node = self.nodes[nid]
             for bit, child in ((0, node.zero), (1, node.one)):
-                if bit == e[node.feature]:
-                    key = (cost, flips)
-                else:
-                    key = (cost + 1, tuple(sorted(flips + (node.feature,))))
+                key = (cost, neg) if bit == e[node.feature] else (cost + 1, neg - (1 << shift[node.feature]))
+                label = self.terminals.get(child)
+                if label is not None:
+                    if label == c:
+                        continue
+                    child = None  # the terminals of the other class share one entry
                 if child not in best or key < best[child]:
                     best[child] = key
-        ends = [best[t] for t, got in self.terminals.items() if got != c and t in best]
-        if not ends:
+        if None not in best:
             raise Homogeneous(f"every input is classified {c}")
-        return Witness.of_features(min(ends)[1])
+        bits = format(-best[None][1], f"0{len(shift)}b")
+        return Witness.of_features(f for f, b in zip(self.features, bits) if b == "1")
 
     def _min_lcxp_or_none(self, e: Example) -> Optional[Witness]:
         """`min_lcxp`, or None when no flip set changes the class."""

@@ -75,6 +75,33 @@ def rand_dt_with_repeats(rng, feats: Sequence[str], depth: int = 4) -> DecisionT
     return DecisionTree(nodes, root)
 
 
+def chain_dt(depth: int, along: int = 1, repeat: bool = False) -> DecisionTree:
+    """Tree whose inner nodes n0..n{depth-1} form one path along the
+    `along` arcs, node i testing x{i:05d}; every other arc ends in a leaf
+    of class 0 and the path's end in class 1.  With `repeat`, the last
+    node tests the root's feature again."""
+    nodes = {}
+    for i in range(depth):
+        feature = "x00000" if repeat and i == depth - 1 and i else f"x{i:05d}"
+        onward = f"n{i + 1}" if i + 1 < depth else "end"
+        off = f"l{i}"
+        nodes[off] = DtLeaf(0)
+        nodes[f"n{i}"] = DtInner(feature, *((off, onward) if along else (onward, off)))
+    nodes["end"] = DtLeaf(1)
+    return DecisionTree(nodes, "n0")
+
+
+def chain_obdd(depth: int) -> Obdd:
+    """Diagram reading x00000.. in order whose 1-arcs form one path into
+    t1; every 0-arc skips to t0."""
+    order = tuple(f"x{i:05d}" for i in range(depth))
+    nodes = {
+        f"c{i}": ObddNode(f, "t0", f"c{i + 1}" if i + 1 < depth else "t1")
+        for i, f in enumerate(order)
+    }
+    return Obdd(nodes, "c0", "t0", "t1", order)
+
+
 def rand_partial(rng, feats) -> Dict[str, int]:
     return {f: rng.randint(0, 1) for f in feats if rng.random() < 0.5}
 

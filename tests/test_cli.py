@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import tempfile
@@ -27,7 +28,7 @@ from xbool.models import (
     DecisionList, DecisionSet, DecisionTree, DtInner, DtLeaf, Ensemble, dumps_model,
 )
 
-from helpers import json_paths, with_replaced
+from helpers import chain_dt, json_paths, with_replaced
 
 FIG1 = DecisionList(
     [
@@ -442,16 +443,39 @@ SLOW_QUERY = json.dumps(
 )
 
 
-def run_cli_process(*argv):
-    """(completed process, wall seconds) of `python -m xbool.cli argv`."""
+def run_cli_process(*argv, **options):
+    """(completed process, wall seconds) of `python -m xbool.cli argv`;
+    `options` go to `subprocess.run`."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(xbool.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     started = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "xbool.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=env, timeout=60, **options,
     )
     return proc, time.perf_counter() - started
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_a_deep_chain_tree_answers_under_an_address_space_cap(tmp_path):
+    # 30,000 tests on one path: a copy of the path's features per node,
+    # at load or in the minimum contrastive search, would not fit in 1 GiB
+    depth = 30_000
+    model = tmp_path / "chain.json"
+    model.write_text(dumps_model(chain_dt(depth)))
+    names = [f"x{i:05d}" for i in range(depth)]
+    # all 1s: one flip anywhere leaves the path; all 0s: every flip is needed
+    for bit, want in ((1, names[:1]), (0, names)):
+        query = tmp_path / f"query{bit}.json"
+        query.write_text(json.dumps({"kind": "lCXp", "minimality": "cardinality",
+                                     "target": dict.fromkeys(names, bit), "k": depth}))
+        proc, _ = run_cli_process("explain", "--model", str(model), "--query", str(query),
+                                  preexec_fn=_cap_address_space)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert json.loads(proc.stdout)["witness"] == want
 
 
 def test_explain_without_candidates_stops_at_once(tmp_path):

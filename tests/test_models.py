@@ -214,6 +214,10 @@ def test_obdd_rejects_backward_arc():
 def test_obdd_rejects_unknown_feature():
     with pytest.raises(NotOrdered):
         Obdd({"s": ObddNode("q", "t0", "t1")}, "s", "t0", "t1", ("a",))
+    # the unknown feature sits below an arc the constructor reads first
+    nodes = {"s": ObddNode("a", "c", "t1"), "c": ObddNode("q", "t0", "t1")}
+    with pytest.raises(NotOrdered):
+        Obdd(nodes, "s", "t0", "t1", ("a",))
 
 
 def test_obdd_rejects_unreachable_node():

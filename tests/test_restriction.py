@@ -1,14 +1,20 @@
 """The shared restriction walk, the pruned graft and diagram completion,
 each checked against the construction it replaces or a brute-force
-reference; plus counts of the models the checks build."""
+reference; the shape a constructor learns, against the scans it
+replaced; plus counts of the models the checks build and the memory
+deep chains take."""
 
 import hashlib
 import itertools
 import pickle
 import random
+import tracemalloc
+
+import pytest
 
 from xbool import dt, obdd
 from xbool.dt import dt_ensemble_to_dt, dt_xp_search
+from xbool.errors import ModelError
 from xbool.explain import KINDS, ExplanationQuery, Witness
 from xbool.models import (
     DecisionTree,
@@ -31,6 +37,8 @@ from xbool.restriction import Restriction
 
 from helpers import (
     all_examples,
+    chain_dt,
+    chain_obdd,
     graft_unpruned,
     models_equal,
     rand_dt,
@@ -71,6 +79,18 @@ def test_diagram_walk_matches_completions():
             free = [f for f in feats if f not in tau]
             expected = {classify(o, {**tau, **e}) for e in all_examples(free)}
             assert reachable_sinks(o, tau) == expected, (o.nodes, tau)
+
+
+def test_a_check_refuses_a_witness_bit_the_walk_no_longer_reads():
+    t = DecisionTree({"r": DtInner("a", "z", "o"), "z": DtLeaf(0), "o": DtLeaf(1)}, "r")
+    o = Obdd({"s": ObddNode("a", "t0", "t1")}, "s", "t0", "t1", ("a",))
+    w = Witness(assignment=(("a", 2),))
+    for model, check in ((t, dt.dt_check), (o, obdd.obdd_check)):
+        for kind in ("gAXp", "gCXp"):
+            with pytest.raises(ModelError, match="assignment of 'a' must be 0 or 1"):
+                check(model, ExplanationQuery(kind, "subset", 1), w)
+    with pytest.raises(ModelError):
+        walk_labels(t.nodes, t.leaf_labels, t.root, {"a": 2})
 
 
 # ---------------------------------------------------------------------------
@@ -189,17 +209,87 @@ def test_one_emitter_builds_the_trees_of_the_loops_it_replaced():
             _same_tree(dt_ensemble_to_dt(Ensemble(trees)), _graft_loop(trees))
 
 
-def test_simplified_trees_are_marked_repeat_free(monkeypatch):
+def test_simplified_trees_are_marked_repeat_free():
     rng = random.Random(107)
     feats = tuple(f"x{i}" for i in range(5))
     trees = [rand_dt_with_repeats(rng, feats) for _ in range(20)]
     done = [simplify_dt(t) for t in trees]
     done.append(dt_ensemble_to_dt(Ensemble(trees[:3])))
-    walks = []
-    monkeypatch.setattr(dt, "_dt_has_repeats", lambda t: walks.append(t))
     for t in done:
+        assert t._repeat_free and not _has_repeats(t)
         assert simplify_dt(t) is t
-    assert walks == []
+
+
+def _has_repeats(t: DecisionTree) -> bool:
+    # the whole-tree scan the constructor's flag replaced: one frozenset
+    # of the path's features per pending node
+    stack = [(t.root, frozenset())]
+    while stack:
+        nid, seen = stack.pop()
+        node = t.nodes[nid]
+        if isinstance(node, DtInner):
+            if node.feature in seen:
+                return True
+            seen = seen | {node.feature}
+            stack.append((node.zero, seen))
+            stack.append((node.one, seen))
+    return False
+
+
+def test_a_tree_knows_its_repeats_and_features_from_its_constructor():
+    rng = random.Random(109)
+    feats = tuple(f"x{i}" for i in range(5))
+    repeating = 0
+    for i in range(400):
+        t = rand_dt_with_repeats(rng, feats, depth=5) if i % 2 else rand_dt(rng, feats)
+        assert t._repeat_free == (not _has_repeats(t))
+        assert t.features() == {n.feature for n in t.nodes.values() if isinstance(n, DtInner)}
+        repeating += not t._repeat_free
+    assert 50 < repeating < 200
+    # siblings testing one feature repeat nothing; a test below itself does
+    siblings = DecisionTree(
+        {"r": DtInner("a", "z", "o"), "z": DtInner("b", "z0", "z1"),
+         "o": DtInner("b", "o0", "o1"), "z0": DtLeaf(0), "z1": DtLeaf(1),
+         "o0": DtLeaf(1), "o1": DtLeaf(0)},
+        "r",
+    )
+    assert siblings._repeat_free and siblings.features() == {"a", "b"}
+    below = DecisionTree(
+        {"r": DtInner("a", "z", "o"), "z": DtLeaf(0), "o": DtInner("b", "p", "q"),
+         "p": DtLeaf(1), "q": DtInner("a", "q0", "q1"), "q0": DtLeaf(0), "q1": DtLeaf(1)},
+        "r",
+    )
+    assert not below._repeat_free and below.features() == {"a", "b"}
+
+
+def _levels_complete(o: Obdd) -> bool:
+    # the whole-diagram scan the constructor's flag replaced
+    if o.level(o.source) != 0 and len(o.order) > 0:
+        return False
+    for nid, node in o.nodes.items():
+        lv = o.level(nid)
+        if o.level(node.zero) != lv + 1 or o.level(node.one) != lv + 1:
+            return False
+    return True
+
+
+def test_a_diagram_knows_it_is_complete_from_its_constructor():
+    rng = random.Random(127)
+    counts = [0, 0]
+    for i in range(400):
+        feats = tuple(f"x{j}" for j in range(rng.randint(0, 6)))
+        o = rand_sparse_obdd(rng, feats) if i % 2 else rand_obdd(rng, feats)
+        for d in (o, complete_obdd(o)):
+            assert is_complete(d) == _levels_complete(d)
+            counts[is_complete(d)] += 1
+        assert is_complete(complete_obdd(o))
+    assert min(counts) > 100
+    # a source below level 0, and a sink source over a non-empty order
+    late = Obdd({"s": ObddNode("b", "t0", "t1")}, "s", "t0", "t1", ("a", "b"))
+    assert not is_complete(late) and not _levels_complete(late)
+    for order in ((), ("a",)):
+        sink = Obdd({}, "t1", "t0", "t1", order)
+        assert is_complete(sink) == _levels_complete(sink) == (not order)
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +344,51 @@ def test_completion_of_long_skip_needs_no_recursion():
     assert classify(c, e) == 0
     e["x2999"] = 1
     assert classify(c, e) == 1
+
+
+# ---------------------------------------------------------------------------
+# memory linear in the model: a chain twice as deep costs about twice,
+# where a copy of the path per node would cost four times
+
+
+def _peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _assert_linear(peaks) -> None:
+    (_, small_peak), (large, large_peak) = peaks
+    assert large_peak < 3 * small_peak, peaks
+    assert large_peak < 1000 * large, peaks
+
+
+def test_building_a_deep_chain_tree_takes_memory_linear_in_it():
+    for along in (0, 1):
+        for repeat in (False, True):
+            peaks = []
+            for depth in (2000, 4000):
+                nodes = dict(chain_dt(depth, along, repeat).nodes)
+                # a repeat-free tree is loaded as it is; the projection
+                # that simplifies a repeating one is not measured here
+                build = DecisionTree if repeat else (lambda *a: simplify_dt(DecisionTree(*a)))
+                peaks.append((depth, _peak(lambda: build(nodes, "n0"))))
+                assert build(nodes, "n0")._repeat_free != repeat
+            _assert_linear(peaks)
+
+
+def test_min_lcxp_on_a_deep_chain_takes_memory_linear_in_it():
+    for build, run in ((chain_dt, dt.dt_min_lcxp), (chain_obdd, obdd.obdd_min_lcxp)):
+        peaks = []
+        for depth in (2000, 4000):
+            model = build(depth)
+            e = {f: 0 for f in model.features()}
+            assert run(model, e).size == depth  # and the view is built
+            peaks.append((depth, _peak(lambda: run(model, e))))
+        _assert_linear(peaks)
 
 
 # ---------------------------------------------------------------------------
