@@ -3,8 +3,8 @@
 Exit codes separate three different kinds of "no": 0 success, 3 a
 provable negative answer (no witness exists / witness invalid), 2 a
 parse or validation problem with the inputs, 1 an operational failure
-(caps, guards, timeouts).  All structured output is JSON or CSV with
-sorted keys, so reruns on identical inputs are byte-identical.
+(caps, guards, timeouts, memory).  All structured output is JSON or
+CSV with sorted keys, so reruns on identical inputs are byte-identical.
 
 Each subcommand's options are declared once, in `_COMMANDS`.  A plain
 `explain` or `verify` line (its own flags spelled out in full, each at
@@ -14,12 +14,19 @@ every request several milliseconds.  Every other line (help,
 abbreviations, `--opt=value`, repeats, refusals, `generate`, `bench`)
 goes to `build_parser`, which builds argparse from the same
 declarations, so help, usage and refusals read exactly as before.
+
+A process (`python -m xbool.cli` or the `xbool` script) enters through
+`run`: once `main` has returned and stdout and stderr are flushed, it
+ends with `os._exit`, so `atexit` handlers and interpreter finalization
+do not run.  Library callers of `main` are unaffected: it returns its
+exit code.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
 import types
 from typing import Optional, Tuple
@@ -415,13 +422,30 @@ def main(argv=None) -> int:
     except (ModelError, json.JSONDecodeError, OSError) as err:
         sys.stdout.write(_error_payload(err))
         return 2
-    except (TooLarge, BudgetExceeded, DeadlineExceeded) as err:
+    except (TooLarge, BudgetExceeded, DeadlineExceeded, MemoryError) as err:
         sys.stdout.write(_error_payload(err))
         return 1
+
+
+def run() -> None:
+    """The process entry: `main` on the command line, then `os._exit`
+    with its code once stdout and stderr are flushed, skipping the few
+    milliseconds the interpreter would spend tearing down modules the
+    process is about to drop.  An exception out of `main` (`--help`'s
+    `SystemExit` included) or a failed flush takes the normal exit, which
+    reports it exactly as `sys.exit(main())` would."""
+    code = main(sys.argv[1:])
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the descriptor was closed at start
+                stream.flush()
+    except OSError:
+        sys.exit(code)  # finalization retries the flush and reports its failure
+    os._exit(code)
 
 
 if __name__ == "__main__":
     # `generate` and `bench` import names from xbool.cli: let them find
     # this module rather than compile and run a second copy of the file
     sys.modules.setdefault("xbool.cli", sys.modules[__name__])
-    sys.exit(main())
+    run()

@@ -443,16 +443,21 @@ SLOW_QUERY = json.dumps(
 )
 
 
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(xbool.__file__)))
+
+
+def cli_process(*argv, **options):
+    """`python -m xbool.cli argv` with xbool on its path; `options` go to
+    `subprocess.run`."""
+    options.setdefault("env", dict(os.environ, PYTHONPATH=SRC))
+    return subprocess.run([sys.executable, "-m", "xbool.cli", *argv], timeout=60, **options)
+
+
 def run_cli_process(*argv, **options):
-    """(completed process, wall seconds) of `python -m xbool.cli argv`;
-    `options` go to `subprocess.run`."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(xbool.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    """(completed process, wall seconds) of `python -m xbool.cli argv`,
+    its output captured as text; `options` go to `subprocess.run`."""
     started = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "xbool.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60, **options,
-    )
+    proc = cli_process(*argv, capture_output=True, text=True, **options)
     return proc, time.perf_counter() - started
 
 
@@ -476,6 +481,23 @@ def test_a_deep_chain_tree_answers_under_an_address_space_cap(tmp_path):
                                   preexec_fn=_cap_address_space)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert json.loads(proc.stdout)["witness"] == want
+
+
+def test_running_out_of_memory_exits_1_with_a_payload(tmp_path):
+    # the chain's last node tests the root's feature again, so loading it
+    # projects the tree onto a repeat-free copy, which keeps one copy of
+    # the path per node: 30,000 of them do not fit in 1 GiB
+    depth = 30_000
+    model = tmp_path / "chain.json"
+    model.write_text(dumps_model(chain_dt(depth, along=0, repeat=True)))
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps({"kind": "lCXp", "minimality": "cardinality",
+                                 "target": {f"x{i:05d}": 1 for i in range(depth)}, "k": 1}))
+    proc, _ = run_cli_process("explain", "--model", str(model), "--query", str(query),
+                              preexec_fn=_cap_address_space)
+    assert proc.returncode == 1, proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["error"]["type"] == "MemoryError"
+    assert "Traceback" not in proc.stderr
 
 
 def test_explain_without_candidates_stops_at_once(tmp_path):
@@ -1534,6 +1556,89 @@ def test_generate_runs_one_copy_of_the_cli(tmp_path):
                 if line.startswith("import time:")]
     assert "xbool.gadgets" in imported
     assert "xbool.cli" not in imported
+
+
+# name -> (command line, exit code); FIG1 and OUT stand for file paths
+PARITY = {
+    "explain": (["explain", "--model", "FIG1", "--query", Q_LCXP1], 0),
+    "explain, no witness": (["explain", "--model", "FIG1", "--query", json.dumps(
+        {"kind": "lCXp", "minimality": "cardinality", "target": E, "k": 0})], 3),
+    "verify --minimal": (["verify", "--model", "FIG1", "--query", Q_LCXP1,
+                          "--witness", '["z"]', "--minimal"], 0),
+    "verify --minimal, refuted": (["verify", "--model", "FIG1", "--query", Q_LAXP,
+                                   "--witness", '["x", "y", "z"]', "--minimal"], 3),
+    "plain reader's refusal": (["explain", "--model", "FIG1", "--query", "{broken"], 2),
+    "argparse's refusal": (["explain", "--model", "FIG1", "--query", Q_LCXP1,
+                            "--route", "fast"], 2),
+    "guard stop": (["explain", "--model", "FIG1", "--query", Q_LAXP,
+                    "--guard-features", "0"], 1),
+    "--out": (["explain", "--model", "FIG1", "--query", Q_LAXP, "--out", "OUT"], 0),
+    "generate": (["generate", "taut_ds", "--params",
+                  json.dumps({"terms": [[["x", 0]], [["x", 1]]]}), "--out", "OUT"], 0),
+    "help": (["--help"], 0),
+    "explain --help": (["explain", "--help"], 0),
+}
+
+
+@pytest.mark.parametrize("name", list(PARITY))
+def test_a_process_prints_what_main_does_in_process(name, capsys, monkeypatch, tmp_path,
+                                                   fig1_path):
+    """A process ends through `cli.run` (flush, then `os._exit`), and
+    `main` called in process still returns its code: the two print the
+    same bytes and give the same code."""
+    line, code = PARITY[name]
+    out = tmp_path / "out.json"
+    argv = [{"FIG1": fig1_path, "OUT": str(out)}.get(arg, arg) for arg in line]
+    monkeypatch.setenv("COLUMNS", "100")  # help and usage wrap the same in both
+    if "--help" in argv:
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == code
+    else:
+        assert main(argv) == code
+    captured = capsys.readouterr()
+    written = out.read_bytes() if out.exists() else None
+    out.unlink(missing_ok=True)
+    proc = cli_process(*argv, capture_output=True)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == captured.out.encode()
+    assert proc.stderr == captured.err.encode()
+    assert (out.read_bytes() if out.exists() else None) == written
+
+
+@pytest.mark.parametrize("unbuffered, code", [(False, 120), (True, 1)])
+def test_an_unwritable_stdout_exits_as_the_interpreter_does(unbuffered, code, tmp_path,
+                                                           fig1_path):
+    # every write to a read-only stdout fails with EBADF.  Buffered, the
+    # answer waits for the flush at exit, and the interpreter reports the
+    # failed flush with exit 120; unbuffered, main's write and then its
+    # error payload fail, so the OSError escapes with a traceback, exit 1
+    sink = tmp_path / "sink"
+    sink.write_bytes(b"")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open(sink, "rb") as read_only:
+        proc = cli_process("explain", "--model", fig1_path, "--query", Q_LCXP1,
+                           stdout=read_only, stderr=subprocess.PIPE, env=env)
+    assert proc.returncode == code
+    err = proc.stderr.decode()
+    assert "OSError: [Errno 9] Bad file descriptor" in err
+    first = "Traceback" if unbuffered else "Exception ignored in: <_io.TextIOWrapper name='<stdout>'"
+    assert err.startswith(first), err
+    assert sink.read_bytes() == b""
+
+
+def test_a_process_without_stdout_still_writes_out(tmp_path, fig1_path):
+    # with its descriptor closed at start, sys.stdout is None; an answer
+    # to --out needs no stdout, and the process exits 0
+    out = tmp_path / "out.json"
+    proc = cli_process("explain", "--model", fig1_path, "--query", Q_LCXP1,
+                       "--out", str(out), stderr=subprocess.PIPE,
+                       preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["witness"] == ["z"]
 
 
 def test_console_script_runs(fig1_path):

@@ -271,6 +271,28 @@ def test_mutable_records_keep_their_dataclass_behaviour():
         hash(first)
 
 
+def test_the_console_script_is_the_entry_of_python_m():
+    """`[project.scripts] xbool` names the function the `__main__` block
+    of `xbool.cli` calls, so the installed script and `python -m
+    xbool.cli` end a process the same way."""
+    import tomllib
+
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["xbool"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    cli = importlib.import_module("xbool.cli")
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    (block,) = [node for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    called = [getattr(cli, node.value.func.id) for node in block.body
+              if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+              and isinstance(node.value.func, ast.Name)]
+    assert called == [entry]
+    assert entry is not cli.main
+
+
 # Imports the benchmark's tracer and workload modules and wraps every
 # name the tracer binds, so a rename of a wrapped function fails here.
 # The tracer frames the oracle by patching `FunctionOracle`, so the table
