@@ -20,15 +20,20 @@ _EXPORTS = {
         "SharedFeature", "TooLarge", "UndefinedFeature", "UnassignedInput",
     ),
     "models": (
-        "DecisionList", "DecisionSet", "Ensemble", "Parameters", "Rule", "classify",
-        "dl_size", "dumps_canonical", "dumps_model", "feature_order", "flip",
-        "loads_model", "make_term", "measure_parameters", "model_features",
-        "model_from_json", "model_to_json", "term_applies",
+        "Parameters", "classify", "dumps_canonical", "feature_order", "flip",
+        "loads_model", "measure_parameters", "model_features", "model_from_json",
     ),
+    "rules": (
+        "DecisionList", "DecisionSet", "Rule", "dl_size", "ds_size", "make_term",
+        "term_applies",
+    ),
+    "ensemble": ("Ensemble",),
+    "writer": ("dumps_model", "model_to_json"),
     "explain": (
         "DEFAULT_GUARD", "ExplanationQuery", "KINDS", "Witness", "query_from_json",
         "query_to_json", "witness_from_json", "witness_to_json",
     ),
+    "definitions": ("Definitions",),
     "tables": (
         "FunctionOracle", "TableOracle", "is_explanation", "oracle_min",
         "verify_subset_minimal",
@@ -40,10 +45,12 @@ _EXPORTS = {
         "dt_xp_search", "restrict_dt", "simplify_dt",
     ),
     "obdd": (
-        "Obdd", "ObddNode", "complete_obdd", "dt_to_obdd", "is_complete",
-        "obdd_check", "obdd_ensemble_product", "obdd_lcxp_check", "obdd_min_lcxp",
-        "obdd_subset_min", "obdd_width", "obdd_xp_search", "reachable_sinks",
+        "Obdd", "ObddNode", "complete_obdd", "is_complete", "obdd_check",
+        "obdd_lcxp_check", "obdd_min_lcxp", "obdd_subset_min", "obdd_width",
+        "obdd_xp_search", "reachable_sinks",
     ),
+    "obdd_product": ("obdd_ensemble_product",),
+    "obdd_order": ("dt_to_obdd",),
     "dslist": (
         "BranchStats", "dl_min_lcxp_branch", "dle_min_lcxp_branch", "ds_to_dl",
     ),
@@ -54,6 +61,7 @@ _EXPORTS = {
         "compile_obdd", "compile_obdd_ensemble_ordered", "dumps_circuit",
         "eval_circuit",
     ),
+    "cli_parser": ("build_parser",),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(_EXPORTS) | {"gadgets"}

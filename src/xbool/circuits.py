@@ -10,25 +10,20 @@ from __future__ import annotations
 
 from functools import partial
 from operator import itemgetter, not_, truth
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ModelError, TooLarge, UnassignedInput
-from .dt import DecisionTree, _leaf_paths, dt_mnl, simplify_dt
+from .dt import DecisionTree, DtLeaf, dt_mnl, simplify_dt
 from .explain import DEFAULT_GUARD, ExplanationQuery, Witness
-from .models import (
-    DecisionList,
-    Ensemble,
-    Example,
-    _bit,
-    _require,
-    _strings,
-    _wrong_type,
-    dl_size,
-    dumps_canonical,
-)
-from .obdd import Obdd, _rebase, _restriction, obdd_width
+from .models import Example, _bit, _require, _strings, _wrong_type, dumps_canonical
+from .obdd import Obdd, _restriction, obdd_width
+from .obdd_product import _rebase
 from .records import Frozen
+from .rules import DecisionList, dl_size
 from .tables import TableOracle, at_least, feature_mask
+
+if TYPE_CHECKING:
+    from .ensemble import Ensemble
 
 GATE_KINDS = ("IN", "AND", "OR", "NOT", "MAJ")
 _BIT = (0, 1)
@@ -320,6 +315,24 @@ class _Builder:
         circuit = Circuit.__new__(Circuit)
         circuit._program(None, self.rows, self.order, output, source_kind, c, bound)
         return circuit
+
+
+def _leaf_paths(t: DecisionTree) -> List[Tuple[Dict[str, int], int]]:
+    """(path assignment, label) per leaf, in preorder with the 0-child first."""
+    out = []
+    stack = [(t.root, {})]
+    while stack:
+        nid, alpha = stack.pop()
+        node = t.nodes[nid]
+        if isinstance(node, DtLeaf):
+            out.append((alpha, node.label))
+        else:
+            one = dict(alpha)
+            one[node.feature] = 1
+            alpha[node.feature] = 0
+            stack.append((node.one, one))
+            stack.append((node.zero, alpha))
+    return out
 
 
 def _dt_indicator(b: _Builder, t: DecisionTree, c: int) -> str:

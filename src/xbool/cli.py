@@ -3,8 +3,9 @@
 Exit codes separate three different kinds of "no": 0 success, 3 a
 provable negative answer (no witness exists / witness invalid), 2 a
 parse or validation problem with the inputs, 1 an operational failure
-(caps, guards, timeouts, memory).  All structured output is JSON or
-CSV with sorted keys, so reruns on identical inputs are byte-identical.
+(caps, guards, timeouts, memory, a stdout that refuses the answer).  All
+structured output is JSON or CSV with sorted keys, so reruns on
+identical inputs are byte-identical.
 
 Each subcommand's options are declared once, in `_COMMANDS`.  A plain
 `explain` or `verify` line (its own flags spelled out in full, each at
@@ -12,8 +13,9 @@ most once, every value present and accepted) is read by `_read_plain`
 without importing argparse, whose import and parser build would cost
 every request several milliseconds.  Every other line (help,
 abbreviations, `--opt=value`, repeats, refusals, `generate`, `bench`)
-goes to `build_parser`, which builds argparse from the same
-declarations, so help, usage and refusals read exactly as before.
+goes to `cli_parser.build_parser`, which builds argparse from the same
+declarations, so help, usage and refusals read exactly as before; that
+module is loaded only then, and its name resolves here too.
 
 A process (`python -m xbool.cli` or the `xbool` script) enters through
 `run`: once `main` has returned and stdout and stderr are flushed, it
@@ -31,6 +33,7 @@ import sys
 import types
 from typing import Optional, Tuple
 
+from . import _forward
 from .errors import BudgetExceeded, DeadlineExceeded, ModelError, NotOrdered, TooLarge
 from .explain import (
     DEFAULT_GUARD,
@@ -66,12 +69,32 @@ def _load_model(path: str):
     return loads_model(_load_text(path))
 
 
+class _StdoutFailed(Exception):
+    """Stdout refused a write: the process's own failure (exit 1), which
+    no handler of an input's OSError (exit 2) catches."""
+
+
+def _write_stdout(text: str) -> None:
+    if sys.stdout is None:  # its descriptor was closed at start
+        raise _StdoutFailed("stdout is closed")
+    try:
+        sys.stdout.write(text)
+    except OSError as err:
+        raise _StdoutFailed(err) from None
+
+
+def _stdout_failed(err) -> int:
+    """Report on stderr, in one line, that stdout refused the answer."""
+    sys.stderr.write(f"xbool: cannot write to stdout: {err}\n")
+    return 1
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
 
 
 def _error_payload(err: Exception) -> str:
@@ -102,22 +125,25 @@ def _direct(model, cap: int, fallback: bool):
     whose flattening hits the cap or an order conflict.
 
     The procedures are imported at call time, so a tree request never
-    loads the diagram module, nor a diagram request the tree module.
+    loads the diagram module, nor a diagram request the tree module, and
+    only an ensemble of diagrams loads the product's.
     """
     family = model.elements[0].kind if model.kind == "ensemble" else model.kind
     if family == "dt":
-        from .dt import dt_check, dt_ensemble_to_dt, dt_subset_min, dt_xp_search
+        from .dt import dt_check, dt_subset_min, dt_xp_search
 
-        flatten = dt_ensemble_to_dt
         procedures = dt_xp_search, dt_subset_min, dt_check
     elif family == "obdd":
-        from .obdd import obdd_check, obdd_ensemble_product, obdd_subset_min, obdd_xp_search
+        from .obdd import obdd_check, obdd_subset_min, obdd_xp_search
 
-        flatten = obdd_ensemble_product
         procedures = obdd_xp_search, obdd_subset_min, obdd_check
     else:
         return None
     if model.kind == "ensemble":
+        if family == "dt":
+            from .dt import dt_ensemble_to_dt as flatten
+        else:
+            from .obdd_product import obdd_ensemble_product as flatten
         try:
             model = flatten(model, cap)
         except (BudgetExceeded, NotOrdered):
@@ -357,91 +383,53 @@ def _read_plain(argv):
     return types.SimpleNamespace(command=argv[0], handler=handler, **values)
 
 
-def build_parser():
-    """The argparse parser for every line, built from `_COMMANDS`; the
-    only code that imports argparse, which `main` needs only for help
-    and for lines the plain reader declines."""
-    import argparse
-    import shutil
-
-    class Parser(argparse.ArgumentParser):
-        """Refusals raise ModelError, so a bad command line exits 2 with a
-        JSON payload like any other bad input; stderr still gets argparse's
-        usage and error lines.  `--help` still prints and exits 0."""
-
-        def error(self, message):
-            self.print_usage(sys.stderr)
-            sys.stderr.write(f"{self.prog}: error: {message}\n")
-            raise ModelError(message)
-
-    class NonNegative(argparse.Action):
-        """Stores an int option, refusing a negative one like any argparse
-        refusal."""
-
-        def __call__(self, parser, namespace, value, option_string=None):
-            if value < 0:
-                raise argparse.ArgumentError(self, f"must be non-negative, got {value}")
-            setattr(namespace, self.dest, value)
-
-    # a HelpFormatter left to itself asks the terminal for its width, and
-    # argparse makes one for every add_argument: ask once, hand it to all
-    formatter = functools.partial(
-        argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2
-    )
-    parser = Parser(
-        prog="xbool",
-        description="Explanations for transparent binary classifiers.",
-        formatter_class=formatter,
-    )
-    commands = parser.add_subparsers(dest="command", required=True)
-    for name, (text, handler, options) in _COMMANDS.items():
-        sub = commands.add_parser(name, help=text, formatter_class=formatter)
-        if name == "generate":
-            sub.add_argument("gadget")
-        for option in options:
-            if option.kind is None:
-                sub.add_argument(option.flag, action="store_true")
-            else:
-                sub.add_argument(
-                    option.flag, type=option.kind, default=option.default,
-                    required=option.required, choices=option.choices,
-                    action=NonNegative if option.non_negative else "store",
-                )
-        sub.set_defaults(handler=handler)
-    return parser
-
-
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _read_plain(argv)
-        if args is None:
-            args = build_parser().parse_args(argv)
-        return args.handler(args)
-    except (ModelError, json.JSONDecodeError, OSError) as err:
-        sys.stdout.write(_error_payload(err))
-        return 2
-    except (TooLarge, BudgetExceeded, DeadlineExceeded, MemoryError) as err:
-        sys.stdout.write(_error_payload(err))
-        return 1
+        try:
+            args = _read_plain(argv)
+            if args is None:
+                from .cli_parser import build_parser
+
+                args = build_parser().parse_args(argv)
+            return args.handler(args)
+        except (ModelError, json.JSONDecodeError, OSError) as err:
+            _write_stdout(_error_payload(err))
+            return 2
+        except (TooLarge, BudgetExceeded, DeadlineExceeded, MemoryError) as err:
+            _write_stdout(_error_payload(err))
+            return 1
+    except _StdoutFailed as err:
+        return _stdout_failed(err)
 
 
 def run() -> None:
     """The process entry: `main` on the command line, then `os._exit`
     with its code once stdout and stderr are flushed, skipping the few
     milliseconds the interpreter would spend tearing down modules the
-    process is about to drop.  An exception out of `main` (`--help`'s
-    `SystemExit` included) or a failed flush takes the normal exit, which
-    reports it exactly as `sys.exit(main())` would."""
+    process is about to drop.  A failed flush of stdout exits 1 with one
+    line on stderr, as a failed write does in `main`.  An exception out
+    of `main` (`--help`'s `SystemExit` included) or a failed flush of
+    stderr takes the normal exit, which reports it exactly as
+    `sys.exit(main())` would."""
     code = main(sys.argv[1:])
     try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:  # None when the descriptor was closed at start
-                stream.flush()
+        if sys.stdout is not None:  # None when the descriptor was closed at start
+            sys.stdout.flush()
+    except OSError as err:
+        code = _stdout_failed(err)
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
     except OSError:
         sys.exit(code)  # finalization retries the flush and reports its failure
     os._exit(code)
+
+
+# the parser's name resolves here from `cli_parser`, for callers that
+# import it from this module
+__getattr__ = _forward(__name__, "cli_parser")
 
 
 if __name__ == "__main__":

@@ -22,16 +22,9 @@ from typing import List, Optional, Tuple
 
 from .errors import ModelError
 from .explain import Witness
-from .models import (
-    DecisionList,
-    DecisionSet,
-    Example,
-    Model,
-    _lookup,
-    classify,
-    require_total,
-)
+from .models import Example, Model, _lookup, classify, require_total
 from .records import Record
+from .rules import DecisionList, DecisionSet
 
 Rules = Tuple[Tuple[int, int, int], ...]  # (vars, values, votes against the class)
 

@@ -9,26 +9,22 @@ A tree learns its feature set and whether some path tests a feature
 twice in the walk its constructor makes to validate it, so no later
 scan asks again.
 The tree classes live here rather than in `models`, so only a request
-that meets a tree compiles them.
+that meets a tree compiles them; the graft of a tree ensemble stays
+here, beside the projection it shares with `simplify_dt`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetExceeded, ModelError
 from .explain import ExplanationQuery, Witness
-from .models import (
-    _CLASSIFIERS,
-    DEFAULT_NODE_CAP,
-    Ensemble,
-    Example,
-    PartialExample,
-    _bit,
-    _lookup,
-)
+from .models import _CLASSIFIERS, DEFAULT_NODE_CAP, Example, PartialExample, _bit, _lookup
 from .records import Frozen
 from .restriction import Restriction
+
+if TYPE_CHECKING:
+    from .ensemble import Ensemble
 
 
 class DtLeaf(Frozen):
@@ -246,24 +242,6 @@ def dt_lcxp_check(t: DecisionTree, e: Example, features) -> bool:
     """True iff flipping inside the set can change the class: fix the
     example outside it and look for an opposite leaf."""
     return _restriction(t).validity(ExplanationQuery("lCXp", "subset", e))(frozenset(features))
-
-
-def _leaf_paths(t: DecisionTree) -> List[Tuple[Dict[str, int], int]]:
-    """(path assignment, label) per leaf, in preorder with the 0-child first."""
-    out = []
-    stack = [(t.root, {})]
-    while stack:
-        nid, alpha = stack.pop()
-        node = t.nodes[nid]
-        if isinstance(node, DtLeaf):
-            out.append((alpha, node.label))
-        else:
-            one = dict(alpha)
-            one[node.feature] = 1
-            alpha[node.feature] = 0
-            stack.append((node.one, one))
-            stack.append((node.zero, alpha))
-    return out
 
 
 def dt_min_lcxp(t: DecisionTree, e: Example) -> Witness:

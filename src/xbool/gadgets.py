@@ -17,12 +17,11 @@ import time
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .dt import DecisionTree, DtInner, DtLeaf, _emit_tree
+from .ensemble import Ensemble
 from .errors import BudgetExceeded, DeadlineExceeded, ModelError, SharedFeature
 from .explain import ExplanationQuery, query_from_json
 from .models import (
     DEFAULT_NODE_CAP,
-    DecisionSet,
-    Ensemble,
     Example,
     Parameters,
     _load_text,
@@ -30,14 +29,16 @@ from .models import (
     _wrong_type,
     classify,
     dumps_canonical,
-    dumps_model,
     example_to_json,
     loads_model,
     measure_parameters,
     model_features,
     model_from_json,
 )
-from .obdd import Obdd, ObddNode, complete_obdd, obdd_ensemble_product
+from .obdd import Obdd, ObddNode, complete_obdd
+from .obdd_product import obdd_ensemble_product
+from .rules import DecisionSet
+from .writer import dumps_model
 
 
 class MccInstance:

@@ -6,11 +6,13 @@ majority ensembles of a single family.  Values are validated when
 constructed and treated as immutable afterwards; every operation here is
 pure, so models can be shared freely across threads.
 
-This module holds what every request shares: bits and terms, rule sets
-and lists, ensembles, the `classify` dispatch, the structural parameters
-and the JSON boundary.  Trees live in `dt` and diagrams in `obdd`, each
-loaded when a request first meets one, and each adds its classifier to
-`_CLASSIFIERS`; their names resolve here too.
+This module holds what every request shares: bits, the `classify`
+dispatch, the structural parameters and the JSON reader.  Each family
+lives in a module of its own, loaded when a request first meets one:
+trees in `dt`, diagrams in `obdd`, rule sets and lists in `rules` and
+ensembles in `ensemble`; each adds its classifier to `_CLASSIFIERS`.
+The model writer (`writer`) is loaded only by what writes models.
+Their names resolve here too.
 
 Classification requires the example to cover the model's feature
 universe.  Extra features are ignored: ensemble elements typically read
@@ -24,23 +26,18 @@ import json
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from . import _forward
-from .errors import (
-    ContradictoryTerm,
-    EvenEnsemble,
-    ModelError,
-    NotOrdered,
-    UndefinedFeature,
-)
-from .records import Frozen, Record
+from .errors import ModelError, UndefinedFeature
+from .records import Record
 
 if TYPE_CHECKING:
     from .dt import DecisionTree
+    from .ensemble import Ensemble
     from .obdd import Obdd
+    from .rules import DecisionList, DecisionSet
 
 Example = Mapping[str, int]
 PartialExample = Mapping[str, int]
-Literal = Tuple[str, int]
-Term = FrozenSet[Literal]
+Model = Union["DecisionTree", "DecisionSet", "DecisionList", "Obdd", "Ensemble"]
 
 # largest tree or diagram a product, graft or generator may build
 DEFAULT_NODE_CAP = 10**6
@@ -60,19 +57,6 @@ def _lookup(e: Example, feature: str) -> int:
     return _bit(value, f"value of feature {feature!r}")
 
 
-def make_term(literals: Iterable[Literal]) -> Term:
-    term = frozenset((str(f), _bit(z, f"literal on {f!r}")) for f, z in literals)
-    by_feature: Dict[str, int] = {}
-    for f, z in term:
-        if by_feature.setdefault(f, z) != z:
-            raise ContradictoryTerm(f"term assigns feature {f!r} both ways")
-    return term
-
-
-def term_applies(term: Term, e: Example) -> bool:
-    return all(_lookup(e, f) == z for f, z in term)
-
-
 def require_total(e: Example, features: Sequence[str]) -> None:
     """Raise UndefinedFeature naming the least feature e leaves unassigned;
     `features` comes sorted."""
@@ -82,125 +66,11 @@ def require_total(e: Example, features: Sequence[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Decision sets and decision lists
-
-
-class DecisionSet:
-    """Unordered terms plus a default class; any applicable term flips it."""
-
-    kind = "ds"
-
-    def __init__(self, terms: Iterable[Iterable[Literal]], default: int):
-        self.terms: Tuple[Term, ...] = tuple(make_term(t) for t in terms)
-        self.default = _bit(default, "default class")
-
-    def features(self) -> FrozenSet[str]:
-        return frozenset(f for term in self.terms for f, _ in term)
-
-
-def _classify_ds(s: DecisionSet, e: Example) -> int:
-    if any(term_applies(term, e) for term in s.terms):
-        return 1 - s.default
-    return s.default
-
-
-class Rule(Frozen):
-    __slots__ = ("term", "label")
-
-    def __init__(self, term: Term, label: int):
-        self._fill(term, label)
-
-
-class DecisionList:
-    """Ordered rules; the first applicable term decides.  Last term is empty."""
-
-    kind = "dl"
-
-    def __init__(self, rules: Iterable[Tuple[Iterable[Literal], int]]):
-        built = tuple(
-            Rule(make_term(term), _bit(label, "rule class")) for term, label in rules
-        )
-        if not built:
-            raise ModelError("decision list needs at least the default rule")
-        if built[-1].term:
-            raise ModelError("the last rule's term must be empty")
-        self.rules: Tuple[Rule, ...] = built
-
-    def features(self) -> FrozenSet[str]:
-        return frozenset(f for rule in self.rules for f, _ in rule.term)
-
-
-def _classify_dl(dl: DecisionList, e: Example) -> int:
-    for rule in dl.rules:
-        if term_applies(rule.term, e):
-            return rule.label
-    raise AssertionError("unreachable: last rule always applies")
-
-
-# ---------------------------------------------------------------------------
-# Ensembles
-
-Model = Union["DecisionTree", DecisionSet, DecisionList, "Obdd", "Ensemble"]
-
-
-def _is_subsequence(sub: Sequence[str], full: Sequence[str]) -> bool:
-    it = iter(full)
-    return all(any(x == y for y in it) for x in sub)
-
-
-class Ensemble:
-    """Odd-size majority vote over elements of a single model family."""
-
-    kind = "ensemble"
-
-    def __init__(self, elements: Sequence[Model], shared_order: Optional[Sequence[str]] = None):
-        elements = tuple(elements)
-        if not elements:
-            raise ModelError("ensemble needs at least one element")
-        if len(elements) % 2 == 0:
-            raise EvenEnsemble(f"ensemble of {len(elements)} elements can tie")
-        kinds = {el.kind for el in elements}
-        if kinds - {"dt", "ds", "dl", "obdd"}:
-            raise ModelError("ensemble elements must be plain models")
-        if len(kinds) != 1:
-            raise ModelError(f"ensemble mixes model kinds {sorted(kinds)}")
-        if shared_order is not None:
-            shared_order = tuple(str(f) for f in shared_order)
-            if len(set(shared_order)) != len(shared_order):
-                raise ModelError("shared order has duplicates")
-            if kinds != {"obdd"}:
-                raise ModelError("shared order only applies to OBDD ensembles")
-            allowed = set(shared_order)
-            for i, el in enumerate(elements):
-                if not set(el.order) <= allowed:
-                    raise ModelError(f"element {i} reads outside the shared order")
-                if not _is_subsequence(el.order, shared_order):
-                    raise NotOrdered(f"element {i} does not respect the shared order")
-        self.elements: Tuple[Model, ...] = elements
-        self.shared_order = shared_order
-
-    def features(self) -> FrozenSet[str]:
-        out: FrozenSet[str] = frozenset()
-        for el in self.elements:
-            out = out | el.features()
-        return out
-
-
-def _classify_ensemble(ens: Ensemble, e: Example) -> int:
-    votes = sum(classify(el, e) for el in ens.elements)
-    return 1 if votes >= len(ens.elements) // 2 + 1 else 0
-
-
-# ---------------------------------------------------------------------------
 # Shared entry points
 
-# kind -> classifier; `dt` and `obdd` add theirs when loaded, which is
-# before any tree or diagram can exist
-_CLASSIFIERS = {
-    "ds": _classify_ds,
-    "dl": _classify_dl,
-    "ensemble": _classify_ensemble,
-}
+# kind -> classifier; each family's module adds its own when loaded,
+# which is before any model of the family can exist
+_CLASSIFIERS = {}
 
 
 def classify(model: Model, e: Example) -> int:
@@ -256,16 +126,8 @@ class Parameters(Record):
         }
 
 
-def ds_size(s: DecisionSet) -> int:
-    return sum(len(t) for t in s.terms) + 1
-
-
-def dl_size(dl: DecisionList) -> int:
-    return sum(len(r.term) + 1 for r in dl.rules)
-
-
 def measure_parameters(model: Model) -> Parameters:
-    elements = model.elements if isinstance(model, Ensemble) else (model,)
+    elements = model.elements if model.kind == "ensemble" else (model,)
     kind = elements[0].kind
     params = Parameters(ens_size=len(elements))
     if kind == "dt":
@@ -274,12 +136,16 @@ def measure_parameters(model: Model) -> Parameters:
         params.mnl_size = max(dt_mnl(t) for t in elements)
         params.size_elem = max(dt_size(t) for t in elements)
     elif kind == "ds":
+        from .rules import ds_size
+
         params.terms_elem = max(len(s.terms) for s in elements)
         params.term_size = max(
             (len(t) for s in elements for t in s.terms), default=0
         )
         params.size_elem = max(ds_size(s) for s in elements)
     elif kind == "dl":
+        from .rules import dl_size
+
         params.terms_elem = max(len(dl.rules) for dl in elements)
         params.term_size = max(
             len(r.term) for dl in elements for r in dl.rules
@@ -295,51 +161,6 @@ def measure_parameters(model: Model) -> Parameters:
 
 # ---------------------------------------------------------------------------
 # JSON interchange
-
-
-def model_to_json(model: Model) -> Dict:
-    kind = getattr(model, "kind", None)
-    if kind == "dt":
-        nodes = {}
-        for nid, node in model.nodes.items():
-            if nid in model.leaf_labels:
-                nodes[nid] = {"leaf": node.label}
-            else:
-                nodes[nid] = {"feature": node.feature, "zero": node.zero, "one": node.one}
-        return {"kind": "dt", "root": model.root, "nodes": nodes}
-    if kind == "ds":
-        return {
-            "kind": "ds",
-            "terms": [[[f, z] for f, z in sorted(t)] for t in model.terms],
-            "default": model.default,
-        }
-    if kind == "dl":
-        return {
-            "kind": "dl",
-            "rules": [[[[f, z] for f, z in sorted(r.term)], r.label] for r in model.rules],
-        }
-    if kind == "obdd":
-        nodes = {
-            nid: {"feature": n.feature, "zero": n.zero, "one": n.one}
-            for nid, n in model.nodes.items()
-        }
-        return {
-            "kind": "obdd",
-            "nodes": nodes,
-            "source": model.source,
-            "t0": model.t0,
-            "t1": model.t1,
-            "order": list(model.order),
-        }
-    if kind == "ensemble":
-        data: Dict = {
-            "kind": "ensemble",
-            "elements": [model_to_json(el) for el in model.elements],
-        }
-        if model.shared_order is not None:
-            data["shared_order"] = list(model.shared_order)
-        return data
-    raise ModelError(f"cannot serialize {type(model).__name__}")
 
 
 _JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
@@ -407,9 +228,13 @@ def model_from_json(data: Mapping) -> Model:
                 nodes[nid] = DtInner(*_arcs(spec))
         return simplify_dt(DecisionTree(nodes, _require(data, "root", str)))
     if kind == "ds":
+        from .rules import DecisionSet
+
         terms = [_pairs(t, "a term") for t in _require(data, "terms", list)]
         return DecisionSet(terms, _require(data, "default"))
     if kind == "dl":
+        from .rules import DecisionList
+
         rules = []
         for rule in _require(data, "rules", list):
             if not (isinstance(rule, list) and len(rule) == 2):
@@ -417,15 +242,19 @@ def model_from_json(data: Mapping) -> Model:
             rules.append((_pairs(rule[0], "a rule's term"), rule[1]))
         return DecisionList(rules)
     if kind == "obdd":
-        from .obdd import Obdd, ObddNode, _infer_order
+        from .obdd import Obdd, ObddNode
 
         nodes = {nid: ObddNode(*_arcs(spec)) for nid, spec in _arc_specs(data).items()}
         source, t0, t1 = (_require(data, key, str) for key in ("source", "t0", "t1"))
         order = data.get("order")
         if order is None:
+            from .obdd_order import _infer_order
+
             order = _infer_order(nodes, source, t0, t1)
         return Obdd(nodes, source, t0, t1, _strings(order, "the order"))
     if kind == "ensemble":
+        from .ensemble import Ensemble
+
         raw = _require(data, "elements", list)
         if any(isinstance(el, dict) and el.get("kind") == "ensemble" for el in raw):
             raise ModelError("ensembles cannot nest")
@@ -442,10 +271,6 @@ def example_to_json(e: Example) -> Dict[str, int]:
 
 def dumps_canonical(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
-
-
-def dumps_model(model: Model) -> str:
-    return dumps_canonical(model_to_json(model))
 
 
 def _load_text(path: str) -> str:
@@ -474,6 +299,9 @@ def loads_model(text: str) -> Model:
     return model_from_json(loads_json(text))
 
 
-# tree and diagram names resolve here from `dt` and `obdd`, and the walk
-# from `restriction`, for callers that import them from this module
-__getattr__ = _forward(__name__, "dt", "obdd", "restriction")
+# the names of each family's module, the writer's and the walk's resolve
+# here, for callers that import them from this module
+__getattr__ = _forward(
+    __name__, "dt", "obdd", "obdd_product", "obdd_order", "rules", "ensemble", "writer",
+    "restriction",
+)

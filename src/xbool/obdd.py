@@ -4,34 +4,27 @@ The primitive here is sink reachability under a partial assignment:
 drop every arc that disagrees with the assignment and see which sinks
 survive.  The completed diagram is a graph view (`restriction.Restriction`)
 like a tree, so the query procedures, the seed path and the minimum
-contrastive search are shared with trees.  Completeness makes the
-diagram leveled, which turns the ensemble product into a lockstep walk;
-a diagram learns whether it is complete in the arc loop its constructor
-runs to validate it, so no later scan asks again.
+contrastive search are shared with trees.  A diagram learns whether it
+is complete in the arc loop its constructor runs to validate it, so no
+later scan asks again; `_padded` completes a sparse one.
 The diagram classes live here rather than in `models`, so only a
-request that meets a diagram compiles them.
+request that meets a diagram compiles them.  The ensemble product
+(`obdd_product`) and order inference (`obdd_order`) live in modules of
+their own, which a single diagram that names its order never loads;
+their names resolve here too.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import BudgetExceeded, ModelError, NotOrdered
+from . import _forward
+from .errors import ModelError, NotOrdered
 from .explain import ExplanationQuery, Witness
-from .models import (
-    _CLASSIFIERS,
-    DEFAULT_NODE_CAP,
-    Ensemble,
-    Example,
-    PartialExample,
-    _lookup,
-)
+from .models import _CLASSIFIERS, Example, PartialExample, _lookup
 from .records import Frozen
 from .restriction import Restriction, walk_labels
 
-if TYPE_CHECKING:
-    from .dt import DecisionTree
 
 class ObddNode(Frozen):
     __slots__ = ("feature", "zero", "one")
@@ -214,47 +207,6 @@ def obdd_width(o: Obdd) -> int:
     return max(per_feature.values(), default=0)
 
 
-def _infer_order(nodes: Mapping[str, ObddNode], source: str, t0: str, t1: str):
-    # walk the 0-arcs once, then sort the features along the arcs, those
-    # of the 0-path first in path order, then by name
-    path: Dict[str, int] = {}
-    nid = source
-    while nid not in (t0, t1):
-        if nid not in nodes:
-            raise ModelError(f"node {nid!r} missing while inferring the order")
-        node = nodes[nid]
-        if node.feature in path:
-            raise NotOrdered("feature repeats along the first path")
-        path[node.feature] = len(path)
-        nid = node.zero
-    return _arc_order(nodes, lambda f: (path.get(f, len(path)), f))
-
-
-def _arc_order(inner: Mapping[str, ObddNode], key) -> List[str]:
-    """The features `inner` (id -> node with `feature`, `zero`, `one`)
-    tests, each before every feature an arc between two of its nodes
-    leads to, the least by `key` first among the ready ones (Kahn).  The
-    features no order fits, on a cycle or on an arc between two tests of
-    one feature, come last by `key`, for the Obdd constructor to refuse."""
-    after: Dict[str, set] = {node.feature: set() for node in inner.values()}
-    for node in inner.values():
-        for child in (node.zero, node.one):
-            if child in inner:
-                after[node.feature].add(inner[child].feature)
-    indegree = Counter(g for later in after.values() for g in later)
-    ready = sorted((key(f), f) for f in after if not indegree[f])
-    order = []
-    while ready:
-        f = ready.pop(0)[1]
-        order.append(f)
-        for g in after[f]:
-            indegree[g] -= 1
-            if not indegree[g]:
-                ready.append((key(g), g))
-        ready.sort()
-    return order + sorted(set(after) - set(order), key=key)
-
-
 # ---------------------------------------------------------------------------
 # Explanation procedures
 
@@ -295,109 +247,6 @@ def obdd_xp_search(o: Obdd, q: ExplanationQuery) -> Optional[Witness]:
     return _restriction(o).xp_search(q)
 
 
-def _rebase(ens: Ensemble) -> Tuple[Tuple[str, ...], List[Obdd]]:
-    """The order a diagram ensemble shares, and its members over it.
-
-    The order is the ensemble's shared order if it declares one, else
-    the one order all members read; members reading different orders
-    raise NotOrdered.  A member already reading that order is kept as
-    it is, so its completion memo serves every later caller; only the
-    others are rebuilt.
-    """
-    if any(el.kind != "obdd" for el in ens.elements):
-        raise ModelError("expected an ensemble of diagrams")
-    if ens.shared_order is not None:
-        order = ens.shared_order
-    else:
-        orders = {el.order for el in ens.elements}
-        if len(orders) > 1:
-            raise NotOrdered("elements disagree on the variable order")
-        order = orders.pop()
-    return order, [
-        el if el.order == order else Obdd(dict(el.nodes), el.source, el.t0, el.t1, order)
-        for el in ens.elements
-    ]
-
-
-def obdd_ensemble_product(ens: Ensemble, node_cap: int = DEFAULT_NODE_CAP) -> Obdd:
-    """Single complete diagram computing the ensemble vote.
-
-    Elements are first rebuilt over the ensemble's order
-    (`_rebase`) and completed, so the walk
-    can advance all members one level at a time.  A product state is a
-    tuple of member nodes; all-sink states collapse into the two sinks
-    by majority vote.  Size is bounded by the product of member sizes.
-    """
-    order, elems = _rebase(ens)
-    elems = [complete_obdd(el) for el in elems]
-    majority = len(elems) // 2 + 1
-    depth = len(order)
-
-    def resolve(state: Tuple[str, ...]) -> Optional[str]:
-        votes = 0
-        for el, nid in zip(elems, state):
-            label = el.sink_label(nid)
-            if label is None:
-                return None
-            votes += label
-        return "t1" if votes >= majority else "t0"
-
-    start = tuple(el.source for el in elems)
-    source = resolve(start)
-    ids: Dict[Tuple[str, ...], str] = {}
-    nodes: Dict[str, ObddNode] = {}
-    if source is None:
-        ids[start] = source = "m0"
-        queue = deque([start])
-        while queue:
-            state = queue.popleft()
-            level = elems[0].level(state[0])
-            feature = order[level]
-            children = []
-            for bit in (0, 1):
-                nxt = tuple(
-                    el.nodes[nid].one if bit else el.nodes[nid].zero
-                    for el, nid in zip(elems, state)
-                )
-                sink = resolve(nxt)
-                if sink is not None:
-                    children.append(sink)
-                    continue
-                if nxt not in ids:
-                    if len(ids) >= node_cap:
-                        raise BudgetExceeded(f"product would exceed {node_cap} nodes")
-                    ids[nxt] = f"m{len(ids)}"
-                    queue.append(nxt)
-                children.append(ids[nxt])
-            nodes[ids[state]] = ObddNode(feature, children[0], children[1])
-    return Obdd(nodes, source, "t0", "t1", order)
-
-
-def dt_to_obdd(t: DecisionTree) -> Obdd:
-    """Rebuild an ordered tree as a complete diagram over a consistent order.
-
-    The order is the topological sort of the parent-before-child feature
-    constraints, smallest name first among the ready (`_arc_order`); a
-    cycle means no single order fits every branch, and the diagram's
-    constructor raises NotOrdered.
-    """
-    from .dt import DtInner, DtLeaf
-
-    inner = {nid: node for nid, node in t.nodes.items() if isinstance(node, DtInner)}
-    order = _arc_order(inner, lambda f: f)
-    t0, t1 = "t0", "t1"
-    while t0 in t.nodes:
-        t0 += "~"
-    while t1 in t.nodes:
-        t1 += "~"
-
-    def slot(nid: str) -> str:
-        node = t.nodes[nid]
-        if isinstance(node, DtLeaf):
-            return t1 if node.label == 1 else t0
-        return nid
-
-    nodes = {
-        nid: ObddNode(node.feature, slot(node.zero), slot(node.one)) for nid, node in inner.items()
-    }
-    return complete_obdd(Obdd(nodes, slot(t.root), t0, t1, tuple(order)))
+# the product's and order inference's names resolve here too, for
+# callers that import them from this module
+__getattr__ = _forward(__name__, "obdd_product", "obdd_order")

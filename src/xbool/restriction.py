@@ -5,8 +5,8 @@ restricted by a partial assignment; a tree or diagram answers by a walk
 (`walk_labels`, the one restriction primitive, defined here).  Both
 families are one graph to every search (`Restriction`): inner nodes
 testing a feature, terminals carrying a class, one start.  On that
-answer `explain.Definitions` builds the four queries, their checks and
-the size-bounded search; the graph adds a greedy subset search seeded
+answer `definitions.Definitions` builds the four queries, their checks
+and the size-bounded search; the graph adds a greedy subset search seeded
 by the least path into a label, and the minimum local contrastive set,
 each one pass over the graph, parents first, in memory linear in the
 graph.  `walk_labels` reads the bits of the assignment it is handed;
@@ -19,7 +19,8 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import Homogeneous, ModelError
-from .explain import Definitions, ExplanationQuery, Witness
+from .definitions import Definitions
+from .explain import ExplanationQuery, Witness
 from .models import Example, PartialExample, _bit, classify, require_total
 
 

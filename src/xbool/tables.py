@@ -10,8 +10,8 @@ table referees the tree and diagram walks independently.
 
 The oracles (`FunctionOracle`, `TableOracle`, and `oracle_min`,
 `is_explanation`, `verify_subset_minimal` over them) answer
-`explain.Definitions`' one question, `reaches`: by enumeration over a
-bare function, or by ANDs of masks over a table.  Their answers,
+`definitions.Definitions`' one question, `reaches`: by enumeration over
+a bare function, or by ANDs of masks over a table.  Their answers,
 candidates in the definitions' tie-break, are the frozen expected
 values.  The CLI imports this module only on a route that runs the
 oracle, and `circuits` for its own tables, so a tree or diagram request
@@ -25,7 +25,8 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ModelError, TooLarge, UndefinedFeature
-from .explain import DEFAULT_GUARD, Definitions, ExplanationQuery, Witness
+from .definitions import Definitions
+from .explain import DEFAULT_GUARD, ExplanationQuery, Witness
 from .models import Example, Model, _bit, model_features
 
 Literals = Tuple[Tuple[int, int], ...]

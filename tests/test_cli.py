@@ -1606,28 +1606,46 @@ def test_a_process_prints_what_main_does_in_process(name, capsys, monkeypatch, t
     assert (out.read_bytes() if out.exists() else None) == written
 
 
-@pytest.mark.parametrize("unbuffered, code", [(False, 120), (True, 1)])
-def test_an_unwritable_stdout_exits_as_the_interpreter_does(unbuffered, code, tmp_path,
-                                                           fig1_path):
-    # every write to a read-only stdout fails with EBADF.  Buffered, the
-    # answer waits for the flush at exit, and the interpreter reports the
-    # failed flush with exit 120; unbuffered, main's write and then its
-    # error payload fail, so the OSError escapes with a traceback, exit 1
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("model", ["fig1", "missing"])
+def test_an_unwritable_stdout_exits_1_with_one_line(unbuffered, model, tmp_path, fig1_path):
+    # every write to a read-only stdout fails with EBADF: unbuffered at
+    # main's write, buffered at run's flush.  The answer (or, for a model
+    # file that cannot be read, the exit-2 error payload) is lost, which
+    # is the process's own failure: exit 1, one line, no traceback
     sink = tmp_path / "sink"
     sink.write_bytes(b"")
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = SRC
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    path = fig1_path if model == "fig1" else str(tmp_path / "missing.json")
     with open(sink, "rb") as read_only:
-        proc = cli_process("explain", "--model", fig1_path, "--query", Q_LCXP1,
+        proc = cli_process("explain", "--model", path, "--query", Q_LCXP1,
                            stdout=read_only, stderr=subprocess.PIPE, env=env)
-    assert proc.returncode == code
-    err = proc.stderr.decode()
-    assert "OSError: [Errno 9] Bad file descriptor" in err
-    first = "Traceback" if unbuffered else "Exception ignored in: <_io.TextIOWrapper name='<stdout>'"
-    assert err.startswith(first), err
+    assert proc.returncode == 1
+    assert proc.stderr == b"xbool: cannot write to stdout: [Errno 9] Bad file descriptor\n"
     assert sink.read_bytes() == b""
+
+
+def test_a_process_without_stdout_exits_1_with_one_line(fig1_path):
+    proc = cli_process("explain", "--model", fig1_path, "--query", Q_LCXP1,
+                       stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 1
+    assert proc.stderr == b"xbool: cannot write to stdout: stdout is closed\n"
+
+
+def test_an_unreadable_input_or_out_path_still_exits_2(tmp_path, fig1_path, capsys):
+    # an OSError of the inputs or of --out is the caller's: exit 2 with a
+    # payload on stdout, told apart from a stdout that refuses it
+    missing = str(tmp_path / "missing.json")
+    out = str(tmp_path / "no-such-dir" / "out.json")
+    for argv in (["--model", missing, "--query", Q_LCXP1],
+                 ["--model", fig1_path, "--query", Q_LCXP1, "--out", out]):
+        assert main(["explain", *argv]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"]["type"] == "FileNotFoundError"
+        assert captured.err == ""
 
 
 def test_a_process_without_stdout_still_writes_out(tmp_path, fig1_path):

@@ -30,7 +30,6 @@ from xbool.models import (
     obdd_width,
 )
 from xbool.obdd import (
-    _rebase,
     complete_obdd,
     dt_to_obdd,
     obdd_check,
@@ -40,6 +39,7 @@ from xbool.obdd import (
     obdd_subset_min,
     obdd_xp_search,
 )
+from xbool.obdd_product import _rebase
 
 from helpers import all_examples, models_equal, rand_example, rand_obdd, rand_sparse_obdd
 
