@@ -337,8 +337,7 @@ def _leaf_paths(t: DecisionTree) -> List[Tuple[Dict[str, int], int]]:
 
 def _dt_indicator(b: _Builder, t: DecisionTree, c: int) -> str:
     """Gate computing [t(e) = c]: OR over minority-class leaf paths."""
-    labels = [label for _, label in t.leaves()]
-    minority = 0 if labels.count(0) <= labels.count(1) else 1
+    minority = 0 if 2 * sum(t.leaf_labels.values()) >= len(t.leaf_labels) else 1
     disjuncts = []
     for alpha, label in _leaf_paths(t):
         if label != minority:

@@ -408,12 +408,15 @@ def run() -> None:
     """The process entry: `main` on the command line, then `os._exit`
     with its code once stdout and stderr are flushed, skipping the few
     milliseconds the interpreter would spend tearing down modules the
-    process is about to drop.  A failed flush of stdout exits 1 with one
-    line on stderr, as a failed write does in `main`.  An exception out
-    of `main` (`--help`'s `SystemExit` included) or a failed flush of
-    stderr takes the normal exit, which reports it exactly as
+    process is about to drop; help's `SystemExit` ends the same way.  A
+    failed flush of stdout exits 1 with one line on stderr, as a failed
+    write does in `main`.  Any other exception out of `main` or a failed
+    flush of stderr takes the normal exit, which reports it exactly as
     `sys.exit(main())` would."""
-    code = main(sys.argv[1:])
+    try:
+        code = main(sys.argv[1:])
+    except SystemExit as done:
+        code = done.code
     try:
         if sys.stdout is not None:  # None when the descriptor was closed at start
             sys.stdout.flush()

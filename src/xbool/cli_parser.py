@@ -14,19 +14,23 @@ import functools
 import shutil
 import sys
 
-from .cli import _COMMANDS
+from .cli import _COMMANDS, _write_stdout
 from .errors import ModelError
 
 
 class Parser(argparse.ArgumentParser):
     """Refusals raise ModelError, so a bad command line exits 2 with a
     JSON payload like any other bad input; stderr still gets argparse's
-    usage and error lines.  `--help` still prints and exits 0."""
+    usage and error lines.  Help goes out through `cli._write_stdout`,
+    so a stdout that refuses it fails the process; argparse drops it."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise ModelError(message)
+
+    def print_help(self, file=None):
+        (_write_stdout if file is None else file.write)(self.format_help())
 
 
 class NonNegative(argparse.Action):

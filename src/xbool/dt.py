@@ -8,9 +8,9 @@ shared with diagrams; this module builds the view of the simplified tree.
 A tree learns its feature set and whether some path tests a feature
 twice in the walk its constructor makes to validate it, so no later
 scan asks again.
-The tree classes live here rather than in `models`, so only a request
-that meets a tree compiles them; the graft of a tree ensemble stays
-here, beside the projection it shares with `simplify_dt`.
+The tree classes, which classify and measure themselves, live here, so
+only a request that meets a tree compiles them; the graft of a tree
+ensemble stays beside the projection it shares with `simplify_dt`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Sequ
 
 from .errors import BudgetExceeded, ModelError
 from .explain import ExplanationQuery, Witness
-from .models import _CLASSIFIERS, DEFAULT_NODE_CAP, Example, PartialExample, _bit, _lookup
+from .models import DEFAULT_NODE_CAP, Example, PartialExample, _bit, _lookup
 from .records import Frozen
 from .restriction import Restriction
 
@@ -112,15 +112,14 @@ class DecisionTree:
     def leaves(self) -> Tuple[Tuple[str, int], ...]:
         return tuple(self.leaf_labels.items())
 
+    def classify(self, e: Example) -> int:
+        node = self.nodes[self.root]
+        while isinstance(node, DtInner):
+            node = self.nodes[node.one if _lookup(e, node.feature) else node.zero]
+        return node.label
 
-def _classify_dt(t: DecisionTree, e: Example) -> int:
-    node = t.nodes[t.root]
-    while isinstance(node, DtInner):
-        node = t.nodes[node.one if _lookup(e, node.feature) else node.zero]
-    return node.label
-
-
-_CLASSIFIERS["dt"] = _classify_dt
+    def parameters(self) -> Dict[str, int]:
+        return {"mnl_size": dt_mnl(self), "size_elem": dt_size(self)}
 
 
 def _emit_tree(start, expand) -> DecisionTree:
@@ -200,12 +199,12 @@ def restrict_dt(t: DecisionTree, tau: PartialExample) -> DecisionTree:
 
 
 def dt_mnl(t: DecisionTree) -> int:
-    labels = [label for _, label in t.leaves()]
-    return min(labels.count(0), labels.count(1))
+    ones = sum(t.leaf_labels.values())
+    return min(ones, len(t.leaf_labels) - ones)
 
 
 def dt_size(t: DecisionTree) -> int:
-    return len(t.leaves())
+    return len(t.leaf_labels)
 
 
 # ---------------------------------------------------------------------------

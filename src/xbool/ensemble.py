@@ -1,8 +1,7 @@
 """Odd-size majority ensembles over elements of a single model family.
 
-Loaded when a request first meets an ensemble (`models.model_from_json`);
-importing it adds the majority vote to `models._CLASSIFIERS`.  A single
-tree or diagram request never compiles it.
+Loaded when a request first meets an ensemble (`models.model_from_json`).
+A single tree or diagram request never compiles it.
 """
 
 from __future__ import annotations
@@ -10,7 +9,7 @@ from __future__ import annotations
 from typing import FrozenSet, Optional, Sequence, Tuple
 
 from .errors import EvenEnsemble, ModelError, NotOrdered
-from .models import _CLASSIFIERS, Example, Model, classify
+from .models import Example, Model, classify
 
 
 def _is_subsequence(sub: Sequence[str], full: Sequence[str]) -> bool:
@@ -55,10 +54,7 @@ class Ensemble:
             out = out | el.features()
         return out
 
-
-def _classify_ensemble(ens: Ensemble, e: Example) -> int:
-    votes = sum(classify(el, e) for el in ens.elements)
-    return 1 if votes >= len(ens.elements) // 2 + 1 else 0
-
-
-_CLASSIFIERS["ensemble"] = _classify_ensemble
+    def classify(self, e: Example) -> int:
+        # each member through `models.classify`, the entry every caller uses
+        votes = sum(classify(el, e) for el in self.elements)
+        return 1 if votes >= len(self.elements) // 2 + 1 else 0

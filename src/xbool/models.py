@@ -7,10 +7,10 @@ constructed and treated as immutable afterwards; every operation here is
 pure, so models can be shared freely across threads.
 
 This module holds what every request shares: bits, the `classify`
-dispatch, the structural parameters and the JSON reader.  Each family
+entry, the structural parameters and the JSON reader.  Each family
 lives in a module of its own, loaded when a request first meets one:
 trees in `dt`, diagrams in `obdd`, rule sets and lists in `rules` and
-ensembles in `ensemble`; each adds its classifier to `_CLASSIFIERS`.
+ensembles in `ensemble`; each model classifies and measures itself.
 The model writer (`writer`) is loaded only by what writes models.
 Their names resolve here too.
 
@@ -68,13 +68,8 @@ def require_total(e: Example, features: Sequence[str]) -> None:
 # ---------------------------------------------------------------------------
 # Shared entry points
 
-# kind -> classifier; each family's module adds its own when loaded,
-# which is before any model of the family can exist
-_CLASSIFIERS = {}
-
-
 def classify(model: Model, e: Example) -> int:
-    return _CLASSIFIERS[model.kind](model, e)
+    return model.classify(e)
 
 
 def model_features(model: Model) -> FrozenSet[str]:
@@ -127,36 +122,13 @@ class Parameters(Record):
 
 
 def measure_parameters(model: Model) -> Parameters:
-    elements = model.elements if model.kind == "ensemble" else (model,)
-    kind = elements[0].kind
-    params = Parameters(ens_size=len(elements))
-    if kind == "dt":
-        from .dt import dt_mnl, dt_size
-
-        params.mnl_size = max(dt_mnl(t) for t in elements)
-        params.size_elem = max(dt_size(t) for t in elements)
-    elif kind == "ds":
-        from .rules import ds_size
-
-        params.terms_elem = max(len(s.terms) for s in elements)
-        params.term_size = max(
-            (len(t) for s in elements for t in s.terms), default=0
-        )
-        params.size_elem = max(ds_size(s) for s in elements)
-    elif kind == "dl":
-        from .rules import dl_size
-
-        params.terms_elem = max(len(dl.rules) for dl in elements)
-        params.term_size = max(
-            len(r.term) for dl in elements for r in dl.rules
-        )
-        params.size_elem = max(dl_size(dl) for dl in elements)
-    elif kind == "obdd":
-        from .obdd import obdd_width
-
-        params.width_elem = max(obdd_width(o) for o in elements)
-        params.size_elem = max(o.size() for o in elements)
-    return params
+    """The ensemble size and, per entry of the elements' family, its
+    largest value over the elements; a plain model is its own one element."""
+    elements = getattr(model, "elements", (model,))
+    measured = [el.parameters() for el in elements]
+    return Parameters(
+        len(elements), **{key: max(m[key] for m in measured) for key in measured[0]}
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,11 @@ like a tree, so the query procedures, the seed path and the minimum
 contrastive search are shared with trees.  A diagram learns whether it
 is complete in the arc loop its constructor runs to validate it, so no
 later scan asks again; `_padded` completes a sparse one.
-The diagram classes live here rather than in `models`, so only a
-request that meets a diagram compiles them.  The ensemble product
-(`obdd_product`) and order inference (`obdd_order`) live in modules of
-their own, which a single diagram that names its order never loads;
-their names resolve here too.
+The diagram classes, which classify and measure themselves, live here,
+so only a request that meets a diagram compiles them.  The ensemble
+product (`obdd_product`) and order inference (`obdd_order`) live in
+modules of their own, which a single diagram that names its order never
+loads; their names resolve here too.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 from . import _forward
 from .errors import ModelError, NotOrdered
 from .explain import ExplanationQuery, Witness
-from .models import _CLASSIFIERS, Example, PartialExample, _lookup
+from .models import Example, PartialExample, _lookup
 from .records import Frozen
 from .restriction import Restriction, walk_labels
 
@@ -134,18 +134,17 @@ class Obdd:
     def size(self) -> int:
         return len(self.nodes) + len(self.present_sinks())
 
+    def classify(self, e: Example) -> int:
+        nid = self.source
+        label = self.sink_label(nid)
+        while label is None:
+            node = self.nodes[nid]
+            nid = node.one if _lookup(e, node.feature) else node.zero
+            label = self.sink_label(nid)
+        return label
 
-def _classify_obdd(o: Obdd, e: Example) -> int:
-    nid = o.source
-    label = o.sink_label(nid)
-    while label is None:
-        node = o.nodes[nid]
-        nid = node.one if _lookup(e, node.feature) else node.zero
-        label = o.sink_label(nid)
-    return label
-
-
-_CLASSIFIERS["obdd"] = _classify_obdd
+    def parameters(self) -> Dict[str, int]:
+        return {"width_elem": obdd_width(self), "size_elem": self.size()}
 
 
 def is_complete(o: Obdd) -> bool:

@@ -1,8 +1,8 @@
 """Decision sets and decision lists: terms, rules and their classifiers.
 
 Loaded when a request first meets a rule set or list
-(`models.model_from_json`); importing it adds both classifiers to
-`models._CLASSIFIERS`.  A tree or diagram request never compiles it.
+(`models.model_from_json`); each class classifies an example and
+measures itself.  A tree or diagram request never compiles it.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Tuple
 
 from .errors import ContradictoryTerm, ModelError
-from .models import _CLASSIFIERS, Example, _bit, _lookup
+from .models import Example, _bit, _lookup
 from .records import Frozen
 
 Literal = Tuple[str, int]
@@ -42,11 +42,14 @@ class DecisionSet:
     def features(self) -> FrozenSet[str]:
         return frozenset(f for term in self.terms for f, _ in term)
 
+    def classify(self, e: Example) -> int:
+        if any(term_applies(term, e) for term in self.terms):
+            return 1 - self.default
+        return self.default
 
-def _classify_ds(s: DecisionSet, e: Example) -> int:
-    if any(term_applies(term, e) for term in s.terms):
-        return 1 - s.default
-    return s.default
+    def parameters(self) -> Dict[str, int]:
+        return {"terms_elem": len(self.terms), "term_size": max(map(len, self.terms), default=0),
+                "size_elem": ds_size(self)}
 
 
 class Rule(Frozen):
@@ -74,16 +77,15 @@ class DecisionList:
     def features(self) -> FrozenSet[str]:
         return frozenset(f for rule in self.rules for f, _ in rule.term)
 
+    def classify(self, e: Example) -> int:
+        for rule in self.rules:
+            if term_applies(rule.term, e):
+                return rule.label
+        raise AssertionError("unreachable: last rule always applies")
 
-def _classify_dl(dl: DecisionList, e: Example) -> int:
-    for rule in dl.rules:
-        if term_applies(rule.term, e):
-            return rule.label
-    raise AssertionError("unreachable: last rule always applies")
-
-
-_CLASSIFIERS["ds"] = _classify_ds
-_CLASSIFIERS["dl"] = _classify_dl
+    def parameters(self) -> Dict[str, int]:
+        return {"terms_elem": len(self.rules), "term_size": max(len(r.term) for r in self.rules),
+                "size_elem": dl_size(self)}
 
 
 def ds_size(s: DecisionSet) -> int:

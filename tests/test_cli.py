@@ -686,8 +686,8 @@ def test_verify_non_minimal_superset(capsys, fig1_path):
 
 
 def test_verify_minimal_builds_one_oracle(capsys, fig1_path, monkeypatch):
-    from xbool import models
     from xbool.explain import TableOracle
+    from xbool.models import DecisionList, DecisionSet, DecisionTree, Ensemble, Obdd
 
     built, classified = [], []
     init = TableOracle.__init__
@@ -697,9 +697,9 @@ def test_verify_minimal_builds_one_oracle(capsys, fig1_path, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(TableOracle, "__init__", counted_init)
-    for kind, fn in list(models._CLASSIFIERS.items()):
-        monkeypatch.setitem(
-            models._CLASSIFIERS, kind, lambda m, e, fn=fn: classified.append(m) or fn(m, e)
+    for family in (DecisionTree, DecisionSet, DecisionList, Obdd, Ensemble):
+        monkeypatch.setattr(
+            family, "classify", lambda m, e, fn=family.classify: classified.append(m) or fn(m, e)
         )
     out = run(
         capsys, "verify", "--model", fig1_path, "--query", Q_LAXP,
@@ -1607,22 +1607,24 @@ def test_a_process_prints_what_main_does_in_process(name, capsys, monkeypatch, t
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
-@pytest.mark.parametrize("model", ["fig1", "missing"])
-def test_an_unwritable_stdout_exits_1_with_one_line(unbuffered, model, tmp_path, fig1_path):
+@pytest.mark.parametrize("line", ["fig1", "missing", "--help", "explain --help"])
+def test_an_unwritable_stdout_exits_1_with_one_line(unbuffered, line, tmp_path, fig1_path):
     # every write to a read-only stdout fails with EBADF: unbuffered at
-    # main's write, buffered at run's flush.  The answer (or, for a model
-    # file that cannot be read, the exit-2 error payload) is lost, which
-    # is the process's own failure: exit 1, one line, no traceback
+    # the write, buffered at run's flush.  The answer, the exit-2 error
+    # payload of a model file that cannot be read, or the help is lost,
+    # which is the process's own failure: exit 1, one line, no traceback
     sink = tmp_path / "sink"
     sink.write_bytes(b"")
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = SRC
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    path = fig1_path if model == "fig1" else str(tmp_path / "missing.json")
+    models = {"fig1": fig1_path, "missing": str(tmp_path / "missing.json")}
+    argv = line.split()
+    if line in models:
+        argv = ["explain", "--model", models[line], "--query", Q_LCXP1]
     with open(sink, "rb") as read_only:
-        proc = cli_process("explain", "--model", path, "--query", Q_LCXP1,
-                           stdout=read_only, stderr=subprocess.PIPE, env=env)
+        proc = cli_process(*argv, stdout=read_only, stderr=subprocess.PIPE, env=env)
     assert proc.returncode == 1
     assert proc.stderr == b"xbool: cannot write to stdout: [Errno 9] Bad file descriptor\n"
     assert sink.read_bytes() == b""

@@ -21,6 +21,7 @@ from xbool.models import (
     Ensemble,
     Obdd,
     ObddNode,
+    Parameters,
     classify,
     complete_obdd,
     dumps_canonical,
@@ -306,6 +307,70 @@ def test_fig1_parameters(fig1):
     p = measure_parameters(fig1)
     assert p.terms_elem == 4
     assert p.term_size == 2
+
+
+def _tree(spec) -> DecisionTree:
+    """Tree from nested (feature, zero, one) triples over 0/1 leaves."""
+    nodes = {}
+
+    def add(spec) -> str:
+        nid = f"n{len(nodes)}"
+        nodes[nid] = None  # holds the id while the children take theirs
+        if isinstance(spec, int):
+            nodes[nid] = DtLeaf(spec)
+        else:
+            nodes[nid] = DtInner(spec[0], add(spec[1]), add(spec[2]))
+        return nid
+
+    return DecisionTree(nodes, add(spec))
+
+
+# leaves 0, 0, 1: one minority leaf out of three
+TREE_AND = _tree(("x", 0, ("y", 0, 1)))
+# leaves 0, 1, 0, 1: two minority leaves out of four
+TREE_XY_Z = _tree(("x", ("z", 0, 1), ("y", 0, 1)))
+TREE_LEAF = _tree(1)
+SET_TWO = DecisionSet([[("a", 1), ("b", 0)], [("c", 1)]], 0)
+SET_EMPTY = DecisionSet([], 1)
+SET_LONG = DecisionSet([[("a", 0), ("b", 1), ("c", 1)]], 1)
+LIST_THREE = DecisionList([([("a", 1)], 1), ([("b", 0), ("c", 1)], 0), ([], 1)])
+LIST_DEFAULT = DecisionList([([], 0)])
+LIST_LONG = DecisionList([([("a", 0), ("b", 0), ("c", 0)], 1), ([], 0)])
+# skips b on both arcs: padding puts two nodes on b and two on c
+DIAGRAM_SPARSE = Obdd(
+    {"na": ObddNode("a", "t0", "nc"), "nc": ObddNode("c", "t0", "t1")},
+    "na", "t0", "t1", ("a", "b", "c"),
+)
+DIAGRAM_SINK = Obdd({}, "t1", "t0", "t1", ("a",))
+DIAGRAM_XOR = Obdd(
+    {"na": ObddNode("a", "nb0", "nb1"), "nb0": ObddNode("b", "t0", "t1"),
+     "nb1": ObddNode("b", "t1", "t0")},
+    "na", "t0", "t1", ("a", "b"),
+)
+
+
+@pytest.mark.parametrize("model,expected", [
+    (TREE_XY_Z, dict(mnl_size=2, size_elem=4)),
+    (TREE_LEAF, dict(mnl_size=0, size_elem=1)),
+    (SET_TWO, dict(terms_elem=2, term_size=2, size_elem=4)),
+    (SET_EMPTY, dict(terms_elem=0, term_size=0, size_elem=1)),
+    (LIST_THREE, dict(terms_elem=3, term_size=2, size_elem=6)),
+    (LIST_DEFAULT, dict(terms_elem=1, term_size=0, size_elem=1)),
+    (DIAGRAM_SPARSE, dict(width_elem=2, size_elem=4)),
+    (DIAGRAM_SINK, dict(width_elem=1, size_elem=1)),
+    (DIAGRAM_XOR, dict(width_elem=2, size_elem=5)),
+    (Ensemble([TREE_AND, TREE_XY_Z, TREE_LEAF]), dict(ens_size=3, mnl_size=2, size_elem=4)),
+    (Ensemble([SET_TWO, SET_EMPTY, SET_LONG]),
+     dict(ens_size=3, terms_elem=2, term_size=3, size_elem=4)),
+    (Ensemble([LIST_THREE, LIST_DEFAULT, LIST_LONG]),
+     dict(ens_size=3, terms_elem=3, term_size=3, size_elem=6)),
+    (Ensemble([DIAGRAM_SPARSE, DIAGRAM_SINK, DIAGRAM_XOR]),
+     dict(ens_size=3, width_elem=2, size_elem=5)),
+], ids=["tree", "tree leaf", "set", "set no terms", "list", "list default only",
+        "diagram sparse", "diagram sink source", "diagram complete", "tree ensemble",
+        "set ensemble", "list ensemble", "diagram ensemble"])
+def test_measure_parameters_per_family(model, expected):
+    assert measure_parameters(model) == Parameters(**{"ens_size": 1, **expected})
 
 
 def test_parameters_json_drops_inapplicable(fig1):
