@@ -416,11 +416,9 @@ def compile_dl_ensemble(ens: Ensemble, c: int) -> Circuit:
 def _obdd_indicator(b: _Builder, o: Obdd, c: int) -> str:
     """Gate computing [o(e) = c]: per-vertex OR over arcs that reach t_c."""
     view = _restriction(o)
-    o = view.model
+    o = view.model  # complete over a non-empty order, so its source is a node
     target = o.t1 if c == 1 else o.t0
     hit = view.hits(c)
-    if o.source == target:
-        return b.true_gate()
     if o.source not in hit:
         return b.false_gate()
     gate: Dict[str, str] = {}

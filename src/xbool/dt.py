@@ -5,9 +5,10 @@ assignment and ask whether a leaf of a given label stays reachable.  The
 tree is a graph view (`restriction.Restriction`) like a diagram, so the
 query procedures, the seed path and the minimum contrastive search are
 shared with diagrams; this module builds the view of the simplified tree.
-A tree learns its feature set and whether some path tests a feature
-twice in the walk its constructor makes to validate it, so no later
-scan asks again.
+A tree learns its feature set, whether some path tests a feature twice,
+and its inner ids in preorder (the 0-child first: parents first, the
+order the view and the table fill read) in the walk its constructor
+makes to validate it, so no later scan asks again.
 The tree classes, which classify and measure themselves, live here, so
 only a request that meets a tree compiles them; the graft of a tree
 ensemble stays beside the projection it shares with `simplify_dt`.
@@ -77,6 +78,7 @@ class DecisionTree:
         features = set()
         above = set()
         repeat_free = True
+        inner: List[str] = []
         seen = 0
         stack = [root]
         while stack:
@@ -87,6 +89,7 @@ class DecisionTree:
             seen += 1
             if nid in labels:
                 continue
+            inner.append(nid)
             node = nodes[nid]
             f = node.feature
             if f in above:
@@ -95,13 +98,15 @@ class DecisionTree:
                 above.add(f)
                 stack += (f, None)
                 features.add(f)
-            stack += (node.zero, node.one)
+            stack += (node.one, node.zero)
         if seen != len(nodes):
             raise ModelError("tree contains nodes unreachable from the root")
         self.nodes: Dict[str, DtNode] = nodes
         self.root = root
         # leaf id -> class label, the terminals of a restriction walk
         self.leaf_labels: Dict[str, int] = labels
+        # inner ids in preorder, the 0-child first: each after its parent
+        self.parents_first: List[str] = inner
         self._features = frozenset(features)
         self._repeat_free = repeat_free  # no path tests a feature twice
         self._view: Optional[Restriction] = None  # the view Restriction keeps
@@ -215,21 +220,7 @@ def _restriction(t: DecisionTree) -> Restriction:
     # a walk over a repeated test would follow both of its arcs once the
     # first test of the feature has picked one; the simplified tree has none
     t = simplify_dt(t)
-    return t._view or Restriction(t, t.nodes, t.leaf_labels, t.root, _preorder)
-
-
-def _preorder(t: DecisionTree) -> List[str]:
-    """Inner node ids in preorder, the 0-child first."""
-    out = []
-    stack = [t.root]
-    while stack:
-        nid = stack.pop()
-        node = t.nodes[nid]
-        if isinstance(node, DtInner):
-            out.append(nid)
-            stack.append(node.one)
-            stack.append(node.zero)
-    return out
+    return t._view or Restriction(t, t.nodes, t.leaf_labels, t.root)
 
 
 def dt_check(t: DecisionTree, q: ExplanationQuery, w: Witness) -> bool:

@@ -136,6 +136,11 @@ def _check_k(g: MccInstance, k: Optional[int], at_least: int = 1) -> int:
     return g.k
 
 
+def _check_budget(k) -> None:
+    if not isinstance(k, int) or k < 0:
+        raise ModelError(f"budget must be a non-negative integer, got {k!r}")
+
+
 def vertex_feature(v: str) -> str:
     return f"f.{v}"
 
@@ -234,6 +239,9 @@ def gen_hitting_set_laxp(
         raise ModelError("universe has duplicates")
     if not sets:
         raise ModelError("need at least one set")
+    if k is None:
+        k = len(ground)
+    _check_budget(k)
     order = tuple(f"f{u}" for u in ground)
     rows = []
     for s in sets:
@@ -245,8 +253,6 @@ def gen_hitting_set_laxp(
         rows.append(frozenset(f"f{u}" for u in members))
     tree = _accepting(order, rows)
     e0 = {f: 0 for f in order}
-    if k is None:
-        k = len(ground)
     return tree, e0, k
 
 
@@ -719,8 +725,7 @@ def gen_laxp_to_gaxp(
     the equivalence tight."""
     if not isinstance(o, Obdd):
         raise ModelError("the lift takes a diagram")
-    if not isinstance(k, int) or k < 0:
-        raise ModelError(f"budget must be a non-negative integer, got {k!r}")
+    _check_budget(k)
     o = complete_obdd(o)
     c = classify(o, e)
     threshold = min(k, len(o.order))
@@ -756,11 +761,11 @@ def _integer(params: Dict, key: str, default=None, required: bool = False):
     raise ModelError(f"param {key!r} must be an integer, got {value!r}")
 
 
-def _node_cap(params: Dict) -> int:
-    cap = _integer(params, "node_cap", DEFAULT_NODE_CAP)
-    if cap < 0:
-        raise ModelError(f"param 'node_cap' must be non-negative, got {cap}")
-    return cap
+def _count(params: Dict, key: str, default: int) -> int:
+    value = _integer(params, key, default)
+    if value < 0:
+        raise ModelError(f"param {key!r} must be non-negative, got {value}")
+    return value
 
 
 def _array(params: Dict, key: str) -> list:
@@ -792,8 +797,8 @@ def _make_mcc_gaxp_dt(params):
     tree, target, k = gen_mcc_gaxp_dt(
         g,
         _integer(params, "k"),
-        _integer(params, "max_k", 10),
-        _node_cap(params),
+        _count(params, "max_k", 10),
+        _count(params, "node_cap", DEFAULT_NODE_CAP),
     )
     query = {"kind": "gAXp", "minimality": "cardinality", "target": target, "k": k}
     return tree, query
@@ -829,7 +834,7 @@ def _make_laxp_to_gaxp(params):
         model,
         example,
         _integer(params, "k", required=True),
-        _node_cap(params),
+        _count(params, "node_cap", DEFAULT_NODE_CAP),
     )
     query = {"kind": "gAXp", "minimality": "cardinality", "target": target, "k": k}
     return prod, query

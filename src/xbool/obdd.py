@@ -5,8 +5,10 @@ drop every arc that disagrees with the assignment and see which sinks
 survive.  The completed diagram is a graph view (`restriction.Restriction`)
 like a tree, so the query procedures, the seed path and the minimum
 contrastive search are shared with trees.  A diagram learns whether it
-is complete in the arc loop its constructor runs to validate it, so no
-later scan asks again; `_padded` completes a sparse one.
+is complete, files each inner id under its level, and notes every id an
+arc points at, in the arc loop its constructor runs to validate it; so
+its reachability, level order (parents first), size and width need no
+later scan.  `_padded` completes a sparse one.
 The diagram classes, which classify and measure themselves, live here,
 so only a request that meets a diagram compiles them.  The ensemble
 product (`obdd_product`) and order inference (`obdd_order`) live in
@@ -69,11 +71,15 @@ class Obdd:
         # sink sits one past the last level
         last = len(order) - 1
         complete = True
+        levels: List[List[str]] = [[] for _ in order]
+        targets = {source}  # the ids the source or an arc points at
         for nid, node in nodes.items():
             lv = index.get(node.feature)
             if lv is None:
                 raise NotOrdered(f"feature {node.feature!r} of {nid!r} is not in the order")
+            levels[lv].append(nid)
             for child in (node.zero, node.one):
+                targets.add(child)
                 if child in sinks:
                     if lv != last:
                         complete = False
@@ -88,17 +94,11 @@ class Obdd:
                     )
                 if step > 1:
                     complete = False
-        reached = set()
-        stack = [source]
-        while stack:
-            nid = stack.pop()
-            if nid in sinks or nid in reached:
-                continue
-            reached.add(nid)
-            node = nodes[nid]
-            stack.append(node.zero)
-            stack.append(node.one)
-        if reached != set(nodes):
+        # arcs only advance, so the source reaches every node iff every
+        # other node is some arc's target: climbing parents from any node
+        # ends at one without a parent, which must then be the source
+        present = len(targets & sinks)
+        if len(targets) - present != len(nodes):
             raise ModelError("OBDD contains nodes unreachable from the source")
         self.nodes: Dict[str, ObddNode] = nodes
         self.source = source
@@ -107,6 +107,10 @@ class Obdd:
         self.order: Tuple[str, ...] = order
         self._index = index
         self.sink_labels: Dict[str, int] = {t0: 0, t1: 1}
+        # inner ids level by level: each after its parents
+        self.parents_first: List[str] = [nid for level in levels for nid in level]
+        self._size = len(nodes) + present  # with the sinks some path ends in
+        self._width = max(map(len, levels), default=0)  # read off the completed copy
         # complete_obdd's answer: this diagram when it is complete, else
         # its padded copy once asked
         complete = complete and (index[nodes[source].feature] if nodes else len(order)) == 0
@@ -124,15 +128,8 @@ class Obdd:
     def sink_label(self, nid: str) -> Optional[int]:
         return self.sink_labels.get(nid)
 
-    def present_sinks(self) -> Tuple[str, ...]:
-        referenced = {self.source}
-        for node in self.nodes.values():
-            referenced.add(node.zero)
-            referenced.add(node.one)
-        return tuple(s for s in (self.t0, self.t1) if s in referenced)
-
     def size(self) -> int:
-        return len(self.nodes) + len(self.present_sinks())
+        return self._size
 
     def classify(self, e: Example) -> int:
         nid = self.source
@@ -199,11 +196,7 @@ def reachable_sinks(o: Obdd, tau: PartialExample) -> FrozenSet[int]:
 
 
 def obdd_width(o: Obdd) -> int:
-    full = complete_obdd(o)
-    per_feature: Dict[str, int] = {}
-    for node in full.nodes.values():
-        per_feature[node.feature] = per_feature.get(node.feature, 0) + 1
-    return max(per_feature.values(), default=0)
+    return complete_obdd(o)._width
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +205,7 @@ def obdd_width(o: Obdd) -> int:
 
 def _restriction(o: Obdd) -> Restriction:
     o = complete_obdd(o)
-    return o._view or Restriction(o, o.nodes, o.sink_labels, o.source, _level_order)
-
-
-def _level_order(o: Obdd) -> List[str]:
-    """Inner node ids by level: parents first in a complete diagram."""
-    return sorted(o.nodes, key=o.level)
+    return o._view or Restriction(o, o.nodes, o.sink_labels, o.source)
 
 
 def obdd_check(o: Obdd, q: ExplanationQuery, w: Witness) -> bool:

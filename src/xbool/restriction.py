@@ -8,10 +8,11 @@ testing a feature, terminals carrying a class, one start.  On that
 answer `definitions.Definitions` builds the four queries, their checks
 and the size-bounded search; the graph adds a greedy subset search seeded
 by the least path into a label, and the minimum local contrastive set,
-each one pass over the graph, parents first, in memory linear in the
-graph.  `walk_labels` reads the bits of the assignment it is handed;
-the view's own walk trusts its callers, whose candidates are built
-from read bits (`Definitions` reads a witness's once per check).
+each one pass over the graph, parents first in the order the model's
+constructor learned, in memory linear in the graph.  `walk_labels` reads
+the bits of the assignment it is handed; the view's own walk trusts its
+callers, whose candidates are built from read bits (`Definitions` reads
+a witness's once per check).
 """
 
 from __future__ import annotations
@@ -73,20 +74,19 @@ class Restriction(Definitions):
 
     `terminals` maps leaf or sink ids to their class, `nodes` maps every
     other id to a node with `feature`, `zero` and `one`, and `start` is
-    the root or source; every node is reachable from `start`.
-    `order(model)` lists the inner ids with each after all of its
-    parents (preorder for a tree, level order for a complete diagram);
-    only the searches that need it ask for it.  A tree must be free of
-    repeated tests and a diagram complete, as the walk, the seed path and
-    the flip masks assume.  The view keeps itself on the model as `_view`.
+    the root or source; every node is reachable from `start`.  The
+    model's `parents_first` lists the inner ids with each after all of
+    its parents (preorder for a tree, level order for a diagram), as its
+    constructor learned them.  A tree must be free of repeated tests and
+    a diagram complete, as the walk, the seed path and the flip masks
+    assume.  The view keeps itself on the model as `_view`.
     """
 
-    def __init__(self, model, nodes, terminals: Mapping[str, int], start: str, order):
+    def __init__(self, model, nodes, terminals: Mapping[str, int], start: str):
         self.model = model
         self.nodes = nodes
         self.terminals = terminals
         self.start = start
-        self._order = order
         self._features: Optional[Tuple[str, ...]] = None
         model._view = self  # kept, so a model builds one view
 
@@ -98,7 +98,7 @@ class Restriction(Definitions):
         return self._features
 
     def parents_first(self) -> List[str]:
-        return self._order(self.model)
+        return self.model.parents_first
 
     def example_class(self, e: Example) -> int:
         require_total(e, self.features)

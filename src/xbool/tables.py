@@ -4,9 +4,12 @@ A table is a model over all 2^n points at once, as one 2^n-bit int:
 bit i is the class at the point where feature j (in sorted order) takes
 bit j of i.  A literal is a mask of points, a cube the AND
 of its literals, and each family is filled from its own structure with a
-few big-int operations per node, term or rule (Knuth, TAOCP 4A, 7.1.3);
-no point is enumerated and `models.classify` is never called, so the
-table referees the tree and diagram walks independently.
+few big-int operations per node, term or rule (Knuth, TAOCP 4A, 7.1.3):
+rule sets and lists by cubes, trees and diagrams by one bottom-up fill
+over the raw model in the parents-first order its constructor learned.
+No point is enumerated, and neither `models.classify` nor the walk nor
+the simplified or completed model is used, so the table referees the
+tree and diagram walks independently.
 
 The oracles (`FunctionOracle`, `TableOracle`, and `oracle_min`,
 `is_explanation`, `verify_subset_minimal` over them) answer
@@ -99,26 +102,6 @@ def _cube(term, lit, points: int) -> int:
     return points
 
 
-def _fill_dt(t, lit, full: int) -> int:
-    """The OR of the path cubes of the 1-leaves; a path that tests a
-    feature both ways has an empty cube and is dropped."""
-    out = 0
-    stack = [(t.root, full)]
-    while stack:
-        nid, cube = stack.pop()
-        label = t.leaf_labels.get(nid)
-        if label is None:
-            node = t.nodes[nid]
-            zero, one = lit[node.feature]
-            for child, side in ((node.zero, zero), (node.one, one)):
-                sub = cube & side
-                if sub:
-                    stack.append((child, sub))
-        elif label:
-            out |= cube
-    return out
-
-
 def _fill_ds(s, lit, full: int) -> int:
     fires = 0
     for term in s.terms:
@@ -139,29 +122,37 @@ def _fill_dl(dl, lit, full: int) -> int:
     return out
 
 
-def _fill_obdd(o, lit, full: int) -> int:
-    """Bottom-up in reverse level order, so both children come first; a
-    skipped level needs no padding.  A node's value is dropped once its
-    last parent is done."""
-    value = {o.t0: 0, o.t1: full}
-    readers = dict.fromkeys(o.nodes, 0)
-    for node in o.nodes.values():
-        for child in (node.zero, node.one):
-            if child in readers:
-                readers[child] += 1
-    for nid in sorted(o.nodes, key=o.level, reverse=True):
-        node = o.nodes[nid]
+def _fill_graph(nodes, terminals, start: str, parents_first, lit, full: int) -> int:
+    """A tree or diagram bottom-up, its parents-first order read
+    backwards so both children come first; a repeated test or a skipped
+    level needs nothing of its own.  A child's value is dropped once its
+    last reader, the parent listed first, is done; an order that lists a
+    parent after its child misses the child's value and raises
+    `KeyError`."""
+    value = {nid: full if label else 0 for nid, label in terminals.items()}
+    last = {}
+    for nid in parents_first:
+        node = nodes[nid]
+        last.setdefault(node.zero, nid)
+        last.setdefault(node.one, nid)
+    for nid in reversed(parents_first):
+        node = nodes[nid]
         zero, one = lit[node.feature]
-        value[nid] = (zero & value[node.zero]) | (one & value[node.one])
-        for child in (node.zero, node.one):
-            if child in readers:
-                readers[child] -= 1
-                if not readers[child]:
-                    del value[child]
-    return value[o.source]
+        a, b = node.zero, node.one
+        value[nid] = (zero & value[a]) | (one & value[b])
+        if last[a] == nid:
+            del value[a]
+        if b != a and last[b] == nid:
+            del value[b]
+    return value[start]
 
 
-_FILLS = {"dt": _fill_dt, "ds": _fill_ds, "dl": _fill_dl, "obdd": _fill_obdd}
+_FILLS = {
+    "dt": lambda t, *at: _fill_graph(t.nodes, t.leaf_labels, t.root, t.parents_first, *at),
+    "ds": _fill_ds,
+    "dl": _fill_dl,
+    "obdd": lambda o, *at: _fill_graph(o.nodes, o.sink_labels, o.source, o.parents_first, *at),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -1292,6 +1292,21 @@ def test_generate_negative_node_cap_exits_2(capsys, tmp_path, gadget, params):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("gadget, params, message", [
+    ("hitting_set", {"universe": [1, 2], "sets": [[1]], "k": -3},
+     "budget must be a non-negative integer, got -3"),
+    ("mcc_gaxp_dt", {**json.loads(K3_PARAMS), "max_k": -1},
+     "param 'max_k' must be non-negative, got -1"),
+])
+def test_generate_negative_budget_exits_2(capsys, tmp_path, gadget, params, message):
+    # a query with a negative budget is one `explain` refuses, so the
+    # generator refuses to write it
+    out = run(capsys, "generate", gadget, "--params", json.dumps(params),
+              "--out", str(tmp_path / "x.json"), expect=2)
+    assert json.loads(out) == {"error": {"type": "ModelError", "message": message}}
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_generate_unknown_gadget_exits_2(capsys, tmp_path):
     out = run(capsys, "generate", "warp_drive", "--params", "{}",
               "--out", str(tmp_path / "x.json"), expect=2)

@@ -1,16 +1,26 @@
-"""Model construction, semantics, measurements, and JSON round trips."""
+"""Model construction, semantics, measurements, JSON round trips, and the
+refusals and edge branches of the model and gadget builders."""
 
 import json
 import random
 
 import pytest
 
+from xbool.circuits import compile_obdd, eval_circuit
 from xbool.errors import (
     ContradictoryTerm,
     EvenEnsemble,
     ModelError,
     NotOrdered,
     UndefinedFeature,
+)
+from xbool.gadgets import (
+    MccInstance,
+    dt_from_examples,
+    gen_hitting_set_laxp,
+    gen_mcc_dt_ensemble,
+    obdd_agreement_counter,
+    obdd_primitive,
 )
 from xbool.models import (
     DecisionList,
@@ -40,6 +50,7 @@ from xbool.models import (
     restrict_dt,
     simplify_dt,
 )
+from xbool.obdd_order import dt_to_obdd
 
 from helpers import all_examples, models_equal, rand_dt, rand_obdd, rand_sparse_obdd
 
@@ -503,3 +514,51 @@ def test_canonical_dump_is_sorted_and_newline_terminated(fig1):
 def test_model_from_json_requires_kind():
     with pytest.raises(ModelError):
         model_from_json({"root": "r", "nodes": {}})
+
+
+# ---------------------------------------------------------------------------
+# refusals and edge branches no other test names
+
+
+def _sinks_renamed(o):
+    # the tree's leaves t0 (class 1) and t1 (class 0) keep their classes
+    assert (o.t0, o.t1) == ("t0~", "t1~")
+    assert [classify(o, {"x": bit}) for bit in (0, 1)] == [0, 1]
+
+
+def _constant_circuits(circuits):
+    # [o(e) = 0] and [o(e) = 1] of a diagram whose source is the sink t1
+    assert [[eval_circuit(c, {"x": bit}) for bit in (0, 1)] for c in circuits] == [[0, 0], [1, 1]]
+
+
+LEAF = DecisionTree({"l": DtLeaf(1)}, "l")
+EDGES = [
+    (lambda: gen_mcc_dt_ensemble(MccInstance([("a", 0), ("b", 1)]), 3),
+     "graph has 2 parts, not 3"),
+    (lambda: gen_mcc_dt_ensemble(MccInstance([("a", 0)])), "need at least 2 parts"),
+    (lambda: dt_from_examples([{"x": 1}], ["x", "y"]), "example does not assign feature 'y'"),
+    (lambda: dt_from_examples([{"x": 2}], ["x"]), "example value for 'x' must be 0 or 1"),
+    (lambda: gen_hitting_set_laxp([1], []), "need at least one set"),
+    (lambda: obdd_primitive("iff_exists", ["a"]), "iff_exists needs the extra feature"),
+    (lambda: obdd_primitive("exists", ["a"], f="b"), "exists takes no extra feature"),
+    (lambda: obdd_agreement_counter({"x": 1}, 1, ["x", "y"]),
+     "example does not assign feature 'y'"),
+    (lambda: Ensemble([Ensemble([LEAF])]), "ensemble elements must be plain models"),
+    (lambda: Obdd({}, "s", "t0", "t1", ()), "source 's' is not a node"),
+    (lambda: dt_to_obdd(DecisionTree(
+        {"r": DtInner("x", "t1", "t0"), "t1": DtLeaf(0), "t0": DtLeaf(1)}, "r")),
+     _sinks_renamed),
+    (lambda: [compile_obdd(Obdd({}, "t1", "t0", "t1", ("x",)), c) for c in (0, 1)],
+     _constant_circuits),
+]
+
+
+@pytest.mark.parametrize("make, want", EDGES)
+def test_an_edge_branch_refuses_with_its_message_or_answers(make, want):
+    # `want` is the refusal's message, or a check of the answer
+    if isinstance(want, str):
+        with pytest.raises(ModelError) as refused:
+            make()
+        assert str(refused.value) == want
+    else:
+        want(make())

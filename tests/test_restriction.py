@@ -9,6 +9,7 @@ import itertools
 import pickle
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -27,6 +28,7 @@ from xbool.models import (
     complete_obdd,
     dt_size,
     is_complete,
+    obdd_width,
     reachable_sinks,
     restrict_dt,
     simplify_dt,
@@ -290,6 +292,58 @@ def test_a_diagram_knows_it_is_complete_from_its_constructor():
     for order in ((), ("a",)):
         sink = Obdd({}, "t1", "t0", "t1", order)
         assert is_complete(sink) == _levels_complete(sink) == (not order)
+
+
+def _preorder_walk(t: DecisionTree):
+    # the walk the tree's learned order replaced: inner ids in preorder,
+    # the 0-child first
+    out, stack = [], [t.root]
+    while stack:
+        nid = stack.pop()
+        node = t.nodes[nid]
+        if isinstance(node, DtInner):
+            out.append(nid)
+            stack += (node.one, node.zero)
+    return out
+
+
+def test_a_tree_learns_its_parents_first_order_from_its_constructor():
+    rng = random.Random(131)
+    feats = tuple(f"x{i}" for i in range(5))
+    trees = [DecisionTree({"l": DtLeaf(1)}, "l"), chain_dt(40, along=0),
+             chain_dt(40, along=1, repeat=True)]
+    trees += [rand_dt_with_repeats(rng, feats, depth=5) if i % 2 else rand_dt(rng, feats)
+              for i in range(200)]
+    for t in trees:
+        assert t.parents_first == _preorder_walk(t)
+        view = dt._restriction(t)
+        assert view.parents_first() is view.model.parents_first
+        assert view.model.parents_first == _preorder_walk(view.model)
+    assert trees[0].parents_first == [] and len(trees[1].parents_first) == 40
+
+
+def test_a_diagram_learns_its_levels_size_and_width_from_its_constructor():
+    rng = random.Random(137)
+    diagrams = [Obdd({}, "t1", "t0", "t1", order) for order in ((), ("a",))]
+    diagrams.append(chain_obdd(40))
+    for i in range(200):
+        feats = tuple(f"x{j}" for j in range(rng.randint(0, 6)))
+        o = rand_sparse_obdd(rng, feats) if i % 2 else rand_obdd(rng, feats)
+        shuffled = list(o.nodes.items())
+        rng.shuffle(shuffled)
+        diagrams += [o, Obdd(dict(shuffled), o.source, o.t0, o.t1, o.order)]
+    for o in diagrams:
+        full = complete_obdd(o)
+        for d in (o, full):
+            # the sort, the sink scan and the per-feature count each replaced
+            assert d.parents_first == sorted(d.nodes, key=d.level)
+            ends = {d.source} | {child for n in d.nodes.values() for child in (n.zero, n.one)}
+            assert d.size() == len(d.nodes) + len(ends & {d.t0, d.t1})
+        per_feature = Counter(n.feature for n in full.nodes.values())
+        assert obdd_width(o) == max(per_feature.values(), default=0)
+        assert obdd._restriction(o).parents_first() is full.parents_first
+    assert [d.size() for d in diagrams[:3]] == [1, 1, 42]
+    assert obdd_width(diagrams[1]) == 1 and obdd_width(diagrams[2]) == 2  # t0 padded
 
 
 # ---------------------------------------------------------------------------

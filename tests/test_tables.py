@@ -29,6 +29,7 @@ from xbool.models import (
     model_features,
 )
 from xbool.tables import (
+    _fill_graph,
     _oracle_for,
     at_least,
     feature_mask,
@@ -132,6 +133,19 @@ def test_every_family_fills_its_table_point_by_point():
     for model in NO_FEATURES:
         assert model_table(model, []) == classify(model, {}), model.kind
     assert checked == 60 * 11
+
+
+def test_a_fill_in_a_wrong_order_raises_rather_than_fills_a_wrong_table():
+    rng = random.Random(12)
+    lits = literals(len(FEATS))
+    lit = {f: lits[j] for j, f in enumerate(FEATS)}
+    full = (1 << (1 << len(FEATS))) - 1
+    for _ in range(5):
+        t, o = rand_dt(rng, FEATS, split=1.0), rand_obdd(rng, FEATS)
+        for model, graph in ((t, (t.nodes, t.leaf_labels, t.root)),
+                             (o, (o.nodes, o.sink_labels, o.source))):
+            with pytest.raises(KeyError):
+                _fill_graph(*graph, model.parents_first[::-1], lit, full)
 
 
 def test_a_table_over_a_wider_universe_ignores_the_extra_features():
