@@ -4,22 +4,25 @@ Each generator encodes a combinatorial problem (multicolored clique,
 hitting set, DNF tautology) into a model whose explanation queries
 answer the original question.  Constructions are seedless: identical
 inputs give identical models, so generated files are golden-testable.
-The `generate` and `bench` subcommands live at the end, so an `explain`
-or `verify` process never compiles them.
+Each building block is written once: `_constant` builds every constant
+model, `_HOM_GADGETS` holds each family's two `gen_maj_hom` gadgets,
+`MccInstance.non_edges` lists the non-adjacent pairs, and every printed
+query is written by `explain.query_to_json`.  The `generate` and `bench`
+subcommands live at the end, so an `explain` or `verify` process never
+compiles them.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import sys
 import time
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .dt import DecisionTree, DtInner, DtLeaf, _emit_tree
 from .ensemble import Ensemble
 from .errors import BudgetExceeded, DeadlineExceeded, ModelError, SharedFeature
-from .explain import ExplanationQuery, query_from_json
+from .explain import ExplanationQuery, query_from_json, query_to_json
 from .models import (
     DEFAULT_NODE_CAP,
     Example,
@@ -29,7 +32,6 @@ from .models import (
     _wrong_type,
     classify,
     dumps_canonical,
-    example_to_json,
     loads_model,
     measure_parameters,
     model_features,
@@ -108,6 +110,11 @@ class MccInstance:
     def neighbors(self, v: str) -> Tuple[str, ...]:
         return tuple(self._adjacent[v])
 
+    def non_edges(self) -> List[Tuple[str, str]]:
+        """The pairs of vertices no edge joins, in input order."""
+        pairs = itertools.combinations(self.vertices, 2)
+        return [(u, v) for u, v in pairs if not self.has_edge(u, v)]
+
 
 def mcc_to_json(g: MccInstance) -> Dict:
     return {
@@ -141,8 +148,24 @@ def _check_budget(k) -> None:
         raise ModelError(f"budget must be a non-negative integer, got {k!r}")
 
 
+def _non_negative(name: str, value: int) -> None:
+    if value < 0:
+        raise ModelError(f"{name} must be non-negative, got {value}")
+
+
 def vertex_feature(v: str) -> str:
     return f"f.{v}"
+
+
+def _constant(family: str, label: int, order: Sequence[str] = ()):
+    """The model of `family` that answers `label` everywhere; a diagram
+    reads `order`."""
+    if family == "dt":
+        leaf = "o" if label else "z"
+        return DecisionTree({leaf: DtLeaf(label)}, leaf)
+    if family == "ds":
+        return DecisionSet([], label)
+    return Obdd({}, f"t{label}", "t0", "t1", order)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +323,8 @@ def gen_mcc_gaxp_dt(
     on the graph features.
     """
     k = _check_k(g, k, at_least=2)
+    _non_negative("max_k", max_k)
+    _non_negative("node_cap", node_cap)
     if k > max_k:
         raise BudgetExceeded(f"k={k} exceeds the generator cap of {max_k}")
     pairs = [(i, j) for i in range(k) for j in range(k) if j != i]
@@ -344,8 +369,7 @@ def gen_mcc_dt_ensemble(g: MccInstance, k: Optional[int] = None) -> Ensemble:
         )
         elements.append(_accepting(tuple(vertex_feature(v) for v in left + right), rows))
     pad = k + k * (k - 1) // 2 - 1
-    for _ in range(pad):
-        elements.append(DecisionTree({"z": DtLeaf(0)}, "z"))
+    elements.extend(_constant("dt", 0) for _ in range(pad))
     return Ensemble(elements)
 
 
@@ -353,92 +377,59 @@ def gen_mcc_dt_ensemble(g: MccInstance, k: Optional[int] = None) -> Ensemble:
 # Multicolored clique -> homogeneity of constant-size-element ensembles
 
 
-def _hom_elements_dt(f1f2_pairs, singles, zeros, ones):
-    out = []
-    for f1, f2 in f1f2_pairs:
-        out.append(
-            DecisionTree(
-                {
-                    "a": DtInner(f1, "p", "b"),
-                    "b": DtInner(f2, "q", "r"),
-                    "p": DtLeaf(1),
-                    "q": DtLeaf(1),
-                    "r": DtLeaf(0),
-                },
-                "a",
-            )
-        )
-    for f in singles:
-        out.append(
-            DecisionTree(
-                {"a": DtInner(f, "p", "q"), "p": DtLeaf(0), "q": DtLeaf(1)}, "a"
-            )
-        )
-    out.extend(DecisionTree({"z": DtLeaf(0)}, "z") for _ in range(zeros))
-    out.extend(DecisionTree({"o": DtLeaf(1)}, "o") for _ in range(ones))
-    return Ensemble(out)
-
-
-def _hom_elements_ds(f1f2_pairs, singles, zeros, ones):
-    out = []
-    for f1, f2 in f1f2_pairs:
-        out.append(DecisionSet([[(f1, 1), (f2, 1)]], 1))
-    for f in singles:
-        out.append(DecisionSet([[(f, 1)]], 0))
-    out.extend(DecisionSet([], 0) for _ in range(zeros))
-    out.extend(DecisionSet([], 1) for _ in range(ones))
-    return Ensemble(out)
-
-
-def _hom_elements_obdd(f1f2_pairs, singles, zeros, ones, shared_order):
-    out = []
-    for f1, f2 in f1f2_pairs:
-        out.append(
-            Obdd(
-                {
-                    "a": ObddNode(f1, "t1", "b"),
-                    "b": ObddNode(f2, "t1", "t0"),
-                },
-                "a",
-                "t0",
-                "t1",
-                (f1, f2),
-            )
-        )
-    for f in singles:
-        out.append(Obdd({"a": ObddNode(f, "t0", "t1")}, "a", "t0", "t1", (f,)))
-    out.extend(Obdd({}, "t0", "t0", "t1", ()) for _ in range(zeros))
-    out.extend(Obdd({}, "t1", "t0", "t1", ()) for _ in range(ones))
-    return Ensemble(out, shared_order=shared_order)
+# per family, the two gadgets of `gen_maj_hom`: 0 exactly when both
+# features are set, and equal to the one feature
+_HOM_GADGETS = {
+    "dt": (
+        lambda f1, f2: DecisionTree(
+            {
+                "a": DtInner(f1, "p", "b"),
+                "b": DtInner(f2, "q", "r"),
+                "p": DtLeaf(1),
+                "q": DtLeaf(1),
+                "r": DtLeaf(0),
+            },
+            "a",
+        ),
+        lambda f: DecisionTree({"a": DtInner(f, "p", "q"), "p": DtLeaf(0), "q": DtLeaf(1)}, "a"),
+    ),
+    "ds": (
+        lambda f1, f2: DecisionSet([[(f1, 1), (f2, 1)]], 1),
+        lambda f: DecisionSet([[(f, 1)]], 0),
+    ),
+    "obdd": (
+        lambda f1, f2: Obdd(
+            {"a": ObddNode(f1, "t1", "b"), "b": ObddNode(f2, "t1", "t0")},
+            "a", "t0", "t1", (f1, f2),
+        ),
+        lambda f: Obdd({"a": ObddNode(f, "t0", "t1")}, "a", "t0", "t1", (f,)),
+    ),
+}
 
 
 def gen_maj_hom(g: MccInstance, k: Optional[int] = None, family: str = "dt") -> Ensemble:
     """Constant-size-element ensemble that is non-constant iff the graph
     has a multicolored clique, discoverable within k flips of all-zero.
 
-    Per non-edge a not-both gadget, per vertex a positive-iff-set
-    gadget, and enough always-negative elements to put the vote
-    threshold at (#non-edges) + k.  When that padding count would go
-    negative, matched always-positive elements restore the balance
-    without moving the decision boundary.
+    Per non-edge a gadget that is 0 exactly when both its vertices are
+    set, per vertex one equal to its vertex, and enough constant-0
+    elements to put the vote threshold at (#non-edges) + k.
     """
     k = _check_k(g, k)
-    names = g.vertices
-    n = len(names)
-    pairs = []
-    for a, b in itertools.combinations(names, 2):
-        if not g.has_edge(a, b):
-            pairs.append((vertex_feature(a), vertex_feature(b)))
-    singles = [vertex_feature(v) for v in names]
-    base = len(pairs) - n + 2 * k - 1
-    zeros, ones = max(0, base), max(0, -base)
-    if family == "dt":
-        return _hom_elements_dt(pairs, singles, zeros, ones)
-    if family == "ds":
-        return _hom_elements_ds(pairs, singles, zeros, ones)
-    if family == "obdd":
-        return _hom_elements_obdd(pairs, singles, zeros, ones, tuple(singles))
-    raise ModelError(f"unknown family {family!r}")
+    # `family` comes from JSON params and may be unhashable
+    if not isinstance(family, str) or family not in _HOM_GADGETS:
+        raise ModelError(f"unknown family {family!r}")
+    not_both, same = _HOM_GADGETS[family]
+    pairs = g.non_edges()
+    singles = [vertex_feature(v) for v in g.vertices]
+    # never negative: a part of m vertices holds C(m, 2) >= m - 1
+    # non-adjacent pairs and k is the part count, so the padding is at
+    # least (n - k) - n + 2k - 1 = k - 1 >= 0
+    pad = len(pairs) - len(singles) + 2 * k - 1
+    elements = [not_both(vertex_feature(a), vertex_feature(b)) for a, b in pairs]
+    elements += map(same, singles)
+    elements += (_constant(family, 0) for _ in range(pad))
+    return Ensemble(elements, shared_order=singles if family == "obdd" else None)
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +448,7 @@ def gen_mcc_ds(g: MccInstance, k: Optional[int] = None) -> DecisionSet:
     """Positive exactly on multicolored cliques: a blocking term per
     non-adjacent vertex pair and an all-zero term per part."""
     k = _check_k(g, k)
-    terms = []
-    for a, b in itertools.combinations(g.vertices, 2):
-        if not g.has_edge(a, b):
-            terms.append([(vertex_feature(a), 1), (vertex_feature(b), 1)])
+    terms = [[(vertex_feature(a), 1), (vertex_feature(b), 1)] for a, b in g.non_edges()]
     for i in range(k):
         terms.append([(vertex_feature(v), 0) for v in g.part_members(i)])
     return DecisionSet(terms, 1)
@@ -470,16 +458,13 @@ def gen_mcc_ds_ensemble(g: MccInstance, k: Optional[int] = None) -> Ensemble:
     """2k+1 sets with terms of at most two literals; the vote is
     positive exactly on multicolored cliques."""
     k = _check_k(g, k)
-    cross = []
-    for a, b in itertools.combinations(g.vertices, 2):
-        if not g.has_edge(a, b):
-            cross.append([(vertex_feature(a), 1), (vertex_feature(b), 1)])
+    cross = [[(vertex_feature(a), 1), (vertex_feature(b), 1)] for a, b in g.non_edges()]
     elements = [DecisionSet(cross, 1)]
     for i in range(k):
         elements.append(
             DecisionSet([[(vertex_feature(v), 1)] for v in g.part_members(i)], 0)
         )
-    elements.extend(DecisionSet([], 0) for _ in range(k))
+    elements.extend(_constant("ds", 0) for _ in range(k))
     return Ensemble(elements)
 
 
@@ -494,8 +479,7 @@ def _track_obdd(feats: Sequence[str], start: int, step, accept, flip_sinks=False
     n = len(feats)
     t_yes, t_no = ("t0", "t1") if flip_sinks else ("t1", "t0")
     if n == 0:
-        src = t_yes if start in accept else t_no
-        return Obdd({}, src, "t0", "t1", ())
+        return _constant("obdd", int((start in accept) != flip_sinks))
     nodes: Dict[str, ObddNode] = {}
     level: Set[int] = {start}
     for pos in range(n):
@@ -576,12 +560,10 @@ def obdd_conjoin(pieces: Sequence[Obdd]) -> Obdd:
             seen.add(feat)
             full_order.append(feat)
     order = tuple(full_order)
-    constant = [p for p in pieces if not p.order]
+    label = int(all(p.sink_label(p.source) == 1 for p in pieces if not p.order))
     pieces = [p for p in pieces if p.order]
-    if any(p.sink_label(p.source) == 0 for p in constant):
-        return complete_obdd(Obdd({}, "t0", "t0", "t1", order))
-    if not pieces:
-        return complete_obdd(Obdd({}, "t1", "t0", "t1", order))
+    if not pieces or not label:
+        return complete_obdd(_constant("obdd", label, order))
     offsets = []
     at = 0
     for p in pieces:
@@ -639,9 +621,9 @@ def gen_mcc_obdd_maj(g: MccInstance, k: Optional[int] = None) -> Ensemble:
     second, grouped the other way, checks one vertex per part, one edge
     per part pair, and that a vertex copy is set iff a selected edge
     leaves it toward that part; the third always votes no.  Positive
-    examples carry exactly 3*C(k,2) + k*(k+2) ones.  Part pairs without
-    edges (or empty parts) make the verifier unsatisfiable, so it
-    degenerates to a constant no vote.
+    examples carry exactly 3*C(k,2) + k*(k+2) ones.  A pair of parts
+    without an edge (an empty part leaves one) admits no clique, so the
+    verifier is then a constant no vote.
     """
     k = _check_k(g, k, at_least=2)
     fv = lambda a: f"v.{a}"
@@ -656,40 +638,22 @@ def gen_mcc_obdd_maj(g: MccInstance, k: Optional[int] = None) -> Ensemble:
     for a, b in g.edges:
         uniform.append(obdd_primitive("all_equal", (fp(a, b), fq(a, b), fq(b, a))))
     o1 = obdd_conjoin(uniform)
-    verify = []
-    satisfiable = True
-    for i in range(k):
-        members = g.part_members(i)
-        if not members:
-            satisfiable = False
-            break
-        verify.append(obdd_primitive("exactly_one", tuple(fw(a) for a in members)))
-    if satisfiable:
-        for i, j in itertools.combinations(range(k), 2):
-            cross = tuple(
-                fp(a, b)
-                for a, b in g.edges
-                if {g.part[a], g.part[b]} == {i, j}
-            )
-            if not cross:
-                satisfiable = False
-                break
-            verify.append(obdd_primitive("exactly_one", cross))
-    if satisfiable:
-        for a in g.vertices:
-            i = g.part[a]
-            for j in range(k):
-                if j == i:
-                    continue
-                hood = tuple(
-                    fq(a, b) for b in g.neighbors(a) if g.part[b] == j
-                )
+    # a clique needs an edge across every pair of parts
+    if len({frozenset((g.part[a], g.part[b])) for a, b in g.edges}) < k * (k - 1) // 2:
+        return Ensemble([o1, _constant("obdd", 0), _constant("obdd", 0)])
+    verify = [
+        obdd_primitive("exactly_one", tuple(fw(a) for a in g.part_members(i)))
+        for i in range(k)
+    ]
+    for i, j in itertools.combinations(range(k), 2):
+        cross = tuple(fp(a, b) for a, b in g.edges if {g.part[a], g.part[b]} == {i, j})
+        verify.append(obdd_primitive("exactly_one", cross))
+    for a in g.vertices:
+        for j in range(k):
+            if j != g.part[a]:
+                hood = tuple(fq(a, b) for b in g.neighbors(a) if g.part[b] == j)
                 verify.append(obdd_primitive("iff_exists", hood, fc(a, j)))
-        o2 = obdd_conjoin(verify)
-    else:
-        o2 = Obdd({}, "t0", "t0", "t1", ())
-    o3 = Obdd({}, "t0", "t0", "t1", ())
-    return Ensemble([o1, o2, o3])
+    return Ensemble([o1, obdd_conjoin(verify), _constant("obdd", 0)])
 
 
 # ---------------------------------------------------------------------------
@@ -726,12 +690,12 @@ def gen_laxp_to_gaxp(
     if not isinstance(o, Obdd):
         raise ModelError("the lift takes a diagram")
     _check_budget(k)
+    _non_negative("node_cap", node_cap)
     o = complete_obdd(o)
     c = classify(o, e)
     threshold = min(k, len(o.order))
     counter = obdd_agreement_counter(e, threshold, o.order, out_class=c)
-    drag = Obdd({}, "t1" if c == 0 else "t0", "t0", "t1", ())
-    ens = Ensemble([o, counter, drag], shared_order=o.order)
+    ens = Ensemble([o, counter, _constant("obdd", 1 - c)], shared_order=o.order)
     return obdd_ensemble_product(ens, node_cap), c, k
 
 
@@ -740,16 +704,13 @@ def gen_laxp_to_gaxp(
 # the params object and returns (model, the query it is meant for or None)
 
 
+def _query(kind: str, target, k: int) -> Dict:
+    return query_to_json(ExplanationQuery(kind, "cardinality", target, k))
+
+
 def _zero_query(model, k: Optional[int]) -> Dict:
-    feats = sorted(model_features(model))
-    if k is None:
-        k = len(feats)
-    return {
-        "kind": "lCXp",
-        "minimality": "cardinality",
-        "target": {f: 0 for f in feats},
-        "k": k,
-    }
+    feats = model_features(model)
+    return _query("lCXp", {f: 0 for f in feats}, len(feats) if k is None else k)
 
 
 def _integer(params: Dict, key: str, default=None, required: bool = False):
@@ -763,8 +724,7 @@ def _integer(params: Dict, key: str, default=None, required: bool = False):
 
 def _count(params: Dict, key: str, default: int) -> int:
     value = _integer(params, key, default)
-    if value < 0:
-        raise ModelError(f"param {key!r} must be non-negative, got {value}")
+    _non_negative(f"param {key!r}", value)
     return value
 
 
@@ -783,13 +743,7 @@ def _make_hitting_set(params):
     tree, e0, k = gen_hitting_set_laxp(
         _array(params, "universe"), sets, _integer(params, "k")
     )
-    query = {
-        "kind": "lAXp",
-        "minimality": "cardinality",
-        "target": example_to_json(e0),
-        "k": k,
-    }
-    return tree, query
+    return tree, _query("lAXp", e0, k)
 
 
 def _make_mcc_gaxp_dt(params):
@@ -800,8 +754,7 @@ def _make_mcc_gaxp_dt(params):
         _count(params, "max_k", 10),
         _count(params, "node_cap", DEFAULT_NODE_CAP),
     )
-    query = {"kind": "gAXp", "minimality": "cardinality", "target": target, "k": k}
-    return tree, query
+    return tree, _query("gAXp", target, k)
 
 
 def _clique(generate, *options, query: bool = True):
@@ -836,8 +789,7 @@ def _make_laxp_to_gaxp(params):
         _integer(params, "k", required=True),
         _count(params, "node_cap", DEFAULT_NODE_CAP),
     )
-    query = {"kind": "gAXp", "minimality": "cardinality", "target": target, "k": k}
-    return prod, query
+    return prod, _query("gAXp", target, k)
 
 
 GENERATORS = {
@@ -858,7 +810,7 @@ GENERATORS = {
 
 
 def cmd_generate(args) -> int:
-    from .cli import _structured
+    from .cli import _structured, _write_stdout
 
     maker = GENERATORS.get(args.gadget)
     if maker is None:
@@ -877,7 +829,7 @@ def cmd_generate(args) -> int:
     summary: Dict = {"gadget": args.gadget, "kind": model.kind}
     if query is not None:
         summary["query"] = query
-    sys.stdout.write(dumps_canonical(summary))
+    _write_stdout(dumps_canonical(summary))
     return 0
 
 

@@ -1621,13 +1621,18 @@ def test_a_process_prints_what_main_does_in_process(name, capsys, monkeypatch, t
     assert (out.read_bytes() if out.exists() else None) == written
 
 
+# a generated model's summary goes to stdout even when the model goes to --out
+GENERATE_HITTING_SET = json.dumps({"universe": ["1", "2"], "sets": [["1"]]})
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
-@pytest.mark.parametrize("line", ["fig1", "missing", "--help", "explain --help"])
+@pytest.mark.parametrize("line", ["fig1", "missing", "--help", "explain --help", "generate"])
 def test_an_unwritable_stdout_exits_1_with_one_line(unbuffered, line, tmp_path, fig1_path):
     # every write to a read-only stdout fails with EBADF: unbuffered at
     # the write, buffered at run's flush.  The answer, the exit-2 error
-    # payload of a model file that cannot be read, or the help is lost,
-    # which is the process's own failure: exit 1, one line, no traceback
+    # payload of a model file that cannot be read, the help or the
+    # summary of a generated model is lost, which is the process's own
+    # failure: exit 1, one line, no traceback
     sink = tmp_path / "sink"
     sink.write_bytes(b"")
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
@@ -1638,6 +1643,9 @@ def test_an_unwritable_stdout_exits_1_with_one_line(unbuffered, line, tmp_path, 
     argv = line.split()
     if line in models:
         argv = ["explain", "--model", models[line], "--query", Q_LCXP1]
+    if line == "generate":
+        argv = ["generate", "hitting_set", "--params", GENERATE_HITTING_SET,
+                "--out", str(tmp_path / "out.json")]
     with open(sink, "rb") as read_only:
         proc = cli_process(*argv, stdout=read_only, stderr=subprocess.PIPE, env=env)
     assert proc.returncode == 1
@@ -1645,11 +1653,13 @@ def test_an_unwritable_stdout_exits_1_with_one_line(unbuffered, line, tmp_path, 
     assert sink.read_bytes() == b""
 
 
-def test_a_process_without_stdout_exits_1_with_one_line(fig1_path):
-    proc = cli_process("explain", "--model", fig1_path, "--query", Q_LCXP1,
-                       stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
-    assert proc.returncode == 1
-    assert proc.stderr == b"xbool: cannot write to stdout: stdout is closed\n"
+def test_a_process_without_stdout_exits_1_with_one_line(fig1_path, tmp_path):
+    for argv in (["explain", "--model", fig1_path, "--query", Q_LCXP1],
+                 ["generate", "hitting_set", "--params", GENERATE_HITTING_SET,
+                  "--out", str(tmp_path / "out.json")]):
+        proc = cli_process(*argv, stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 1, argv
+        assert proc.stderr == b"xbool: cannot write to stdout: stdout is closed\n", argv
 
 
 def test_an_unreadable_input_or_out_path_still_exits_2(tmp_path, fig1_path, capsys):

@@ -10,6 +10,7 @@ from xbool.dt import dt_check
 from xbool.errors import BudgetExceeded, ModelError, SharedFeature
 from xbool.explain import ExplanationQuery, Witness, is_explanation, oracle_min
 from xbool.gadgets import (
+    GENERATORS,
     MccInstance,
     _pair_leaves,
     _pair_state,
@@ -33,9 +34,12 @@ from xbool.gadgets import (
 )
 from xbool.models import (
     DtLeaf,
+    Obdd,
     classify,
+    dumps_canonical,
     dumps_model,
     is_complete,
+    model_to_json,
     obdd_width,
 )
 
@@ -187,6 +191,19 @@ def test_gaxp_tree_matches_clique_truth():
 def test_gaxp_tree_budget_guard():
     with pytest.raises(BudgetExceeded):
         gen_mcc_gaxp_dt(K3, max_k=2)
+
+
+@pytest.mark.parametrize("generate, args, cap", [
+    (gen_mcc_gaxp_dt, (K3,), "max_k"),
+    (gen_mcc_gaxp_dt, (K3,), "node_cap"),
+    (gen_laxp_to_gaxp, (obdd_primitive("exists", ("a", "b")), {"a": 1, "b": 0}, 1), "node_cap"),
+], ids=["gaxp max_k", "gaxp node_cap", "lift node_cap"])
+def test_a_generator_refuses_a_negative_cap(generate, args, cap):
+    # a negative cap is a malformed input, as the `generate` params say,
+    # not a construction over its budget
+    with pytest.raises(ModelError) as refused:
+        generate(*args, **{cap: -1})
+    assert str(refused.value) == f"{cap} must be non-negative, got -1"
 
 
 def test_gaxp_pair_leaves_are_counted_without_building():
@@ -530,3 +547,94 @@ def test_lift_anchors(xor_obdd, and_obdd):
     assert got is not None and got.size == 2
     prod, c, _ = gen_laxp_to_gaxp(xor_obdd, {"f1": 0, "f2": 0}, 1)
     assert oracle_min(prod, ExplanationQuery("gAXp", "cardinality", c, k=1)) is None
+
+
+# ---------------------------------------------------------------------------
+# pinned outputs of the diagram, rule-set and ensemble gadgets
+
+
+def _gadget_outputs():
+    """Text of what the gadgets other than the tree generators build on
+    seeded inputs: each graph maker's model and printed query (or its
+    refusal) on graphs with an empty part, a pair of parts without an
+    edge or a single part, maj_hom in every family, conjunctions with
+    constant pieces, primitives and agreement counters over zero to three
+    features, the lift into either class, and the hitting-set and
+    tautology makers' queries."""
+    rng = random.Random(2601)
+    graphs = [
+        MccInstance([("a", 0)]),
+        MccInstance([("a", 0), ("b", 0), ("c", 0)]),
+        # part 1 empty; c and d have no neighbours
+        MccInstance([("a", 0), ("b", 2), ("c", 2), ("d", 0)], [("a", "b")]),
+        # no edge joins parts 0 and 2
+        MccInstance([("a", 0), ("b", 1), ("c", 2), ("d", 1)], [("a", "b"), ("c", "d")]),
+        K3, PATH3, EDGE2, ISO2,
+    ]
+    for _ in range(20):
+        k = rng.randint(1, 3)
+        graphs.append(random_mcc(rng, rng.randint(k, 6), k, density=rng.random()))
+    graph_params = [(name, {}) for name in (
+        "mcc_gaxp_dt", "mcc_dt_ensemble", "mcc_ds", "mcc_ds_ensemble", "mcc_obdd_maj")]
+    graph_params += [("maj_hom", {"family": family})
+                     for family in ("dt", "ds", "obdd", "nope", [])]
+    for g in graphs:
+        for name, extra in graph_params:
+            try:
+                model, query = GENERATORS[name]({"graph": mcc_to_json(g), **extra})
+            except ModelError as refused:
+                yield f"{name}: {refused}"
+                continue
+            yield dumps_model(model) + dumps_canonical(query)
+    for _ in range(12):
+        universe = [str(u) for u in range(rng.randint(1, 5))]
+        sets = [rng.sample(universe, rng.randint(1, len(universe)))
+                for _ in range(rng.randint(1, 4))]
+        params = {"universe": universe, "sets": sets}
+        if rng.random() < 0.5:
+            params["k"] = rng.randint(0, 6)
+        yield dumps_canonical(GENERATORS["hitting_set"](params)[1])
+        terms = [[[f"x{rng.randint(0, 3)}", rng.randint(0, 1)]
+                  for _ in range(rng.randint(1, 3))] for _ in range(rng.randint(0, 3))]
+        try:
+            model, query = GENERATORS["taut_ds"]({"terms": terms})
+        except ModelError as refused:  # a term that sets a feature both ways
+            yield f"taut_ds: {refused}"
+            continue
+        yield dumps_model(model) + dumps_canonical(query)
+    zero, one = Obdd({}, "t0", "t0", "t1", ()), Obdd({}, "t1", "t0", "t1", ())
+    for nf in range(4):
+        feats = tuple(f"x{i}" for i in range(nf))
+        for kind in ("exactly_one", "exists", "all_equal"):
+            try:
+                yield dumps_model(obdd_primitive(kind, feats))
+            except ModelError as refused:
+                yield f"{kind}: {refused}"
+        yield dumps_model(obdd_primitive("iff_exists", feats, "y"))
+        e = {f: rng.randint(0, 1) for f in feats}
+        for k in range(nf + 1):
+            for out in (0, 1):
+                yield dumps_model(obdd_agreement_counter(e, k, feats, out))
+    piece = obdd_primitive("exists", ("p0", "p1"))
+    fixed = Obdd({}, "t1", "t0", "t1", ("q",))
+    for pieces in ([], [zero], [one], [one, one], [zero, one], [one, piece], [piece, zero],
+                   [one, piece, one], [piece, fixed], [fixed, one]):
+        yield dumps_model(obdd_conjoin(pieces))
+    lifted = set()
+    for _ in range(16):
+        feats = tuple(f"x{i}" for i in range(rng.randint(0, 3)))
+        o = rand_obdd(rng, feats, width=3)
+        e = {f: rng.randint(0, 1) for f in feats}
+        for k in range(len(feats) + 2):
+            params = {"model": model_to_json(o), "example": e, "k": k}
+            model, query = GENERATORS["laxp_to_gaxp"](params)
+            lifted.add(query["target"])
+            yield dumps_model(model) + dumps_canonical(query)
+    assert lifted == {0, 1}
+
+
+def test_gadgets_match_the_pinned_digest():
+    digest = hashlib.sha256()
+    for text in _gadget_outputs():
+        digest.update(text.encode())
+    assert digest.hexdigest() == "94f5c748eeeec0a65c1cba7172c7c00fb50a176939c193785a0a9bcac4a0aad6"

@@ -14,6 +14,7 @@ from xbool.errors import (
     NotOrdered,
     UndefinedFeature,
 )
+from xbool.explain import ExplanationQuery, Witness
 from xbool.gadgets import (
     MccInstance,
     dt_from_examples,
@@ -562,3 +563,30 @@ def test_an_edge_branch_refuses_with_its_message_or_answers(make, want):
         assert str(refused.value) == want
     else:
         want(make())
+
+
+def _delete_a_field():
+    del DtLeaf(1).label
+
+
+# (refused call, error type, message): refusals no other test names
+REFUSALS = {
+    "leaf label": (lambda: DecisionTree({"r": DtLeaf(2)}, "r"), ModelError,
+                   "leaf label must be 0 or 1, got 2"),
+    "node kind": (lambda: DecisionTree({"r": "leaf"}, "r"), ModelError,
+                  "node 'r' is neither leaf nor inner"),
+    "minimality": (lambda: ExplanationQuery("lAXp", "minimal", {"x": 1}), ModelError,
+                   "unknown minimality 'minimal'"),
+    "repeated feature": (lambda: Witness.of_assignment({1: 0, "1": 1}), ModelError,
+                         "assignment repeats a feature"),
+    "unknown model": (lambda: model_to_json(object()), ModelError, "cannot serialize object"),
+    "field deletion": (_delete_a_field, AttributeError, "cannot delete field 'label'"),
+    "empty graph": (lambda: MccInstance([]), ModelError, "graph needs at least one vertex"),
+}
+
+
+@pytest.mark.parametrize("make, error, message", REFUSALS.values(), ids=list(REFUSALS))
+def test_a_refusal_names_its_cause(make, error, message):
+    with pytest.raises(error) as refused:
+        make()
+    assert str(refused.value) == message
