@@ -1,16 +1,19 @@
 """Boolean circuits with majority gates, and model-to-circuit compilers.
 
 A compiled circuit computes the indicator [model(e) = target class].
-Each compiler also reports a closed-form width bound derived from the
-model's measured parameters; the bound is metadata for cost estimates,
-nothing in here computes an actual decomposition.
+The six compilers share one skeleton, `_compile`: one indicator gate per
+member, under a majority vote for an ensemble.  Each also reports a
+closed-form width bound derived from the model's measured parameters.
+Nothing in here computes a decomposition; the tests check the bound
+against the width of a min-degree elimination order of the gate graph,
+an upper bound on its treewidth.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from operator import itemgetter, not_, truth
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ModelError, TooLarge, UnassignedInput
 from .dt import DecisionTree, DtLeaf, dt_mnl, simplify_dt
@@ -66,7 +69,7 @@ class Circuit:
         gates = dict(gates)
         if output not in gates:
             raise ModelError(f"output {output!r} is not a gate")
-        users: Dict[str, List[str]] = {gid: [] for gid in gates}
+        read = set()
         for gid, gate in gates.items():
             if gate.kind not in GATE_KINDS:
                 raise ModelError(f"unknown gate kind {gate.kind!r}")
@@ -89,36 +92,30 @@ class Circuit:
             for src in gate.inputs:
                 if src not in gates:
                     raise ModelError(f"gate {gid!r} reads missing gate {src!r}")
-                users[src].append(gid)
+            read.update(gate.inputs)
         for gid, gate in gates.items():
-            if gid != output and gate.kind != "IN" and not users[gid]:
+            if gid != output and gate.kind != "IN" and gid not in read:
                 raise ModelError(f"gate {gid!r} feeds nothing")
-        # Cycle check: count how often each gate is still waiting on an
-        # input.  The order it finds is kept as the rows.
-        pending = {gid: len(g.inputs) for gid, g in gates.items()}
-        ready = [gid for gid, n in pending.items() if n == 0]
-        rows = []
-        reached = len(ready)
-        while ready:
-            gid = ready.pop()
-            for user in users[gid]:
-                pending[user] -= 1
-                if pending[user] == 0:
-                    ready.append(user)
-                    reached += 1
-            gate = gates[gid]
-            if gate.kind != "IN":
-                rows.append((gid, gate.kind, gate.inputs, gate.threshold))
-        if reached != len(gates):
-            raise ModelError("circuit contains a cycle")
         inputs = tuple(sorted(g for g, gate in gates.items() if gate.kind == "IN"))
+        rows = [(gid, g.kind, g.inputs, g.threshold) for gid, g in gates.items() if g.kind != "IN"]
         self._program(gates, rows, inputs, output, source_kind, target_class, reported_width_bound)
+        # `_program` marks a gate seen when it pushes it, so it skips a back
+        # edge: a cycle shows as a step that reads a gate not yet made, or
+        # as a row the output never reaches, which feeds something and so
+        # sits on or behind a cycle.
+        made = set(inputs)
+        for gid, srcs, _, _ in self._steps:
+            if not made.issuperset(srcs):
+                break
+            made.add(gid)
+        if len(made) < len(gates):
+            raise ModelError("circuit contains a cycle")
 
     def _program(self, gates, rows, inputs, output, source_kind, target_class,
                  reported_width_bound) -> None:
-        """Set every field from `rows`, (gate, kind, inputs, threshold) in
-        a topological order.  The rows the output reads keep that order,
-        which fixes the JSON and Graphviz bytes; the steps run them in
+        """Set every field from `rows`, (gate, kind, inputs, threshold).
+        The rows the output reads keep their order, which fixes a compiled
+        circuit's JSON and Graphviz bytes; the steps run them in
         post-order from the output, each gate's inputs from the last, so
         a subterm's values are mostly spent before the next one's are
         made.  A back pass marks each value's last reader, where it is
@@ -275,9 +272,9 @@ class _Builder:
     and `finish` reads the program straight off it.
     """
 
-    def __init__(self, features: Sequence[str]):
+    def __init__(self, features: Collection[str]):
         if not features:
-            raise ValueError("cannot compile a model without features")
+            raise ModelError("cannot compile a model without features")
         self.order = tuple(sorted(features))
         self._features = frozenset(self.order)
         self.rows: List[Tuple[str, str, Tuple[str, ...], Optional[int]]] = []
@@ -311,59 +308,60 @@ class _Builder:
         return self.add("AND", (f, self.lit(f, 0)))
 
     def finish(self, output: str, source_kind: str, c: int, bound: int) -> Circuit:
-        # the rows are already the program: no shape check or sort to redo
+        # the rows are the program as built: no shape check or sort to redo
         circuit = Circuit.__new__(Circuit)
         circuit._program(None, self.rows, self.order, output, source_kind, c, bound)
         return circuit
 
 
-def _leaf_paths(t: DecisionTree) -> List[Tuple[Dict[str, int], int]]:
-    """(path assignment, label) per leaf, in preorder with the 0-child first."""
-    out = []
+def _compile(model, c: int, universe, members, indicator, bound: int) -> Circuit:
+    """The circuit of [model(e) = c] over the sorted `universe`: one
+    `indicator` gate per member, under a majority vote when the model is
+    an ensemble (a one-member ensemble too)."""
+    b = _Builder(universe)
+    votes = tuple(indicator(b, member, c) for member in members)
+    out = b.add("MAJ", votes, len(votes) // 2 + 1) if model.kind == "ensemble" else votes[0]
+    return b.finish(out, model.kind, c, bound)
+
+
+def _elements(ens: Ensemble, kind: str, family: str) -> Tuple:
+    if any(el.kind != kind for el in ens.elements):
+        raise ModelError(f"expected an ensemble of {family}")
+    return ens.elements
+
+
+def _dt_indicator(b: _Builder, t: DecisionTree, c: int) -> str:
+    """Gate computing [t(e) = c]: OR over the minority-class leaves' paths,
+    walked in preorder with the 0-child first."""
+    minority = 0 if 2 * sum(t.leaf_labels.values()) >= len(t.leaf_labels) else 1
+    disjuncts = []
     stack = [(t.root, {})]
     while stack:
         nid, alpha = stack.pop()
         node = t.nodes[nid]
-        if isinstance(node, DtLeaf):
-            out.append((alpha, node.label))
-        else:
+        if not isinstance(node, DtLeaf):
             one = dict(alpha)
             one[node.feature] = 1
-            alpha[node.feature] = 0
+            alpha[node.feature] = 0  # one copy per test: the 0-child takes this one
             stack.append((node.one, one))
             stack.append((node.zero, alpha))
-    return out
-
-
-def _dt_indicator(b: _Builder, t: DecisionTree, c: int) -> str:
-    """Gate computing [t(e) = c]: OR over minority-class leaf paths."""
-    minority = 0 if 2 * sum(t.leaf_labels.values()) >= len(t.leaf_labels) else 1
-    disjuncts = []
-    for alpha, label in _leaf_paths(t):
-        if label != minority:
-            continue
-        lits = tuple(b.lit(f, alpha[f]) for f in sorted(alpha))
-        disjuncts.append(b.add("AND", lits) if lits else b.true_gate())
+        elif node.label == minority:
+            # a path is empty only at a one-leaf tree, whose leaf is its
+            # majority; `add` would refuse the empty AND
+            disjuncts.append(b.add("AND", tuple(b.lit(f, alpha[f]) for f in sorted(alpha))))
     core = b.add("OR", tuple(disjuncts)) if disjuncts else b.false_gate()
     return core if c == minority else b.add("NOT", (core,))
 
 
 def compile_dt(t: DecisionTree, c: int) -> Circuit:
     t = simplify_dt(t)
-    b = _Builder(sorted(t.features()))
-    out = _dt_indicator(b, t, c)
-    return b.finish(out, "dt", c, 3 * 2 ** dt_mnl(t))
+    return _compile(t, c, t.features(), (t,), _dt_indicator, 3 * 2 ** dt_mnl(t))
 
 
 def compile_dt_ensemble(ens: Ensemble, c: int) -> Circuit:
-    if any(t.kind != "dt" for t in ens.elements):
-        raise ModelError("expected an ensemble of decision trees")
-    trees = [simplify_dt(t) for t in ens.elements]
-    b = _Builder(sorted(ens.features()))
-    votes = tuple(_dt_indicator(b, t, c) for t in trees)
-    out = b.add("MAJ", votes, threshold=len(votes) // 2 + 1)
-    bound = 3 * 2 ** sum(dt_mnl(t) for t in trees)
-    return b.finish(out, "ensemble", c, bound)
+    trees = [simplify_dt(t) for t in _elements(ens, "dt", "decision trees")]
+    bound = 3 * 2 ** sum(map(dt_mnl, trees))
+    return _compile(ens, c, ens.features(), trees, _dt_indicator, bound)
 
 
 def _dl_indicator(b: _Builder, dl: DecisionList, c: int) -> str:
@@ -398,19 +396,13 @@ def _dl_indicator(b: _Builder, dl: DecisionList, c: int) -> str:
 
 
 def compile_dl(dl: DecisionList, c: int) -> Circuit:
-    b = _Builder(sorted(dl.features()))
-    out = _dl_indicator(b, dl, c)
-    return b.finish(out, "dl", c, 3 * 2 ** (3 * dl_size(dl)))
+    return _compile(dl, c, dl.features(), (dl,), _dl_indicator, 3 * 2 ** (3 * dl_size(dl)))
 
 
 def compile_dl_ensemble(ens: Ensemble, c: int) -> Circuit:
-    if any(dl.kind != "dl" for dl in ens.elements):
-        raise ModelError("expected an ensemble of decision lists")
-    b = _Builder(sorted(ens.features()))
-    votes = tuple(_dl_indicator(b, dl, c) for dl in ens.elements)
-    out = b.add("MAJ", votes, threshold=len(votes) // 2 + 1)
-    bound = 3 * 2 ** (3 * sum(dl_size(dl) for dl in ens.elements))
-    return b.finish(out, "ensemble", c, bound)
+    lists = _elements(ens, "dl", "decision lists")
+    bound = 3 * 2 ** (3 * sum(map(dl_size, lists)))
+    return _compile(ens, c, ens.features(), lists, _dl_indicator, bound)
 
 
 def _obdd_indicator(b: _Builder, o: Obdd, c: int) -> str:
@@ -437,19 +429,15 @@ def _obdd_indicator(b: _Builder, o: Obdd, c: int) -> str:
 
 
 def compile_obdd(o: Obdd, c: int) -> Circuit:
-    b = _Builder(sorted(o.features()))
-    out = _obdd_indicator(b, o, c)
-    return b.finish(out, "obdd", c, 5 * obdd_width(o))
+    return _compile(o, c, o.features(), (o,), _obdd_indicator, 5 * obdd_width(o))
 
 
 def compile_obdd_ensemble_ordered(ens: Ensemble, c: int) -> Circuit:
+    # the universe is the shared order, which may name features no
+    # member reads; the bound reads the members as given, not rebased
     order, elems = _rebase(ens)
-    b = _Builder(sorted(order))
-    votes = tuple(_obdd_indicator(b, el, c) for el in elems)
-    out = b.add("MAJ", votes, threshold=len(votes) // 2 + 1)
-    width = max(obdd_width(el) for el in ens.elements)
-    bound = 3 * 2 ** (len(elems) * 5 * width)
-    return b.finish(out, "ensemble", c, bound)
+    bound = 3 * 2 ** (len(elems) * 5 * max(map(obdd_width, ens.elements)))
+    return _compile(ens, c, order, elems, _obdd_indicator, bound)
 
 
 def circuit_explain_bruteforce(
@@ -506,13 +494,14 @@ def circuit_from_json(data: Mapping) -> Circuit:
     meta = data.get("meta", {})
     if not isinstance(meta, dict):
         raise _wrong_type("the circuit's meta", dict, meta)
-    return Circuit(
-        gates,
-        _require(data, "output", str, "circuit"),
-        meta.get("source_kind", "circuit"),
-        meta.get("target_class", 1),
-        meta.get("reported_width_bound"),
-    )
+    output = _require(data, "output", str, "circuit")
+    kind, bound = meta.get("source_kind", "circuit"), meta.get("reported_width_bound")
+    if not isinstance(kind, str):
+        raise _wrong_type("the circuit's meta field 'source_kind'", str, kind)
+    if bound is not None and (type(bound) is not int or bound < 0):
+        raise ModelError("the circuit's meta field 'reported_width_bound' must be null "
+                         f"or a non-negative integer, got {bound!r}")
+    return Circuit(gates, output, kind, meta.get("target_class", 1), bound)
 
 
 def dumps_circuit(c: Circuit) -> str:

@@ -56,6 +56,7 @@ from xbool.models import (
     simplify_dt,
 )
 from xbool.obdd import obdd_ensemble_product
+from xbool.tables import model_table
 
 from helpers import (
     all_examples,
@@ -212,11 +213,26 @@ def test_unused_input_is_legal_but_dangling_gate_is_not():
 
 
 def test_cycle_rejected():
-    with pytest.raises(ModelError):
-        Circuit(
-            {"a": Gate("NOT", ("b",)), "b": Gate("NOT", ("a",)), "o": Gate("OR", ("a", "b"))},
-            "o",
-        )
+    x = Gate("IN")
+    loop = {"a": Gate("NOT", ("b",)), "b": Gate("NOT", ("a",))}
+    cases = [
+        # a cycle through the output
+        ({"x": x, "a": Gate("NOT", ("o",)), "o": Gate("AND", ("x", "a"))},
+         "circuit contains a cycle"),
+        # a cycle the output reads
+        ({**loop, "o": Gate("OR", ("a", "b"))}, "circuit contains a cycle"),
+        # a cycle the output never reaches
+        ({"x": x, **loop, "o": Gate("NOT", ("x",))}, "circuit contains a cycle"),
+        # a self-loop
+        ({"x": x, "o": Gate("AND", ("x", "o"))}, "circuit contains a cycle"),
+        # a gate that feeds nothing is named before the cycle beside it
+        ({"x": x, **loop, "d": Gate("NOT", ("x",)), "o": Gate("NOT", ("x",))},
+         "gate 'd' feeds nothing"),
+    ]
+    for gates, message in cases:
+        with pytest.raises(ModelError) as refused:
+            Circuit(gates, "o")
+        assert str(refused.value) == message, gates
 
 
 def test_threshold_rules():
@@ -276,6 +292,35 @@ def test_circuit_json_errors_are_model_errors():
         circuit_from_json({"gates": [{"kind": "IN"}], "output": "x"})
 
 
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        ({"reported_width_bound": "x"},
+         "^the circuit's meta field 'reported_width_bound' must be null or a "
+         "non-negative integer, got 'x'$"),
+        ({"reported_width_bound": -3}, "^the circuit's meta field 'reported_width_bound' "),
+        ({"reported_width_bound": True}, "^the circuit's meta field 'reported_width_bound' "),
+        ({"reported_width_bound": 2.0}, "^the circuit's meta field 'reported_width_bound' "),
+        ({"source_kind": 7}, "^the circuit's meta field 'source_kind' must be a string, got int$"),
+        ({"source_kind": None}, "^the circuit's meta field 'source_kind' must be a string"),
+    ],
+    ids=["bound-text", "bound-negative", "bound-bool", "bound-float", "kind-int", "kind-null"],
+)
+def test_circuit_json_refuses_a_malformed_meta(meta, message):
+    doc = {"gates": [{"id": "x", "kind": "IN"}], "output": "x", "meta": meta}
+    with pytest.raises(ModelError, match=message):
+        circuit_from_json(doc)
+
+
+def test_circuit_json_keeps_a_well_formed_meta():
+    doc = {"gates": [{"id": "x", "kind": "IN"}], "output": "x"}
+    for bound in (None, 0, 7):
+        meta = {"source_kind": "dt", "target_class": 0, "reported_width_bound": bound}
+        assert circuit_to_json(circuit_from_json({**doc, "meta": meta}))["meta"] == meta
+    assert circuit_to_json(circuit_from_json(doc))["meta"] == {
+        "source_kind": "circuit", "target_class": 1, "reported_width_bound": None}
+
+
 CIRCUIT_WORDS = st.sampled_from(
     ["x", "y", "o", "g0", "out", "IN", "AND", "OR", "NOT", "MAJ",
      "id", "kind", "inputs", "threshold", "gates", "output", "meta", "target_class"]
@@ -332,6 +377,33 @@ def test_compile_featureless_model_is_an_error():
     const = DecisionTree({"r": DtLeaf(0)}, "r")
     with pytest.raises(ValueError):
         compile_dt(const, 0)
+
+
+def _leaf(label: int) -> DecisionTree:
+    return DecisionTree({"r": DtLeaf(label)}, "r")
+
+
+def _default(label: int) -> DecisionList:
+    return DecisionList([([], label)])
+
+
+def test_ensembles_with_constant_members_compile_to_their_table(and_tree, fig1):
+    # a one-leaf tree tests nothing and a default-only list has no term:
+    # such a member votes a constant beside the member that reads features
+    for compile_fn, constant, model in (
+        (compile_dt_ensemble, _leaf, and_tree),
+        (compile_dl_ensemble, _default, fig1),
+    ):
+        for labels in ((0, 0), (0, 1), (1, 1), (0, 0, 0, 1), (0, 1, 1, 1)):
+            for at in range(len(labels) + 1):
+                members = [constant(label) for label in labels]
+                members.insert(at, model)
+                ens = Ensemble(members)
+                full = (1 << (1 << len(ens.features()))) - 1
+                table = model_table(ens, sorted(ens.features()))
+                for c in (0, 1):
+                    circuit = compile_fn(ens, c)
+                    assert circuit_table(circuit) == (table if c else full ^ table), (labels, at)
 
 
 def test_compile_random_trees_exhaustively():
@@ -738,6 +810,42 @@ def test_compile_builds_gate_records_only_when_read(monkeypatch):
         gates = c.gates
         assert len(built) == len(gates) and c.gates is gates
         built.clear()
+
+
+def _min_degree_width(c: Circuit) -> int:
+    """Width of a min-degree elimination order (ties by name) on the
+    circuit's undirected gate graph: an upper bound on its treewidth."""
+    graph = {gid: set() for gid in c.gates}
+    for gid, gate in c.gates.items():
+        for src in gate.inputs:
+            if src != gid:
+                graph[gid].add(src)
+                graph[src].add(gid)
+    width = 0
+    while graph:
+        gid = min(graph, key=lambda g: (len(graph[g]), g))
+        near = graph.pop(gid)
+        width = max(width, len(near))
+        for other in near:
+            graph[other] |= near - {other}
+            graph[other].discard(gid)
+    return width
+
+
+def test_reported_width_bound_holds_for_a_min_degree_order():
+    # an elimination order's width bounds the treewidth from above, so a
+    # compiled circuit whose order stays within its reported bound has a
+    # treewidth within it too
+    rng = random.Random(199)
+    for feats in (("x0", "x1", "x2", "x3", "x4"), ("@0", "@0~", "@1", "x")):
+        for _ in range(6):
+            for compile_fn, model in six_compiled(rng, feats):
+                if not model_features(model):
+                    continue
+                for c in (0, 1):
+                    circuit = compile_fn(model, c)
+                    width = _min_degree_width(circuit)
+                    assert width <= circuit.reported_width_bound, (compile_fn.__name__, width)
 
 
 def test_builder_refuses_a_gate_without_inputs():

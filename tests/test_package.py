@@ -51,8 +51,7 @@ DIAGRAM = {
 RULES = {"kind": "dl", "rules": [[[["x", 1], ["y", 1]], 1], [[["y", 0]], 0], [[], 1]]}
 LAXP = json.dumps({"kind": "lAXp", "minimality": "subset", "target": {"x": 1, "y": 1}})
 
-# Runs one request through cli.main in a fresh interpreter and prints
-# its exit code and the modules loaded after it.
+# Runs one request through cli.main and keeps its exit code.
 PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -62,6 +61,16 @@ with redirect_stdout(io.StringIO()):
         code = cli.main(sys.argv[1:])
     except SystemExit as done:  # --help
         code = done.code
+"""
+# Imports the circuit module and nothing else of the package.
+CIRCUITS = """
+import json, sys
+import xbool.circuits
+code = 0
+"""
+# Appended to either: prints the exit code, the modules loaded and the
+# source lines of the xbool modules among them.
+REPORT = """
 lines = 0
 for name, module in sys.modules.items():
     if name == "xbool" or name.startswith("xbool."):
@@ -81,11 +90,12 @@ OFF_THE_TREE_AND_DIAGRAM_PATH = (
 )
 
 
-def _probe(*argv, code=0):
+def _probe(*argv, code=0, program=PROBE):
     """(modules loaded, source lines of the xbool modules among them)
-    after one request through cli.main in a fresh interpreter."""
+    after one request through cli.main, or another `program`, in a
+    fresh interpreter."""
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv],
+        [sys.executable, "-c", program + REPORT, *argv],
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=SRC),
     )
@@ -165,10 +175,13 @@ def test_a_request_loads_only_its_route(tmp_path):
 # one fill served both families' tables, they were: tree 1658, diagram
 # 1629, rules 1615, rules verify 1615, branching 1343, help 1147 and
 # refusal 1147.  At 48dd93a, before each hardness gadget, constant model
-# and generated query was built in one place, generate was 3210.
+# and generated query was built in one place, generate was 3210.  At
+# c47d6e9, before the six circuit compilers shared one skeleton and a
+# hand-built circuit's cycle check read its program, importing
+# xbool.circuits alone ("circuits") loaded 2515.
 LINE_CEILINGS = {
     "tree": 1649, "diagram": 1617, "rules": 1606, "rules verify": 1606, "branching": 1343,
-    "help": 1147, "refusal": 1147, "generate": 3162,
+    "help": 1147, "refusal": 1147, "generate": 3162, "circuits": 2504,
 }
 
 
@@ -176,6 +189,11 @@ def test_a_request_compiles_at_most_its_ceiling_of_lines(tmp_path):
     for name, (argv, code) in _route_requests(tmp_path).items():
         lines = _probe(*argv, code=code)[1]
         assert lines <= LINE_CEILINGS[name], (name, lines)
+
+
+def test_the_circuit_module_compiles_at_most_its_ceiling_of_lines():
+    lines = _probe(program=CIRCUITS)[1]
+    assert lines <= LINE_CEILINGS["circuits"], lines
 
 
 def _imported_from(module: str):
