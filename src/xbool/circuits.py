@@ -111,15 +111,20 @@ class Circuit:
         if len(made) < len(gates):
             raise ModelError("circuit contains a cycle")
 
-    def _program(self, gates, rows, inputs, output, source_kind, target_class,
-                 reported_width_bound) -> None:
-        """Set every field from `rows`, (gate, kind, inputs, threshold).
-        The rows the output reads keep their order, which fixes a compiled
-        circuit's JSON and Graphviz bytes; the steps run them in
-        post-order from the output, each gate's inputs from the last, so
-        a subterm's values are mostly spent before the next one's are
-        made.  A back pass marks each value's last reader, where it is
-        spent; `gates` is None for a compiled circuit until read."""
+    def _program(self, gates, rows, inputs, output, source_kind, target_class, bound) -> None:
+        """Refuse a malformed meta, then set every field from `rows`,
+        (gate, kind, inputs, threshold).  The rows the output reads keep
+        their order, which fixes a compiled circuit's JSON and Graphviz
+        bytes; the steps run them in post-order from the output, each
+        gate's inputs from the last, so a subterm's values are mostly
+        spent before the next one's are made.  A back pass marks each
+        value's last reader, where it is spent; `gates` is None for a
+        compiled circuit until read."""
+        if not isinstance(source_kind, str):
+            raise _wrong_type("the circuit's meta field 'source_kind'", str, source_kind)
+        if bound is not None and (type(bound) is not int or bound < 0):
+            raise ModelError("the circuit's meta field 'reported_width_bound' must be null "
+                             f"or a non-negative integer, got {bound!r}")
         row_of = {row[0]: row for row in rows}
         order, seen = [], {output, *inputs}
         stack = [(row_of[output], reversed(row_of[output][2]))] if output in row_of else []
@@ -154,7 +159,7 @@ class Circuit:
         self.output = output
         self.source_kind = source_kind
         self.target_class = _bit(target_class, "target class")
-        self.reported_width_bound = reported_width_bound
+        self.reported_width_bound = bound
 
     @property
     def gates(self) -> Dict[str, Gate]:
@@ -495,13 +500,8 @@ def circuit_from_json(data: Mapping) -> Circuit:
     if not isinstance(meta, dict):
         raise _wrong_type("the circuit's meta", dict, meta)
     output = _require(data, "output", str, "circuit")
-    kind, bound = meta.get("source_kind", "circuit"), meta.get("reported_width_bound")
-    if not isinstance(kind, str):
-        raise _wrong_type("the circuit's meta field 'source_kind'", str, kind)
-    if bound is not None and (type(bound) is not int or bound < 0):
-        raise ModelError("the circuit's meta field 'reported_width_bound' must be null "
-                         f"or a non-negative integer, got {bound!r}")
-    return Circuit(gates, output, kind, meta.get("target_class", 1), bound)
+    return Circuit(gates, output, meta.get("source_kind", "circuit"),
+                   meta.get("target_class", 1), meta.get("reported_width_bound"))
 
 
 def dumps_circuit(c: Circuit) -> str:

@@ -54,6 +54,7 @@ from .models import (
     measure_parameters,
     model_features,
 )
+from .records import Frozen
 
 ROUTES = ("auto", "dt", "obdd", "branching", "product", "bruteforce")
 
@@ -294,22 +295,20 @@ def cmd_bench(args) -> int:
 # Argument plumbing
 
 
-class _Option:
+class _Option(Frozen):
     """One option of a subcommand, declared once for the plain reader and
     for argparse.  `kind` converts its value (None: a switch, which takes
     no value); `choices` and `non_negative` restrict the converted value."""
 
-    __slots__ = ("flag", "dest", "kind", "default", "required", "choices", "non_negative")
+    __slots__ = ("flag", "kind", "default", "required", "choices", "non_negative")
 
     def __init__(self, flag, kind=str, default=None, required=False, choices=None,
                  non_negative=False):
-        self.flag = flag
-        self.dest = flag[2:].replace("-", "_")
-        self.kind = kind
-        self.default = default
-        self.required = required
-        self.choices = choices
-        self.non_negative = non_negative
+        self._fill(flag, kind, default, required, choices, non_negative)
+
+    @property
+    def dest(self) -> str:
+        return self.flag[2:].replace("-", "_")
 
     def read(self, text: str):
         """The value argparse stores for `text`; ValueError where argparse

@@ -95,8 +95,8 @@ def _min_lcxp(
     earlier one, the guessed labels can no longer outvote the current
     class, or the flips the guessed terms force exceed the budget.
     """
-    if k < 0:
-        raise ModelError("budget must be non-negative")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:  # as a query's budget
+        raise ModelError(f"budget must be a non-negative integer, got {k!r}")
     elements = model.elements if model.kind == "ensemble" else (model,)
     if any(el.kind not in ("ds", "dl") for el in elements):
         raise ModelError("expected rule sets or rule lists")

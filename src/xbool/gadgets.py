@@ -27,6 +27,7 @@ from .models import (
     DEFAULT_NODE_CAP,
     Example,
     Parameters,
+    _bit,
     _load_text,
     _pairs,
     _wrong_type,
@@ -73,7 +74,7 @@ class MccInstance:
             # bounds every generator's output by the graph's size
             raise ModelError(f"part index {k - 1} needs at least {k} vertices")
         pos = {v: i for i, v in enumerate(names)}
-        seen: Set[Tuple[str, str]] = set()
+        near: Dict[str, Dict[str, None]] = {v: {} for v in names}
         ordered = []
         for u, v in edges:
             u, v = str(u), str(v)
@@ -83,26 +84,19 @@ class MccInstance:
                 raise ModelError(f"self-loop at {u!r}")
             if part[u] == part[v]:
                 raise ModelError(f"edge ({u!r}, {v!r}) stays inside one part")
-            pair = (u, v) if pos[u] < pos[v] else (v, u)
-            if pair not in seen:
-                seen.add(pair)
-                ordered.append(pair)
+            if v not in near[u]:
+                near[u][v] = near[v][u] = None
+                ordered.append((u, v) if pos[u] < pos[v] else (v, u))
         self.vertices: Tuple[str, ...] = tuple(names)
         self.part = part
         self.k = k
         self.edges: Tuple[Tuple[str, str], ...] = tuple(ordered)
-        self._edge_set = frozenset(ordered)
-        self._pos = pos
-        self._adjacent: Dict[str, List[str]] = {v: [] for v in names}
-        for u, v in ordered:
-            self._adjacent[u].append(v)
-            self._adjacent[v].append(u)
-        for near in self._adjacent.values():
-            near.sort(key=pos.__getitem__)
+        # each vertex's neighbours, in input order
+        self._adjacent = {v: dict.fromkeys(sorted(hood, key=pos.__getitem__))
+                          for v, hood in near.items()}
 
     def has_edge(self, u: str, v: str) -> bool:
-        pair = (u, v) if self._pos[u] < self._pos[v] else (v, u)
-        return pair in self._edge_set
+        return v in self._adjacent[u]
 
     def part_members(self, i: int) -> Tuple[str, ...]:
         return tuple(v for v in self.vertices if self.part[v] == i)
@@ -144,7 +138,8 @@ def _check_k(g: MccInstance, k: Optional[int], at_least: int = 1) -> int:
 
 
 def _check_budget(k) -> None:
-    if not isinstance(k, int) or k < 0:
+    # the rule and message of `ExplanationQuery`'s budget
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
         raise ModelError(f"budget must be a non-negative integer, got {k!r}")
 
 
@@ -237,15 +232,18 @@ def dt_from_examples(examples: Sequence[Example], order: Sequence[str]) -> Decis
     2 * len(examples) * len(order) + 1.
     """
     order = tuple(order)
-    rows = []
-    for e in examples:
-        for f in order:
-            if f not in e:
-                raise ModelError(f"example does not assign feature {f!r}")
-            if e[f] not in (0, 1):
-                raise ModelError(f"example value for {f!r} must be 0 or 1")
-        rows.append(frozenset(f for f in order if e[f]))
+    rows = [frozenset(f for f, z in _bits(e, order).items() if z) for e in examples]
     return _accepting(order, rows)
+
+
+def _bits(e: Example, order: Tuple[str, ...]) -> Dict[str, int]:
+    """`e` on the features of `order`, each of which it must set to 0 or 1."""
+    for f in order:
+        if f not in e:
+            raise ModelError(f"example does not assign feature {f!r}")
+        if e[f] not in (0, 1):
+            raise ModelError(f"example value for {f!r} must be 0 or 1")
+    return {f: int(e[f]) for f in order}
 
 
 # ---------------------------------------------------------------------------
@@ -471,15 +469,14 @@ def gen_mcc_ds_ensemble(g: MccInstance, k: Optional[int] = None) -> Ensemble:
 # ---------------------------------------------------------------------------
 # Counter-style OBDD primitives
 
-def _track_obdd(feats: Sequence[str], start: int, step, accept, flip_sinks=False) -> Obdd:
+def _track_obdd(feats: Sequence[str], start: int, step, accept) -> Obdd:
     """Leveled diagram over feats: walk tracks via step(pos, track, bit),
     accept at the end iff the final track is in accept.  Only reachable
     track states are materialized, which keeps widths tight."""
     feats = tuple(feats)
     n = len(feats)
-    t_yes, t_no = ("t0", "t1") if flip_sinks else ("t1", "t0")
     if n == 0:
-        return _constant("obdd", int((start in accept) != flip_sinks))
+        return _constant("obdd", int(start in accept))
     nodes: Dict[str, ObddNode] = {}
     level: Set[int] = {start}
     for pos in range(n):
@@ -489,7 +486,7 @@ def _track_obdd(feats: Sequence[str], start: int, step, accept, flip_sinks=False
             for bit in (0, 1):
                 after = step(pos, track, bit)
                 if pos + 1 == n:
-                    kids.append(t_yes if after in accept else t_no)
+                    kids.append("t1" if after in accept else "t0")
                 else:
                     nxt.add(after)
                     kids.append(f"g{pos + 1}.{after}")
@@ -668,15 +665,14 @@ def obdd_agreement_counter(
     order = tuple(order)
     if not 0 <= k <= len(order):
         raise ModelError(f"threshold {k} out of range for {len(order)} features")
-    for f in order:
-        if f not in e:
-            raise ModelError(f"example does not assign feature {f!r}")
-    bits = {f: e[f] for f in order}
+    bits = _bits(e, order)
 
     def step(pos, track, bit):
         return min(track + (1 if bit == bits[order[pos]] else 0), k)
 
-    return _track_obdd(order, 0, step, {k}, flip_sinks=(out_class == 0))
+    # the counter saturates at k: class 1 accepts track k, class 0 the rest
+    accept = {k} if _bit(out_class, "out_class") else set(range(k))
+    return _track_obdd(order, 0, step, accept)
 
 
 def gen_laxp_to_gaxp(

@@ -17,7 +17,7 @@ a witness's once per check).
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set
 
 from .errors import Homogeneous, ModelError
 from .definitions import Definitions
@@ -87,15 +87,8 @@ class Restriction(Definitions):
         self.nodes = nodes
         self.terminals = terminals
         self.start = start
-        self._features: Optional[Tuple[str, ...]] = None
+        self.features = tuple(sorted(model.features()))
         model._view = self  # kept, so a model builds one view
-
-    @property
-    def features(self) -> Tuple[str, ...]:
-        # sorted on first use: a global check never needs the universe
-        if self._features is None:
-            self._features = tuple(sorted(self.model.features()))
-        return self._features
 
     def parents_first(self) -> List[str]:
         return self.model.parents_first

@@ -216,18 +216,15 @@ class TableOracle(FunctionOracle):
     """
 
     def __init__(self, features: Iterable[str], table: int, guard: int = DEFAULT_GUARD):
-        self.features = _universe(features, guard)
-        self._pos = {f: i for i, f in enumerate(self.features)}
+        # a point's class is its bit of the table, at the index its bits spell
+        super().__init__(features, lambda point: table >> sum(
+            bit << j for j, bit in enumerate(point.values())) & 1, guard)
         width = 1 << len(self.features)
         full = (1 << width) - 1
         if not 0 <= table <= full:
             raise ModelError(f"a table over {len(self.features)} features must fit in {width} bits")
         self._points = (full ^ table, table)  # the points of class 0, of class 1
         self._literals = literals(len(self.features))  # per position: (0s, 1s)
-
-    def label(self, bits: Tuple[int, ...]) -> int:
-        index = sum(bit << j for j, bit in enumerate(bits))
-        return self._points[1] >> index & 1
 
     def reaches(self, fixed: Dict[int, int], z: int) -> bool:
         points = self._points[z]

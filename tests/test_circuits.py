@@ -312,6 +312,24 @@ def test_circuit_json_refuses_a_malformed_meta(meta, message):
         circuit_from_json(doc)
 
 
+@pytest.mark.parametrize(
+    "meta, message",
+    [
+        ({"source_kind": 7}, "^the circuit's meta field 'source_kind' must be a string, got int$"),
+        ({"reported_width_bound": -1},
+         "^the circuit's meta field 'reported_width_bound' must be null or a "
+         "non-negative integer, got -1$"),
+        ({"reported_width_bound": True}, "^the circuit's meta field 'reported_width_bound' "),
+    ],
+    ids=["kind-int", "bound-negative", "bound-bool"],
+)
+def test_a_circuit_built_in_process_refuses_a_malformed_meta(meta, message):
+    # the constructor checks what the JSON reader checks, so a circuit
+    # never writes a document its reader refuses
+    with pytest.raises(ModelError, match=message):
+        Circuit({"x": Gate("IN")}, "x", **meta)
+
+
 def test_circuit_json_keeps_a_well_formed_meta():
     doc = {"gates": [{"id": "x", "kind": "IN"}], "output": "x"}
     for bound in (None, 0, 7):

@@ -1,11 +1,13 @@
 """Command-line behaviors: explain/verify/generate/bench and exit codes."""
 
 import contextlib
+import copy
 import hashlib
 import io
 import itertools
 import json
 import os
+import pickle
 import random
 import resource
 import subprocess
@@ -919,6 +921,17 @@ def test_the_plain_reader_agrees_with_argparse():
             assert not must_take, argv
     # the corpus holds both lines the reader takes and lines it declines
     assert 5000 < taken < len(corpus) - 1000, (taken, len(corpus))
+
+
+def test_an_option_is_a_record_that_copies_by_value():
+    from xbool.cli import _COMMANDS
+
+    for _, _, options in _COMMANDS.values():
+        for option in options:
+            assert copy.copy(option) == option and pickle.loads(pickle.dumps(option)) == option
+            assert option.dest == option.flag[2:].replace("-", "_")
+            with pytest.raises(AttributeError):
+                option.kind = int
 
 
 def test_the_plain_reader_converts_like_argparse():

@@ -3,9 +3,11 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
+from xbool.dslist import dl_min_lcxp_branch
 from xbool.dt import dt_check
 from xbool.errors import BudgetExceeded, ModelError, SharedFeature
 from xbool.explain import ExplanationQuery, Witness, is_explanation, oracle_min
@@ -33,6 +35,7 @@ from xbool.gadgets import (
     vertex_feature,
 )
 from xbool.models import (
+    DecisionList,
     DtLeaf,
     Obdd,
     classify,
@@ -89,6 +92,14 @@ def test_mcc_normalizes_edges():
     assert g.edges == (("a", "b"),)
     assert g.has_edge("b", "a")
     assert g.k == 2
+
+
+def test_mcc_neighbours_and_edges_read_one_adjacency():
+    g = MccInstance([("c", 2), ("a", 0), ("b", 1)], [("b", "c"), ("a", "c"), ("c", "b")])
+    assert g.edges == (("c", "b"), ("c", "a"))
+    assert g.neighbors("c") == ("a", "b") and g.neighbors("b") == ("c",)
+    assert g.has_edge("a", "c") and g.has_edge("c", "a") and not g.has_edge("a", "b")
+    assert g.non_edges() == [("a", "b")]
 
 
 def test_mcc_json_round_trip():
@@ -518,6 +529,35 @@ def test_agreement_counter_anchors():
     assert [classify(loose, e2) for e2 in all_examples(order)] == [0, 1, 1, 1]
     vacuous = obdd_agreement_counter(e, 0, order)
     assert all(classify(vacuous, e2) for e2 in all_examples(order))
+
+
+@pytest.mark.parametrize("e, out_class, message", [
+    ({"a": 2, "b": 1}, 1, "example value for 'a' must be 0 or 1"),
+    ({"a": 1, "b": None}, 0, "example value for 'b' must be 0 or 1"),
+    ({"a": 1}, 1, "example does not assign feature 'b'"),
+    ({"a": 1, "b": 0}, 5, "out_class must be 0 or 1, got 5"),
+    ({"a": 1, "b": 0}, None, "out_class must be 0 or 1, got None"),
+])
+def test_agreement_counter_refuses_a_non_bit(e, out_class, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
+        obdd_agreement_counter(e, 1, ("a", "b"), out_class)
+
+
+# every taker of a budget refuses what a query refuses, with its message
+BUDGET_TAKERS = {
+    "query": lambda k: ExplanationQuery("lAXp", "cardinality", {"x": 0}, k),
+    "hitting_set": lambda k: gen_hitting_set_laxp(["1"], [["1"]], k=k),
+    "lift": lambda k: gen_laxp_to_gaxp(obdd_primitive("exists", ("x",)), {"x": 0}, k),
+    "branching": lambda k: dl_min_lcxp_branch(DecisionList([([("x", 1)], 1), ([], 0)]), {"x": 0}, k),
+}
+
+
+@pytest.mark.parametrize("k", [True, False, 1.5, "2", -1])
+@pytest.mark.parametrize("taker", sorted(BUDGET_TAKERS))
+def test_every_budget_taker_refuses_what_a_query_refuses(taker, k):
+    message = f"budget must be a non-negative integer, got {k!r}"
+    with pytest.raises(ModelError, match=re.escape(message)):
+        BUDGET_TAKERS[taker](k)
 
 
 def test_lift_preserves_answer_both_ways():
