@@ -16,7 +16,7 @@ from operator import itemgetter, not_, truth
 from typing import TYPE_CHECKING, Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ModelError, TooLarge, UnassignedInput
-from .dt import DecisionTree, DtLeaf, dt_mnl, simplify_dt
+from .dt import DecisionTree, dt_mnl, simplify_dt
 from .explain import DEFAULT_GUARD, ExplanationQuery, Witness
 from .models import Example, _bit, _require, _strings, _wrong_type, dumps_canonical
 from .obdd import Obdd, _restriction, obdd_width
@@ -338,19 +338,21 @@ def _elements(ens: Ensemble, kind: str, family: str) -> Tuple:
 def _dt_indicator(b: _Builder, t: DecisionTree, c: int) -> str:
     """Gate computing [t(e) = c]: OR over the minority-class leaves' paths,
     walked in preorder with the 0-child first."""
-    minority = 0 if 2 * sum(t.leaf_labels.values()) >= len(t.leaf_labels) else 1
+    terminals = t.terminals
+    minority = 0 if 2 * sum(terminals.values()) >= len(terminals) else 1
     disjuncts = []
-    stack = [(t.root, {})]
+    stack = [(t.start, {})]
     while stack:
         nid, alpha = stack.pop()
-        node = t.nodes[nid]
-        if not isinstance(node, DtLeaf):
+        label = terminals.get(nid)
+        if label is None:
+            node = t.nodes[nid]
             one = dict(alpha)
             one[node.feature] = 1
             alpha[node.feature] = 0  # one copy per test: the 0-child takes this one
             stack.append((node.one, one))
             stack.append((node.zero, alpha))
-        elif node.label == minority:
+        elif label == minority:
             # a path is empty only at a one-leaf tree, whose leaf is its
             # majority; `add` would refuse the empty AND
             disjuncts.append(b.add("AND", tuple(b.lit(f, alpha[f]) for f in sorted(alpha))))
@@ -416,10 +418,10 @@ def _obdd_indicator(b: _Builder, o: Obdd, c: int) -> str:
     o = view.model  # complete over a non-empty order, so its source is a node
     target = o.t1 if c == 1 else o.t0
     hit = view.hits(c)
-    if o.source not in hit:
+    if o.start not in hit:
         return b.false_gate()
     gate: Dict[str, str] = {}
-    for nid in reversed(view.parents_first()):
+    for nid in reversed(o.parents_first):
         if nid not in hit:
             continue
         node = o.nodes[nid]
@@ -430,7 +432,7 @@ def _obdd_indicator(b: _Builder, o: Obdd, c: int) -> str:
             elif child in hit:
                 parts.append(b.add("AND", (b.lit(node.feature, bit), gate[child])))
         gate[nid] = b.add("OR", tuple(parts))
-    return gate[o.source]
+    return gate[o.start]
 
 
 def compile_obdd(o: Obdd, c: int) -> Circuit:

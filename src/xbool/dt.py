@@ -1,15 +1,16 @@
 """Decision trees: the model, its one builder, and its explanation algorithms.
 
 All checks reduce to one primitive: walk the tree under a partial
-assignment and ask whether a leaf of a given label stays reachable.  The
-tree is a graph view (`restriction.Restriction`) like a diagram, so the
-query procedures, the seed path and the minimum contrastive search are
-shared with diagrams; this module builds the view of the simplified tree.
-A tree learns its feature set, whether some path tests a feature twice,
-and its inner ids in preorder (the 0-child first: parents first, the
-order the view and the table fill read) in the walk its constructor
-makes to validate it, so no later scan asks again.
-The tree classes, which classify and measure themselves, live here, so
+assignment and ask whether a leaf of a given label stays reachable.  A
+tree is a `restriction.Graph` like a diagram, its leaves the terminals
+and its root the start, so the classify walk, the restriction view's
+query procedures, the seed path, the minimum contrastive search, the
+table fill and the model writer are shared with diagrams; this module
+builds the view of the simplified tree.  A tree learns its feature set,
+whether some path tests a feature twice, and its inner ids in preorder
+(the 0-child first: parents first, the order the view and the table fill
+read) in the walk its constructor makes to validate it, so no later scan
+asks again.  The tree classes, which measure themselves, live here, so
 only a request that meets a tree compiles them; the graft of a tree
 ensemble stays beside the projection it shares with `simplify_dt`.
 """
@@ -20,9 +21,9 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, List, Mapping, Optional, Sequ
 
 from .errors import BudgetExceeded, ModelError
 from .explain import ExplanationQuery, Witness
-from .models import DEFAULT_NODE_CAP, Example, PartialExample, _bit, _lookup
+from .models import DEFAULT_NODE_CAP, Example, PartialExample, _bit
 from .records import Frozen
-from .restriction import Restriction
+from .restriction import Graph, Restriction
 
 if TYPE_CHECKING:
     from .ensemble import Ensemble
@@ -45,7 +46,7 @@ class DtInner(Frozen):
 DtNode = Union[DtLeaf, DtInner]
 
 
-class DecisionTree:
+class DecisionTree(Graph):
     """Rooted binary tree; inner nodes test a feature, leaves carry a class."""
 
     kind = "dt"
@@ -58,9 +59,7 @@ class DecisionTree:
         labels: Dict[str, int] = {}
         for nid, node in nodes.items():
             if isinstance(node, DtLeaf):
-                if node.label not in (0, 1):
-                    _bit(node.label, "leaf label")
-                labels[nid] = node.label
+                labels[nid] = _bit(node.label, "leaf label")
             elif isinstance(node, DtInner):
                 for child in (node.zero, node.one):
                     if child not in nodes:
@@ -101,27 +100,16 @@ class DecisionTree:
             stack += (node.one, node.zero)
         if seen != len(nodes):
             raise ModelError("tree contains nodes unreachable from the root")
-        self.nodes: Dict[str, DtNode] = nodes
-        self.root = root
-        # leaf id -> class label, the terminals of a restriction walk
-        self.leaf_labels: Dict[str, int] = labels
         # inner ids in preorder, the 0-child first: each after its parent
-        self.parents_first: List[str] = inner
+        super().__init__(nodes, labels, root, inner)
         self._features = frozenset(features)
         self._repeat_free = repeat_free  # no path tests a feature twice
-        self._view: Optional[Restriction] = None  # the view Restriction keeps
 
     def features(self) -> FrozenSet[str]:
         return self._features
 
     def leaves(self) -> Tuple[Tuple[str, int], ...]:
-        return tuple(self.leaf_labels.items())
-
-    def classify(self, e: Example) -> int:
-        node = self.nodes[self.root]
-        while isinstance(node, DtInner):
-            node = self.nodes[node.one if _lookup(e, node.feature) else node.zero]
-        return node.label
+        return tuple(self.terminals.items())
 
     def parameters(self) -> Dict[str, int]:
         return {"mnl_size": dt_mnl(self), "size_elem": dt_size(self)}
@@ -172,7 +160,7 @@ def _project(
                 ti += 1
                 if ti == len(trees):
                     return 1 if votes >= majority else 0
-                nid = trees[ti].root
+                nid = trees[ti].start
             elif node.feature in path:
                 nid = node.one if path[node.feature] else node.zero
             else:
@@ -185,7 +173,7 @@ def _project(
             path[node.feature] = 0
         return node.feature, (ti, node.zero, votes, path), (ti, node.one, votes, one)
 
-    return _emit_tree((0, trees[0].root, 0, dict(fixed)), expand)
+    return _emit_tree((0, trees[0].start, 0, dict(fixed)), expand)
 
 
 def simplify_dt(t: DecisionTree) -> DecisionTree:
@@ -204,12 +192,12 @@ def restrict_dt(t: DecisionTree, tau: PartialExample) -> DecisionTree:
 
 
 def dt_mnl(t: DecisionTree) -> int:
-    ones = sum(t.leaf_labels.values())
-    return min(ones, len(t.leaf_labels) - ones)
+    ones = sum(t.terminals.values())
+    return min(ones, len(t.terminals) - ones)
 
 
 def dt_size(t: DecisionTree) -> int:
-    return len(t.leaf_labels)
+    return len(t.terminals)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +208,7 @@ def _restriction(t: DecisionTree) -> Restriction:
     # a walk over a repeated test would follow both of its arcs once the
     # first test of the feature has picked one; the simplified tree has none
     t = simplify_dt(t)
-    return t._view or Restriction(t, t.nodes, t.leaf_labels, t.root)
+    return t._view or Restriction(t)
 
 
 def dt_check(t: DecisionTree, q: ExplanationQuery, w: Witness) -> bool:

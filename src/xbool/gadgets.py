@@ -557,7 +557,7 @@ def obdd_conjoin(pieces: Sequence[Obdd]) -> Obdd:
             seen.add(feat)
             full_order.append(feat)
     order = tuple(full_order)
-    label = int(all(p.sink_label(p.source) == 1 for p in pieces if not p.order))
+    label = int(all(p.terminals[p.start] == 1 for p in pieces if not p.order))
     pieces = [p for p in pieces if p.order]
     if not pieces or not label:
         return complete_obdd(_constant("obdd", label, order))
@@ -577,7 +577,7 @@ def obdd_conjoin(pieces: Sequence[Obdd]) -> Obdd:
         if sink_label == 1:
             if idx + 1 == len(pieces):
                 return "t1"
-            return f"b{idx + 1}.{pieces[idx + 1].source}"
+            return f"b{idx + 1}.{pieces[idx + 1].start}"
         if idx + 1 == len(pieces):
             return "t0"
         return f"byp@{offsets[idx + 1]}"
@@ -586,13 +586,13 @@ def obdd_conjoin(pieces: Sequence[Obdd]) -> Obdd:
         for nid, node in p.nodes.items():
             kids = []
             for child in (node.zero, node.one):
-                label = p.sink_label(child)
+                label = p.terminals.get(child)
                 if label is None:
                     kids.append(f"b{idx}.{child}")
                 else:
                     kids.append(landing(idx, label))
             nodes[f"b{idx}.{nid}"] = ObddNode(node.feature, kids[0], kids[1])
-    source = f"b0.{pieces[0].source}"
+    source = f"b0.{pieces[0].start}"
     keep = set()
     stack = [source]
     while stack:

@@ -2,15 +2,17 @@
 
 The primitive here is sink reachability under a partial assignment:
 drop every arc that disagrees with the assignment and see which sinks
-survive.  The completed diagram is a graph view (`restriction.Restriction`)
-like a tree, so the query procedures, the seed path and the minimum
-contrastive search are shared with trees.  A diagram learns whether it
-is complete, files each inner id under its level, and notes every id an
-arc points at, in the arc loop its constructor runs to validate it; so
-its reachability, level order (parents first), size and width need no
+survive.  A diagram is a `restriction.Graph` like a tree, its sinks the
+terminals and its source the start, so the classify walk, the
+restriction view's query procedures (over the completed diagram), the
+seed path, the minimum contrastive search, the table fill and the model
+writer are shared with trees.  A diagram learns whether it is complete,
+files each inner id under its level, and notes every id an arc points
+at, in the arc loop its constructor runs to validate it; so its
+reachability, level order (parents first), size and width need no
 later scan.  `_padded` completes a sparse one.
-The diagram classes, which classify and measure themselves, live here,
-so only a request that meets a diagram compiles them.  The ensemble
+The diagram classes, which measure themselves, live here, so only a
+request that meets a diagram compiles them.  The ensemble
 product (`obdd_product`) and order inference (`obdd_order`) live in
 modules of their own, which a single diagram that names its order never
 loads; their names resolve here too.
@@ -23,9 +25,9 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 from . import _forward
 from .errors import ModelError, NotOrdered
 from .explain import ExplanationQuery, Witness
-from .models import Example, PartialExample, _lookup
+from .models import PartialExample
 from .records import Frozen
-from .restriction import Restriction, walk_labels
+from .restriction import Graph, Restriction, walk_labels
 
 
 class ObddNode(Frozen):
@@ -35,7 +37,7 @@ class ObddNode(Frozen):
         self._fill(feature, zero, one)
 
 
-class Obdd:
+class Obdd(Graph):
     """DAG reading features along a fixed order, ending in sinks t0/t1.
 
     The `order` is the feature universe: completion pads every path so it
@@ -100,45 +102,29 @@ class Obdd:
         present = len(targets & sinks)
         if len(targets) - present != len(nodes):
             raise ModelError("OBDD contains nodes unreachable from the source")
-        self.nodes: Dict[str, ObddNode] = nodes
-        self.source = source
+        # inner ids level by level: each after its parents
+        super().__init__(nodes, {t0: 0, t1: 1}, source, [nid for level in levels for nid in level])
         self.t0 = t0
         self.t1 = t1
         self.order: Tuple[str, ...] = order
         self._index = index
-        self.sink_labels: Dict[str, int] = {t0: 0, t1: 1}
-        # inner ids level by level: each after its parents
-        self.parents_first: List[str] = [nid for level in levels for nid in level]
         self._size = len(nodes) + present  # with the sinks some path ends in
         self._width = max(map(len, levels), default=0)  # read off the completed copy
         # complete_obdd's answer: this diagram when it is complete, else
         # its padded copy once asked
         complete = complete and (index[nodes[source].feature] if nodes else len(order)) == 0
         self._complete: Optional[Obdd] = self if complete else None
-        self._view: Optional[Restriction] = None  # the view Restriction keeps
 
     def features(self) -> FrozenSet[str]:
         return frozenset(self.order)
 
     def level(self, nid: str) -> int:
-        if nid == self.t0 or nid == self.t1:
+        if nid in self.terminals:
             return len(self.order)
         return self._index[self.nodes[nid].feature]
 
-    def sink_label(self, nid: str) -> Optional[int]:
-        return self.sink_labels.get(nid)
-
     def size(self) -> int:
         return self._size
-
-    def classify(self, e: Example) -> int:
-        nid = self.source
-        label = self.sink_label(nid)
-        while label is None:
-            node = self.nodes[nid]
-            nid = node.one if _lookup(e, node.feature) else node.zero
-            label = self.sink_label(nid)
-        return label
 
     def parameters(self) -> Dict[str, int]:
         return {"width_elem": obdd_width(self), "size_elem": self.size()}
@@ -185,14 +171,14 @@ def _padded(o: Obdd) -> Obdd:
         rebuilt[nid] = ObddNode(
             node.feature, pad(node.zero, lv + 1), pad(node.one, lv + 1)
         )
-    source = pad(o.source, 0)
+    source = pad(o.start, 0)
     rebuilt.update(extra)
     return Obdd(rebuilt, source, o.t0, o.t1, o.order)
 
 
 def reachable_sinks(o: Obdd, tau: PartialExample) -> FrozenSet[int]:
     """Labels of sinks reachable once arcs disagreeing with tau are removed."""
-    return walk_labels(o.nodes, o.sink_labels, o.source, tau)
+    return walk_labels(o, tau)
 
 
 def obdd_width(o: Obdd) -> int:
@@ -205,7 +191,7 @@ def obdd_width(o: Obdd) -> int:
 
 def _restriction(o: Obdd) -> Restriction:
     o = complete_obdd(o)
-    return o._view or Restriction(o, o.nodes, o.sink_labels, o.source)
+    return o._view or Restriction(o)
 
 
 def obdd_check(o: Obdd, q: ExplanationQuery, w: Witness) -> bool:

@@ -67,9 +67,7 @@ def dt_to_obdd(t: DecisionTree) -> Obdd:
     cycle means no single order fits every branch, and the diagram's
     constructor raises NotOrdered.
     """
-    from .dt import DtInner, DtLeaf
-
-    inner = {nid: node for nid, node in t.nodes.items() if isinstance(node, DtInner)}
+    inner = {nid: node for nid, node in t.nodes.items() if nid not in t.terminals}
     order = _arc_order(inner, lambda f: f)
     t0, t1 = "t0", "t1"
     while t0 in t.nodes:
@@ -78,12 +76,10 @@ def dt_to_obdd(t: DecisionTree) -> Obdd:
         t1 += "~"
 
     def slot(nid: str) -> str:
-        node = t.nodes[nid]
-        if isinstance(node, DtLeaf):
-            return t1 if node.label == 1 else t0
-        return nid
+        label = t.terminals.get(nid)
+        return nid if label is None else (t1 if label else t0)
 
     nodes = {
         nid: ObddNode(node.feature, slot(node.zero), slot(node.one)) for nid, node in inner.items()
     }
-    return complete_obdd(Obdd(nodes, slot(t.root), t0, t1, tuple(order)))
+    return complete_obdd(Obdd(nodes, slot(t.start), t0, t1, tuple(order)))

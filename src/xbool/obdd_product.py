@@ -38,7 +38,7 @@ def _rebase(ens: Ensemble) -> Tuple[Tuple[str, ...], List[Obdd]]:
             raise NotOrdered("elements disagree on the variable order")
         order = orders.pop()
     return order, [
-        el if el.order == order else Obdd(dict(el.nodes), el.source, el.t0, el.t1, order)
+        el if el.order == order else Obdd(dict(el.nodes), el.start, el.t0, el.t1, order)
         for el in ens.elements
     ]
 
@@ -60,13 +60,13 @@ def obdd_ensemble_product(ens: Ensemble, node_cap: int = DEFAULT_NODE_CAP) -> Ob
     def resolve(state: Tuple[str, ...]) -> Optional[str]:
         votes = 0
         for el, nid in zip(elems, state):
-            label = el.sink_label(nid)
+            label = el.terminals.get(nid)
             if label is None:
                 return None
             votes += label
         return "t1" if votes >= majority else "t0"
 
-    start = tuple(el.source for el in elems)
+    start = tuple(el.start for el in elems)
     source = resolve(start)
     ids: Dict[Tuple[str, ...], str] = {}
     nodes: Dict[str, ObddNode] = {}

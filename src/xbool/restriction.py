@@ -1,18 +1,20 @@
-"""The restriction walk: how trees and diagrams answer the one question.
+"""The graph of a tree or diagram and the restriction walk over it.
 
-Every query asks whether a class can still be reached once the model is
-restricted by a partial assignment; a tree or diagram answers by a walk
-(`walk_labels`, the one restriction primitive, defined here).  Both
-families are one graph to every search (`Restriction`): inner nodes
-testing a feature, terminals carrying a class, one start.  On that
-answer `definitions.Definitions` builds the four queries, their checks
-and the size-bounded search; the graph adds a greedy subset search seeded
-by the least path into a label, and the minimum local contrastive set,
-each one pass over the graph, parents first in the order the model's
-constructor learned, in memory linear in the graph.  `walk_labels` reads
-the bits of the assignment it is handed; the view's own walk trusts its
-callers, whose candidates are built from read bits (`Definitions` reads
-a witness's once per check).
+A tree is a diagram that shares no node, so both families are one
+`Graph`: inner nodes testing a feature, terminals carrying a class, one
+start, the inner ids parents first (preorder for a tree, level order for
+a diagram, as the constructor learned them), and one `classify` walk.
+Every query asks whether a class is still reached once the model is
+restricted by a partial assignment; a graph answers by a walk
+(`walk_labels`, the one restriction primitive).  On that answer the
+graph's view (`Restriction`) builds, through `definitions.Definitions`,
+the four queries, their checks and the size-bounded search, and adds a
+greedy subset search seeded by the least path into a label and the
+minimum local contrastive set, each one parents-first pass over the
+graph in memory linear in it.  `walk_labels` reads the bits of the
+assignment it is handed; the view's own walk trusts its callers, whose
+candidates are built from read bits (`Definitions` reads a witness's
+once per check).
 """
 
 from __future__ import annotations
@@ -22,32 +24,45 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set
 from .errors import Homogeneous, ModelError
 from .definitions import Definitions
 from .explain import ExplanationQuery, Witness
-from .models import Example, PartialExample, _bit, classify, require_total
+from .models import Example, PartialExample, _bit, _lookup, classify, require_total
 
 
-def walk_labels(
-    nodes: Mapping[str, object],
-    terminals: Mapping[str, int],
-    start: str,
-    tau: PartialExample,
-) -> FrozenSet[int]:
-    """Labels reachable from `start` once arcs disagreeing with tau are cut.
+class Graph:
+    """A tree or diagram: `terminals` maps leaf or sink ids to their class
+    (read as ints), `nodes` inner ids (and a tree's leaves) to nodes with
+    `feature`, `zero` and `one`, `start` reaches every id, and
+    `parents_first` lists the inner ids, each after all of its parents."""
 
-    The one restriction primitive of trees and diagrams: `terminals` maps
-    leaf or sink ids to their class, `nodes` maps every other id to a
-    node with `feature`, `zero` and `one`.  An assigned feature follows
-    its fixed arc, a free one both; the walk stops as soon as both labels
-    are seen and builds no model.
-    """
-    fixed = {str(f): _bit(z, f"assignment of {f!r}") for f, z in tau.items()}
-    return _walk(nodes, terminals, start, fixed)
+    _view: Optional[Restriction] = None  # the view Restriction keeps
+
+    def __init__(self, nodes, terminals: Dict[str, int], start: str, parents_first: List[str]):
+        self.nodes = nodes
+        self.terminals = terminals
+        self.start = start
+        self.parents_first = parents_first
+
+    def classify(self, e: Example) -> int:
+        nodes, terminals = self.nodes, self.terminals
+        nid = self.start
+        while nid not in terminals:
+            node = nodes[nid]
+            nid = node.one if _lookup(e, node.feature) else node.zero
+        return terminals[nid]
 
 
-def _walk(nodes, terminals, start: str, fixed: Mapping[str, int]) -> FrozenSet[int]:
+def walk_labels(g: Graph, tau: PartialExample) -> FrozenSet[int]:
+    """Labels reachable from `g.start` once arcs disagreeing with tau are
+    cut: an assigned feature follows its fixed arc, a free one both.  The
+    walk stops as soon as both labels are seen and builds no model."""
+    return _walk(g, {str(f): _bit(z, f"assignment of {f!r}") for f, z in tau.items()})
+
+
+def _walk(g: Graph, fixed: Mapping[str, int]) -> FrozenSet[int]:
     # `walk_labels` over an assignment whose names and bits are already read
+    nodes, terminals = g.nodes, g.terminals
     labels = set()
     seen = set()
-    stack = [start]
+    stack = [g.start]
     while stack:
         nid = stack.pop()
         label = terminals.get(nid)
@@ -70,54 +85,43 @@ def _walk(nodes, terminals, start: str, fixed: Mapping[str, int]) -> FrozenSet[i
 
 
 class Restriction(Definitions):
-    """The graph view of one tree or diagram, answering `_reaches` by the walk.
+    """The view of one tree or diagram, answering `_reaches` by the walk;
+    it keeps itself on the model as `_view`.  A tree must be free of
+    repeated tests and a diagram complete, as the walk, the seed path and
+    the flip masks assume."""
 
-    `terminals` maps leaf or sink ids to their class, `nodes` maps every
-    other id to a node with `feature`, `zero` and `one`, and `start` is
-    the root or source; every node is reachable from `start`.  The
-    model's `parents_first` lists the inner ids with each after all of
-    its parents (preorder for a tree, level order for a diagram), as its
-    constructor learned them.  A tree must be free of repeated tests and
-    a diagram complete, as the walk, the seed path and the flip masks
-    assume.  The view keeps itself on the model as `_view`.
-    """
-
-    def __init__(self, model, nodes, terminals: Mapping[str, int], start: str):
+    def __init__(self, model: Graph):
         self.model = model
-        self.nodes = nodes
-        self.terminals = terminals
-        self.start = start
         self.features = tuple(sorted(model.features()))
         model._view = self  # kept, so a model builds one view
-
-    def parents_first(self) -> List[str]:
-        return self.model.parents_first
 
     def example_class(self, e: Example) -> int:
         require_total(e, self.features)
         return classify(self.model, e)
 
     def _reaches(self, tau: Mapping[str, int], label: int) -> bool:
-        return label in _walk(self.nodes, self.terminals, self.start, tau)
+        return label in _walk(self.model, tau)
 
     def hits(self, label: int) -> Set[str]:
         """Ids from which some terminal of `label` is reachable."""
-        hit = {nid for nid, got in self.terminals.items() if got == label}
-        for nid in reversed(self.parents_first()):
-            node = self.nodes[nid]
+        g = self.model
+        hit = {nid for nid, got in g.terminals.items() if got == label}
+        for nid in reversed(g.parents_first):
+            node = g.nodes[nid]
             if node.zero in hit or node.one in hit:
                 hit.add(nid)
         return hit
 
     def seed_path(self, label: int) -> Optional[Dict[str, int]]:
         """Full assignment along the least (0-preferring) path into `label`."""
+        g = self.model
         hit = self.hits(label)
-        if self.start not in hit:
+        if g.start not in hit:
             return None
         alpha: Dict[str, int] = {}
-        nid = self.start
-        while nid not in self.terminals:
-            node = self.nodes[nid]
+        nid = g.start
+        while nid not in g.terminals:
+            node = g.nodes[nid]
             bit = 0 if node.zero in hit else 1
             alpha[node.feature] = bit
             nid = node.one if bit else node.zero
@@ -135,15 +139,16 @@ class Restriction(Definitions):
         arcs are relaxed; the terminals keep one entry, the best of the
         other class.
         """
+        g = self.model
         c = self.example_class(e)
         shift = {f: i for i, f in enumerate(reversed(self.features))}
-        best = {self.start: (0, 0)}
-        for nid in self.parents_first():
+        best = {g.start: (0, 0)}
+        for nid in g.parents_first:
             cost, neg = best.pop(nid)
-            node = self.nodes[nid]
+            node = g.nodes[nid]
             for bit, child in ((0, node.zero), (1, node.one)):
                 key = (cost, neg) if bit == e[node.feature] else (cost + 1, neg - (1 << shift[node.feature]))
-                label = self.terminals.get(child)
+                label = g.terminals.get(child)
                 if label is not None:
                     if label == c:
                         continue

@@ -122,14 +122,15 @@ def _fill_dl(dl, lit, full: int) -> int:
     return out
 
 
-def _fill_graph(nodes, terminals, start: str, parents_first, lit, full: int) -> int:
+def _fill_graph(g, lit, full: int) -> int:
     """A tree or diagram bottom-up, its parents-first order read
     backwards so both children come first; a repeated test or a skipped
     level needs nothing of its own.  A child's value is dropped once its
     last reader, the parent listed first, is done; an order that lists a
     parent after its child misses the child's value and raises
     `KeyError`."""
-    value = {nid: full if label else 0 for nid, label in terminals.items()}
+    nodes, parents_first = g.nodes, g.parents_first
+    value = {nid: full if label else 0 for nid, label in g.terminals.items()}
     last = {}
     for nid in parents_first:
         node = nodes[nid]
@@ -144,15 +145,10 @@ def _fill_graph(nodes, terminals, start: str, parents_first, lit, full: int) -> 
             del value[a]
         if b != a and last[b] == nid:
             del value[b]
-    return value[start]
+    return value[g.start]
 
 
-_FILLS = {
-    "dt": lambda t, *at: _fill_graph(t.nodes, t.leaf_labels, t.root, t.parents_first, *at),
-    "ds": _fill_ds,
-    "dl": _fill_dl,
-    "obdd": lambda o, *at: _fill_graph(o.nodes, o.sink_labels, o.source, o.parents_first, *at),
-}
+_FILLS = {"dt": _fill_graph, "ds": _fill_ds, "dl": _fill_dl, "obdd": _fill_graph}
 
 
 # ---------------------------------------------------------------------------

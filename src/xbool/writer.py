@@ -15,14 +15,23 @@ from .models import Model, dumps_canonical
 
 def model_to_json(model: Model) -> Dict:
     kind = getattr(model, "kind", None)
-    if kind == "dt":
-        nodes = {}
-        for nid, node in model.nodes.items():
-            if nid in model.leaf_labels:
-                nodes[nid] = {"leaf": node.label}
-            else:
-                nodes[nid] = {"feature": node.feature, "zero": node.zero, "one": node.one}
-        return {"kind": "dt", "root": model.root, "nodes": nodes}
+    if kind in ("dt", "obdd"):
+        # a tree's leaves are among its nodes, a diagram's sinks are not
+        nodes = {
+            nid: {"leaf": model.terminals[nid]} if nid in model.terminals
+            else {"feature": n.feature, "zero": n.zero, "one": n.one}
+            for nid, n in model.nodes.items()
+        }
+        if kind == "dt":
+            return {"kind": "dt", "root": model.start, "nodes": nodes}
+        return {
+            "kind": "obdd",
+            "nodes": nodes,
+            "source": model.start,
+            "t0": model.t0,
+            "t1": model.t1,
+            "order": list(model.order),
+        }
     if kind == "ds":
         return {
             "kind": "ds",
@@ -33,19 +42,6 @@ def model_to_json(model: Model) -> Dict:
         return {
             "kind": "dl",
             "rules": [[[[f, z] for f, z in sorted(r.term)], r.label] for r in model.rules],
-        }
-    if kind == "obdd":
-        nodes = {
-            nid: {"feature": n.feature, "zero": n.zero, "one": n.one}
-            for nid, n in model.nodes.items()
-        }
-        return {
-            "kind": "obdd",
-            "nodes": nodes,
-            "source": model.source,
-            "t0": model.t0,
-            "t1": model.t1,
-            "order": list(model.order),
         }
     if kind == "ensemble":
         data: Dict = {

@@ -20,6 +20,7 @@ from xbool.models import (
     model_features,
 )
 from xbool import circuits
+from xbool.writer import dumps_model
 from xbool.circuits import Circuit, Gate
 from xbool.gadgets import MccInstance, vertex_feature
 from xbool.explain import ExplanationQuery, Witness, is_explanation, oracle_min
@@ -256,6 +257,30 @@ def compiled_digest(rounds: int = 8) -> str:
     return h.hexdigest()
 
 
+def writer_digest(rounds: int = 12) -> str:
+    """sha256 of `dumps_model` over a seeded corpus of every family: trees
+    with and without repeated tests, one-leaf trees, complete and sparse
+    diagrams, diagram constants, rule sets and lists, and ensembles of
+    trees and of diagrams under a shared order."""
+    rng = random.Random(307)
+    feats = ("a", "b", "c", "d")
+    corpus = []
+    for _ in range(rounds):
+        trees = [rand_dt(rng, feats), rand_dt_with_repeats(rng, feats), rand_ordered_dt(rng, feats)]
+        diagrams = [rand_obdd(rng, feats), rand_sparse_obdd(rng, feats)]
+        corpus += trees + diagrams + [rand_ds(rng, feats), rand_dl(rng, feats)]
+        corpus.append(Ensemble(trees))
+        corpus.append(Ensemble(diagrams[:1] * 3, shared_order=feats + ("e",)))
+    for label in (0, 1):
+        corpus.append(DecisionTree({f"l{label}": DtLeaf(label)}, f"l{label}"))
+        for order in ((), feats):
+            corpus.append(Obdd({}, f"t{label}", "t0", "t1", order))
+    h = hashlib.sha256()
+    for model in corpus:
+        h.update(dumps_model(model).encode())
+    return h.hexdigest()
+
+
 def eval_digest(rounds: int = 4) -> str:
     """sha256 of `eval_circuit` at every point of a seeded corpus, each
     result by its repr so a bool or float would show: all six compilers
@@ -304,7 +329,7 @@ def graft_unpruned(ens: Ensemble) -> DecisionTree:
     leaves = {}
     inner = {}
     root_slot = {}
-    work = [(0, trees[0].root, 0, root_slot, "root")]
+    work = [(0, trees[0].start, 0, root_slot, "root")]
     while work:
         ti, nid, votes, slot, key = work.pop()
         node = trees[ti].nodes[nid]
@@ -313,7 +338,7 @@ def graft_unpruned(ens: Ensemble) -> DecisionTree:
             ti += 1
             if ti == len(trees):
                 break
-            node = trees[ti].nodes[trees[ti].root]
+            node = trees[ti].nodes[trees[ti].start]
         fresh = f"n{next(counter)}"
         slot[key] = fresh
         if isinstance(node, DtLeaf):
@@ -444,7 +469,7 @@ def gaxp_within(tree: DecisionTree, k: int) -> bool:
     """Branch over accepting paths: a size-k class-0 abductive assignment
     exists iff k contradictions can cut every path to a 1-leaf."""
     paths = []
-    stack = [(tree.root, [])]
+    stack = [(tree.start, [])]
     while stack:
         nid, alpha = stack.pop()
         node = tree.nodes[nid]

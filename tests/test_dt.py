@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from xbool.circuits import compile_dt
 from xbool.dt import (
     dt_check,
     dt_ensemble_to_dt,
@@ -22,7 +23,16 @@ from xbool.explain import (
     oracle_min,
     verify_subset_minimal,
 )
-from xbool.models import DecisionTree, DtInner, DtLeaf, Ensemble, classify, dt_size
+from xbool.models import (
+    DecisionTree,
+    DtInner,
+    DtLeaf,
+    Ensemble,
+    classify,
+    dt_size,
+    dumps_model,
+    measure_parameters,
+)
 
 from helpers import (
     all_examples,
@@ -42,6 +52,17 @@ def _single(f: str) -> DecisionTree:
 
 # ---------------------------------------------------------------------------
 # dt_check
+
+
+def test_a_leaf_label_given_as_a_bool_or_a_float_is_read_as_an_int():
+    def tree(zero, one):
+        return DecisionTree({"r": DtInner("x", "a", "b"), "a": DtLeaf(zero), "b": DtLeaf(one)}, "r")
+
+    t = tree(False, 1.0)
+    got = [classify(t, {"x": 0}), classify(t, {"x": 1}), measure_parameters(t).mnl_size]
+    assert [(type(z), z) for z in got] == [(int, 0), (int, 1), (int, 1)]
+    assert dumps_model(t) == dumps_model(tree(0, 1))
+    assert compile_dt(t, 1).reported_width_bound == 6
 
 
 def test_check_and_tree_laxp(and_tree):

@@ -53,7 +53,14 @@ from xbool.models import (
 )
 from xbool.obdd_order import dt_to_obdd
 
-from helpers import all_examples, models_equal, rand_dt, rand_obdd, rand_sparse_obdd
+from helpers import (
+    all_examples,
+    models_equal,
+    rand_dt,
+    rand_obdd,
+    rand_sparse_obdd,
+    writer_digest,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +152,7 @@ def test_simplify_prunes_repeated_test():
 
 def _paths_of(t: DecisionTree):
     out = []
-    stack = [(t.root, [])]
+    stack = [(t.start, [])]
     while stack:
         nid, acc = stack.pop()
         node = t.nodes[nid]
@@ -413,6 +420,14 @@ def test_json_round_trip(kind, fig1, and_tree, xor_obdd):
     assert dumps_model(back) == dumps_model(model)
 
 
+# writer_digest(); changes only when some model is written differently
+WRITER_DIGEST = "925095f265c92d292131b9952c72c653e7236b2d72ef5321ea31116212006f8f"
+
+
+def test_the_writer_writes_the_pinned_bytes():
+    assert writer_digest() == WRITER_DIGEST
+
+
 def test_loads_dt_simplifies_repeats():
     data = {
         "kind": "dt",
@@ -458,7 +473,7 @@ def test_a_diagram_without_order_whose_0_path_skips_a_feature_loads():
 def _path_then_sorted(o: Obdd):
     """The order inferred before the arcs were sorted: the source's
     0-path, then every other feature by name."""
-    order, nid = [], o.source
+    order, nid = [], o.start
     while nid not in (o.t0, o.t1):
         order.append(o.nodes[nid].feature)
         nid = o.nodes[nid].zero
@@ -476,7 +491,7 @@ def test_inferred_orders_keep_every_order_the_0_path_guess_found():
         back = model_from_json(data)
         assert models_equal(o, back, feats)
         try:
-            guess = Obdd(o.nodes, o.source, o.t0, o.t1, _path_then_sorted(o)).order
+            guess = Obdd(o.nodes, o.start, o.t0, o.t1, _path_then_sorted(o)).order
         except NotOrdered:
             refused += 1
             continue

@@ -303,7 +303,7 @@ def test_tree_conversion_and(and_tree):
 def test_tree_conversion_constant():
     o = dt_to_obdd(DecisionTree({"r": DtLeaf(1)}, "r"))
     assert classify(o, {}) == 1
-    assert o.source == o.t1
+    assert o.start == o.t1
 
 
 def test_tree_conversion_random():

@@ -53,7 +53,7 @@ from helpers import (
 
 
 def _tree_walk(t: DecisionTree, tau):
-    return walk_labels(t.nodes, t.leaf_labels, t.root, tau)
+    return walk_labels(t, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +92,7 @@ def test_a_check_refuses_a_witness_bit_the_walk_no_longer_reads():
             with pytest.raises(ModelError, match="assignment of 'a' must be 0 or 1"):
                 check(model, ExplanationQuery(kind, "subset", 1), w)
     with pytest.raises(ModelError):
-        walk_labels(t.nodes, t.leaf_labels, t.root, {"a": 2})
+        walk_labels(t, {"a": 2})
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +111,7 @@ def test_pruned_graft_equals_simplified_full_product():
             ens = _small_ensemble(rng, feats, size)
             got = dt_ensemble_to_dt(ens)
             ref = simplify_dt(graft_unpruned(ens))
-            assert got.root == ref.root
+            assert got.start == ref.start
             assert got.nodes == ref.nodes
             assert list(got.nodes) == list(ref.nodes)
             assert models_equal(got, ens, feats)
@@ -122,7 +122,7 @@ def _project_loop(t: DecisionTree, fixed, accumulate: bool) -> DecisionTree:
     before trees got one emitter, kept verbatim as their reference."""
     counter = itertools.count()
     leaves, inner, root_slot = {}, {}, {}
-    work = [(t.root, dict(fixed), root_slot, "root")]
+    work = [(t.start, dict(fixed), root_slot, "root")]
     while work:
         orig, ctx, slot, key = work.pop()
         node = t.nodes[orig]
@@ -154,7 +154,7 @@ def _graft_loop(trees) -> DecisionTree:
     majority = len(trees) // 2 + 1
     counter = itertools.count()
     leaves, inner, root_slot = {}, {}, {}
-    work = [(0, trees[0].root, 0, {}, root_slot, "root")]
+    work = [(0, trees[0].start, 0, {}, root_slot, "root")]
     while work:
         ti, nid, votes, path, slot, key = work.pop()
         node = trees[ti].nodes[nid]
@@ -164,7 +164,7 @@ def _graft_loop(trees) -> DecisionTree:
                 ti += 1
                 if ti == len(trees):
                     break
-                node = trees[ti].nodes[trees[ti].root]
+                node = trees[ti].nodes[trees[ti].start]
             elif node.feature in path:
                 node = trees[ti].nodes[node.one if path[node.feature] else node.zero]
             else:
@@ -188,7 +188,7 @@ def _graft_loop(trees) -> DecisionTree:
 
 
 def _same_tree(got: DecisionTree, ref: DecisionTree) -> None:
-    assert got.root == ref.root
+    assert got.start == ref.start
     assert got.nodes == ref.nodes
     assert list(got.nodes) == list(ref.nodes)
 
@@ -225,7 +225,7 @@ def test_simplified_trees_are_marked_repeat_free():
 def _has_repeats(t: DecisionTree) -> bool:
     # the whole-tree scan the constructor's flag replaced: one frozenset
     # of the path's features per pending node
-    stack = [(t.root, frozenset())]
+    stack = [(t.start, frozenset())]
     while stack:
         nid, seen = stack.pop()
         node = t.nodes[nid]
@@ -266,7 +266,7 @@ def test_a_tree_knows_its_repeats_and_features_from_its_constructor():
 
 def _levels_complete(o: Obdd) -> bool:
     # the whole-diagram scan the constructor's flag replaced
-    if o.level(o.source) != 0 and len(o.order) > 0:
+    if o.level(o.start) != 0 and len(o.order) > 0:
         return False
     for nid, node in o.nodes.items():
         lv = o.level(nid)
@@ -297,7 +297,7 @@ def test_a_diagram_knows_it_is_complete_from_its_constructor():
 def _preorder_walk(t: DecisionTree):
     # the walk the tree's learned order replaced: inner ids in preorder,
     # the 0-child first
-    out, stack = [], [t.root]
+    out, stack = [], [t.start]
     while stack:
         nid = stack.pop()
         node = t.nodes[nid]
@@ -317,7 +317,6 @@ def test_a_tree_learns_its_parents_first_order_from_its_constructor():
     for t in trees:
         assert t.parents_first == _preorder_walk(t)
         view = dt._restriction(t)
-        assert view.parents_first() is view.model.parents_first
         assert view.model.parents_first == _preorder_walk(view.model)
     assert trees[0].parents_first == [] and len(trees[1].parents_first) == 40
 
@@ -331,17 +330,17 @@ def test_a_diagram_learns_its_levels_size_and_width_from_its_constructor():
         o = rand_sparse_obdd(rng, feats) if i % 2 else rand_obdd(rng, feats)
         shuffled = list(o.nodes.items())
         rng.shuffle(shuffled)
-        diagrams += [o, Obdd(dict(shuffled), o.source, o.t0, o.t1, o.order)]
+        diagrams += [o, Obdd(dict(shuffled), o.start, o.t0, o.t1, o.order)]
     for o in diagrams:
         full = complete_obdd(o)
         for d in (o, full):
             # the sort, the sink scan and the per-feature count each replaced
             assert d.parents_first == sorted(d.nodes, key=d.level)
-            ends = {d.source} | {child for n in d.nodes.values() for child in (n.zero, n.one)}
+            ends = {d.start} | {child for n in d.nodes.values() for child in (n.zero, n.one)}
             assert d.size() == len(d.nodes) + len(ends & {d.t0, d.t1})
         per_feature = Counter(n.feature for n in full.nodes.values())
         assert obdd_width(o) == max(per_feature.values(), default=0)
-        assert obdd._restriction(o).parents_first() is full.parents_first
+        assert obdd._restriction(o).model is full
     assert [d.size() for d in diagrams[:3]] == [1, 1, 42]
     assert obdd_width(diagrams[1]) == 1 and obdd_width(diagrams[2]) == 2  # t0 padded
 
@@ -373,7 +372,7 @@ def test_completion_ids_and_node_order():
         ("a", "b", "c", "d", "e"),
     )
     c = complete_obdd(o)
-    assert c.source == "pad:s:0"
+    assert c.start == "pad:s:0"
     assert [(nid, n.feature, n.zero, n.one) for nid, n in c.nodes.items()] == [
         ("s", "b", "pad:t0:2", "pad:n:2"),
         ("n", "d", "pad:t1:4", "pad:t0:3"),
@@ -393,7 +392,7 @@ def test_completion_of_long_skip_needs_no_recursion():
     c = complete_obdd(o)
     assert is_complete(c)
     assert len(c.nodes) == 3000
-    assert c.source == "pad:s:0" and c.nodes["pad:s:0"].feature == "x0"
+    assert c.start == "pad:s:0" and c.nodes["pad:s:0"].feature == "x0"
     e = {f: 0 for f in order}
     assert classify(c, e) == 0
     e["x2999"] = 1
