@@ -11,9 +11,8 @@ an upper bound on its treewidth.
 
 from __future__ import annotations
 
-from functools import partial
-from operator import itemgetter, not_, truth
-from typing import TYPE_CHECKING, Collection, Dict, List, Mapping, Optional, Sequence, Tuple
+from operator import index, truth
+from typing import TYPE_CHECKING, Callable, Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ModelError, TooLarge, UnassignedInput
 from .dt import DecisionTree, dt_mnl, simplify_dt
@@ -53,9 +52,9 @@ class Circuit:
     order: (gate, its inputs, the ones that switch it on or None for
     NOT, the inputs no later step reads), in post-order from the output.
     A compiled circuit builds its `Gate` records only when `gates` is
-    first read.  Either kind builds the slot kernel `eval_circuit` runs
-    on at its first evaluation, so compiling and `circuit_table` never
-    pay for it.
+    first read.  Either kind builds its kernel, one generated function,
+    at its first evaluation, so compiling and `circuit_table` never pay
+    for it, and a pickled or copied circuit builds its own.
     """
 
     def __init__(
@@ -151,7 +150,7 @@ class Circuit:
                 need = 1 if kind == "OR" else threshold  # None for NOT
             steps.append((gid, srcs, need, tuple(spent)))
         self._gates: Optional[Dict[str, Gate]] = gates
-        self._kernel: Optional[Tuple] = None
+        self._kernel: Optional[Callable[[List], bool]] = None
         self._rows = tuple(row for row in rows if row[0] in seen)
         self._steps = tuple(reversed(steps))
         self._inputs = inputs
@@ -173,48 +172,53 @@ class Circuit:
     def inputs(self) -> Tuple[str, ...]:
         return self._inputs
 
-    def _build_kernel(self) -> Tuple:
-        """The program over integer slots, for `eval_circuit`.  The slots
-        hold the read inputs, then their negations, then one value per
-        remaining step, so a NOT of an input is no step of its own.  A
-        step is (test, getter of its input slots): `all` for AND, `any`
-        for OR, `not_` for NOT, at-least-`need` for MAJ, repeats counted.
-        A one-input step reads its slot twice, so every getter but NOT's
-        returns a tuple and the same rules hold with `need` doubled."""
-        read = self._read
-        slot = {f: i for i, f in enumerate(read)}
-        negated = {f: len(read) + i for i, f in enumerate(read)}
-        steps = []
+    def __getstate__(self) -> Dict:
+        # a generated function does not pickle: a copy builds its own
+        return {**self.__dict__, "_kernel": None}
+
+    def _build_kernel(self) -> Callable[[List], bool]:
+        """The program as one generated function, for `eval_circuit`: it
+        maps the read inputs' bits to the output's truth.  Its locals are
+        slots, `v0..` the inputs' truths and one per step, each step one
+        flat statement (`not a`, `a and b ...`, `a or b ...`, or
+        `sum((a, b, ...)) >= t` for MAJ, repeats counted) but a one-input
+        AND or OR, an alias.  Only slot names and exact ints (by
+        `operator.index`) enter the source, never a gate id.  The build,
+        mostly `compile`, takes about 10 us a step: it pays from about 65
+        evaluations on."""
+        slot = {f: f"v{i}" for i, f in enumerate(self._read)}
+        body = [", ".join(slot.values()) + ", = map(truth, bits)"]
         for gid, srcs, need, _ in self._steps:
-            if need is None and srcs[0] in negated:
-                slot[gid] = negated[srcs[0]]
-                continue
+            args = [slot[src] for src in srcs]
             if need is None:
-                steps.append((not_, itemgetter(slot[srcs[0]])))
+                step = f"not {args[0]}"
+            elif len(args) == need == 1:
+                slot[gid] = args[0]
+                continue
+            elif need == 1:
+                step = " or ".join(args)
+            elif need == len(args):
+                step = " and ".join(args)
             else:
-                if len(srcs) == 1:
-                    srcs, need = srcs * 2, need * 2
-                test = (any if need == 1 else all if need == len(srcs)
-                        else partial(_count_at_least, need))
-                steps.append((test, itemgetter(*map(slot.__getitem__, srcs))))
-            slot[gid] = 2 * len(read) + len(steps) - 1
-        self._kernel = (tuple(steps), slot[self.output])
+                step = f"sum(({', '.join(args)},)) >= {index(need)}"
+            slot[gid] = f"v{len(self._read) + len(body) - 1}"
+            body.append(f"{slot[gid]} = {step}")
+        scope = {"truth": truth}
+        source = "def kernel(bits):\n " + "\n ".join(body) + f"\n return {slot[self.output]}"
+        exec(compile(source, "<circuit>", "exec"), scope)
+        self._kernel = scope.pop("kernel")  # so its globals hold no cycle back to it
         return self._kernel
 
     def maj_count(self) -> int:
         return sum(1 for row in self._rows if row[1] == "MAJ")
 
 
-def _count_at_least(need: int, values: Tuple[bool, ...]) -> bool:
-    return sum(values) >= need
-
-
 def eval_circuit(c: Circuit, alpha: Example) -> int:
-    """The circuit at one point, on the kernel the circuit builds at its
-    first evaluation.  alpha must assign every IN gate (the first missing
-    one in sorted order is named); the inputs the output depends on must
-    be bits (likewise the first that is not)."""
-    steps, out = c._kernel or c._build_kernel()
+    """The circuit at one point, as 0 or 1, by the kernel the circuit
+    builds at its first evaluation.  alpha must assign every IN gate (the
+    first missing one in sorted order is named); the inputs the output
+    depends on must be bits (likewise the first that is not)."""
+    kernel = c._kernel or c._build_kernel()
     if not all(map(alpha.__contains__, c._inputs)):
         for gid in c._inputs:
             if gid not in alpha:
@@ -224,11 +228,7 @@ def eval_circuit(c: Circuit, alpha: Example) -> int:
         for gid, bit in zip(c._read, bits):
             if bit not in _BIT:
                 raise ModelError(f"input {gid!r} must be 0 or 1")
-    value = [*map(truth, bits), *map(not_, bits)]
-    push = value.append
-    for test, get in steps:
-        push(test(get(value)))
-    return 1 if value[out] else 0
+    return 1 if kernel(bits) else 0
 
 
 def circuit_table(c: Circuit) -> int:

@@ -24,7 +24,7 @@ never loads it.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ModelError, TooLarge, UndefinedFeature
@@ -194,7 +194,7 @@ class FunctionOracle(Definitions):
         points = itertools.product(
             *[(fixed[i],) if i in fixed else (0, 1) for i in range(len(self.features))]
         )
-        return any(self.label(b) == z for b in points)
+        return any(map(z.__eq__, map(self.label, points)))
 
     def _reaches(self, tau: Mapping[str, int], z: int) -> bool:
         pos = self._pos
@@ -202,19 +202,20 @@ class FunctionOracle(Definitions):
 
 
 class TableOracle(FunctionOracle):
-    """The oracle over a truth table given up front: `table` is one
-    2^n-bit int whose bit i is the class of the point where feature j
-    (in sorted order) takes bit j of i.  `reaches` ANDs one literal mask
-    per fixed feature with the class's points and tests for any left
-    (Knuth, TAOCP 4A, 7.1.3); `minimum` walks the inherited candidates
-    in the inherited order, sharing each prefix's AND (`_first`).  The
-    table and its masks hold 2^n bits each, 128 KiB at the guard.
-    """
+    """The oracle over a truth table: `table` is one 2^n-bit int whose
+    bit i is the class of the point where feature j (in sorted order)
+    takes bit j of i, or a function filling it from the sorted features.
+    `reaches` ANDs one literal mask per fixed feature with the class's
+    points and tests for any left (Knuth, TAOCP 4A, 7.1.3); `minimum`
+    walks the inherited candidates in the inherited order, sharing each
+    prefix's AND (`_first`).  The table and its masks hold 2^n bits
+    each, 128 KiB at the guard."""
 
-    def __init__(self, features: Iterable[str], table: int, guard: int = DEFAULT_GUARD):
-        # a point's class is its bit of the table, at the index its bits spell
+    def __init__(self, features: Iterable[str], table: int | Callable[..., int], guard: int = DEFAULT_GUARD):
+        # a point's class is its bit of the (filled) table, at the index its bits spell
         super().__init__(features, lambda point: table >> sum(
             bit << j for j, bit in enumerate(point.values())) & 1, guard)
+        table = table(self.features) if callable(table) else table
         width = 1 << len(self.features)
         full = (1 << width) - 1
         if not 0 <= table <= full:
@@ -313,8 +314,7 @@ def _universe(features: Iterable[str], guard: int) -> Tuple[str, ...]:
 
 def _oracle_for(model: Model, guard: int) -> TableOracle:
     """The oracle over `model`'s truth table, filled from its structure."""
-    features = _universe(model_features(model), guard)
-    return TableOracle(features, model_table(model, features), guard)
+    return TableOracle(model_features(model), partial(model_table, model), guard)
 
 
 def is_explanation(model: Model, q: ExplanationQuery, w: Witness, guard: int = DEFAULT_GUARD) -> bool:

@@ -1,11 +1,15 @@
 """Gate validation, evaluation, compilers, and the compiled-form oracle."""
 
+import copy
+import gc
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -179,24 +183,95 @@ def test_eval_gives_an_int_for_bool_and_float_bits():
 
 
 def test_eval_runs_a_long_chain_without_recursion():
-    # 3,000 steps alternating NOT and AND with a second input: deeper
-    # than the recursion limit, so only a loop can evaluate it
+    # 20,000 steps alternating NOT and AND with a second input, and gates
+    # of 20,000 inputs, under a recursion limit of 200: only a flat
+    # program can build and evaluate them
     gates = {"x": Gate("IN"), "y": Gate("IN")}
     prev = "x"
-    for i in range(3000):
+    for i in range(20000):
         gid = f"g{i}"
         gates[gid] = Gate("NOT", (prev,)) if i % 2 == 0 else Gate("AND", (prev, "y"))
         prev = gid
-    c = Circuit(gates, prev)
-    assert len(c._steps) == 3000
-    for x, y in itertools.product((0, 1), repeat=2):
+    chain = Circuit(gates, prev)
+    assert len(chain._steps) == 20000
+    names = tuple(f"x{i:05d}" for i in range(20000))
+    ins = {f: Gate("IN") for f in names}
+    wide = {kind: Circuit({**ins, "o": Gate(kind, names, threshold)}, "o")
+            for kind, threshold in (("AND", None), ("OR", None), ("MAJ", 10001))}
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        got = [eval_circuit(chain, {"x": x, "y": y}) for x, y in itertools.product((0, 1), repeat=2)]
+        for ones in (0, 1, 10000, 10001, 19999, 20000):
+            e = {f: int(i < ones) for i, f in enumerate(names)}
+            assert [eval_circuit(wide[kind], e) for kind in ("AND", "OR", "MAJ")] == [
+                int(ones == 20000), int(ones > 0), int(ones >= 10001)], ones
+    finally:
+        sys.setrecursionlimit(limit)
+    for (x, y), out in zip(itertools.product((0, 1), repeat=2), got):
         value = x
-        for i in range(3000):
+        for i in range(20000):
             value = 1 - value if i % 2 == 0 else value & y
-        assert eval_circuit(c, {"x": x, "y": y}) == value
-    assert circuit_table(c) == sum(
-        eval_circuit(c, {"x": i & 1, "y": i >> 1 & 1}) << i for i in range(4)
-    )
+        assert out == value
+    assert circuit_table(chain) == sum(out << (2 * x + y) for (x, y), out in zip(
+        itertools.product((0, 1), repeat=2), got))
+
+
+class _Shouting(int):
+    """An int that prints as something else: the threshold must enter
+    the evaluation as its value, not as its text."""
+
+    def __str__(self):
+        return "0"
+
+    __repr__ = __str__
+
+    def __format__(self, spec):
+        return "0 or __import__('os')"
+
+
+def test_gate_ids_and_thresholds_never_enter_the_program_as_text():
+    names = ("v0", "sum", "__import__('os')", "bits")
+    gates = {f: Gate("IN") for f in names}
+    gates["s0"] = Gate("AND", ("v0", "sum"))
+    gates["kernel"] = Gate("NOT", ("s0",))
+    gates["a) or (1"] = Gate("MAJ", ("kernel", "__import__('os')", "v0", "bits"), _Shouting(3))
+    gates["truth"] = Gate("OR", ("a) or (1", "s0"))
+    gates["v9"] = Gate("AND", ("truth",))
+    c = Circuit(gates, "v9")
+    plain = Circuit({**gates, "a) or (1": Gate("MAJ", gates["a) or (1"].inputs, 3)}, "v9")
+    table = circuit_table(plain)
+    for i, e in enumerate(_points(c)):
+        assert eval_circuit(c, e) == eval_circuit(plain, e) == _by_definition(plain, e) == table >> i & 1
+    assert 0 < table < (1 << 16) - 1
+
+
+def test_a_circuit_builds_its_kernel_once_and_still_pickles(monkeypatch):
+    rng = random.Random(131)
+    feats = tuple(f"x{i}" for i in range(5))
+    built = []
+    build = Circuit._build_kernel
+
+    def counted(self):
+        built.append(1)
+        return build(self)
+
+    monkeypatch.setattr(Circuit, "_build_kernel", counted)
+    corpus = [compile_fn(model, 1) for compile_fn, model in six_compiled(rng, feats)
+              if model_features(model)]
+    corpus += [random_circuit(rng, feats, 12) for _ in range(4)]
+    for c in corpus:
+        want = [eval_circuit(c, e) for e in _points(c)]
+        for copied in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
+            assert [eval_circuit(copied, e) for e in _points(c)] == want
+    assert len(built) == 4 * len(corpus)  # one per circuit; each copy builds its own
+    kernel = weakref.ref(corpus[0]._kernel)
+    gc.disable()
+    try:
+        del corpus[0]
+        assert kernel() is None  # no reference cycle holds the generated function
+    finally:
+        gc.enable()
 
 
 def test_unused_input_is_legal_but_dangling_gate_is_not():

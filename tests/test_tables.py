@@ -10,8 +10,9 @@ from math import comb
 
 import pytest
 
-from xbool import models
+from xbool import models, tables
 from xbool.circuits import circuit_explain_bruteforce
+from xbool.errors import TooLarge
 from xbool.explain import (
     KINDS,
     ExplanationQuery,
@@ -192,6 +193,36 @@ def test_the_table_oracle_answers_like_the_enumeration_oracle():
                 for w in _witnesses(rng, q, feats, found):
                     assert table.holds(q, w) == enum.holds(q, w), (model.kind, q, w)
                     assert table.subset_minimal(q, w) == enum.subset_minimal(q, w)
+
+
+def test_an_oracle_request_sorts_and_guards_its_universe_once(monkeypatch):
+    calls = []
+    universe = tables._universe
+
+    def counted(features, guard):
+        calls.append(guard)
+        return universe(features, guard)
+
+    monkeypatch.setattr(tables, "_universe", counted)
+    rng = random.Random(83)
+    for _ in range(4):
+        for model in _models(rng):
+            feats = sorted(model_features(model))
+            for q in _queries(rng, feats):
+                want = FunctionOracle(feats, lambda e, m=model: classify(m, e)).minimum(q)
+                calls.clear()
+                assert oracle_min(model, q) == want, (model.kind, q)
+                assert calls == [20], (model.kind, q)
+
+    def refused(*args):
+        raise AssertionError("filled a table over too many features")
+
+    monkeypatch.setattr(tables, "model_table", refused)  # the guard comes before the fill
+    wide = DecisionSet([((f"x{i:02d}", 1),) for i in range(21)], 0)
+    calls.clear()
+    with pytest.raises(TooLarge):
+        oracle_min(wide, ExplanationQuery("gAXp", "subset", 1))
+    assert calls == [20]
 
 
 @pytest.mark.parametrize("model", NO_FEATURES, ids=lambda m: m.kind)
