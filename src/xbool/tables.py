@@ -156,8 +156,8 @@ _FILLS = {"dt": _fill_graph, "ds": _fill_ds, "dl": _fill_dl, "obdd": _fill_graph
 
 
 class FunctionOracle(Definitions):
-    """The definitions over an arbitrary total 0/1 classifier.
-
+    """The definitions over an arbitrary total 0/1 classifier, which the
+    constructor stores without calling (`TableOracle` fills after it).
     `reaches` enumerates the completions, and classifications are
     memoized per feature vector, so repeated candidate checks against the
     same function stay cheap.  Only callers holding a bare function need
@@ -212,15 +212,15 @@ class TableOracle(FunctionOracle):
     each, 128 KiB at the guard."""
 
     def __init__(self, features: Iterable[str], table: int | Callable[..., int], guard: int = DEFAULT_GUARD):
-        # a point's class is its bit of the (filled) table, at the index its bits spell
-        super().__init__(features, lambda point: table >> sum(
+        # a point's class is its bit of the table, at the index its bits spell (filled next: the base never labels)
+        super().__init__(features, lambda point: filled >> sum(
             bit << j for j, bit in enumerate(point.values())) & 1, guard)
-        table = table(self.features) if callable(table) else table
+        filled = table(self.features) if callable(table) else table
         width = 1 << len(self.features)
         full = (1 << width) - 1
-        if not 0 <= table <= full:
+        if not 0 <= filled <= full:
             raise ModelError(f"a table over {len(self.features)} features must fit in {width} bits")
-        self._points = (full ^ table, table)  # the points of class 0, of class 1
+        self._points = (full ^ filled, filled)  # the points of class 0, of class 1
         self._literals = literals(len(self.features))  # per position: (0s, 1s)
 
     def reaches(self, fixed: Dict[int, int], z: int) -> bool:

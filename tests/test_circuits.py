@@ -183,17 +183,19 @@ def test_eval_gives_an_int_for_bool_and_float_bits():
 
 
 def test_eval_runs_a_long_chain_without_recursion():
-    # 20,000 steps alternating NOT and AND with a second input, and gates
+    # 20,002 steps alternating NOT and AND with a second input, and gates
     # of 20,000 inputs, under a recursion limit of 200: only a flat
-    # program can build and evaluate them
+    # program can build and evaluate them.  Each NOT/AND pair maps f to
+    # (not f) and y, so an odd number of pairs leaves (not x) and y, which
+    # is not symmetric: a transposed table would not match
     gates = {"x": Gate("IN"), "y": Gate("IN")}
     prev = "x"
-    for i in range(20000):
+    for i in range(20002):
         gid = f"g{i}"
         gates[gid] = Gate("NOT", (prev,)) if i % 2 == 0 else Gate("AND", (prev, "y"))
         prev = gid
     chain = Circuit(gates, prev)
-    assert len(chain._steps) == 20000
+    assert len(chain._steps) == 20002
     names = tuple(f"x{i:05d}" for i in range(20000))
     ins = {f: Gate("IN") for f in names}
     wide = {kind: Circuit({**ins, "o": Gate(kind, names, threshold)}, "o")
@@ -209,12 +211,10 @@ def test_eval_runs_a_long_chain_without_recursion():
     finally:
         sys.setrecursionlimit(limit)
     for (x, y), out in zip(itertools.product((0, 1), repeat=2), got):
-        value = x
-        for i in range(20000):
-            value = 1 - value if i % 2 == 0 else value & y
-        assert out == value
-    assert circuit_table(chain) == sum(out << (2 * x + y) for (x, y), out in zip(
-        itertools.product((0, 1), repeat=2), got))
+        assert out == (1 - x) & y
+    # x sorts first, so it is bit 0 of a point's index
+    assert circuit_table(chain) == sum(out << (x + 2 * y) for (x, y), out in zip(
+        itertools.product((0, 1), repeat=2), got)) == 0b0100
 
 
 class _Shouting(int):

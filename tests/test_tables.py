@@ -225,6 +225,21 @@ def test_an_oracle_request_sorts_and_guards_its_universe_once(monkeypatch):
     assert calls == [20]
 
 
+def test_an_oracle_stores_its_classifier_without_calling_it():
+    # the table oracle fills its table after the base constructor has
+    # sorted the universe; a constructor that labelled a point would read
+    # the table before it is filled
+    def refused(point):
+        raise AssertionError("labelled a point while building")
+
+    with pytest.raises(AssertionError):
+        FunctionOracle(["a", "b"], refused).label((0, 1))
+    fills = []
+    oracle = TableOracle(["b", "a"], lambda feats: fills.append(feats) or 0b0100)
+    assert fills == [("a", "b")]
+    assert [oracle.label(p) for p in ((0, 0), (1, 0), (0, 1), (1, 1))] == [0, 0, 1, 0]
+
+
 @pytest.mark.parametrize("model", NO_FEATURES, ids=lambda m: m.kind)
 def test_a_model_without_features_has_a_one_point_table(model):
     q = ExplanationQuery("gAXp", "subset", classify(model, {}))
