@@ -11,6 +11,7 @@ an upper bound on its treewidth.
 
 from __future__ import annotations
 
+from itertools import compress
 from operator import index, truth
 from typing import TYPE_CHECKING, Callable, Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -29,6 +30,7 @@ if TYPE_CHECKING:
 
 GATE_KINDS = ("IN", "AND", "OR", "NOT", "MAJ")
 _BIT = (0, 1)
+TABLE_INPUTS = 16  # the most inputs a circuit evaluates by its table, 8 KiB
 
 
 class Gate(Frozen):
@@ -52,9 +54,9 @@ class Circuit:
     order: (gate, its inputs, the ones that switch it on or None for
     NOT, the inputs no later step reads), in post-order from the output.
     A compiled circuit builds its `Gate` records only when `gates` is
-    first read.  Either kind builds its kernel, one generated function,
-    at its first evaluation, so compiling and `circuit_table` never pay
-    for it, and a pickled or copied circuit builds its own.
+    first read.  Its first evaluation builds its kernel, a table lookup or
+    a generated function by its input count (`_build_kernel`); compiling
+    and `circuit_table` never do, and a pickled or copied circuit builds its own.
     """
 
     def __init__(
@@ -150,7 +152,7 @@ class Circuit:
                 need = 1 if kind == "OR" else threshold  # None for NOT
             steps.append((gid, srcs, need, tuple(spent)))
         self._gates: Optional[Dict[str, Gate]] = gates
-        self._kernel: Optional[Callable[[List], bool]] = None
+        self._kernel: Optional[Callable[[List], int]] = None
         self._rows = tuple(row for row in rows if row[0] in seen)
         self._steps = tuple(reversed(steps))
         self._inputs = inputs
@@ -173,50 +175,63 @@ class Circuit:
         return self._inputs
 
     def __getstate__(self) -> Dict:
-        # a generated function does not pickle: a copy builds its own
+        # a kernel, a closure or a generated function, does not pickle: a copy builds its own
         return {**self.__dict__, "_kernel": None}
 
-    def _build_kernel(self) -> Callable[[List], bool]:
-        """The program as one generated function, for `eval_circuit`: it
-        maps the read inputs' bits to the output's truth.  Its locals are
-        slots, `v0..` the inputs' truths and one per step, each step one
-        flat statement (`not a`, `a and b ...`, `a or b ...`, or
-        `sum((a, b, ...)) >= t` for MAJ, repeats counted) but a one-input
-        AND or OR, an alias.  Only slot names and exact ints (by
-        `operator.index`) enter the source, never a gate id.  The build,
-        mostly `compile`, takes about 10 us a step: it pays from about 65
-        evaluations on."""
-        slot = {f: f"v{i}" for i, f in enumerate(self._read)}
-        body = [", ".join(slot.values()) + ", = map(truth, bits)"]
-        for gid, srcs, need, _ in self._steps:
-            args = [slot[src] for src in srcs]
-            if need is None:
-                step = f"not {args[0]}"
-            elif len(args) == need == 1:
-                slot[gid] = args[0]
-                continue
-            elif need == 1:
-                step = " or ".join(args)
-            elif need == len(args):
-                step = " and ".join(args)
-            else:
-                step = f"sum(({', '.join(args)},)) >= {index(need)}"
-            slot[gid] = f"v{len(self._read) + len(body) - 1}"
-            body.append(f"{slot[gid]} = {step}")
-        scope = {"truth": truth}
-        source = "def kernel(bits):\n " + "\n ".join(body) + f"\n return {slot[self.output]}"
-        exec(compile(source, "<circuit>", "exec"), scope)
-        self._kernel = scope.pop("kernel")  # so its globals hold no cycle back to it
+    def _build_kernel(self) -> Callable[[List], int]:
+        """The kernel `eval_circuit` calls on the read inputs' bits.  Up to
+        TABLE_INPUTS inputs it looks the point up in the circuit's own
+        table: the table fills faster than `_generated_kernel` compiles
+        (0.04-0.06 against 0.4-0.65 ms at 10 inputs), but it doubles with
+        each input, and at 18 inputs it is already the dearer build."""
+        if len(self._inputs) > TABLE_INPUTS:
+            self._kernel = _generated_kernel(self)
+        else:  # bit j of a point's index is input j, read by its truth
+            table, weights = circuit_table(self), [1 << self._inputs.index(f) for f in self._read]
+            self._kernel = lambda bits: table >> sum(compress(weights, bits)) & 1
         return self._kernel
 
     def maj_count(self) -> int:
         return sum(1 for row in self._rows if row[1] == "MAJ")
 
 
+def _generated_kernel(c: Circuit) -> Callable[[List], bool]:
+    """The program as one generated function of the read inputs' bits, for
+    a circuit over more than TABLE_INPUTS inputs.  Its locals are slots,
+    `v0..` the inputs' truths and one per step, each step one flat
+    statement (`not a`, `a and b ...`, `a or b ...`, or `sum((a, b, ...))
+    >= t` for MAJ, repeats counted) but a one-input AND or OR, an alias.
+    Only slot names and exact ints (by `operator.index`) enter the source,
+    never a gate id.  The build, mostly `compile`, takes about 10 us a
+    step; it is the only kernel that can evaluate a wide circuit."""
+    slot = {f: f"v{i}" for i, f in enumerate(c._read)}
+    body = [", ".join(slot.values()) + ", = map(truth, bits)"]
+    for gid, srcs, need, _ in c._steps:
+        args = [slot[src] for src in srcs]
+        if need is None:
+            step = f"not {args[0]}"
+        elif len(args) == need == 1:
+            slot[gid] = args[0]
+            continue
+        elif need == 1:
+            step = " or ".join(args)
+        elif need == len(args):
+            step = " and ".join(args)
+        else:
+            step = f"sum(({', '.join(args)},)) >= {index(need)}"
+        slot[gid] = f"v{len(c._read) + len(body) - 1}"
+        body.append(f"{slot[gid]} = {step}")
+    scope = {"truth": truth}
+    source = "def kernel(bits):\n " + "\n ".join(body) + f"\n return {slot[c.output]}"
+    exec(compile(source, "<circuit>", "exec"), scope)
+    return scope.pop("kernel")  # so its globals hold no cycle back to it
+
+
 def eval_circuit(c: Circuit, alpha: Example) -> int:
     """The circuit at one point, as 0 or 1, by the kernel the circuit
-    builds at its first evaluation.  alpha must assign every IN gate (the
-    first missing one in sorted order is named); the inputs the output
+    builds at its first evaluation, a table lookup up to TABLE_INPUTS
+    inputs and a generated function above.  alpha must assign every IN gate
+    (the first missing one in sorted order is named); the inputs the output
     depends on must be bits (likewise the first that is not)."""
     kernel = c._kernel or c._build_kernel()
     if not all(map(alpha.__contains__, c._inputs)):

@@ -1,6 +1,7 @@
 """Gate validation, evaluation, compilers, and the compiled-form oracle."""
 
 import copy
+import functools
 import gc
 import itertools
 import os
@@ -203,7 +204,12 @@ def test_eval_runs_a_long_chain_without_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
-        got = [eval_circuit(chain, {"x": x, "y": y}) for x, y in itertools.product((0, 1), repeat=2)]
+        # two inputs: `eval_circuit` reads the table, so the generated
+        # function is run here directly
+        generated = _generated_at(chain)
+        points = [{"x": x, "y": y} for x, y in itertools.product((0, 1), repeat=2)]
+        got = [eval_circuit(chain, e) for e in points]
+        assert [generated(e) for e in points] == got
         for ones in (0, 1, 10000, 10001, 19999, 20000):
             e = {f: int(i < ones) for i, f in enumerate(names)}
             assert [eval_circuit(wide[kind], e) for kind in ("AND", "OR", "MAJ")] == [
@@ -241,8 +247,10 @@ def test_gate_ids_and_thresholds_never_enter_the_program_as_text():
     c = Circuit(gates, "v9")
     plain = Circuit({**gates, "a) or (1": Gate("MAJ", gates["a) or (1"].inputs, 3)}, "v9")
     table = circuit_table(plain)
+    generated = _generated_at(c)
     for i, e in enumerate(_points(c)):
         assert eval_circuit(c, e) == eval_circuit(plain, e) == _by_definition(plain, e) == table >> i & 1
+        assert generated(e) == table >> i & 1
     assert 0 < table < (1 << 16) - 1
 
 
@@ -260,18 +268,50 @@ def test_a_circuit_builds_its_kernel_once_and_still_pickles(monkeypatch):
     corpus = [compile_fn(model, 1) for compile_fn, model in six_compiled(rng, feats)
               if model_features(model)]
     corpus += [random_circuit(rng, feats, 12) for _ in range(4)]
+    # 17 inputs, 12 of them unused, so this one gets the generated function
+    wide = random_circuit(rng, feats, 12)
+    corpus.append(Circuit({**wide.gates, **{f"u{i:02d}": Gate("IN") for i in range(12)}}, "out"))
+    assert len(corpus[-1].inputs()) == circuits.TABLE_INPUTS + 1
     for c in corpus:
-        want = [eval_circuit(c, e) for e in _points(c)]
+        points = list(_points(c)) if c is not corpus[-1] else _sampled(rng, c, 64)
+        want = [eval_circuit(c, e) for e in points]
+        assert want == [_by_definition(c, e) for e in points]
         for copied in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
-            assert [eval_circuit(copied, e) for e in _points(c)] == want
+            assert [eval_circuit(copied, e) for e in points] == want
     assert len(built) == 4 * len(corpus)  # one per circuit; each copy builds its own
-    kernel = weakref.ref(corpus[0]._kernel)
+    kernels = [weakref.ref(corpus[0]._kernel), weakref.ref(corpus[-1]._kernel)]
+    gc.collect()  # `_by_definition`'s recursive closures are cycles that hold their circuit
     gc.disable()
     try:
-        del corpus[0]
-        assert kernel() is None  # no reference cycle holds the generated function
+        del corpus[0], corpus[-1], c
+        # no reference cycle holds the table's lookup or the generated function
+        assert [kernel() for kernel in kernels] == [None, None]
     finally:
         gc.enable()
+
+
+def test_a_circuit_over_sixteen_inputs_reads_its_table_and_over_seventeen_compiles(monkeypatch):
+    rng = random.Random(137)
+    generated = []
+    generate = circuits._generated_kernel
+
+    def counted(c):
+        generated.append(len(c.inputs()))
+        return generate(c)
+
+    monkeypatch.setattr(circuits, "_generated_kernel", counted)
+    assert circuits.TABLE_INPUTS == 16
+    for n in (16, 17):
+        names = tuple(f"x{i:02d}" for i in range(n))
+        for c in (random_circuit(rng, names, 60), compile_obdd(rand_obdd(rng, names), 1)):
+            assert len(c.inputs()) == n
+            points = _sampled(rng, c, 200)
+            want = [_by_definition(c, e) for e in points]
+            assert [eval_circuit(c, e) for e in points] == want
+            generated_at = _generated_at(c)
+            assert [generated_at(e) for e in points] == want
+    # `_generated_at` calls it once per circuit; `eval_circuit` only at 17
+    assert generated == [16, 16, 17, 17, 17, 17]
 
 
 def test_unused_input_is_legal_but_dangling_gate_is_not():
@@ -663,9 +703,23 @@ def _points(c: Circuit):
         yield {f: i >> j & 1 for j, f in enumerate(names)}
 
 
-def _by_definition(c: Circuit, e) -> int:
-    """Each gate read off its definition, recursively from the output."""
+def _sampled(rng, c: Circuit, count: int):
+    """`count` seeded points over the circuit's inputs."""
+    return [{f: rng.randint(0, 1) for f in c.inputs()} for _ in range(count)]
 
+
+def _generated_at(c: Circuit):
+    """The circuit's generated function as `eval_circuit` would call it,
+    whatever its input count: small circuits never reach it otherwise."""
+    kernel = circuits._generated_kernel(c)
+    return lambda e: 1 if kernel([e[f] for f in c._read]) else 0
+
+
+def _by_definition(c: Circuit, e) -> int:
+    """Each gate read off its definition, recursively from the output,
+    once per gate: a diagram's circuit shares its gates along every path."""
+
+    @functools.cache
     def value(gid: str) -> int:
         gate = c.gates[gid]
         if gate.kind == "IN":
@@ -689,15 +743,18 @@ def test_table_equals_eval_at_every_point():
             for c in (0, 1):
                 circuit = compile_fn(model, c)
                 table = circuit_table(circuit)
+                generated = _generated_at(circuit)
                 for i, e in enumerate(_points(circuit)):
-                    assert table >> i & 1 == eval_circuit(circuit, e)
+                    assert table >> i & 1 == eval_circuit(circuit, e) == generated(e)
                     assert eval_circuit(circuit, e) == int(classify(model, e) == c)
                 assert table >> (1 << len(circuit.inputs())) == 0
     for _ in range(150):
         circuit = random_circuit(rng, feats[: rng.randint(1, 5)], rng.randint(0, 12))
         table = circuit_table(circuit)
+        generated = _generated_at(circuit)
         for i, e in enumerate(_points(circuit)):
-            assert table >> i & 1 == eval_circuit(circuit, e) == _by_definition(circuit, e)
+            assert (table >> i & 1 == eval_circuit(circuit, e) == _by_definition(circuit, e)
+                    == generated(e))
 
 
 # eval_digest(); changes only when some point evaluates differently
