@@ -54,7 +54,7 @@ class Circuit:
     order: (gate, its inputs, the ones that switch it on or None for
     NOT, the inputs no later step reads), in post-order from the output.
     A compiled circuit builds its `Gate` records only when `gates` is
-    first read.  Its first evaluation builds its kernel, a table lookup or
+    first read.  Its first accepted evaluation builds its kernel, a lookup or
     a generated function by its input count (`_build_kernel`); compiling
     and `circuit_table` never do, and a pickled or copied circuit builds its own.
     """
@@ -155,7 +155,7 @@ class Circuit:
         self._kernel: Optional[Callable[[List], int]] = None
         self._rows = tuple(row for row in rows if row[0] in seen)
         self._steps = tuple(reversed(steps))
-        self._inputs = inputs
+        self._inputs, self._names = inputs, frozenset(inputs)  # `eval_circuit` tests a point's keys on the set
         self._read = tuple(f for f in inputs if f in read)  # the inputs anything reads
         self.output = output
         self.source_kind = source_kind
@@ -228,22 +228,21 @@ def _generated_kernel(c: Circuit) -> Callable[[List], bool]:
 
 
 def eval_circuit(c: Circuit, alpha: Example) -> int:
-    """The circuit at one point, as 0 or 1, by the kernel the circuit
-    builds at its first evaluation, a table lookup up to TABLE_INPUTS
-    inputs and a generated function above.  alpha must assign every IN gate
-    (the first missing one in sorted order is named); the inputs the output
-    depends on must be bits (likewise the first that is not)."""
-    kernel = c._kernel or c._build_kernel()
-    if not all(map(alpha.__contains__, c._inputs)):
+    """The circuit at one point, as 0 or 1.  alpha must assign every IN gate
+    and give bits to the inputs the output depends on, each checked in one
+    pass (a superset test of the keys, a count of the bits); only a failed
+    pass loops, to name the first missing input in sorted order, or else the
+    first read one that is not a bit.  The kernel is built after the checks."""
+    if not alpha.keys() >= c._names:  # no insert into a defaultdict
         for gid in c._inputs:
             if gid not in alpha:
                 raise UnassignedInput(f"input {gid!r} is not assigned")
     bits = [*map(alpha.__getitem__, c._read)]
-    if not all(map(_BIT.__contains__, bits)):
+    if bits.count(0) + bits.count(1) != len(bits):  # as `in _BIT`, for a value equal to one bit at most
         for gid, bit in zip(c._read, bits):
             if bit not in _BIT:
                 raise ModelError(f"input {gid!r} must be 0 or 1")
-    return 1 if kernel(bits) else 0
+    return 1 if (c._kernel or c._build_kernel())(bits) else 0
 
 
 def circuit_table(c: Circuit) -> int:

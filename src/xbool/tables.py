@@ -158,9 +158,9 @@ _FILLS = {"dt": _fill_graph, "ds": _fill_ds, "dl": _fill_dl, "obdd": _fill_graph
 class FunctionOracle(Definitions):
     """The definitions over an arbitrary total 0/1 classifier, which the
     constructor stores without calling (`TableOracle` fills after it).
-    `reaches` enumerates the completions, and classifications are
-    memoized per feature vector, so repeated candidate checks against the
-    same function stay cheap.  Only callers holding a bare function need
+    `reaches` enumerates the completions and keeps its last answer, and
+    classifications are memoized per feature vector, so a repeated check
+    makes no classifier call.  Only callers holding a bare function need
     this: a model's oracle is the `TableOracle` that `_oracle_for` fills
     from the model's structure.
     """
@@ -168,7 +168,7 @@ class FunctionOracle(Definitions):
     def __init__(self, features: Iterable[str], classify_fn: Callable[[Dict[str, int]], int], guard: int = DEFAULT_GUARD):
         self.features = _universe(features, guard)
         self._pos = {f: i for i, f in enumerate(self.features)}
-        self._fn = classify_fn
+        self._fn, self._last = classify_fn, (None, None)  # `reaches`' last question and answer
         self._memo: Dict[Tuple[int, ...], int] = {}
 
     def label(self, bits: Tuple[int, ...]) -> int:
@@ -188,13 +188,13 @@ class FunctionOracle(Definitions):
         return self.label(self.bits_of(e))
 
     def reaches(self, fixed: Dict[int, int], z: int) -> bool:
-        """Some completion of `fixed` (position -> bit) gets label z; the
-        completions are counted in binary over the free positions with
-        the first most significant."""
-        points = itertools.product(
-            *[(fixed[i],) if i in fixed else (0, 1) for i in range(len(self.features))]
-        )
-        return any(map(z.__eq__, map(self.label, points)))
+        """Some completion of `fixed` (position -> bit) gets label z, counted in binary over the
+        free positions, first most significant.  The last answer is kept (`subset_minimal` checks
+        its witness again): the points up to the first z-point are memoized, so a repeat adds none."""
+        if (key := (*fixed.items(), z)) != self._last[0]:
+            points = itertools.product(*[(fixed[i],) if i in fixed else (0, 1) for i in range(len(self.features))])
+            self._last = key, any(map(z.__eq__, map(self.label, points)))
+        return self._last[1]
 
     def _reaches(self, tau: Mapping[str, int], z: int) -> bool:
         pos = self._pos

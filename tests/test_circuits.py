@@ -3,6 +3,7 @@
 import copy
 import functools
 import gc
+import hashlib
 import itertools
 import os
 import pickle
@@ -11,6 +12,9 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from collections import defaultdict
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -183,6 +187,102 @@ def test_eval_gives_an_int_for_bool_and_float_bits():
                 assert type(got) is int and got == want, (c.output, alpha)
 
 
+def _checked_by_loops(c: Circuit, alpha):
+    """The refusal that checking one input at a time gives, as (type, args),
+    or None: the reference `eval_circuit`'s one-pass checks must match."""
+    for gid in c.inputs():
+        if gid not in alpha:
+            return UnassignedInput, (f"input {gid!r} is not assigned",)
+    for gid in c._read:
+        if alpha[gid] not in (0, 1):
+            return ModelError, (f"input {gid!r} must be 0 or 1",)
+    return None
+
+
+def _outcome(c: Circuit, alpha):
+    """`eval_circuit`'s answer, or its refusal as (type, args)."""
+    try:
+        return eval_circuit(c, alpha)
+    except (UnassignedInput, ModelError) as refused:
+        return type(refused), refused.args
+
+
+class _Plain(Mapping):
+    """The least a `Mapping` defines: no dict, no `keys` of its own."""
+
+    def __init__(self, items):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+
+def test_eval_checks_refuse_and_accept_what_the_loops_did():
+    # 'c' is an IN gate nothing reads: it must be assigned, but not a bit
+    ins = {f: Gate("IN") for f in "dcba"}
+    c = Circuit({**ins, "o": Gate("MAJ", ("b", "a", "d"), 2)}, "o")
+    assert c._read == ("a", "b", "d")
+    nan = float("nan")
+    for missing, named in (("c", "c"), ("ca", "a"), ("dcba", "a"), ("db", "b"), ("d", "d")):
+        alpha = {f: 1 for f in "abcd" if f not in missing}
+        for given in (alpha, MappingProxyType(alpha), _Plain(alpha), defaultdict(int, alpha)):
+            assert _outcome(c, given) == (UnassignedInput, (f"input '{named}' is not assigned",))
+            assert dict(given) == alpha  # nothing looked up, so a defaultdict gains no key
+    for bad in (2, nan, None, -1, 0.5, "1"):
+        for at, named in (("a", "a"), ("bd", "b"), ("d", "d"), ("abd", "a")):
+            alpha = {f: bad if f in at else 1 for f in "abcd"}
+            assert _outcome(c, alpha) == (ModelError, (f"input '{named}' must be 0 or 1",))
+        # an unread input is looked up, not read
+        assert eval_circuit(c, {"a": 1, "b": 0, "c": bad, "d": 1}) == 1
+    for a, b, d in itertools.product((0, 1, True, False, 1.0, 0.0, -0.0), repeat=3):
+        want = int(bool(a) + bool(b) + bool(d) >= 2)
+        alpha = {"a": a, "b": b, "c": nan, "d": d, "extra": 2}
+        for given in (alpha, MappingProxyType(alpha), _Plain(alpha), defaultdict(int, alpha)):
+            assert eval_circuit(c, given) == want
+            assert dict(given) == alpha
+    # seeded points over a palette of values, some inputs left out, against the loops
+    rng = random.Random(149)
+    palette = (0, 1, True, False, 1.0, 0.0, 2, -1, nan, None, "0", _Bit(0), _Bit(1))
+    refused = 0
+    for _ in range(400):
+        alpha = {f: rng.choice(palette) for f in "abcd" if rng.random() < 0.9}
+        want = _checked_by_loops(c, alpha)
+        if want is None:
+            want = _by_definition(c, {f: int(bool(alpha[f])) for f in c._read})
+        refused += type(want) is tuple
+        for given in (alpha, MappingProxyType(alpha), _Plain(alpha), defaultdict(int, alpha)):
+            assert _outcome(c, given) == want, alpha
+            assert dict(given) == alpha
+    assert 100 < refused < 350
+
+
+_WIDE = tuple(f"x{i:05d}" for i in range(20000))
+
+
+def _wide_gate(kind: str, threshold=None) -> Circuit:
+    """One gate of `kind` reading 20,000 inputs."""
+    return Circuit({**{f: Gate("IN") for f in _WIDE}, "o": Gate(kind, _WIDE, threshold)}, "o")
+
+
+def test_a_refused_evaluation_builds_no_kernel():
+    # the checks come first, so a refusal pays for no table fill or compile
+    rng = random.Random(151)
+    for c in (_wide_gate("AND"), random_circuit(rng, tuple(f"x{i}" for i in range(10)), 40)):
+        names, first = c.inputs(), c._read[0]
+        assert _outcome(c, {}) == (UnassignedInput, (f"input {names[0]!r} is not assigned",))
+        ones = dict.fromkeys(names, 1)
+        assert _outcome(c, {**ones, first: 2}) == (ModelError, (f"input {first!r} must be 0 or 1",))
+        assert c._kernel is None
+        assert eval_circuit(c, ones) == _by_definition(c, ones)
+        assert c._kernel is not None
+
+
 def test_eval_runs_a_long_chain_without_recursion():
     # 20,002 steps alternating NOT and AND with a second input, and gates
     # of 20,000 inputs, under a recursion limit of 200: only a flat
@@ -197,9 +297,7 @@ def test_eval_runs_a_long_chain_without_recursion():
         prev = gid
     chain = Circuit(gates, prev)
     assert len(chain._steps) == 20002
-    names = tuple(f"x{i:05d}" for i in range(20000))
-    ins = {f: Gate("IN") for f in names}
-    wide = {kind: Circuit({**ins, "o": Gate(kind, names, threshold)}, "o")
+    wide = {kind: _wide_gate(kind, threshold)
             for kind, threshold in (("AND", None), ("OR", None), ("MAJ", 10001))}
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
@@ -211,7 +309,7 @@ def test_eval_runs_a_long_chain_without_recursion():
         got = [eval_circuit(chain, e) for e in points]
         assert [generated(e) for e in points] == got
         for ones in (0, 1, 10000, 10001, 19999, 20000):
-            e = {f: int(i < ones) for i, f in enumerate(names)}
+            e = {f: int(i < ones) for i, f in enumerate(_WIDE)}
             assert [eval_circuit(wide[kind], e) for kind in ("AND", "OR", "MAJ")] == [
                 int(ones == 20000), int(ones > 0), int(ones >= 10001)], ones
     finally:
@@ -885,6 +983,63 @@ def test_table_oracle_agrees_with_the_enumeration_oracle():
     for bad in (-1, 4):
         with pytest.raises(ModelError, match="must fit in 2 bits"):
             TableOracle(["x"], bad)
+
+
+# test_circuit_verify_points_are_pinned: sha256 of every point the
+# classifier receives and every verdict; changes only when a circuit verify
+# asks for other points, in another order, or answers otherwise
+VERIFY_POINTS = "e63d6c5674db5256a815a2d595843e58d6809ebc9bea514bfc7766c09ebed7d4"
+
+
+def test_circuit_verify_points_are_pinned():
+    """The benchmark's circuit verify on seeded compiled circuits: one
+    `FunctionOracle` over `eval_circuit` checks a subset-minimal witness M,
+    M plus one feature and M minus one, each by `holds` then
+    `subset_minimal`, over every kind at both minimalities."""
+    rng = random.Random(239)
+    feats = tuple(f"x{i}" for i in range(7))
+    h = hashlib.sha256()
+    verdicts = set()
+
+    def classify_fn(c, e):
+        h.update(repr(list(e.items())).encode())
+        return eval_circuit(c, e)
+
+    for _ in range(3):
+        for compile_fn, model in six_compiled(rng, feats):
+            if not model_features(model):
+                continue
+            c = compile_fn(model, 1)
+            names, referee = c.inputs(), TableOracle(c.inputs(), circuit_table(c))
+            for kind, minimality in itertools.product(KINDS, ("subset", "cardinality")):
+                e = {f: rng.randint(0, 1) for f in names}
+                local = kind in ("lAXp", "lCXp")
+                target = e if local else referee.example_class(e) ^ (kind == "gCXp")
+
+                def wrap(kept):
+                    kept = sorted(kept)
+                    return (Witness.of_features(kept) if local
+                            else Witness.of_assignment({f: e[f] for f in kept}))
+
+                q = ExplanationQuery(kind, "subset", target)
+                kept = list(names)
+                if referee.holds(q, wrap(kept)):
+                    for f in rng.sample(names, len(names)):
+                        trial = [g for g in kept if g != f]
+                        if referee.holds(q, wrap(trial)):
+                            kept = trial
+                spare = [f for f in names if f not in kept]
+                trio = [wrap(kept), wrap(kept + [rng.choice(spare)]) if spare else wrap(kept),
+                        wrap([f for f in kept if f != rng.choice(kept)]) if kept else wrap(kept)]
+                if minimality == "cardinality":
+                    q = ExplanationQuery(kind, minimality, target, len(kept))
+                oracle = FunctionOracle(names, functools.partial(classify_fn, c))
+                for w in trio:
+                    verdict = (oracle.holds(q, w), oracle.subset_minimal(q, w))
+                    verdicts.add(verdict)
+                    h.update(repr(verdict).encode())
+    assert verdicts == {(True, True), (True, False), (False, False)}
+    assert h.hexdigest() == VERIFY_POINTS
 
 
 # ---------------------------------------------------------------------------

@@ -240,8 +240,8 @@ def test_witness_round_trip():
 
 # (sha256, label calls) of test_oracle_calls_are_pinned; changes only when
 # the oracle asks its classifier or its label for other points, or answers
-# otherwise
-ORACLE_CALLS = ("a84c358aeeb7071583e771c4776678335ea0e842b8f2b84cc67a20ee0ebea7b2", 4914)
+# otherwise.  The count was 4914 before `reaches` kept its last answer.
+ORACLE_CALLS = ("a84c358aeeb7071583e771c4776678335ea0e842b8f2b84cc67a20ee0ebea7b2", 4453)
 
 
 def test_oracle_calls_are_pinned(monkeypatch):
@@ -282,6 +282,59 @@ def test_oracle_calls_are_pinned(monkeypatch):
                 answers = (oracle.minimum(q), oracle.holds(q, w), oracle.subset_minimal(q, w))
                 h.update(repr(answers).encode())
     assert (h.hexdigest(), len(calls)) == ORACLE_CALLS
+
+
+def test_function_oracle_remembers_its_last_answer_only(monkeypatch):
+    # f = a and b over (a, b, c); a gAXp for class 1 is a witness that no
+    # completion takes to 0
+    received = []
+    oracle = FunctionOracle("abc", lambda e: received.append(dict(e)) or e["a"] & e["b"])
+    asked = []
+    reaches = FunctionOracle.reaches
+    label = FunctionOracle.label
+
+    def counted_reaches(self, fixed, z):
+        asked.append([dict(fixed), z, 0])
+        return reaches(self, fixed, z)
+
+    def counted_label(self, bits):
+        asked[-1][2] += 1
+        return label(self, bits)
+
+    monkeypatch.setattr(FunctionOracle, "reaches", counted_reaches)
+    monkeypatch.setattr(FunctionOracle, "label", counted_label)
+    q = ExplanationQuery("gAXp", "subset", 1)
+    both, one = Witness.of_assignment({"a": 1, "b": 1}), Witness.of_assignment({"a": 1})
+    assert oracle.holds(q, both)
+    assert asked == [[{0: 1, 1: 1}, 0, 2]] and len(received) == 2
+    # `subset_minimal` checks `both` again: no label call, then each deletion
+    assert oracle.subset_minimal(q, both)
+    assert asked[1:] == [[{0: 1, 1: 1}, 0, 0], [{1: 1}, 0, 1], [{0: 1}, 0, 1]]
+    # `one` asks the last deletion's question again; a question asked in
+    # between gets its own answer, and a question before it is enumerated
+    # again, all from the label memo
+    del asked[:]
+    assert not oracle.holds(q, one)
+    assert oracle.holds(q, both)
+    assert not oracle.holds(q, one)
+    assert [n for _, _, n in asked] == [0, 2, 1] and len(received) == 4
+    assert oracle._last == (((0, 1), 0), True)
+
+
+def test_function_oracle_keeps_one_answer_over_a_long_search():
+    rng = random.Random(227)
+    feats = [f"x{i}" for i in range(8)]
+    t = rand_dt(rng, feats)
+    oracle = FunctionOracle(feats, lambda e: classify(t, e))
+    q = ExplanationQuery("gCXp", "cardinality", 1, k=3)
+    questions = []
+    reaches = oracle.reaches
+    oracle.reaches = lambda fixed, z: questions.append((*fixed.items(), z)) or reaches(fixed, z)
+    oracle.minimum(q)
+    assert len(set(questions)) > 100
+    del oracle.reaches
+    assert oracle._last[0] == questions[-1] and len(oracle._last) == 2
+    assert set(vars(oracle)) == {"features", "_pos", "_fn", "_last", "_memo"}
 
 
 def test_oracle_lcxp_minimum_costs_three_lookups_per_candidate(monkeypatch):
