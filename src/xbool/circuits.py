@@ -12,7 +12,7 @@ an upper bound on its treewidth.
 from __future__ import annotations
 
 from itertools import compress
-from operator import index, truth
+from operator import truth
 from typing import TYPE_CHECKING, Callable, Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ModelError, TooLarge, UnassignedInput
@@ -30,7 +30,7 @@ if TYPE_CHECKING:
 
 GATE_KINDS = ("IN", "AND", "OR", "NOT", "MAJ")
 _BIT = (0, 1)
-TABLE_INPUTS = 16  # the most inputs a circuit evaluates by its table, 8 KiB
+_BITS = frozenset(_BIT)
 
 
 class Gate(Frozen):
@@ -54,9 +54,11 @@ class Circuit:
     order: (gate, its inputs, the ones that switch it on or None for
     NOT, the inputs no later step reads), in post-order from the output.
     A compiled circuit builds its `Gate` records only when `gates` is
-    first read.  Its first accepted evaluation builds its kernel, a lookup or
-    a generated function by its input count (`_build_kernel`); compiling
-    and `circuit_table` never do, and a pickled or copied circuit builds its own.
+    first read.  Over at most DEFAULT_GUARD inputs, its first accepted
+    evaluation fills its truth table, kept as bytes beside the read inputs'
+    weights; compiling and `circuit_table` never do.  Over more, every
+    evaluation runs the program on the point.  Either way a circuit holds
+    only plain data, so it pickles and copies as it is.
     """
 
     def __init__(
@@ -152,7 +154,7 @@ class Circuit:
                 need = 1 if kind == "OR" else threshold  # None for NOT
             steps.append((gid, srcs, need, tuple(spent)))
         self._gates: Optional[Dict[str, Gate]] = gates
-        self._kernel: Optional[Callable[[List], int]] = None
+        self._table: Optional[bytes] = None  # with `_weights`, set by `eval_circuit`
         self._rows = tuple(row for row in rows if row[0] in seen)
         self._steps = tuple(reversed(steps))
         self._inputs, self._names = inputs, frozenset(inputs)  # `eval_circuit` tests a point's keys on the set
@@ -174,94 +176,66 @@ class Circuit:
     def inputs(self) -> Tuple[str, ...]:
         return self._inputs
 
-    def __getstate__(self) -> Dict:
-        # a kernel, a closure or a generated function, does not pickle: a copy builds its own
-        return {**self.__dict__, "_kernel": None}
-
-    def _build_kernel(self) -> Callable[[List], int]:
-        """The kernel `eval_circuit` calls on the read inputs' bits.  Up to
-        TABLE_INPUTS inputs it looks the point up in the circuit's own
-        table: the table fills faster than `_generated_kernel` compiles
-        (0.04-0.06 against 0.4-0.65 ms at 10 inputs), but it doubles with
-        each input, and at 18 inputs it is already the dearer build."""
-        if len(self._inputs) > TABLE_INPUTS:
-            self._kernel = _generated_kernel(self)
-        else:  # bit j of a point's index is input j, read by its truth
-            table, weights = circuit_table(self), [1 << self._inputs.index(f) for f in self._read]
-            self._kernel = lambda bits: table >> sum(compress(weights, bits)) & 1
-        return self._kernel
-
     def maj_count(self) -> int:
         return sum(1 for row in self._rows if row[1] == "MAJ")
-
-
-def _generated_kernel(c: Circuit) -> Callable[[List], bool]:
-    """The program as one generated function of the read inputs' bits, for
-    a circuit over more than TABLE_INPUTS inputs.  Its locals are slots,
-    `v0..` the inputs' truths and one per step, each step one flat
-    statement (`not a`, `a and b ...`, `a or b ...`, or `sum((a, b, ...))
-    >= t` for MAJ, repeats counted) but a one-input AND or OR, an alias.
-    Only slot names and exact ints (by `operator.index`) enter the source,
-    never a gate id.  The build, mostly `compile`, takes about 10 us a
-    step; it is the only kernel that can evaluate a wide circuit."""
-    slot = {f: f"v{i}" for i, f in enumerate(c._read)}
-    body = [", ".join(slot.values()) + ", = map(truth, bits)"]
-    for gid, srcs, need, _ in c._steps:
-        args = [slot[src] for src in srcs]
-        if need is None:
-            step = f"not {args[0]}"
-        elif len(args) == need == 1:
-            slot[gid] = args[0]
-            continue
-        elif need == 1:
-            step = " or ".join(args)
-        elif need == len(args):
-            step = " and ".join(args)
-        else:
-            step = f"sum(({', '.join(args)},)) >= {index(need)}"
-        slot[gid] = f"v{len(c._read) + len(body) - 1}"
-        body.append(f"{slot[gid]} = {step}")
-    scope = {"truth": truth}
-    source = "def kernel(bits):\n " + "\n ".join(body) + f"\n return {slot[c.output]}"
-    exec(compile(source, "<circuit>", "exec"), scope)
-    return scope.pop("kernel")  # so its globals hold no cycle back to it
 
 
 def eval_circuit(c: Circuit, alpha: Example) -> int:
     """The circuit at one point, as 0 or 1.  alpha must assign every IN gate
     and give bits to the inputs the output depends on, each checked in one
-    pass (a superset test of the keys, a count of the bits); only a failed
-    pass loops, to name the first missing input in sorted order, or else the
-    first read one that is not a bit.  The kernel is built after the checks."""
+    pass (a superset test of the keys, a subset test of the bits); only a
+    failed pass loops, to name the first missing input in sorted order, or
+    else the first read one that is not a bit.  Then a circuit over at most
+    DEFAULT_GUARD inputs reads the point's byte of its table, filled on the
+    first accepted point, and a wider one runs its program on the point."""
     if not alpha.keys() >= c._names:  # no insert into a defaultdict
         for gid in c._inputs:
             if gid not in alpha:
                 raise UnassignedInput(f"input {gid!r} is not assigned")
     bits = [*map(alpha.__getitem__, c._read)]
-    if bits.count(0) + bits.count(1) != len(bits):  # as `in _BIT`, for a value equal to one bit at most
+    try:  # a value equal to 0 or 1 may hash as neither: then the loop decides
+        checked = _BITS.issuperset(bits)
+    except TypeError:
+        checked = False
+    if not checked:
         for gid, bit in zip(c._read, bits):
             if bit not in _BIT:
                 raise ModelError(f"input {gid!r} must be 0 or 1")
-    return 1 if (c._kernel or c._build_kernel())(bits) else 0
+    if c._table is None:
+        n = len(c._inputs)
+        if n > DEFAULT_GUARD:
+            return 1 if _run(c, 1, dict(zip(c._read, map(truth, bits))).__getitem__) else 0
+        # bit j of a point's index is input j, read by its truth
+        c._weights = [1 << c._inputs.index(f) for f in c._read]
+        c._table = circuit_table(c).to_bytes((1 << n) + 7 >> 3, "little")
+    i = sum(compress(c._weights, bits))
+    return c._table[i >> 3] >> (i & 7) & 1
 
 
 def circuit_table(c: Circuit) -> int:
     """The circuit over all 2^n points at once, as one 2^n-bit int.
 
     Bit i is the output at the point where input j (in sorted order)
-    takes bit j of i.  The program runs once: NOT, OR and AND are one
-    big-int operation per input, MAJ a bit-sliced counter.  A value is
-    dropped after its last reader, so memory is the number of live
-    values times 2^n bits.  Callers bound n.
+    takes bit j of i.  `_run` runs the program once on the inputs'
+    masks.  Memory is the number of live values times 2^n bits.
+    Callers bound n.
     """
     n = len(c._inputs)
-    full = (1 << (1 << n)) - 1
     position = {gid: j for j, gid in enumerate(c._inputs)}
+    return _run(c, (1 << (1 << n)) - 1, lambda gid: feature_mask(position[gid], n))
+
+
+def _run(c: Circuit, full: int, input_value: Callable[[str], int]) -> int:
+    """The program on bit-parallel values: bit i of a value is the gate at
+    point i of the points `full` sets, and `input_value` gives an input's
+    value at its first reader.  NOT, OR and AND are one big-int operation
+    per input, MAJ a bit-sliced counter.  A value is dropped after its
+    last reader, so the live values are all that is held."""
     value: Dict[str, int] = {}
 
     def read(gid: str) -> int:
-        if gid not in value:  # an input's mask is made at its first reader
-            value[gid] = feature_mask(position[gid], n)
+        if gid not in value:
+            value[gid] = input_value(gid)
         return value[gid]
 
     for gid, srcs, need, spent in c._steps:

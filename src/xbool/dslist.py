@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .errors import ModelError
-from .explain import Witness
+from .explain import Witness, _check_budget
 from .models import Example, Model, _lookup, classify, require_total
 from .records import Record
 from .rules import DecisionList, DecisionSet
@@ -95,8 +95,7 @@ def _min_lcxp(
     earlier one, the guessed labels can no longer outvote the current
     class, or the flips the guessed terms force exceed the budget.
     """
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:  # as a query's budget
-        raise ModelError(f"budget must be a non-negative integer, got {k!r}")
+    _check_budget(k)
     elements = model.elements if model.kind == "ensemble" else (model,)
     if any(el.kind not in ("ds", "dl") for el in elements):
         raise ModelError("expected rule sets or rule lists")

@@ -32,24 +32,25 @@ LOCAL_KINDS = ("lAXp", "lCXp")
 DEFAULT_GUARD = 20
 
 
+def _check_budget(k) -> None:
+    """The one budget rule: a query's `k` and every budget taker's."""
+    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+        raise ModelError(f"budget must be a non-negative integer, got {k!r}")
+
+
 class ExplanationQuery(Frozen):
     __slots__ = ("kind", "minimality", "target", "k")
 
-    def __init__(
-        self,
-        kind: str,
-        minimality: str,
-        target: Union[Mapping[str, int], int],
-        k: Optional[int] = None,
-    ):
+    def __init__(self, kind: str, minimality: str, target: Union[Mapping[str, int], int],
+                 k: Optional[int] = None):
         if kind not in KINDS:
             raise ModelError(f"unknown query kind {kind!r}")
         if minimality not in ("subset", "cardinality"):
             raise ModelError(f"unknown minimality {minimality!r}")
         if (k is not None) != (minimality == "cardinality"):
             raise ModelError("budget k goes with cardinality queries only")
-        if k is not None and (isinstance(k, bool) or not isinstance(k, int) or k < 0):
-            raise ModelError(f"budget must be a non-negative integer, got {k!r}")
+        if k is not None:
+            _check_budget(k)
         if kind in LOCAL_KINDS:
             if not isinstance(target, Mapping):
                 raise ModelError("local queries target an example")
@@ -66,11 +67,8 @@ class ExplanationQuery(Frozen):
 class Witness(Frozen):
     __slots__ = ("features", "assignment")
 
-    def __init__(
-        self,
-        features: Optional[Tuple[str, ...]] = None,
-        assignment: Optional[Tuple[Tuple[str, int], ...]] = None,
-    ):
+    def __init__(self, features: Optional[Tuple[str, ...]] = None,
+                 assignment: Optional[Tuple[Tuple[str, int], ...]] = None):
         if (features is None) == (assignment is None):
             raise ModelError("witness carries either a feature set or an assignment")
         self._fill(features, assignment)

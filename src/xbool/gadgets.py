@@ -22,7 +22,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 from .dt import DecisionTree, DtInner, DtLeaf, _emit_tree
 from .ensemble import Ensemble
 from .errors import BudgetExceeded, DeadlineExceeded, ModelError, SharedFeature
-from .explain import ExplanationQuery, query_from_json, query_to_json
+from .explain import ExplanationQuery, _check_budget, query_from_json, query_to_json
 from .models import (
     DEFAULT_NODE_CAP,
     Example,
@@ -135,12 +135,6 @@ def _check_k(g: MccInstance, k: Optional[int], at_least: int = 1) -> int:
     if g.k < at_least:
         raise ModelError(f"need at least {at_least} parts")
     return g.k
-
-
-def _check_budget(k) -> None:
-    # the rule and message of `ExplanationQuery`'s budget
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
-        raise ModelError(f"budget must be a non-negative integer, got {k!r}")
 
 
 def _non_negative(name: str, value: int) -> None:

@@ -2,7 +2,6 @@
 
 import copy
 import functools
-import gc
 import hashlib
 import itertools
 import os
@@ -11,10 +10,10 @@ import random
 import subprocess
 import sys
 import tracemalloc
-import weakref
 from collections import defaultdict
 from collections.abc import Mapping
 from types import MappingProxyType
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +41,7 @@ from xbool.circuits import (
 from xbool.dt import dt_ensemble_to_dt
 from xbool.errors import ModelError, NotOrdered, TooLarge, UnassignedInput
 from xbool.explain import (
+    DEFAULT_GUARD,
     KINDS,
     ExplanationQuery,
     FunctionOracle,
@@ -234,12 +234,17 @@ def test_eval_checks_refuse_and_accept_what_the_loops_did():
         for given in (alpha, MappingProxyType(alpha), _Plain(alpha), defaultdict(int, alpha)):
             assert _outcome(c, given) == (UnassignedInput, (f"input '{named}' is not assigned",))
             assert dict(given) == alpha  # nothing looked up, so a defaultdict gains no key
-    for bad in (2, nan, None, -1, 0.5, "1"):
+    for bad in (2, nan, None, -1, 0.5, "1", [1]):
         for at, named in (("a", "a"), ("bd", "b"), ("d", "d"), ("abd", "a")):
             alpha = {f: bad if f in at else 1 for f in "abcd"}
             assert _outcome(c, alpha) == (ModelError, (f"input '{named}' must be 0 or 1",))
         # an unread input is looked up, not read
         assert eval_circuit(c, {"a": 1, "b": 0, "c": bad, "d": 1}) == 1
+    # a value equal to both 0 and 1 is a bit to the loop, and it must not
+    # let a non-bit beside it through
+    both = {"a": mock.ANY, "b": 1, "c": 0, "d": 2}
+    assert _outcome(c, both) == (ModelError, ("input 'd' must be 0 or 1",))
+    assert eval_circuit(c, {**both, "d": 0}) == 1  # ANY is true, so a and b vote
     for a, b, d in itertools.product((0, 1, True, False, 1.0, 0.0, -0.0), repeat=3):
         want = int(bool(a) + bool(b) + bool(d) >= 2)
         alpha = {"a": a, "b": b, "c": nan, "d": d, "extra": 2}
@@ -248,7 +253,7 @@ def test_eval_checks_refuse_and_accept_what_the_loops_did():
             assert dict(given) == alpha
     # seeded points over a palette of values, some inputs left out, against the loops
     rng = random.Random(149)
-    palette = (0, 1, True, False, 1.0, 0.0, 2, -1, nan, None, "0", _Bit(0), _Bit(1))
+    palette = (0, 1, True, False, 1.0, 0.0, 2, -1, nan, None, "0", _Bit(0), _Bit(1), mock.ANY, [1])
     refused = 0
     for _ in range(400):
         alpha = {f: rng.choice(palette) for f in "abcd" if rng.random() < 0.9}
@@ -270,17 +275,33 @@ def _wide_gate(kind: str, threshold=None) -> Circuit:
     return Circuit({**{f: Gate("IN") for f in _WIDE}, "o": Gate(kind, _WIDE, threshold)}, "o")
 
 
-def test_a_refused_evaluation_builds_no_kernel():
-    # the checks come first, so a refusal pays for no table fill or compile
+def _counting_runs(monkeypatch):
+    """The step loop's runs from here on, as the `full` of each."""
+    runs, run = [], circuits._run
+
+    def counted(c, full, input_value):
+        runs.append(full)
+        return run(c, full, input_value)
+
+    monkeypatch.setattr(circuits, "_run", counted)
+    return runs
+
+
+def test_a_refused_evaluation_fills_no_table(monkeypatch):
+    # the checks come first, so a refusal runs no program
     rng = random.Random(151)
+    runs = _counting_runs(monkeypatch)
     for c in (_wide_gate("AND"), random_circuit(rng, tuple(f"x{i}" for i in range(10)), 40)):
         names, first = c.inputs(), c._read[0]
         assert _outcome(c, {}) == (UnassignedInput, (f"input {names[0]!r} is not assigned",))
         ones = dict.fromkeys(names, 1)
         assert _outcome(c, {**ones, first: 2}) == (ModelError, (f"input {first!r} must be 0 or 1",))
-        assert c._kernel is None
+        assert c._table is None and runs == []
         assert eval_circuit(c, ones) == _by_definition(c, ones)
-        assert c._kernel is not None
+        # the wide gate runs on the point, the small circuit fills its table
+        assert (c._table is None) == (len(names) > DEFAULT_GUARD)
+        assert len(runs) == 1
+        runs.clear()
 
 
 def test_eval_runs_a_long_chain_without_recursion():
@@ -302,12 +323,12 @@ def test_eval_runs_a_long_chain_without_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200)
     try:
-        # two inputs: `eval_circuit` reads the table, so the generated
-        # function is run here directly
-        generated = _generated_at(chain)
+        # two inputs: `eval_circuit` reads the table, so the step loop is
+        # run on each point here directly
+        at_point = _run_at(chain)
         points = [{"x": x, "y": y} for x, y in itertools.product((0, 1), repeat=2)]
         got = [eval_circuit(chain, e) for e in points]
-        assert [generated(e) for e in points] == got
+        assert [at_point(e) for e in points] == got
         for ones in (0, 1, 10000, 10001, 19999, 20000):
             e = {f: int(i < ones) for i, f in enumerate(_WIDE)}
             assert [eval_circuit(wide[kind], e) for kind in ("AND", "OR", "MAJ")] == [
@@ -345,71 +366,58 @@ def test_gate_ids_and_thresholds_never_enter_the_program_as_text():
     c = Circuit(gates, "v9")
     plain = Circuit({**gates, "a) or (1": Gate("MAJ", gates["a) or (1"].inputs, 3)}, "v9")
     table = circuit_table(plain)
-    generated = _generated_at(c)
+    at_point = _run_at(c)
     for i, e in enumerate(_points(c)):
         assert eval_circuit(c, e) == eval_circuit(plain, e) == _by_definition(plain, e) == table >> i & 1
-        assert generated(e) == table >> i & 1
+        assert at_point(e) == table >> i & 1
     assert 0 < table < (1 << 16) - 1
 
 
-def test_a_circuit_builds_its_kernel_once_and_still_pickles(monkeypatch):
+def test_an_evaluated_circuit_fills_its_table_once_and_still_copies(monkeypatch):
     rng = random.Random(131)
     feats = tuple(f"x{i}" for i in range(5))
-    built = []
-    build = Circuit._build_kernel
-
-    def counted(self):
-        built.append(1)
-        return build(self)
-
-    monkeypatch.setattr(Circuit, "_build_kernel", counted)
+    runs = _counting_runs(monkeypatch)
     corpus = [compile_fn(model, 1) for compile_fn, model in six_compiled(rng, feats)
               if model_features(model)]
     corpus += [random_circuit(rng, feats, 12) for _ in range(4)]
-    # 17 inputs, 12 of them unused, so this one gets the generated function
+    # 21 inputs, 16 of them unused, so this one runs its program on each point
     wide = random_circuit(rng, feats, 12)
-    corpus.append(Circuit({**wide.gates, **{f"u{i:02d}": Gate("IN") for i in range(12)}}, "out"))
-    assert len(corpus[-1].inputs()) == circuits.TABLE_INPUTS + 1
+    corpus.append(Circuit({**wide.gates, **{f"u{i:02d}": Gate("IN") for i in range(16)}}, "out"))
+    assert len(corpus[-1].inputs()) == DEFAULT_GUARD + 1
     for c in corpus:
         points = list(_points(c)) if c is not corpus[-1] else _sampled(rng, c, 64)
         want = [eval_circuit(c, e) for e in points]
         assert want == [_by_definition(c, e) for e in points]
         for copied in (pickle.loads(pickle.dumps(c)), copy.copy(c), copy.deepcopy(c)):
+            assert copied._table == c._table  # plain bytes, or None when wide
             assert [eval_circuit(copied, e) for e in points] == want
-    assert len(built) == 4 * len(corpus)  # one per circuit; each copy builds its own
-    kernels = [weakref.ref(corpus[0]._kernel), weakref.ref(corpus[-1]._kernel)]
-    gc.collect()  # `_by_definition`'s recursive closures are cycles that hold their circuit
-    gc.disable()
-    try:
-        del corpus[0], corpus[-1], c
-        # no reference cycle holds the table's lookup or the generated function
-        assert [kernel() for kernel in kernels] == [None, None]
-    finally:
-        gc.enable()
+    # one fill per small circuit, which its copies share; the wide one ran
+    # once per point, on it and on each of its three copies
+    assert runs.count(1) == 4 * 64
+    assert len(runs) == len(corpus) - 1 + 4 * 64
 
 
-def test_a_circuit_over_sixteen_inputs_reads_its_table_and_over_seventeen_compiles(monkeypatch):
+def test_the_table_stops_at_the_guard(monkeypatch):
+    # at DEFAULT_GUARD inputs the first point fills the table, and every
+    # point reads it; one input more and each point runs the step loop
     rng = random.Random(137)
-    generated = []
-    generate = circuits._generated_kernel
-
-    def counted(c):
-        generated.append(len(c.inputs()))
-        return generate(c)
-
-    monkeypatch.setattr(circuits, "_generated_kernel", counted)
-    assert circuits.TABLE_INPUTS == 16
-    for n in (16, 17):
+    runs = _counting_runs(monkeypatch)
+    for n in (DEFAULT_GUARD, DEFAULT_GUARD + 1):
         names = tuple(f"x{i:02d}" for i in range(n))
-        for c in (random_circuit(rng, names, 60), compile_obdd(rand_obdd(rng, names), 1)):
-            assert len(c.inputs()) == n
-            points = _sampled(rng, c, 200)
-            want = [_by_definition(c, e) for e in points]
-            assert [eval_circuit(c, e) for e in points] == want
-            generated_at = _generated_at(c)
-            assert [generated_at(e) for e in points] == want
-    # `_generated_at` calls it once per circuit; `eval_circuit` only at 17
-    assert generated == [16, 16, 17, 17, 17, 17]
+        c = random_circuit(rng, names, 60)
+        assert len(c.inputs()) == n
+        points = _sampled(rng, c, 200)
+        want = [_by_definition(c, e) for e in points]
+        assert [eval_circuit(c, e) for e in points] == want
+        if n == DEFAULT_GUARD:
+            assert len(c._table) == 1 << (n - 3)
+            assert runs == [(1 << (1 << n)) - 1]
+        else:
+            assert c._table is None
+            assert runs == [1] * 200
+        at_point = _run_at(c)
+        assert [at_point(e) for e in points] == want
+        runs.clear()
 
 
 def test_unused_input_is_legal_but_dangling_gate_is_not():
@@ -806,11 +814,10 @@ def _sampled(rng, c: Circuit, count: int):
     return [{f: rng.randint(0, 1) for f in c.inputs()} for _ in range(count)]
 
 
-def _generated_at(c: Circuit):
-    """The circuit's generated function as `eval_circuit` would call it,
-    whatever its input count: small circuits never reach it otherwise."""
-    kernel = circuits._generated_kernel(c)
-    return lambda e: 1 if kernel([e[f] for f in c._read]) else 0
+def _run_at(c: Circuit):
+    """The step loop on one point, as `eval_circuit` runs it over more than
+    DEFAULT_GUARD inputs: small circuits never reach it otherwise."""
+    return lambda e: 1 if circuits._run(c, 1, e.__getitem__) else 0
 
 
 def _by_definition(c: Circuit, e) -> int:
@@ -841,18 +848,18 @@ def test_table_equals_eval_at_every_point():
             for c in (0, 1):
                 circuit = compile_fn(model, c)
                 table = circuit_table(circuit)
-                generated = _generated_at(circuit)
+                at_point = _run_at(circuit)
                 for i, e in enumerate(_points(circuit)):
-                    assert table >> i & 1 == eval_circuit(circuit, e) == generated(e)
+                    assert table >> i & 1 == eval_circuit(circuit, e) == at_point(e)
                     assert eval_circuit(circuit, e) == int(classify(model, e) == c)
                 assert table >> (1 << len(circuit.inputs())) == 0
     for _ in range(150):
         circuit = random_circuit(rng, feats[: rng.randint(1, 5)], rng.randint(0, 12))
         table = circuit_table(circuit)
-        generated = _generated_at(circuit)
+        at_point = _run_at(circuit)
         for i, e in enumerate(_points(circuit)):
             assert (table >> i & 1 == eval_circuit(circuit, e) == _by_definition(circuit, e)
-                    == generated(e))
+                    == at_point(e))
 
 
 # eval_digest(); changes only when some point evaluates differently
