@@ -19,7 +19,7 @@ from .errors import ModelError, TooLarge, UnassignedInput
 from .dt import DecisionTree, dt_mnl, simplify_dt
 from .explain import DEFAULT_GUARD, ExplanationQuery, Witness
 from .models import Example, _bit, _require, _strings, _wrong_type, dumps_canonical
-from .obdd import Obdd, _restriction, obdd_width
+from .obdd import Obdd, complete_obdd, obdd_width
 from .obdd_product import _rebase
 from .records import Frozen
 from .rules import DecisionList, dl_size
@@ -402,10 +402,9 @@ def compile_dl_ensemble(ens: Ensemble, c: int) -> Circuit:
 
 def _obdd_indicator(b: _Builder, o: Obdd, c: int) -> str:
     """Gate computing [o(e) = c]: per-vertex OR over arcs that reach t_c."""
-    view = _restriction(o)
-    o = view.model  # complete over a non-empty order, so its source is a node
+    o = complete_obdd(o)  # complete over a non-empty order, so its source is a node
     target = o.t1 if c == 1 else o.t0
-    hit = view.hits(c)
+    hit = o.hits(c)
     if o.start not in hit:
         return b.false_gate()
     gate: Dict[str, str] = {}

@@ -195,7 +195,7 @@ def _verdicts(
     if direct is None:
         from .tables import _oracle_for
 
-        valid = functools.partial(_oracle_for(model, guard).holds, q)
+        valid = functools.partial(_oracle_for(model, guard).check, q)
     else:
         flat, (_, _, check) = direct
         valid = functools.partial(check, flat, q)

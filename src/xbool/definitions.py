@@ -18,9 +18,9 @@ class Definitions:
     """The four query kinds over one question.
 
     A subclass supplies `features`, the sorted universe; `example_class(e)`,
-    refusing an example that misses a feature of it; and `_reaches(tau, z)`:
-    some completion of `tau` (feature -> bit) gets class z.  lAXp and gAXp
-    leave the other class unreachable and gCXp the target class; lCXp
+    refusing an example that misses a feature of it; and `reaches(tau, z)`:
+    some completion of `tau` (feature name -> bit) gets class z.  lAXp and
+    gAXp leave the other class unreachable and gCXp the target class; lCXp
     reaches the other class with the example fixed outside the set.
     Validity only grows with the witness, so one deletion at a time
     decides subset-minimality.  Candidates come smallest first,
@@ -33,17 +33,17 @@ class Definitions:
         kinds) or its assignment as a dict (global kinds)."""
         if q.kind not in LOCAL_KINDS:
             avoid = q.target if q.kind == "gCXp" else 1 - q.target
-            return lambda tau: not self._reaches(tau, avoid)
+            return lambda tau: not self.reaches(tau, avoid)
         e = q.target
         other = 1 - self.example_class(e)
         if q.kind == "lAXp":
-            return lambda names: not self._reaches({f: e[f] for f in names}, other)
-        return lambda names: self._reaches({f: e[f] for f in self.features if f not in names}, other)
+            return lambda names: not self.reaches({f: e[f] for f in names}, other)
+        return lambda names: self.reaches({f: e[f] for f in self.features if f not in names}, other)
 
     def _passes(self, q: ExplanationQuery, w: Witness) -> bool:
-        # a witness's bits are read here, once per check: the walks trust
-        # theirs; the message is built only for a value that is not a bit
-        tau = {str(f): z if z in (0, 1) else _bit(z, f"assignment of {f!r}")
+        # a witness's bits are read here, once per check, into the ints every
+        # engine trusts; the message is built only for a value that is not a bit
+        tau = {str(f): int(z) if z in (0, 1) else _bit(z, f"assignment of {f!r}")
                for f, z in w.assignment or ()}
         return self.validity(q)(w.features if w.assignment is None else tau)
 

@@ -555,12 +555,8 @@ def obdd_conjoin(pieces: Sequence[Obdd]) -> Obdd:
     pieces = [p for p in pieces if p.order]
     if not pieces or not label:
         return complete_obdd(_constant("obdd", label, order))
-    offsets = []
-    at = 0
-    for p in pieces:
-        offsets.append(at)
-        at += len(p.order)
-    total = at
+    offsets = list(itertools.accumulate((len(p.order) for p in pieces), initial=0))
+    total = len(order)
     nodes: Dict[str, ObddNode] = {}
     first_bypass = len(pieces[0].order)
     for lv in range(first_bypass, total):

@@ -146,24 +146,22 @@ def complete_obdd(o: Obdd) -> Obdd:
 
 def _padded(o: Obdd) -> Obdd:
     extra: Dict[str, ObddNode] = {}
-    memo: Dict[Tuple[str, int], str] = {}
+    chains: Dict[str, List[str]] = {}
 
     def pad(target: str, lv: int) -> str:
         # node at level lv whose both arcs lead onward to target, through
-        # one padding node per level; the chain is built bottom-up, so
+        # one padding node per level: chain[i] sits i levels above target,
+        # and the chain grows downwards, only by the levels it lacks, so
         # deeper padding nodes get their ids first
+        chain = chains.setdefault(target, [target])
         top = o.level(target)
-        low = lv
-        while low < top and (target, low) not in memo:
-            low += 1
-        nxt = memo.get((target, low), target)
-        for level in range(low - 1, lv - 1, -1):
+        for level in range(top - len(chain), lv - 1, -1):
             nid = f"pad:{target}:{level}"
             while nid in o.nodes or nid in extra:
                 nid += "~"
-            extra[nid] = ObddNode(o.order[level], nxt, nxt)
-            memo[(target, level)] = nxt = nid
-        return nxt
+            extra[nid] = ObddNode(o.order[level], chain[-1], chain[-1])
+            chain.append(nid)
+        return chain[top - lv]
 
     rebuilt: Dict[str, ObddNode] = {}
     for nid, node in o.nodes.items():

@@ -55,7 +55,6 @@ def obdd_ensemble_product(ens: Ensemble, node_cap: int = DEFAULT_NODE_CAP) -> Ob
     order, elems = _rebase(ens)
     elems = [complete_obdd(el) for el in elems]
     majority = len(elems) // 2 + 1
-    depth = len(order)
 
     def resolve(state: Tuple[str, ...]) -> Optional[str]:
         votes = 0

@@ -31,7 +31,8 @@ class Graph:
     """A tree or diagram: `terminals` maps leaf or sink ids to their class
     (read as ints), `nodes` inner ids (and a tree's leaves) to nodes with
     `feature`, `zero` and `one`, `start` reaches every id, and
-    `parents_first` lists the inner ids, each after all of its parents."""
+    `parents_first` lists the inner ids, each after all of its parents, so
+    one backward pass over it answers `hits` on any graph, completed or not."""
 
     _view: Optional[Restriction] = None  # the view Restriction keeps
 
@@ -48,6 +49,15 @@ class Graph:
             node = nodes[nid]
             nid = node.one if _lookup(e, node.feature) else node.zero
         return terminals[nid]
+
+    def hits(self, label: int) -> Set[str]:
+        """Ids from which some terminal of `label` is reachable."""
+        hit = {nid for nid, got in self.terminals.items() if got == label}
+        for nid in reversed(self.parents_first):
+            node = self.nodes[nid]
+            if node.zero in hit or node.one in hit:
+                hit.add(nid)
+        return hit
 
 
 def walk_labels(g: Graph, tau: PartialExample) -> FrozenSet[int]:
@@ -85,7 +95,7 @@ def _walk(g: Graph, fixed: Mapping[str, int]) -> FrozenSet[int]:
 
 
 class Restriction(Definitions):
-    """The view of one tree or diagram, answering `_reaches` by the walk;
+    """The view of one tree or diagram, answering `reaches` by the walk;
     it keeps itself on the model as `_view`.  A tree must be free of
     repeated tests and a diagram complete, as the walk, the seed path and
     the flip masks assume."""
@@ -99,23 +109,13 @@ class Restriction(Definitions):
         require_total(e, self.features)
         return classify(self.model, e)
 
-    def _reaches(self, tau: Mapping[str, int], label: int) -> bool:
+    def reaches(self, tau: Mapping[str, int], label: int) -> bool:
         return label in _walk(self.model, tau)
-
-    def hits(self, label: int) -> Set[str]:
-        """Ids from which some terminal of `label` is reachable."""
-        g = self.model
-        hit = {nid for nid, got in g.terminals.items() if got == label}
-        for nid in reversed(g.parents_first):
-            node = g.nodes[nid]
-            if node.zero in hit or node.one in hit:
-                hit.add(nid)
-        return hit
 
     def seed_path(self, label: int) -> Optional[Dict[str, int]]:
         """Full assignment along the least (0-preferring) path into `label`."""
         g = self.model
-        hit = self.hits(label)
+        hit = g.hits(label)
         if g.start not in hit:
             return None
         alpha: Dict[str, int] = {}

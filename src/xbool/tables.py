@@ -27,10 +27,10 @@ import itertools
 from functools import lru_cache, partial
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import ModelError, TooLarge, UndefinedFeature
+from .errors import ModelError, TooLarge
 from .definitions import Definitions
 from .explain import DEFAULT_GUARD, ExplanationQuery, Witness
-from .models import Example, Model, _bit, model_features
+from .models import Example, Model, _bit, _lookup, model_features
 
 Literals = Tuple[Tuple[int, int], ...]
 
@@ -158,16 +158,16 @@ _FILLS = {"dt": _fill_graph, "ds": _fill_ds, "dl": _fill_dl, "obdd": _fill_graph
 class FunctionOracle(Definitions):
     """The definitions over an arbitrary total 0/1 classifier, which the
     constructor stores without calling (`TableOracle` fills after it).
-    `reaches` enumerates the completions and keeps its last answer, and
-    classifications are memoized per feature vector, so a repeated check
-    makes no classifier call.  Only callers holding a bare function need
-    this: a model's oracle is the `TableOracle` that `_oracle_for` fills
-    from the model's structure.
+    `reaches` enumerates the completions of a partial assignment by
+    feature name and keeps its last answer, and classifications are
+    memoized per feature vector, so a repeated check makes no classifier
+    call.  Only callers holding a bare function need this: a model's
+    oracle is the `TableOracle` that `_oracle_for` fills from the model's
+    structure.
     """
 
     def __init__(self, features: Iterable[str], classify_fn: Callable[[Dict[str, int]], int], guard: int = DEFAULT_GUARD):
         self.features = _universe(features, guard)
-        self._pos = {f: i for i, f in enumerate(self.features)}
         self._fn, self._last = classify_fn, (None, None)  # `reaches`' last question and answer
         self._memo: Dict[Tuple[int, ...], int] = {}
 
@@ -179,37 +179,30 @@ class FunctionOracle(Definitions):
         return got
 
     def bits_of(self, e: Example) -> Tuple[int, ...]:
-        try:
-            return tuple(_bit(e[f], f"value of feature {f!r}") for f in self.features)
-        except KeyError as missing:
-            raise UndefinedFeature(f"example does not assign feature {missing}") from None
+        return tuple(_lookup(e, f) for f in self.features)
 
     def example_class(self, e: Example) -> int:
         return self.label(self.bits_of(e))
 
-    def reaches(self, fixed: Dict[int, int], z: int) -> bool:
-        """Some completion of `fixed` (position -> bit) gets label z, counted in binary over the
-        free positions, first most significant.  The last answer is kept (`subset_minimal` checks
+    def reaches(self, tau: Mapping[str, int], z: int) -> bool:
+        """Some completion of `tau` (feature name -> bit) gets label z, counted in binary over the
+        free features, first most significant.  The last answer is kept (`subset_minimal` checks
         its witness again): the points up to the first z-point are memoized, so a repeat adds none."""
-        if (key := (*fixed.items(), z)) != self._last[0]:
-            points = itertools.product(*[(fixed[i],) if i in fixed else (0, 1) for i in range(len(self.features))])
+        if (key := (*tau.items(), z)) != self._last[0]:
+            points = itertools.product(*[(tau[f],) if f in tau else (0, 1) for f in self.features])
             self._last = key, any(map(z.__eq__, map(self.label, points)))
         return self._last[1]
-
-    def _reaches(self, tau: Mapping[str, int], z: int) -> bool:
-        pos = self._pos
-        return self.reaches({pos[f]: bit for f, bit in tau.items()}, z)
 
 
 class TableOracle(FunctionOracle):
     """The oracle over a truth table: `table` is one 2^n-bit int whose
     bit i is the class of the point where feature j (in sorted order)
     takes bit j of i, or a function filling it from the sorted features.
-    `reaches` ANDs one literal mask per fixed feature with the class's
-    points and tests for any left (Knuth, TAOCP 4A, 7.1.3); `minimum`
-    walks the inherited candidates in the inherited order, sharing each
-    prefix's AND (`_first`).  The table and its masks hold 2^n bits
-    each, 128 KiB at the guard."""
+    It defines its own `reaches`, which ANDs each named feature's
+    literal mask with the class's points and tests for any left (Knuth,
+    TAOCP 4A, 7.1.3); `minimum` walks the inherited candidates in the
+    inherited order, sharing each prefix's AND (`_first`).  The table
+    and its masks hold 2^n bits each, 128 KiB at the guard."""
 
     def __init__(self, features: Iterable[str], table: int | Callable[..., int], guard: int = DEFAULT_GUARD):
         # a point's class is its bit of the table, at the index its bits spell (filled next: the base never labels)
@@ -222,11 +215,12 @@ class TableOracle(FunctionOracle):
             raise ModelError(f"a table over {len(self.features)} features must fit in {width} bits")
         self._points = (full ^ filled, filled)  # the points of class 0, of class 1
         self._literals = literals(len(self.features))  # per position: (0s, 1s)
+        self._named = dict(zip(self.features, self._literals))  # per feature name: (0s, 1s)
 
-    def reaches(self, fixed: Dict[int, int], z: int) -> bool:
+    def reaches(self, tau: Mapping[str, int], z: int) -> bool:
         points = self._points[z]
-        for i, bit in fixed.items():
-            points &= self._literals[i][bit]
+        for f, bit in tau.items():
+            points &= self._named[f][bit]
         return points != 0
 
     def _first(self, q: ExplanationQuery, valid) -> Callable[[int], Optional[Witness]]:

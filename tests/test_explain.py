@@ -293,9 +293,9 @@ def test_function_oracle_remembers_its_last_answer_only(monkeypatch):
     reaches = FunctionOracle.reaches
     label = FunctionOracle.label
 
-    def counted_reaches(self, fixed, z):
-        asked.append([dict(fixed), z, 0])
-        return reaches(self, fixed, z)
+    def counted_reaches(self, tau, z):
+        asked.append([dict(tau), z, 0])
+        return reaches(self, tau, z)
 
     def counted_label(self, bits):
         asked[-1][2] += 1
@@ -306,10 +306,10 @@ def test_function_oracle_remembers_its_last_answer_only(monkeypatch):
     q = ExplanationQuery("gAXp", "subset", 1)
     both, one = Witness.of_assignment({"a": 1, "b": 1}), Witness.of_assignment({"a": 1})
     assert oracle.holds(q, both)
-    assert asked == [[{0: 1, 1: 1}, 0, 2]] and len(received) == 2
+    assert asked == [[{"a": 1, "b": 1}, 0, 2]] and len(received) == 2
     # `subset_minimal` checks `both` again: no label call, then each deletion
     assert oracle.subset_minimal(q, both)
-    assert asked[1:] == [[{0: 1, 1: 1}, 0, 0], [{1: 1}, 0, 1], [{0: 1}, 0, 1]]
+    assert asked[1:] == [[{"a": 1, "b": 1}, 0, 0], [{"b": 1}, 0, 1], [{"a": 1}, 0, 1]]
     # `one` asks the last deletion's question again; a question asked in
     # between gets its own answer, and a question before it is enumerated
     # again, all from the label memo
@@ -318,7 +318,7 @@ def test_function_oracle_remembers_its_last_answer_only(monkeypatch):
     assert oracle.holds(q, both)
     assert not oracle.holds(q, one)
     assert [n for _, _, n in asked] == [0, 2, 1] and len(received) == 4
-    assert oracle._last == (((0, 1), 0), True)
+    assert oracle._last == ((("a", 1), 0), True)
 
 
 def test_function_oracle_keeps_one_answer_over_a_long_search():
@@ -329,12 +329,12 @@ def test_function_oracle_keeps_one_answer_over_a_long_search():
     q = ExplanationQuery("gCXp", "cardinality", 1, k=3)
     questions = []
     reaches = oracle.reaches
-    oracle.reaches = lambda fixed, z: questions.append((*fixed.items(), z)) or reaches(fixed, z)
+    oracle.reaches = lambda tau, z: questions.append((*tau.items(), z)) or reaches(tau, z)
     oracle.minimum(q)
     assert len(set(questions)) > 100
     del oracle.reaches
     assert oracle._last[0] == questions[-1] and len(oracle._last) == 2
-    assert set(vars(oracle)) == {"features", "_pos", "_fn", "_last", "_memo"}
+    assert set(vars(oracle)) == {"features", "_fn", "_last", "_memo"}
 
 
 def test_oracle_lcxp_minimum_costs_three_lookups_per_candidate(monkeypatch):

@@ -192,10 +192,13 @@ def test_a_request_loads_only_its_route(tmp_path):
 # one step loop, with no generated function, and one function held the
 # budget rule, they were: tree 1634, diagram 1600, rules 1598, rules verify
 # 1598, branching 1342, help 1146, refusal 1146, generate 3125 and
-# circuits 2486.
+# circuits 2486.  At 7e3d887, before every engine answered `reaches` by
+# feature name, with no name-to-position adapter in the oracles, they
+# were: diagram 1598, rules 1596, rules verify 1596, generate 3117 and
+# circuits 2457.
 LINE_CEILINGS = {
-    "tree": 1632, "diagram": 1598, "rules": 1596, "rules verify": 1596, "branching": 1339,
-    "help": 1144, "refusal": 1144, "generate": 3117, "circuits": 2457,
+    "tree": 1632, "diagram": 1596, "rules": 1590, "rules verify": 1590, "branching": 1339,
+    "help": 1144, "refusal": 1144, "generate": 3110, "circuits": 2447,
 }
 
 
@@ -216,7 +219,9 @@ def test_the_circuit_module_compiles_at_most_its_ceiling_of_lines():
 # da7a278, before a circuit over at most 16 inputs evaluated by a lookup in
 # its own truth table, there were 2446.  At f728bc5, before a circuit's
 # program ran on one step loop, with no generated function, there were 2455.
-STATEMENT_CEILING = 2436
+# At 7e3d887, before every engine answered `reaches` by feature name, there
+# were 2436.
+STATEMENT_CEILING = 2421
 
 
 def test_the_package_holds_at_most_its_ceiling_of_statements():

@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 
-from xbool import models, tables
+from xbool import dt, models, obdd, tables
 from xbool.circuits import circuit_explain_bruteforce
 from xbool.errors import TooLarge
 from xbool.explain import (
@@ -19,6 +19,7 @@ from xbool.explain import (
     FunctionOracle,
     TableOracle,
     Witness,
+    is_explanation,
 )
 from xbool.models import (
     DecisionList,
@@ -47,6 +48,7 @@ from helpers import (
     rand_dt_with_repeats,
     rand_example,
     rand_obdd,
+    rand_partial,
     rand_sparse_obdd,
     six_compiled,
 )
@@ -70,7 +72,7 @@ def test_a_guard_size_table_oracle_builds_fast():
     literals.cache_clear()
     started = time.perf_counter()
     oracle = TableOracle(feats, 1 << (1 << 20) - 1)  # only the all-ones point is 1
-    assert oracle.reaches({j: 1 for j in range(20)}, 1)
+    assert oracle.reaches({f: 1 for f in feats}, 1)
     assert time.perf_counter() - started < 0.5
 
 
@@ -194,6 +196,49 @@ def test_the_table_oracle_answers_like_the_enumeration_oracle():
                     assert table.holds(q, w) == enum.holds(q, w), (model.kind, q, w)
                     assert table.subset_minimal(q, w) == enum.subset_minimal(q, w)
 
+
+
+def _three_engines(rng, feats, makers):
+    """(model, its restriction view, its enumeration and table oracles)
+    over `feats` for seeded models, one maker after another; the view is
+    over the simplified tree or the completed diagram."""
+    for i in range(48):
+        model = makers[i % len(makers)](rng, feats)
+        view = (dt._restriction if model.kind == "dt" else obdd._restriction)(model)
+        yield model, view, (FunctionOracle(feats, lambda e, m=model: classify(m, e)),
+                            TableOracle(feats, lambda fs, m=model: model_table(m, fs)))
+
+
+def test_the_view_and_both_oracles_answer_reaches_alike_by_feature_name():
+    rng = random.Random(229)
+    feats = tuple(f"x{i}" for i in range(5))
+    makers = (rand_dt, rand_dt_with_repeats, rand_obdd, rand_sparse_obdd)
+    for model, view, oracles in _three_engines(rng, feats, makers):
+        for _ in range(12):
+            tau = rand_partial(rng, feats)
+            for z in (0, 1):
+                want = view.reaches(tau, z)
+                assert [o.reaches(tau, z) for o in oracles] == [want, want], (model.nodes, tau, z)
+
+
+def test_every_engine_reads_a_witness_bit_given_as_true_or_1_0_as_an_int():
+    # a witness built in process keeps the bits it is given, unlike one
+    # read from JSON; the walk and both oracles answer alike on each spelling
+    rng = random.Random(233)
+    feats = tuple(f"x{i}" for i in range(4))
+    spellings = ((0, 1), (False, True), (0.0, 1.0))
+    for model, view, oracles in _three_engines(rng, feats, (rand_dt, rand_obdd, rand_sparse_obdd)):
+        for kind in ("gAXp", "gCXp"):
+            q = ExplanationQuery(kind, "subset", rng.randint(0, 1))
+            tau = rand_partial(rng, feats)
+            want = view.check(q, Witness.of_assignment(tau))
+            for bits in spellings:
+                w = Witness(assignment=tuple((f, bits[z]) for f, z in tau.items()))
+                assert [e.check(q, w) for e in (view, *oracles)] == [want] * 3, (model.nodes, q, w)
+                assert oracles[0].subset_minimal(q, w) == oracles[1].subset_minimal(q, w)
+    first_rule = DecisionList([([("a", 1)], 1), ([], 0)])
+    assert is_explanation(first_rule, ExplanationQuery("gAXp", "subset", 1),
+                          Witness(assignment=(("a", 1.0),)))
 
 def test_an_oracle_request_sorts_and_guards_its_universe_once(monkeypatch):
     calls = []
